@@ -290,24 +290,26 @@ def gamma_sequences(
         raise CapExceededError(f"{n} states exceed the enumeration cap {max_n}")
     if k_max < 1 or k_max > 20:
         raise PreconditionError("k_max must be in [1, 20]")
-    p = sub.p
+    p = sub.p.tolist()
     full = (1 << n) - 1
-
-    def rec(seq: list[int], mask: int, weight: float) -> Iterator[GammaPath]:
-        u = seq[-1]
-        if len(seq) > k_max:
-            return
-        for v in range(n):
-            w = weight * p[u, v]
-            if w <= 0.0:
-                continue
-            new_mask = mask | (1 << v)
-            if v == 0 and mask == full:
-                yield GammaPath(tuple(seq + [v]), w)
-                continue
-            yield from rec(seq + [v], new_mask, w)
-
-    yield from rec([0], 1, 1.0)
+    # One frame per state of ``seq``: (visited mask, weight, next candidates).
+    seq = [0]
+    stack = [(1, 1.0, iter(range(n)))]
+    while stack:
+        mask, weight, candidates = stack[-1]
+        v = next(candidates, None)
+        if v is None:
+            stack.pop()
+            seq.pop()
+            continue
+        w = weight * p[seq[-1]][v]
+        if w <= 0.0:
+            continue
+        if v == 0 and mask == full:
+            yield GammaPath((*seq, v), w)
+        elif len(seq) < k_max:
+            seq.append(v)
+            stack.append((mask | (1 << v), w, iter(range(n))))
 
 
 def covering_sum_bruteforce(sub: SubStochasticMatrix, k_max: int, max_n: int = 4) -> float:

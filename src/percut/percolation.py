@@ -1,9 +1,12 @@
 """Bernoulli bond percolation on horizon graphs.
 
-Exact probabilities come from sweeping all edge configurations, grouped
-by open-edge count so one sweep prices every p.  Monte Carlo estimates
-carry Wilson 99% intervals.  Horizon vertices absorb: open paths may
-end on them but never pass through.
+Exact probabilities are counts of edge configurations grouped by
+open-edge count, so one profile prices every p.  The source cluster's
+law (theta, boundary censuses, boundary hits) is summed over the
+connected sets the cluster can be; general events sweep all 2^m
+configurations.  Monte Carlo estimates carry Wilson 99% intervals.
+Horizon vertices absorb: open paths may end on them but never pass
+through.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .graph_core import (
     iso_profile,
     set_weight,
 )
+
+# Profiles are int64; one sums to at most 2^m, which fits up to 62 edges.
+MAX_PROFILE_EDGES = 62
+# Connected sets the exact cluster law may walk before it refuses.
+EXACT_SET_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -227,13 +235,14 @@ def theta(
     """Probability that v reaches the horizon through open edges."""
     if v in graph.horizon:
         return EventProbability(1.0, "exact")
-    event = connection_event(graph, v, HORIZON)
     use_exact = exact if exact is not None else graph.n_edges <= 20
     if use_exact:
-        return exact_prob(graph, p, event)
+        _check_p(p)
+        _, infinite = boundary_census_exact(graph, v)
+        return EventProbability(profile_probability(infinite, p), "exact")
     if seed is None:
         raise PreconditionError("monte carlo theta needs a seed")
-    return mc_prob(graph, p, event, trials, seed)
+    return mc_prob(graph, p, connection_event(graph, v, HORIZON), trials, seed)
 
 
 def peierls_bound(table: QnTable, p: float, v: int | None = None) -> float:
@@ -265,40 +274,80 @@ def boundary_hit_probability(
     seed: int | None = None,
 ) -> EventProbability:
     """Probability that the source cluster's exposed boundary is this cutset."""
-    event = boundary_hit_event(graph, cutset)
     use_exact = exact if exact is not None else graph.n_edges <= 20
     if use_exact:
-        return exact_prob(graph, p, event)
+        _check_p(p)
+        profiles, _ = boundary_census_exact(graph, cutset.source)
+        profile = profiles.get(cutset.edge_ids)
+        return EventProbability(0.0 if profile is None else profile_probability(profile, p), "exact")
     if seed is None:
         raise PreconditionError("monte carlo boundary hit needs a seed")
-    return mc_prob(graph, p, event, trials, seed)
+    return mc_prob(graph, p, boundary_hit_event(graph, cutset), trials, seed)
+
+
+def _inner_edge_count(graph: Graph, s: frozenset[int]) -> int:
+    return sum(1 for u in s for w, _ in graph.adjacency[u] if w in s) // 2
 
 
 def boundary_census_exact(
-    graph: Graph, v: int, max_edges: int = 20
+    graph: Graph, v: int, max_sets: int = EXACT_SET_BUDGET
 ) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray]:
-    """Popcount profile of every realized exposed boundary, in one sweep.
+    """Popcount profile of every realized exposed boundary, by connected sets.
+
+    The cluster of v is finite and equal to S exactly when S is a
+    connected interior set containing v, the open edges of G[S] connect
+    S, and every edge leaving S is closed; all other edges are free.  So
+    with c_S(x) the generating polynomial of connected spanning edge
+    subsets of G[S], the configurations with C(v) = S count as
+    c_S(x) (1+x)^free by open edges.  c_S comes from the all-terminal
+    reliability recurrence: every edge subset of G[S] leaves v an open
+    component T, connected and containing v, with the edges between T
+    and S - T closed, so
+
+        c_S = (1+x)^e(S) - sum over T proper of c_T (1+x)^e(S - T).
 
     Returns (per-boundary profiles, profile of the infinite-cluster
-    event).  Summing a boundary profile at p gives the exact hit
-    probability of that boundary.
+    event); summing a boundary profile at p gives the exact hit
+    probability of that boundary.  Raises past ``max_sets`` connected
+    sets, counting both the walk over S and the walks over each T.
     """
+    if v in graph.horizon:
+        raise PreconditionError("cluster source must be off the horizon")
     m = graph.n_edges
-    if m > max_edges:
-        raise CapExceededError(f"{m} edges exceed the exact enumeration cap {max_edges}")
-    profiles: dict[tuple[int, ...], np.ndarray] = {}
-    infinite = np.zeros(m + 1, dtype=np.int64)
-    for mask in range(1 << m):
-        config = config_from_mask(graph, mask)
-        report = cluster_report(graph, config, v)
-        if report.finite:
-            profile = profiles.get(report.exposed)
-            if profile is None:
-                profile = profiles.setdefault(report.exposed, np.zeros(m + 1, dtype=np.int64))
-            profile[mask.bit_count()] += 1
-        else:
-            infinite[mask.bit_count()] += 1
-    return profiles, infinite
+    if m > MAX_PROFILE_EDGES:
+        raise CapExceededError(
+            f"{m} edges exceed the {MAX_PROFILE_EDGES}-edge limit of int64 profiles"
+        )
+    # Polynomials are evaluated at x = 2**64, so coefficient k sits in bits
+    # 64k..64k+63.  Integer arithmetic on these values is exact, and every
+    # polynomial read back (c_S, the profiles) has coefficients in
+    # [0, 2**62], so its value decodes slot by slot.
+    x1 = 1 + (1 << 64)
+    sets = sorted(
+        connected_subsets_containing(graph, v, graph.interior, max_count=max_sets), key=len
+    )
+    walked = len(sets)
+    spanning: dict[frozenset[int], int] = {}
+    packed: dict[tuple[int, ...], int] = {}
+    for s in sets:
+        e_s = _inner_edge_count(graph, s)
+        c = x1**e_s
+        for t in connected_subsets_containing(graph, v, s):
+            walked += 1
+            if walked > max_sets:
+                raise CapExceededError(f"more than {max_sets} connected sets in the cluster law")
+            if len(t) < len(s):
+                c -= spanning[t] * x1 ** _inner_edge_count(graph, s - t)
+        spanning[s] = c
+        leaving = set_weight(graph, s) - 2 * e_s
+        key = exposed_boundary(graph, s)
+        packed[key] = packed.get(key, 0) + c * x1 ** (m - e_s - leaving)
+
+    def unpack(value: int) -> np.ndarray:
+        return np.frombuffer(value.to_bytes(8 * (m + 1), "little"), dtype="<i8").astype(np.int64)
+
+    infinite = x1**m - sum(packed.values())
+    return {key: unpack(value) for key, value in packed.items()}, unpack(infinite)
 
 
 def boundary_census_mc(

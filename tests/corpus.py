@@ -3,7 +3,8 @@
 Small named graphs, every one connected with a non-empty horizon and a
 non-empty interior, all within the exact-enumeration caps.  Cutset
 tables and boundary censuses are cached per (graph, vertex) because
-several suites sweep the same pairs.
+several suites sweep the same pairs.  ``census_by_sweep`` is the
+configuration-sweep oracle the connected-set census is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from percut.graph_core import (
     path_graph,
     star_graph,
 )
-from percut.percolation import boundary_census_exact
+from percut.percolation import boundary_census_exact, cluster_report, config_from_mask
 
 
 def _random_graph(seed: int, n: int, extra: int, horizon_size: int) -> Graph:
@@ -91,6 +92,23 @@ def table_for(name: str, v: int) -> QnTable:
 @lru_cache(maxsize=None)
 def census_for(name: str, v: int):
     return boundary_census_exact(CORPUS[name], v)
+
+
+def census_by_sweep(graph: Graph, v: int):
+    """Boundary census by sweeping all 2^m edge configurations."""
+    m = graph.n_edges
+    profiles: dict[tuple[int, ...], np.ndarray] = {}
+    infinite = np.zeros(m + 1, dtype=np.int64)
+    for mask in range(1 << m):
+        report = cluster_report(graph, config_from_mask(graph, mask), v)
+        if report.finite:
+            profile = profiles.get(report.exposed)
+            if profile is None:
+                profile = profiles[report.exposed] = np.zeros(m + 1, dtype=np.int64)
+        else:
+            profile = infinite
+        profile[mask.bit_count()] += 1
+    return profiles, infinite
 
 
 def all_pairs() -> list[tuple[str, int]]:

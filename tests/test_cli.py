@@ -113,6 +113,36 @@ def test_perc_census_exact(capsys):
     assert sum(r["probability"] for r in rows) == pytest.approx(1.0, abs=1e-9)
 
 
+def _theta_row(capsys, argv):
+    code, out, err = run_cli(capsys, ["perc", "theta", *argv, "--out", "json"])
+    assert code == 0, err
+    return json.loads(out)["rows"][0]
+
+
+def test_theta_exact_grid5x5_inside_mc_interval(capsys):
+    base = ["--graph", "grid:5,5", "--vertex", "12", "--p", "0.6"]
+    exact = _theta_row(capsys, [*base, "--exact"])
+    assert exact["method"] == "exact"
+    assert exact["value"] == pytest.approx(0.958654, abs=5e-7)
+    mc = _theta_row(capsys, [*base, "--trials", "20000", "--seed", "5"])
+    assert mc["ci_low"] <= exact["value"] <= mc["ci_high"]
+
+
+@pytest.mark.parametrize("spec,vertex", [("grid:3,5", "7"), ("grid:4,4", "5")])
+def test_perc_theta_exact_past_twenty_edges(capsys, spec, vertex):
+    row = _theta_row(capsys, ["--graph", spec, "--vertex", vertex, "--p", "0.6", "--exact"])
+    assert row["method"] == "exact"
+
+
+def test_theta_exact_set_budget_is_usage_error(capsys):
+    # 60 edges fit the int64 profiles; 16 interior vertices overrun the set budget.
+    code, _, err = run_cli(
+        capsys, ["perc", "theta", "--graph", "grid:6,6", "--vertex", "14", "--p", "0.5", "--exact"]
+    )
+    assert code == 1
+    assert "connected sets" in err
+
+
 def test_perc_census_mc(capsys):
     code, out, _ = run_cli(
         capsys,

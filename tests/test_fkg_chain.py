@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,16 @@ def spider(legs: int = 3) -> Graph:
         a, b = 1 + 2 * leg, 2 + 2 * leg
         edges.extend([(0, a), (a, b)])
     return Graph(1 + 2 * legs, tuple(edges), frozenset())
+
+
+# ---- declared dependencies ----
+
+
+def test_declared_numpy_bound_has_bitwise_count():
+    # ConnectivityOracle calls np.bitwise_count, added in numpy 2.0.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'"numpy>=(\d+)', text)
+    assert match and int(match.group(1)) >= 2
 
 
 # ---- lower bound constant ----

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import HORIZON, path_graph, star_graph
-from percut.cutsets import verified_cutset
+from percut import HORIZON, Graph, grid_graph, path_graph, star_graph
+from percut.cutsets import Cutset, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
 from percut.percolation import (
     PercConfig,
@@ -28,7 +28,7 @@ from percut.percolation import (
     theta,
 )
 
-from corpus import CORPUS, table_for
+from corpus import CORPUS, census_by_sweep, table_for
 
 
 # ---- configurations and clusters ----
@@ -213,6 +213,74 @@ def test_census_every_boundary_is_minimal():
             profiles, _ = boundary_census_exact(g, v)
             recorded = {c.edge_ids for c in table_for(name, v).all_cutsets()}
             assert set(profiles) <= recorded
+
+
+# Besides the corpus, the exact-workload benchmark graphs (17 and 19
+# edges, 12 interior vertices) at their benchmark sources.
+LAW_CASES = {name: (g, g.interior) for name, g in CORPUS.items()}
+LAW_CASES["grid3x4_ends"] = (grid_graph(3, 4, horizon=(0, 11)), (5,))
+LAW_CASES["grid2x7_ends"] = (grid_graph(2, 7, horizon=(0, 13)), (6,))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CASES))
+def test_census_law_matches_sweep_oracle(name):
+    g, sources = LAW_CASES[name]
+    for v in sources:
+        profiles, infinite = boundary_census_exact(g, v)
+        ref_profiles, ref_infinite = census_by_sweep(g, v)
+        assert profiles.keys() == ref_profiles.keys()
+        for key, ref in ref_profiles.items():
+            assert profiles[key].dtype == np.int64
+            assert np.array_equal(profiles[key], ref)
+        assert infinite.dtype == np.int64
+        assert np.array_equal(infinite, ref_infinite)
+        for p in (0.3, 0.7):
+            assert theta(g, p, v, exact=True).value == profile_probability(ref_infinite, p)
+        if name in CORPUS:
+            for key, ref in ref_profiles.items():
+                hit = boundary_hit_probability(g, 0.3, Cutset(key, v), exact=True).value
+                assert hit == profile_probability(ref, 0.3)
+
+
+def _absorbing_reduction(g: Graph) -> Graph:
+    """Same source law: each horizon edge gets its own horizon leaf, horizon-horizon edges go."""
+    index = {u: i for i, u in enumerate(g.interior)}
+    edges = []
+    horizon = []
+    for a, b in g.edges:
+        if a in index and b in index:
+            edges.append((index[a], index[b]))
+        elif a in index or b in index:
+            leaf = len(index) + len(horizon)
+            horizon.append(leaf)
+            edges.append((index[a if a in index else b], leaf))
+    return Graph(len(index) + len(horizon), tuple(edges), frozenset(horizon))
+
+
+@pytest.mark.parametrize("width,height,v", [(3, 5, 7), (4, 4, 5)])
+def test_theta_exact_past_twenty_edges(width, height, v):
+    g = grid_graph(width, height)
+    assert g.n_edges > 20
+    small = _absorbing_reduction(g)
+    _, ref_infinite = census_by_sweep(small, g.interior.index(v))
+    for p in (0.3, 0.6):
+        priced = theta(g, p, v, exact=True)
+        assert priced.method == "exact"
+        assert priced.value == pytest.approx(profile_probability(ref_infinite, p), abs=1e-12)
+
+
+def test_census_law_caps():
+    with pytest.raises(CapExceededError, match="int64"):
+        boundary_census_exact(grid_graph(7, 7), 24)
+    p9 = path_graph(9)
+    # 16 intervals contain vertex 4; the recurrence walks more on top.
+    assert len(boundary_census_exact(p9, 4, max_sets=1000)[0]) == 16
+    with pytest.raises(CapExceededError):
+        boundary_census_exact(p9, 4, max_sets=15)
+    with pytest.raises(CapExceededError):
+        boundary_census_exact(p9, 4, max_sets=16)
+    with pytest.raises(PreconditionError):
+        boundary_census_exact(p9, 0)
 
 
 def test_census_mc_agrees_with_exact():
