@@ -22,7 +22,6 @@ from .graph_core import (
     Multigraph,
     SubdivisionMap,
     box3d_graph,
-    connected_in,
     contract_subdivision,
     cycle_graph,
     dump_graph,

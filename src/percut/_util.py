@@ -9,9 +9,8 @@ from .errors import NumericalError
 # 99% two-sided normal quantile, used by every Wilson interval in the package.
 Z99 = 2.5758293035489004
 
-# Residual thresholds for linear solves: warn above the first, refuse above
-# the second.
-SOLVE_RESIDUAL_TARGET = 1e-10
+# Largest max-norm residual of a linear solve, relative to max(1, |b|), that
+# checked_solve accepts; anything above it is refused.
 SOLVE_RESIDUAL_REFUSE = 1e-6
 
 _MASK64 = (1 << 64) - 1

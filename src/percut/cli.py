@@ -3,9 +3,7 @@
 Every command resolves a graph (file path or family spec such as
 ``path:5``, ``grid:3,3,torus``, ``star:3``), runs one operation, and
 emits a result record as CSV or JSON.  Randomized commands require an
-explicit seed and are pure functions of (config, seed); ``--threads``
-is accepted for symmetry with batch drivers but execution is serial,
-which produces identical records because all aggregation commutes.
+explicit seed and are pure functions of (config, seed).
 
 Exit codes: 0 success, 1 usage or input problems, 2 a violated
 mathematical invariant (so batch pipelines can tell bugs from typos).
@@ -35,6 +33,7 @@ from .errors import (
 )
 from .graph_core import FAMILY_BUILDERS, Graph, grid_graph, load_graph, subdivide
 from .cutsets import (
+    QnTable,
     default_karger_trials,
     enumerate_minimal_cutsets_bruteforce,
     enumerate_minimal_cutsets_by_components,
@@ -66,7 +65,7 @@ from .rw_cutsets import (
 from .gff import green, section8_pipeline
 
 _USAGE_ERRORS = (ParseError, GraphStructureError, PreconditionError, CapExceededError)
-_HASH_SKIP = {"func", "fmt", "output_file", "threads", "config"}
+_HASH_SKIP = {"func", "fmt", "output_file", "config"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,12 +208,16 @@ def _config_hash(args) -> str:
 # ---- handlers, one per action ----
 
 
-def _run_cutsets_enum(args) -> list[dict]:
+def _cutset_table(args) -> QnTable:
+    """Minimal cutsets from ``--vertex`` up to ``--nmax`` by the ``--algo`` route."""
     graph = resolve_graph(args.graph, args.horizon)
     if args.algo == "brute":
-        table = enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
-    else:
-        table = enumerate_minimal_cutsets_by_components(graph, args.vertex, args.nmax)
+        return enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
+    return enumerate_minimal_cutsets_by_components(graph, args.vertex, args.nmax)
+
+
+def _run_cutsets_enum(args) -> list[dict]:
+    table = _cutset_table(args)
     kappa = table.kappa_estimate
     rows = []
     for n, count in sorted(table.counts.get(args.vertex, {}).items()):
@@ -264,11 +267,7 @@ def _run_perc_theta(args) -> list[dict]:
 
 
 def _run_perc_peierls(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
-    if args.algo == "brute":
-        table = enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
-    else:
-        table = enumerate_minimal_cutsets_by_components(graph, args.vertex, args.nmax)
+    table = _cutset_table(args)
     bound = peierls_bound(table, args.p, args.vertex)
     return [{"vertex": args.vertex, "p": args.p, "nmax": args.nmax, "bound": bound}]
 
@@ -529,7 +528,6 @@ def _run_gff_pipeline(args) -> list[dict]:
 def _add_common(ap: argparse.ArgumentParser, fmt_default: str) -> None:
     ap.add_argument("--out", "--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
     ap.add_argument("--output-file", default=None)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--config", default=None, help="JSON file mirroring the flags")
 
 
@@ -698,8 +696,6 @@ def main(argv: list[str] | None = None) -> int:
         expanded = _inject_config(raw)
         parser = build_parser()
         args = parser.parse_args(expanded)
-        if args.threads < 1:
-            raise PreconditionError("--threads must be positive")
         _check_seed(args)
         echo = " ".join(["percut"] + raw)
         cfg_hash = _config_hash(args)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import checked_solve, wilson_interval
 from .errors import CapExceededError, PreconditionError
-from .graph_core import Multigraph, euler_circuit_edges, eulerian_from_two_trees
+from .graph_core import Multigraph, UnionFind, euler_circuit_edges, eulerian_from_two_trees
 
 
 class SubStochasticMatrix:
@@ -348,23 +348,11 @@ class HGraphSample:
 
 
 def _slots_connect(n: int, slots) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
+    sets = UnionFind(n)
     for pair in slots:
-        if pair is None or pair[0] == pair[1]:
-            continue
-        ra, rb = find(pair[0]), find(pair[1])
-        if ra != rb:
-            parent[ra] = rb
-            merges += 1
-    return merges == n - 1
+        if pair is not None:
+            sets.union(*pair)
+    return sets.components == 1
 
 
 def sample_h_graphs(sub: SubStochasticMatrix, rng: np.random.Generator) -> HGraphSample:

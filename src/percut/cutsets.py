@@ -19,9 +19,10 @@ import numpy as np
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .graph_core import (
     Graph,
-    connected_subsets_containing,
+    UnionFind,
     boundary_edges,
-    horizon_reachable_within,
+    connected_subsets_containing,
+    search,
 )
 
 
@@ -56,38 +57,36 @@ def _require_cutset_context(graph: Graph, v: int) -> None:
         raise PreconditionError(f"source {v} lies on the horizon")
 
 
-def _reaches_horizon_without(graph: Graph, v: int, removed: frozenset[int]) -> bool:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w, eid in graph.adjacency[u]:
-            if eid in removed:
-                continue
-            if w in graph.horizon:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def exposed_boundary(graph: Graph, s: Iterable[int]) -> tuple[int, ...]:
     """Edges out of ``s`` whose far endpoint still reaches the horizon.
 
     The far endpoint may itself be a horizon vertex.  ``s`` must not
-    touch the horizon.
+    touch the horizon.  Only the edges around ``s`` are scanned; each
+    outside endpoint not yet classified gets one search that avoids
+    ``s`` and stops at the horizon, and everything that search reached
+    shares its verdict.
     """
     inside = set(s)
-    if inside & graph.horizon:
+    horizon = graph.horizon
+    if inside & horizon:
         raise PreconditionError("set under study intersects the horizon")
-    complement = set(range(graph.n_vertices)) - inside
-    escaping = horizon_reachable_within(graph, complement) | graph.horizon
-    out = [
-        eid
-        for eid, (u, v) in enumerate(graph.edges)
-        if (u in inside and v in escaping) or (v in inside and u in escaping)
-    ]
+    escapes: dict[int, bool] = {}
+    out = []
+    for u in inside:
+        if not 0 <= u < graph.n_vertices:
+            continue  # not a vertex, so no edge leaves it
+        for w, eid in graph.adjacency[u]:
+            if w in inside:
+                continue
+            escape = escapes.get(w)
+            if escape is None:
+                if w in horizon:
+                    escape = True
+                else:
+                    reached, escape = search(graph, (w,), avoid=inside, stop_at_horizon=True)
+                    escapes.update(dict.fromkeys(reached, escape))
+            if escape:
+                out.append(eid)
     return tuple(sorted(out))
 
 
@@ -95,10 +94,19 @@ def is_minimal_cutset(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:
     """Does removing exactly this edge set, and no proper subset, strand v?"""
     _require_cutset_context(graph, v)
     removed = frozenset(edge_ids)
-    if _reaches_horizon_without(graph, v, removed):
+    m = graph.n_edges
+    is_open = [True] * m
+    for eid in removed:
+        if not 0 <= eid < m:
+            return False  # an edge the graph lacks is never needed to strand v
+        is_open[eid] = False
+    if search(graph, (v,), is_open, stop_at_horizon=True)[1]:
         return False
     for eid in removed:
-        if not _reaches_horizon_without(graph, v, removed - {eid}):
+        is_open[eid] = True
+        stranded = not search(graph, (v,), is_open, stop_at_horizon=True)[1]
+        is_open[eid] = False
+        if stranded:
             return False
     return True
 
@@ -121,15 +129,8 @@ def decompose(graph: Graph, cutset: Cutset) -> CutsetDecomposition:
     if not is_minimal_cutset(graph, cutset.edge_ids, cutset.source):
         raise PreconditionError("decompose needs a minimal cutset")
     removed = frozenset(cutset.edge_ids)
-    comp = {cutset.source}
-    stack = [cutset.source]
-    while stack:
-        u = stack.pop()
-        for w, eid in graph.adjacency[u]:
-            if eid in removed or w in comp:
-                continue
-            comp.add(w)
-            stack.append(w)
+    is_open = [eid not in removed for eid in range(graph.n_edges)]
+    comp, _ = search(graph, (cutset.source,), is_open)
     inner = set()
     for eid in cutset.edge_ids:
         u, v = graph.edges[eid]
@@ -284,28 +285,16 @@ def karger_count_min_cuts(
     m = graph.n_edges
     best: int | None = None
     cuts: set[frozenset[int]] = set()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for _ in range(trials):
-        for i in range(n):
-            parent[i] = i
-        components = n
+        sets = UnionFind(n)
         for ei in rng.permutation(m):
-            if components == 2:
+            if sets.components == 2:
                 break
             u, v = graph.edges[ei]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                components -= 1
+            sets.union(u, v)
+        roots = [sets.find(x) for x in range(n)]
         cut = frozenset(
-            eid for eid, (u, v) in enumerate(graph.edges) if find(u) != find(v)
+            eid for eid, (u, v) in enumerate(graph.edges) if roots[u] != roots[v]
         )
         size = len(cut)
         if best is None or size < best:

@@ -20,7 +20,7 @@ from ._util import Z99
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose
 from .percolation import PercConfig, boundary_hit_event, profile_probability
-from .graph_core import Graph
+from .graph_core import Graph, component_labels, search
 
 
 class ConnectivityOracle:
@@ -58,20 +58,22 @@ class ConnectivityOracle:
         )
         k = len(self.region)
         m = len(self.induced_edges)
-        ends = [
+        self._ends = [
             (self._index[graph.edges[eid][0]], self._index[graph.edges[eid][1]])
             for eid in self.induced_edges
         ]
         if mode == "exact":
             if m > max_edges:
                 raise CapExceededError(f"{m} induced edges exceed the exact cap {max_edges}")
-            n_cfg = 1 << m
-            labels = np.empty((n_cfg, k), dtype=np.int16)
-            for mask in range(n_cfg):
-                labels[mask] = self._labels_for(ends, k, lambda i: mask >> i & 1)
-            pop = np.bitwise_count(np.arange(n_cfg, dtype=np.uint64)).astype(np.int64)
-            self._labels = labels
+            # Row i holds bit i of every configuration: set in the upper half
+            # of each period of 2^(i+1).  Edge-major rows make the
+            # labeller's transpose free.
+            bits = np.zeros((m, 1 << m), dtype=bool)
+            for i in range(m):
+                bits[i].reshape(-1, 2 << i)[:, 1 << i :] = True
+            pop = bits.sum(axis=0)
             self._weights = p**pop * (1.0 - p) ** (m - pop)
+            bits = bits.T
             self.noise = 0.0
         else:
             if seed is None:
@@ -80,30 +82,9 @@ class ConnectivityOracle:
                 raise PreconditionError("trials must be positive")
             rng = np.random.Generator(np.random.PCG64(seed))
             bits = rng.random((trials, m)) < p
-            labels = np.empty((trials, k), dtype=np.int16)
-            for t in range(trials):
-                row = bits[t]
-                labels[t] = self._labels_for(ends, k, lambda i: row[i])
-            self._labels = labels
             self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
-
-    @staticmethod
-    def _labels_for(ends, k, is_open) -> list[int]:
-        parent = list(range(k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, (a, b) in enumerate(ends):
-            if is_open(i):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        return [find(x) for x in range(k)]
+        self._labels = component_labels(k, self._ends, bits)
 
     def _idx(self, v: int) -> int:
         try:
@@ -136,12 +117,9 @@ class ConnectivityOracle:
 
     def region_connected(self) -> bool:
         """Is the induced region connected when every edge is open?"""
-        ends = [
-            (self._index[self.graph.edges[eid][0]], self._index[self.graph.edges[eid][1]])
-            for eid in self.induced_edges
-        ]
-        labels = self._labels_for(ends, len(self.region), lambda i: True)
-        return len(set(labels)) == 1
+        all_open = np.ones((1, len(self._ends)), dtype=bool)
+        labels = component_labels(len(self.region), self._ends, all_open)[0]
+        return len(set(labels.tolist())) == 1
 
 
 @dataclass(frozen=True)
@@ -227,9 +205,8 @@ def build_chain(
     chain = [origin]
     probs = [1.0]
     half = theta / 2.0
-    adjacency = {
-        v: sorted(w for w, _ in graph.adjacency[v] if w in set(region)) for v in region
-    }
+    region_set = set(region)
+    adjacency = {v: sorted(w for w, _ in graph.adjacency[v] if w in region_set) for v in region}
     while True:
         connect = {v: oracle.connect_prob(v, chain) for v in region}
         bad = [v for v in region if connect[v] < half]
@@ -357,29 +334,21 @@ def theorem1_lower_bound_check(
     n = cutset.size
     bound = fkg_lower_bound(theta, p, n) * (1.0 - p) ** n
 
-    region_set = set(region)
-    induced = set(oracle.induced_edges)
+    outside = frozenset(range(graph.n_vertices)) - decomp.component_a
     cut_ids = set(cutset.edge_ids)
     hit = boundary_hit_event(graph, cutset)
     m = graph.n_edges
     profile = np.zeros(m + 1, dtype=np.int64)
     failures = 0
     checked = 0
-    adjacency = graph.adjacency
     for mask in range(1 << m):
         config = PercConfig(tuple(bool(mask >> i & 1) for i in range(m)))
         if hit(config):
             profile[mask.bit_count()] += 1
         if any(mask >> e & 1 for e in cut_ids):
             continue
-        seen = {origin}
-        stack = [origin]
-        while stack:
-            x = stack.pop()
-            for w, eid in adjacency[x]:
-                if eid in induced and mask >> eid & 1 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        # Keeping out of ``outside`` confines the search to induced edges.
+        seen, _ = search(graph, (origin,), config.open_bits, avoid=outside)
         if not set(targets) <= seen:
             continue
         checked += 1
@@ -393,33 +362,3 @@ def theorem1_lower_bound_check(
     if exact < bound - 1e-15:
         raise TheoremViolationError(f"boundary-hit bound failed: {exact} < {bound}")
     return Theorem1Report(exact, bound, theta, n, checked, failures)
-
-
-def clusters_meeting_both(
-    graph: Graph,
-    region: Iterable[int],
-    open_edges: Iterable[int],
-    first: Iterable[int],
-    second: Iterable[int],
-) -> int:
-    """Number of open clusters of the induced region meeting both sets."""
-    region = sorted(set(region))
-    index = {v: i for i, v in enumerate(region)}
-    parent = list(range(len(region)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    open_set = set(open_edges)
-    for eid in open_set:
-        u, v = graph.edges[eid]
-        if u in index and v in index:
-            ru, rv = find(index[u]), find(index[v])
-            if ru != rv:
-                parent[ru] = rv
-    roots_first = {find(index[v]) for v in first if v in index}
-    roots_second = {find(index[v]) for v in second if v in index}
-    return len(roots_first & roots_second)

@@ -18,7 +18,7 @@ import numpy as np
 from ._util import checked_solve, derive_seed, trial_generator, wilson_interval
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap, subdivide
+from .graph_core import Graph, SubdivisionMap, search, subdivide
 from .percolation import EventProbability
 from .rw_cutsets import escape_probabilities, fundamental_matrix
 
@@ -75,22 +75,32 @@ class GreenMatrix:
 def green(graph: Graph) -> GreenMatrix:
     """Covariance matrix of the field absorbed at the horizon.
 
-    One interior solve gives the visit counts; the diagonal is then
-    cross-checked against per-vertex escape probabilities computed by
-    the independent absorbing route (skipped above 64 interior vertices,
-    where the check would dwarf the assembly).
+    One interior solve gives the visit counts N.  Up to 64 interior
+    vertices the diagonal is cross-checked against escape probabilities
+    from the independent absorbing route.  Above that, where the route
+    would dwarf the assembly, N must satisfy the absorption identity
+    N b = 1, with b[v] the share of v's neighbours on the horizon: the
+    killed walk is absorbed with certainty.
     """
     interior, n = fundamental_matrix(graph)
     degrees = np.array([graph.degree(v) for v in interior], dtype=float)
     gm = GreenMatrix(graph, interior, n / degrees[None, :])
-    method = "absorbing" if len(interior) <= 64 else "fundamental"
-    escape = escape_probabilities(graph, method)
-    for i, v in enumerate(interior):
-        product = gm.g[i, i] * graph.degree(v) * escape[v]
-        if abs(product - 1.0) > 1e-9:
-            raise TheoremViolationError(
-                f"diagonal identity off at vertex {v}: {product}"
-            )
+    if len(interior) <= 64:
+        escape = escape_probabilities(graph, "absorbing")
+        for i, v in enumerate(interior):
+            product = gm.g[i, i] * graph.degree(v) * escape[v]
+            if abs(product - 1.0) > 1e-9:
+                raise TheoremViolationError(
+                    f"diagonal identity off at vertex {v}: {product}"
+                )
+        return gm
+    on_horizon = [sum(w in graph.horizon for w in graph.neighbors(v)) for v in interior]
+    absorbed = n @ (np.array(on_horizon) / degrees)
+    worst = int(np.argmax(np.abs(absorbed - 1.0)))
+    if abs(absorbed[worst] - 1.0) > 1e-9:
+        raise TheoremViolationError(
+            f"absorption identity off at vertex {interior[worst]}: {absorbed[worst]}"
+        )
     return gm
 
 
@@ -125,18 +135,8 @@ def excursion_cluster(field: GaussianField, origin: int, level: float = 0.0) -> 
     gm.index(origin)
     if not field.value(origin) >= level:
         return frozenset()
-    graph = gm.graph
-    seen = {origin}
-    stack = [origin]
-    while stack:
-        x = stack.pop()
-        for w, _ in graph.adjacency[x]:
-            if w in seen or w in graph.horizon:
-                continue
-            if field.values[gm.index(w)] >= level:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    below = _below(np.array(gm.interior), np.array(field.values), level)
+    return frozenset(search(gm.graph, (origin,), avoid=below)[0])
 
 
 def markov_check(gm: GreenMatrix, conditioned: set[int] | frozenset[int]) -> float:
@@ -217,16 +217,10 @@ def cutset_frame(base: Graph, cutset: Cutset) -> CutsetFrame:
     region.update(xs)
     if not is_minimal_cutset(sd.derived, tuple(mids), cutset.source):
         raise TheoremViolationError("mid-edges fail to form a minimal cutset")
-    seen = {cutset.source}
-    stack = [cutset.source]
     blocked = set(mids)
-    while stack:
-        x = stack.pop()
-        for w, eid in sd.derived.adjacency[x]:
-            if eid not in blocked and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != region:
+    is_open = [eid not in blocked for eid in range(sd.derived.n_edges)]
+    seen, touched = search(sd.derived, (cutset.source,), is_open)
+    if touched or seen != region:
         raise TheoremViolationError("component reconstruction mismatch")
     return CutsetFrame(
         sd, cutset, tuple(mids), tuple(xs), tuple(ys), tuple(inners), frozenset(region)
@@ -267,35 +261,9 @@ class Section8Report:
         return self._prob(self.boundary_count)
 
 
-def _interior_adjacency(
-    gm: GreenMatrix, allowed: frozenset[int] | None = None
-) -> list[list[int]]:
-    """Neighbor lists in interior-index space, optionally restricted."""
-    out: list[list[int]] = [[] for _ in gm.interior]
-    for i, v in enumerate(gm.interior):
-        if allowed is not None and v not in allowed:
-            continue
-        for w, _ in gm.graph.adjacency[v]:
-            if w in gm.graph.horizon:
-                continue
-            if allowed is not None and w not in allowed:
-                continue
-            out[i].append(gm.index(w))
-    return out
-
-
-def _component(adj: list[list[int]], ok: np.ndarray, start: int) -> set[int]:
-    if not ok[start]:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if w not in seen and ok[w]:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _below(interior: np.ndarray, values: np.ndarray, level: float) -> set[int]:
+    """Interior vertices whose field value is not at or above ``level``."""
+    return set(interior[~(values >= level)].tolist())
 
 
 def _field_blocks(gm: GreenMatrix, seed: int, trials: int):
@@ -325,17 +293,17 @@ def section8_pipeline(
     if trials < 1:
         raise PreconditionError("trials must be positive")
     frame = cutset_frame(base, cutset)
-    gm = green(frame.sd.derived)
-    o_idx = gm.index(cutset.source)
+    derived = frame.sd.derived
+    gm = green(derived)
+    origin = cutset.source
+    o_idx = gm.index(origin)
     x_idx = np.array([gm.index(v) for v in frame.x_vertices])
     y_idx = np.array([gm.index(v) for v in frame.y_vertices])
-    x_set = set(int(i) for i in x_idx)
-    adj_full = _interior_adjacency(gm)
-    adj_a = _interior_adjacency(gm, frame.component)
-    pair_idx = [(gm.index(x), gm.index(y)) for x, y in zip(frame.x_vertices, frame.y_vertices)]
+    x_set = set(frame.x_vertices)
+    pairs = tuple(zip(frame.x_vertices, frame.y_vertices))
+    in_component = [u in frame.component and v in frame.component for u, v in derived.edges]
     mids = frame.mid_edge_ids
-    derived = frame.sd.derived
-    interior = gm.interior
+    interior = np.array(gm.interior)
 
     f_count = e_count = fe_count = boundary_count = 0
     for block in _field_blocks(gm, seed, trials):
@@ -349,16 +317,17 @@ def section8_pipeline(
         )
         f_count += int(f_mask.sum())
         for t in range(block.shape[0]):
-            ok = block[t] >= 0.0
-            comp_a = _component(adj_a, ok, o_idx)
+            comp_a = cluster = set()
+            if block[t, o_idx] >= 0.0:
+                below = _below(interior, block[t], 0.0)
+                comp_a, _ = search(derived, (origin,), in_component, avoid=below)
+                cluster, _ = search(derived, (origin,), avoid=below)
             e_hit = x_set <= comp_a
             if e_hit:
                 e_count += 1
             hit = False
-            cluster = _component(adj_full, ok, o_idx)
-            if cluster and all(xi in cluster or yi in cluster for xi, yi in pair_idx):
-                vertices = {interior[i] for i in cluster}
-                hit = exposed_boundary(derived, vertices) == mids
+            if cluster and all(x in cluster or y in cluster for x, y in pairs):
+                hit = exposed_boundary(derived, cluster) == mids
             if hit:
                 boundary_count += 1
             if f_mask[t] and e_hit:
@@ -409,12 +378,7 @@ def sign_bound_check(graph: Graph, origin: int, trials: int, seed: int) -> SignB
         raise PreconditionError("trials must be positive")
     gm = green(graph)
     o_idx = gm.index(origin)
-    adj = _interior_adjacency(gm)
-    fringe = {
-        gm.index(v)
-        for v in gm.interior
-        if any(w in graph.horizon for w, _ in graph.adjacency[v])
-    }
+    interior = np.array(gm.interior)
     connect = 0
     sign_total = 0.0
     margins: list[np.ndarray] = []
@@ -423,10 +387,10 @@ def sign_bound_check(graph: Graph, origin: int, trials: int, seed: int) -> SignB
         sign_total += float(signs.sum())
         hits = np.zeros(block.shape[0])
         for t in range(block.shape[0]):
-            ok = block[t] >= -1.0
-            cluster = _component(adj, ok, o_idx)
-            if cluster & fringe:
-                hits[t] = 1.0
+            # The cluster meets a horizon-adjacent vertex iff its search touches the horizon.
+            if block[t, o_idx] >= -1.0:
+                below = _below(interior, block[t], -1.0)
+                hits[t] = search(graph, (origin,), avoid=below, stop_at_horizon=True)[1]
         connect += int(hits.sum())
         margins.append(hits - signs)
     margin = np.concatenate(margins)
@@ -477,18 +441,18 @@ def domination_endpoint_check(
     ) | x_set
     killed_graph = Graph(derived.n_vertices, derived.edges, killed_horizon)
     gm = green(killed_graph)
-    o_idx = gm.index(cutset.source)
-    adj = _interior_adjacency(gm)
-    targets = {gm.index(v) for v in frame.inner_vertices}
+    origin = cutset.source
+    o_idx = gm.index(origin)
+    interior = np.array(gm.interior)
+    targets = set(frame.inner_vertices)
     k_trials = killed_trials if killed_trials is not None else trials
     k_seed = derive_seed(seed, 1 << 32)
     hits = 0
     for block in _field_blocks(gm, k_seed, k_trials):
         for t in range(block.shape[0]):
-            ok = block[t] >= -1.0
-            cluster = _component(adj, ok, o_idx)
-            if targets <= cluster:
-                hits += 1
+            if block[t, o_idx] >= -1.0:
+                below = _below(interior, block[t], -1.0)
+                hits += targets <= search(killed_graph, (origin,), avoid=below)[0]
     lo, hi = wilson_interval(hits, k_trials)
     killed = EventProbability(hits / k_trials, "monte_carlo", k_trials, lo, hi)
     if report.f_count == 0:

@@ -3,9 +3,12 @@
 A graph here is simple, connected and undirected, with edges carrying
 stable integer ids (their position in the edge list).  The horizon is a
 distinguished set of absorbing vertices: "connected to infinity" always
-means "reaches some horizon vertex".  Subdivisions, multigraphs and the
-two-tree Eulerian construction used by the covering argument live here
-as well.
+means "reaches some horizon vertex".  Reachability under closed edges or
+forbidden vertices goes through one kernel here: ``search`` (the vertices
+reached over open edges, the horizon absorbing), ``UnionFind``, and
+``component_labels`` (labels under many edge configurations at once).
+Subdivisions, multigraphs and the two-tree Eulerian construction used by
+the covering argument live here as well.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -76,19 +81,10 @@ class Graph:
             if not 0 <= z < self.n_vertices:
                 raise GraphStructureError(f"horizon vertex {z} out of range")
         if self.n_vertices > 1:
-            seen_v = {0}
-            stack = [0]
-            adj = [[] for _ in range(self.n_vertices)]
+            sets = UnionFind(self.n_vertices)
             for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-            if len(seen_v) != self.n_vertices:
+                sets.union(u, v)
+            if sets.components != 1:
                 raise GraphStructureError("graph is not connected")
 
     @cached_property
@@ -114,83 +110,100 @@ class Graph:
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(eid for _, eid in self.adjacency[v])
 
-    def edge_id(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        for eid, pair in enumerate(self.edges):
-            if pair == key:
-                return eid
-        raise PreconditionError(f"no edge {key}")
-
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
-def connected_in(graph: Graph, within: Iterable[int], a: int, b) -> bool:
-    """Is there a path from ``a`` to ``b`` with all vertices inside ``within``?
+# ---- the traversal kernel ----
 
-    ``b`` may be a vertex (the whole path, including b, must lie in
-    ``within``) or the HORIZON sentinel (the path stays in ``within``
-    until its final vertex, which is any horizon vertex).
+
+def search(
+    graph: Graph,
+    sources: Iterable[int],
+    is_open: Sequence[bool] | None = None,
+    avoid: AbstractSet[int] = frozenset(),
+    stop_at_horizon: bool = False,
+) -> tuple[set[int], bool]:
+    """Vertices reached from ``sources``, and whether the horizon was touched.
+
+    The search never crosses an edge whose ``is_open[eid]`` is false
+    (with ``is_open`` None every edge is open) and never enters a vertex
+    of ``avoid``.  Horizon vertices absorb: reaching one sets ``touched``
+    but the vertex is neither expanded nor returned, and with
+    ``stop_at_horizon`` the search ends there, returning the part
+    reached so far.  The sources are always reached and expanded.
     """
-    allowed = set(within)
-    if a not in allowed:
-        raise PreconditionError(f"start vertex {a} not in the allowed set")
-    if b is HORIZON:
-        if a in graph.horizon:
-            return True
-        passable = allowed - graph.horizon
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w, _ in graph.adjacency[u]:
-                if w in graph.horizon:
-                    return True
-                if w in passable and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-    if b == a:
+    horizon = graph.horizon
+    adjacency = graph.adjacency
+    reached = set(sources)
+    stack = list(reached)
+    touched = False
+    while stack:
+        for w, eid in adjacency[stack.pop()]:
+            if w in reached or w in avoid or (is_open is not None and not is_open[eid]):
+                continue
+            if w in horizon:
+                if stop_at_horizon:
+                    return reached, True
+                touched = True
+            else:
+                reached.add(w)
+                stack.append(w)
+    return reached, touched
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving and a component count."""
+
+    __slots__ = ("parent", "components")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.components = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        self.components -= 1
         return True
-    if b not in allowed:
-        return False
-    seen = {a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w, _ in graph.adjacency[u]:
-            if w == b:
-                return True
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
-def horizon_reachable_within(graph: Graph, within: Iterable[int]) -> frozenset[int]:
-    """Vertices of ``within`` joined to the horizon by a path inside ``within``.
+def component_labels(
+    k: int, ends: Sequence[tuple[int, int]], open_rows: np.ndarray
+) -> np.ndarray:
+    """Component labels of vertices 0..k-1 under many edge configurations.
 
-    Horizon members of ``within`` are not expanded through (they absorb)
-    and are not reported; the result is the set of non-horizon vertices
-    with an escape route.
+    ``ends[i]`` holds the endpoints of edge i, and row r of the bool
+    matrix ``open_rows`` marks the edges open in configuration r.  Entry
+    (r, x) of the result is the smallest vertex in x's open component,
+    found for all rows at once by passing minimum labels along open
+    edges until no edge changes one.
     """
-    allowed = set(within) - graph.horizon
-    seen = set()
-    stack = []
-    for u in allowed:
-        for w, _ in graph.adjacency[u]:
-            if w in graph.horizon:
-                seen.add(u)
-                stack.append(u)
-                break
-    while stack:
-        u = stack.pop()
-        for w, _ in graph.adjacency[u]:
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    open_cols = np.ascontiguousarray(np.asarray(open_rows, dtype=bool).T)
+    labels = np.repeat(np.arange(k, dtype=np.int16)[:, None], open_cols.shape[1], axis=1)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), is_open in zip(ends, open_cols):
+            la, lb = labels[a], labels[b]
+            stale = is_open & (la != lb)
+            if stale.any():
+                low = np.minimum(la, lb)
+                np.copyto(la, low, where=stale)
+                np.copyto(lb, low, where=stale)
+                changed = True
+    return labels.T
 
 
 # ---- text format ----
@@ -371,22 +384,11 @@ class Multigraph:
         ids = list(edge_ids)
         if len(ids) != self.n_vertices - 1:
             return False
-        parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = UnionFind(self.n_vertices)
         for eid in ids:
             u, v = self.edges[eid]
-            if u == v:
+            if u == v or not sets.union(u, v):
                 return False
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
         return True
 
 

@@ -25,6 +25,7 @@ from .graph_core import (
     Graph,
     connected_subsets_containing,
     iso_profile,
+    search,
     set_weight,
 )
 
@@ -93,61 +94,25 @@ def config_from_mask(graph: Graph, mask: int) -> PercConfig:
 
 
 def cluster_report(graph: Graph, config: PercConfig, v: int) -> ClusterReport:
-    """BFS over open edges from v; membership stops at horizon contact."""
+    """Search over open edges from v; membership stops at horizon contact."""
     if v in graph.horizon:
         raise PreconditionError("cluster source must be off the horizon")
-    finite = True
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w, eid in graph.adjacency[u]:
-            if not config.open_bits[eid]:
-                continue
-            if w in graph.horizon:
-                finite = False
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    cluster = frozenset(seen)
-    exposed = exposed_boundary(graph, cluster) if finite else None
-    return ClusterReport(v, cluster, finite, exposed)
+    reached, touched = search(graph, (v,), config.open_bits)
+    cluster = frozenset(reached)
+    exposed = None if touched else exposed_boundary(graph, cluster)
+    return ClusterReport(v, cluster, not touched, exposed)
 
 
 def config_connects(graph: Graph, config: PercConfig, a: int, b) -> bool:
     """Open-path connectivity; horizon vertices absorb rather than relay."""
     if b is HORIZON:
-        if a in graph.horizon:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w, eid in graph.adjacency[u]:
-                if not config.open_bits[eid]:
-                    continue
-                if w in graph.horizon:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        return a in graph.horizon or search(graph, (a,), config.open_bits, stop_at_horizon=True)[1]
     if a == b:
         return True
-    seen = {a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w, eid in graph.adjacency[u]:
-            if not config.open_bits[eid] or w in seen:
-                continue
-            if w == b:
-                return True
-            if w not in graph.horizon:
-                seen.add(w)
-                stack.append(w)
-    return False
+    reached, _ = search(graph, (a,), config.open_bits)
+    if b in graph.horizon:
+        return any(config.open_bits[eid] and w in reached for w, eid in graph.adjacency[b])
+    return b in reached
 
 
 def connection_event(graph: Graph, a: int, b) -> Callable[[PercConfig], bool]:

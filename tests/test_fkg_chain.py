@@ -10,7 +10,6 @@ from percut.errors import PreconditionError
 from percut.fkg_chain import (
     ConnectivityOracle,
     build_chain,
-    clusters_meeting_both,
     fkg_lower_bound,
     theorem1_lower_bound_check,
     verify_full_connectivity,
@@ -213,16 +212,6 @@ def test_theorem1_needs_interior_p():
     p5 = path_graph(5)
     with pytest.raises(PreconditionError):
         theorem1_lower_bound_check(p5, 1.0, verified_cutset(p5, (0, 3), 2))
-
-
-# ---- cluster counting helper ----
-
-
-def test_clusters_meeting_both():
-    p5 = path_graph(5)
-    assert clusters_meeting_both(p5, (1, 2, 3), (1,), (1,), (3,)) == 0
-    assert clusters_meeting_both(p5, (1, 2, 3), (1, 2), (1,), (3,)) == 1
-    assert clusters_meeting_both(p5, (1, 2, 3), (), (1,), (1,)) == 1
 
 
 # ---- properties ----

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from percut import path_graph
+from percut import grid_graph, path_graph
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError, TheoremViolationError
 from percut.gff import (
@@ -56,6 +56,25 @@ def test_green_diagonal_identity_on_corpus():
             product = gm.variance(v) * g.degree(v) * escape[v]
             assert abs(product - 1.0) <= 1e-9, name
         assert float(np.max(np.abs(gm.g - gm.g.T))) <= 1e-9
+
+
+def test_green_check_fires_above_64_interior_vertices(monkeypatch):
+    # grid:11,11 has 81 interior vertices, past the independent escape route.
+    import percut.gff
+    import percut.rw_cutsets
+
+    exact = percut.rw_cutsets.fundamental_matrix
+
+    def scaled(graph):
+        interior, n = exact(graph)
+        return interior, n * (1.0 + 1e-6)
+
+    g = grid_graph(11, 11)
+    assert len(green(g).interior) == 81
+    monkeypatch.setattr(percut.gff, "fundamental_matrix", scaled)
+    monkeypatch.setattr(percut.rw_cutsets, "fundamental_matrix", scaled)
+    with pytest.raises(TheoremViolationError):
+        green(g)
 
 
 def test_green_index_rejects_horizon():
@@ -204,8 +223,8 @@ def test_cutset_frame_structure_on_corpus():
             ):
                 assert x in frame.component
                 assert y not in frame.component
-                assert frame.sd.derived.edge_id(inner, x) is not None
-                assert frame.sd.derived.edge_id(x, y) is not None
+                assert (min(inner, x), max(inner, x)) in frame.sd.derived.edges
+                assert (min(x, y), max(x, y)) in frame.sd.derived.edges
 
 
 # ---- clamped-field pipeline ----

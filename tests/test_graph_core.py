@@ -1,16 +1,20 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from percut import HORIZON, Graph
+from percut import Graph
 from percut.errors import GraphStructureError, ParseError, PreconditionError
 from percut.graph_core import (
     Multigraph,
+    UnionFind,
     boundary_edges,
     box3d_graph,
-    connected_in,
+    component_labels,
     connected_subsets_containing,
     contract_subdivision,
     cycle_graph,
@@ -19,10 +23,10 @@ from percut.graph_core import (
     euler_circuit_edges,
     eulerian_from_two_trees,
     grid_graph,
-    horizon_reachable_within,
     iso_profile,
     load_graph,
     path_graph,
+    search,
     set_weight,
     star_graph,
     subdivide,
@@ -110,28 +114,126 @@ def test_dump_round_trip_on_corpus():
         assert load_graph(dump_graph(g)) == g
 
 
-# ---- horizon-relative connectivity ----
+# ---- the traversal kernel ----
 
 
-def test_connected_in_p5_cases():
+def test_search_p5_cases():
     p5 = path_graph(5)
-    assert connected_in(p5, {1, 2, 3}, 2, HORIZON)
-    assert not connected_in(p5, {2}, 2, HORIZON)
-    assert connected_in(p5, {1, 2}, 1, 2)
-    assert not connected_in(p5, {1, 3}, 1, 3)
-    assert not connected_in(p5, {1, 2}, 1, 4)
+    # Horizon vertices absorb: touched, never returned.
+    assert search(p5, (2,)) == ({1, 2, 3}, True)
+    assert search(p5, (2,), avoid={1, 3}) == ({2}, False)
+    assert 2 in search(p5, (1,), avoid={3})[0]
+    assert 3 not in search(p5, (1,), avoid={2})[0]
+    assert 4 not in search(p5, (1,))[0]
+    assert search(p5, (1,), is_open=(True, True, False, True)) == ({1, 2}, True)
+    assert search(p5, (1,), is_open=(False, True, False, True)) == ({1, 2}, False)
 
 
-def test_connected_in_requires_membership():
-    with pytest.raises(PreconditionError):
-        connected_in(path_graph(5), {1, 2}, 3, HORIZON)
-
-
-def test_horizon_reachable_within():
+def test_search_avoid_p5():
     p5 = path_graph(5)
-    assert horizon_reachable_within(p5, {1, 2, 3}) == {1, 2, 3}
-    assert horizon_reachable_within(p5, {2}) == set()
-    assert horizon_reachable_within(p5, {1, 3}) == {1, 3}
+    assert search(p5, (1, 2, 3)) == ({1, 2, 3}, True)
+    assert search(p5, (1, 3), avoid={2}) == ({1, 3}, True)
+    assert search(p5, (1,), avoid={2}) == ({1}, True)
+    assert search(p5, (3,), avoid={1, 2}) == ({3}, True)
+
+
+def test_search_stops_at_the_horizon():
+    p5 = path_graph(5)
+    reached, touched = search(p5, (1,), stop_at_horizon=True)
+    assert touched and 1 in reached and reached <= {1, 2, 3}
+    assert search(p5, (2,), avoid={1, 3}, stop_at_horizon=True) == ({2}, False)
+
+
+def test_search_expands_its_sources_even_on_the_horizon():
+    p5 = path_graph(5)
+    assert search(p5, (0,)) == ({0, 1, 2, 3}, True)
+    assert search(p5, (0,), is_open=(False, True, True, True)) == ({0}, False)
+
+
+def test_union_find_counts_components():
+    sets = UnionFind(5)
+    assert sets.union(0, 1) and sets.union(3, 4)
+    assert not sets.union(1, 0)
+    assert sets.components == 3
+    assert sets.find(0) == sets.find(1) != sets.find(2)
+    assert sets.find(3) == sets.find(4)
+
+
+def test_component_labels_p5_region():
+    # Region (1, 2, 3) of path:5 as indices 0..2, induced edges 1-2 and 2-3.
+    ends = [(0, 1), (1, 2)]
+    rows = np.array([[True, False], [True, True], [False, False], [False, True]])
+    labels = component_labels(3, ends, rows)
+    assert labels.tolist() == [[0, 0, 2], [0, 0, 0], [0, 1, 2], [0, 1, 1]]
+    assert component_labels(2, [], np.ones((3, 0), dtype=bool)).tolist() == [[0, 1]] * 3
+
+
+def _random_graph(rng, n):
+    # A random spanning tree plus a few extra edges, with a random horizon.
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, n))):
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        edges.add((u, v))
+    size = int(rng.integers(0, n // 2 + 1))
+    horizon = frozenset(int(z) for z in rng.choice(n, size, replace=False))
+    return Graph(n, tuple(sorted(edges)), horizon)
+
+
+def _partition(labels):
+    groups = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(int(label), set()).add(x)
+    return sorted(map(sorted, groups.values()))
+
+
+def test_search_matches_networkx_components():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        g = _random_graph(rng, int(rng.integers(2, 16)))
+        is_open = tuple(bool(b) for b in rng.random(g.n_edges) < 0.7)
+        avoid = frozenset(int(x) for x in rng.choice(g.n_vertices, int(rng.integers(0, 4))))
+        free = [v for v in range(g.n_vertices) if v not in avoid and v not in g.horizon]
+        if not free:
+            continue
+        sources = {int(x) for x in rng.choice(free, int(rng.integers(1, 3)))}
+        # Oracle: open edges between free vertices; the horizon is reached, never crossed.
+        h = nx.Graph()
+        h.add_nodes_from(free)
+        h.add_edges_from(e for e, ok in zip(g.edges, is_open) if ok and set(e) <= set(free))
+        expected = set().union(*(nx.node_connected_component(h, s) for s in sources))
+        targets = g.horizon - avoid
+        touched = any(
+            ok and ((u in expected and v in targets) or (v in expected and u in targets))
+            for (u, v), ok in zip(g.edges, is_open)
+        )
+        assert search(g, sources, is_open, avoid) == (expected, touched)
+        partial, stopped = search(g, sources, is_open, avoid, stop_at_horizon=True)
+        assert stopped == touched and sources <= partial <= expected
+        if not touched:
+            assert partial == expected
+
+
+def test_union_find_and_component_labels_match_scipy():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        k = int(rng.integers(1, 12))
+        n_edges = int(rng.integers(0, 2 * k))
+        ends = [tuple(int(x) for x in rng.integers(0, k, 2)) for _ in range(n_edges)]
+        rows = rng.random((8, len(ends))) < 0.5
+        labels = component_labels(k, ends, rows)
+        for row, got in zip(rows, labels):
+            picked = [e for e, ok in zip(ends, row) if ok]
+            heads, tails = [a for a, _ in picked], [b for _, b in picked]
+            adj = csr_matrix((np.ones(len(picked)), (heads, tails)), shape=(k, k))
+            n_comp, expected = connected_components(adj, directed=False)
+            assert _partition(got) == _partition(expected)
+            # Each label is the smallest vertex of its component.
+            assert all(got[x] == np.flatnonzero(expected == expected[x])[0] for x in range(k))
+            sets = UnionFind(k)
+            for a, b in picked:
+                sets.union(a, b)
+            assert sets.components == n_comp
+            assert _partition([sets.find(x) for x in range(k)]) == _partition(expected)
 
 
 # ---- subdivision ----
@@ -158,9 +260,9 @@ def test_subdivide_order3_triangle():
     for eid in range(3):
         m1, m2 = sd.midpoints[eid]
         u, v = tri.edges[eid]
-        assert sd.derived.edge_id(u, m1) is not None
-        assert sd.derived.edge_id(m1, m2) == sd.mid_edge_id(eid)
-        assert sd.derived.edge_id(m2, v) is not None
+        assert (min(u, m1), max(u, m1)) in sd.derived.edges
+        assert sd.derived.edges.index((m1, m2)) == sd.mid_edge_id(eid)
+        assert (min(m2, v), max(m2, v)) in sd.derived.edges
 
 
 def test_subdivide_rejects_other_orders():
@@ -186,7 +288,7 @@ def test_projected_walks_respect_base_adjacency():
         if not sd.is_midpoint(x) and x != originals[-1]:
             originals.append(x)
     for a, b in zip(originals, originals[1:]):
-        assert g.edge_id(a, b) is not None
+        assert (min(a, b), max(a, b)) in g.edges
 
 
 # ---- multigraphs, trees, euler circuits ----
@@ -275,14 +377,22 @@ def test_euler_circuit_rejects_odd_degrees():
 # ---- subset enumeration and isoperimetry ----
 
 
+def _nx_graph(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n_vertices))
+    g.add_edges_from(graph.edges)
+    return g
+
+
 def _brute_connected_subsets(graph, root, allowed):
     allowed = frozenset(allowed)
+    g = _nx_graph(graph)
     found = []
     members = sorted(allowed - {root})
     for k in range(len(members) + 1):
         for combo in itertools.combinations(members, k):
             s = frozenset(combo) | {root}
-            if all(connected_in(graph, s, root, v) for v in s):
+            if nx.is_connected(g.subgraph(s)):
                 found.append(s)
     return found
 
@@ -391,5 +501,6 @@ def test_random_connected_subsets_have_connected_members(seed, n):
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     g = Graph(n, tuple(sorted(edges)), frozenset({0}))
     subsets = list(connected_subsets_containing(g, g.interior[0], set(g.interior), 1 << 16))
+    nx_g = _nx_graph(g)
     for s in subsets:
-        assert all(connected_in(g, s, g.interior[0], v) for v in s)
+        assert nx.is_connected(nx_g.subgraph(s))
