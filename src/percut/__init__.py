@@ -56,7 +56,6 @@ from .percolation import (
     boundary_hit_probability,
     cluster_report,
     peierls_bound,
-    sample_config,
     theta,
 )
 from .fkg_chain import (

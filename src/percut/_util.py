@@ -1,10 +1,10 @@
-"""Shared numeric helpers: seed mixing, Wilson intervals, checked solves."""
+"""Shared numeric helpers: seed mixing, Wilson intervals, checked solves, the sweep cap."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import CapExceededError, NumericalError
 
 # 99% two-sided normal quantile, used by every Wilson interval in the package.
 Z99 = 2.5758293035489004
@@ -13,7 +13,17 @@ Z99 = 2.5758293035489004
 # checked_solve accepts; anything above it is refused.
 SOLVE_RESIDUAL_REFUSE = 1e-6
 
+# Most edges a route may sweep; a sweep visits all 2^m edge configurations
+# (or edge subsets).
+SWEEP_EDGES = 20
+
 _MASK64 = (1 << 64) - 1
+
+
+def check_sweep(m: int) -> None:
+    """Refuse a 2^m sweep over more than ``SWEEP_EDGES`` edges."""
+    if m > SWEEP_EDGES:
+        raise CapExceededError(f"{m} edges exceed the {SWEEP_EDGES}-edge sweep cap")
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -425,7 +425,7 @@ def _run_rw_escape(args) -> list[dict]:
             }
         ]
     probs = escape_probabilities(graph)
-    constant = escape_constant(graph)
+    constant = escape_constant(graph, probs)
     rows = []
     for v in sorted(probs):
         if args.vertex is not None and v != args.vertex:

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError, TheoremViolationError
+from ._util import check_sweep
+from .errors import PreconditionError, TheoremViolationError
 from .graph_core import (
     Graph,
     UnionFind,
@@ -203,13 +204,10 @@ def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:
     return QnTable({v: packed})
 
 
-def enumerate_minimal_cutsets_bruteforce(
-    graph: Graph, v: int, n_max: int, max_edges: int = 20
-) -> QnTable:
+def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> QnTable:
     """Powerset sweep: test every edge subset of size up to ``n_max``."""
     _require_cutset_context(graph, v)
-    if graph.n_edges > max_edges:
-        raise CapExceededError(f"{graph.n_edges} edges exceed the powerset cap {max_edges}")
+    check_sweep(graph.n_edges)
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
     found: dict[int, list[Cutset]] = {}

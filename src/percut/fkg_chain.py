@@ -16,10 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import Z99
-from .errors import CapExceededError, PreconditionError, TheoremViolationError
+from ._util import Z99, check_sweep
+from .errors import PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose
-from .percolation import PercConfig, boundary_hit_event, profile_probability
+from .percolation import (
+    _config_blocks,
+    _swept_configs,
+    boundary_hit_event,
+    boundary_hit_probability,
+)
 from .graph_core import Graph, component_labels, search
 
 
@@ -40,7 +45,6 @@ class ConnectivityOracle:
         mode: str = "exact",
         trials: int = 20_000,
         seed: int | None = None,
-        max_edges: int = 20,
     ):
         if not 0.0 <= p <= 1.0:
             raise PreconditionError(f"p={p} outside [0, 1]")
@@ -63,8 +67,7 @@ class ConnectivityOracle:
             for eid in self.induced_edges
         ]
         if mode == "exact":
-            if m > max_edges:
-                raise CapExceededError(f"{m} induced edges exceed the exact cap {max_edges}")
+            check_sweep(m)
             # Row i holds bit i of every configuration: set in the upper half
             # of each period of 2^(i+1).  Edge-major rows make the
             # labeller's transpose free.
@@ -78,10 +81,7 @@ class ConnectivityOracle:
         else:
             if seed is None:
                 raise PreconditionError("monte carlo oracle needs a seed")
-            if trials < 1:
-                raise PreconditionError("trials must be positive")
-            rng = np.random.Generator(np.random.PCG64(seed))
-            bits = rng.random((trials, m)) < p
+            bits = np.concatenate(list(_config_blocks(m, p, trials, seed)))
             self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
         self._labels = component_labels(k, self._ends, bits)
@@ -268,12 +268,11 @@ def verify_full_connectivity(
     targets: Iterable[int],
     origin: int,
     p: float,
-    max_edges: int = 20,
 ) -> FullConnectivityResult:
     """Exact P(origin <-> all targets) against the chain lower bound."""
     region = tuple(sorted(set(region)))
     targets = tuple(sorted(set(targets)))
-    oracle = ConnectivityOracle(graph, region, p, mode="exact", max_edges=max_edges)
+    oracle = ConnectivityOracle(graph, region, p, mode="exact")
     if not oracle.region_connected():
         raise PreconditionError("induced region is not connected")
     theta = min(oracle.connect_prob(u, targets) for u in region)
@@ -301,26 +300,24 @@ def theorem1_lower_bound_check(
     p: float,
     cutset: Cutset,
     theta: float | None = None,
-    max_edges: int = 20,
 ) -> Theorem1Report:
     """Boundary-hit probability against the closed-ring lower bound.
 
-    Decomposes the cutset, prices P(exposed boundary = cutset) exactly,
-    and checks it is at least (c (1-p))^n with c from the chain bound at
-    the computed (or supplied, if weaker) hypothesis level.  Also sweeps
-    every configuration and confirms the defining implication: targets
-    all reached inside the component and the cutset fully closed force
-    the exposed boundary to be exactly the cutset.
+    Decomposes the cutset, prices P(exposed boundary = cutset) by the
+    exact cluster law, and checks it is at least (c (1-p))^n with c from
+    the chain bound at the computed (or supplied, if weaker) hypothesis
+    level.  Also sweeps every configuration and confirms the defining
+    implication: targets all reached inside the component and the cutset
+    fully closed force the exposed boundary to be exactly the cutset.
     """
     if not 0.0 < p < 1.0:
         raise PreconditionError("theorem check needs p strictly inside (0, 1)")
-    if graph.n_edges > max_edges:
-        raise CapExceededError(f"{graph.n_edges} edges exceed the exact cap {max_edges}")
+    configs = _swept_configs(graph)  # refuses past the sweep cap before any work
     decomp = decompose(graph, cutset)
     region = tuple(sorted(decomp.component_a))
     targets = tuple(sorted(decomp.inner_b))
     origin = cutset.source
-    oracle = ConnectivityOracle(graph, region, p, mode="exact", max_edges=max_edges)
+    oracle = ConnectivityOracle(graph, region, p, mode="exact")
     computed = min(oracle.connect_prob(u, targets) for u in region)
     if theta is None:
         theta = computed
@@ -337,14 +334,9 @@ def theorem1_lower_bound_check(
     outside = frozenset(range(graph.n_vertices)) - decomp.component_a
     cut_ids = set(cutset.edge_ids)
     hit = boundary_hit_event(graph, cutset)
-    m = graph.n_edges
-    profile = np.zeros(m + 1, dtype=np.int64)
     failures = 0
     checked = 0
-    for mask in range(1 << m):
-        config = PercConfig(tuple(bool(mask >> i & 1) for i in range(m)))
-        if hit(config):
-            profile[mask.bit_count()] += 1
+    for mask, config in configs:
         if any(mask >> e & 1 for e in cut_ids):
             continue
         # Keeping out of ``outside`` confines the search to induced edges.
@@ -354,7 +346,7 @@ def theorem1_lower_bound_check(
         checked += 1
         if not hit(config):
             failures += 1
-    exact = profile_probability(profile, p)
+    exact = boundary_hit_probability(graph, p, cutset, exact=True).value
     if failures:
         raise TheoremViolationError(
             f"{failures} configurations broke the closed-ring implication"

@@ -4,7 +4,9 @@ Exact probabilities are counts of edge configurations grouped by
 open-edge count, so one profile prices every p.  The source cluster's
 law (theta, boundary censuses, boundary hits) is summed over the
 connected sets the cluster can be; general events sweep all 2^m
-configurations.  Monte Carlo estimates carry Wilson 99% intervals.
+configurations, up to ``SWEEP_EDGES`` edges.  Every sampled estimate draws
+its configurations from one ``PCG64(seed)`` stream and carries a Wilson
+99% interval.
 Horizon vertices absorb: open paths may end on them but never pass
 through.
 """
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._util import wilson_interval
+from ._util import check_sweep, wilson_interval
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, QnTable, exposed_boundary
 from .graph_core import (
@@ -33,6 +35,8 @@ from .graph_core import (
 MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
+# Configurations drawn per block; it bounds memory and never changes a result.
+_BLOCK_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,38 @@ def _check_p(p: float) -> None:
         raise PreconditionError(f"p={p} outside [0, 1]")
 
 
-def sample_config(graph: Graph, p: float, rng: np.random.Generator) -> PercConfig:
-    _check_p(p)
-    bits = rng.random(graph.n_edges) < p
-    return PercConfig(tuple(bool(b) for b in bits))
-
-
 def config_from_mask(graph: Graph, mask: int) -> PercConfig:
     return PercConfig(tuple(bool(mask >> i & 1) for i in range(graph.n_edges)))
+
+
+def _swept_configs(graph: Graph) -> Iterator[tuple[int, PercConfig]]:
+    """Every configuration with its mask; refuses at once past the sweep cap."""
+    check_sweep(graph.n_edges)
+    return ((mask, config_from_mask(graph, mask)) for mask in range(1 << graph.n_edges))
+
+
+def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """``trials`` configurations from one ``PCG64(seed)`` stream, as bool blocks.
+
+    Row i of the concatenated blocks is configuration i.  ``Generator.random``
+    yields the same doubles however a draw is split, so the block size never
+    changes a result.  Arguments are checked at the call, draws made lazily.
+    """
+    _check_p(p)
+    if trials < 1:
+        raise PreconditionError("trials must be positive")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    block = _BLOCK_ROWS
+    return (
+        rng.random((min(block, trials - done), n_edges)) < p
+        for done in range(0, trials, block)
+    )
+
+
+def _sampled_configs(graph: Graph, p: float, trials: int, seed: int) -> Iterator[PercConfig]:
+    # Row by row: a whole block as Python lists would outweigh the block itself.
+    blocks = _config_blocks(graph.n_edges, p, trials, seed)
+    return (PercConfig(tuple(row.tolist())) for block in blocks for row in block)
 
 
 def cluster_report(graph: Graph, config: PercConfig, v: int) -> ClusterReport:
@@ -126,20 +154,15 @@ def finite_cluster_event(graph: Graph, v: int) -> Callable[[PercConfig], bool]:
 # ---- exact enumeration ----
 
 
-def event_popcount_profile(
-    graph: Graph, event: Callable[[PercConfig], bool], max_edges: int = 20
-) -> np.ndarray:
+def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], bool]) -> np.ndarray:
     """Count satisfying configurations grouped by number of open edges.
 
     One sweep of all 2^m configurations; the resulting profile prices
     the event at any p via a short polynomial sum.
     """
-    m = graph.n_edges
-    if m > max_edges:
-        raise CapExceededError(f"{m} edges exceed the exact enumeration cap {max_edges}")
-    profile = np.zeros(m + 1, dtype=np.int64)
-    for mask in range(1 << m):
-        if event(config_from_mask(graph, mask)):
+    profile = np.zeros(graph.n_edges + 1, dtype=np.int64)
+    for mask, config in _swept_configs(graph):
+        if event(config):
             profile[mask.bit_count()] += 1
     return profile
 
@@ -154,10 +177,8 @@ def profile_probability(profile: np.ndarray, p: float) -> float:
     return total
 
 
-def exact_prob(
-    graph: Graph, p: float, event: Callable[[PercConfig], bool], max_edges: int = 20
-) -> EventProbability:
-    profile = event_popcount_profile(graph, event, max_edges)
+def exact_prob(graph: Graph, p: float, event: Callable[[PercConfig], bool]) -> EventProbability:
+    profile = event_popcount_profile(graph, event)
     return EventProbability(profile_probability(profile, p), "exact")
 
 
@@ -168,20 +189,7 @@ def mc_prob(
     trials: int,
     seed: int,
 ) -> EventProbability:
-    _check_p(p)
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hits = 0
-    block = 10_000
-    done = 0
-    while done < trials:
-        take = min(block, trials - done)
-        bits = rng.random((take, graph.n_edges)) < p
-        for row in bits:
-            if event(PercConfig(tuple(bool(b) for b in row))):
-                hits += 1
-        done += take
+    hits = sum(1 for config in _sampled_configs(graph, p, trials, seed) if event(config))
     lo, hi = wilson_interval(hits, trials)
     return EventProbability(hits / trials, "monte_carlo", trials, lo, hi)
 
@@ -323,24 +331,14 @@ def boundary_census_mc(
     Returns (hit counts per boundary, count of horizon-touching
     clusters); the two sides add up to the trial count.
     """
-    _check_p(p)
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
     counts: dict[tuple[int, ...], int] = {}
     infinite = 0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m = graph.n_edges
-    done = 0
-    while done < trials:
-        size = min(10_000, trials - done)
-        block = rng.random((size, m)) < p
-        for row in block:
-            report = cluster_report(graph, PercConfig(tuple(map(bool, row))), v)
-            if report.finite:
-                counts[report.exposed] = counts.get(report.exposed, 0) + 1
-            else:
-                infinite += 1
-        done += size
+    for config in _sampled_configs(graph, p, trials, seed):
+        report = cluster_report(graph, config, v)
+        if report.finite:
+            counts[report.exposed] = counts.get(report.exposed, 0) + 1
+        else:
+            infinite += 1
     return counts, infinite
 
 
@@ -357,7 +355,6 @@ def fkg_spot_check(
     graph: Graph,
     p: float,
     event_pairs: Iterable[tuple[tuple[int, object], tuple[int, object]]],
-    max_edges: int = 20,
 ) -> list[FkgCheck]:
     """Exact P(A and B) >= P(A) P(B) for pairs of connection events.
 
@@ -369,10 +366,8 @@ def fkg_spot_check(
     for (a1, b1), (a2, b2) in event_pairs:
         e1 = connection_event(graph, a1, b1)
         e2 = connection_event(graph, a2, b2)
-        joint = exact_prob(graph, p, lambda c: e1(c) and e2(c), max_edges).value
-        product = exact_prob(graph, p, e1, max_edges).value * exact_prob(
-            graph, p, e2, max_edges
-        ).value
+        joint = exact_prob(graph, p, lambda c: e1(c) and e2(c)).value
+        product = exact_prob(graph, p, e1).value * exact_prob(graph, p, e2).value
         if joint < product - 1e-12:
             raise TheoremViolationError(
                 f"positive association failed: {joint} < {product} for "
@@ -408,7 +403,6 @@ def strong_percolation_experiment(
     p: float,
     c_fit: float,
     sets: Iterable[Iterable[int]] | None = None,
-    max_edges: int = 20,
     max_set_size: int = 6,
 ) -> StrongPercReport:
     """Compare -ln P(S misses the horizon) against c_fit x boundary profile.
@@ -438,7 +432,7 @@ def strong_percolation_experiment(
         def miss(config: PercConfig, members=members) -> bool:
             return all(not config_connects(graph, config, u, HORIZON) for u in members)
 
-        prob = exact_prob(graph, p, miss, max_edges).value
+        prob = exact_prob(graph, p, miss).value
         if prob == 0.0:
             continue
         weight = set_weight(graph, members)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import UniformBuffer, checked_solve, trial_generator, wilson_interval
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, QnTable, decompose, exposed_boundary, is_minimal_cutset
+from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
 from .percolation import EventProbability
 
@@ -47,6 +47,11 @@ def fundamental_matrix(graph: Graph) -> tuple[tuple[int, ...], np.ndarray]:
     return interior, n
 
 
+def _no_return(interior: tuple[int, ...], n: np.ndarray) -> dict[int, float]:
+    """Escape probabilities 1 / (expected visits to the start) from one N."""
+    return {v: 1.0 / float(n[i, i]) for i, v in enumerate(interior)}
+
+
 def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int, float]:
     """P_v(never return to v before absorption), for every interior vertex.
 
@@ -56,8 +61,7 @@ def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int,
     vertex; the two must agree to solver precision.
     """
     if method == "fundamental":
-        interior, n = fundamental_matrix(graph)
-        return {v: 1.0 / float(n[i, i]) for i, v in enumerate(interior)}
+        return _no_return(*fundamental_matrix(graph))
     if method != "absorbing":
         raise PreconditionError(f"unknown method {method!r}")
     if not graph.horizon:
@@ -86,9 +90,12 @@ def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int,
     return out
 
 
-def escape_constant(graph: Graph, method: str = "fundamental") -> float:
-    """Smallest degree-weighted no-return probability over the interior."""
-    probs = escape_probabilities(graph, method)
+def escape_constant(graph: Graph, probs: dict[int, float]) -> float:
+    """Smallest degree-weighted no-return probability over the interior.
+
+    ``probs`` are the graph's escape probabilities, as solved by
+    ``escape_probabilities``.
+    """
     if not probs:
         raise PreconditionError("graph has no interior vertices")
     return min(graph.degree(v) * p for v, p in probs.items())
@@ -142,13 +149,11 @@ def subdivision_escape_check(sd: SubdivisionMap) -> SubdivisionEscapeReport:
     """
     if sd.order != 2:
         raise PreconditionError("escape check runs on order-2 subdivisions")
-    eps = escape_constant(sd.base)
+    eps = escape_constant(sd.base, escape_probabilities(sd.base))
     floor_all = 2.0 * eps / (4.0 + eps)
     floor_orig = eps / 2.0
-    probs = escape_probabilities(sd.derived)
-    weighted = {v: sd.derived.degree(v) * p for v, p in probs.items()}
-
     interior, n = fundamental_matrix(sd.derived)
+    weighted = {v: sd.derived.degree(v) * p for v, p in _no_return(interior, n).items()}
     index = {v: i for i, v in enumerate(interior)}
     worst = 0.0
     for eid in range(sd.base.n_edges):
@@ -238,8 +243,6 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
     if sd.order != 2:
         raise PreconditionError("crossing matrices live on order-2 subdivisions")
     base = sd.base
-    if not is_minimal_cutset(base, cutset.edge_ids, cutset.source):
-        raise PreconditionError("crossing matrix needs a minimal cutset")
     decomp = decompose(base, cutset)
     region = set(decomp.component_a)
     for eid, (u, v) in enumerate(base.edges):
@@ -262,7 +265,7 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
     from .cover_lemma import SubStochasticMatrix, min_cut
 
     sub = SubStochasticMatrix(p)
-    eps = escape_constant(base)
+    eps = escape_constant(base, escape_probabilities(base))
     eps1 = 2.0 * eps / (4.0 + eps)
     eps2 = eps1 * eps1 / 64.0
     cut = min_cut(sub) if k > 1 else float("inf")
@@ -362,11 +365,7 @@ class RwCensus:
         by_size: dict[int, list[Cutset]] = {}
         for cs in self.hits:
             by_size.setdefault(cs.size, []).append(cs)
-        packed = {
-            n: tuple(sorted(items, key=lambda c: c.edge_ids))
-            for n, items in sorted(by_size.items())
-        }
-        return QnTable({self.origin: packed})
+        return _pack_table(self.origin, by_size)
 
     def frequency(self, cutset: Cutset) -> float:
         return self.hits.get(cutset, 0) / self.trials

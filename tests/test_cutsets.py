@@ -15,7 +15,7 @@ from percut.cutsets import (
     karger_count_min_cuts,
     verified_cutset,
 )
-from percut.errors import CapExceededError, PreconditionError
+from percut.errors import PreconditionError
 from percut.graph_core import connected_subsets_containing, cycle_graph
 
 from corpus import CORPUS, table_for
@@ -176,13 +176,6 @@ def test_bruteforce_matches_components_small():
             brute = enumerate_minimal_cutsets_bruteforce(g, v, g.n_edges)
             comp = enumerate_minimal_cutsets_by_components(g, v, g.n_edges)
             assert brute.cutsets == comp.cutsets
-
-
-def test_bruteforce_cap():
-    g = CORPUS["rand16"]
-    if g.n_edges > 20:
-        with pytest.raises(CapExceededError):
-            enumerate_minimal_cutsets_bruteforce(g, g.interior[0], 2)
 
 
 def test_enumeration_outputs_are_minimal_and_sorted():

@@ -129,11 +129,11 @@ def test_sample_block_covariance_close():
 
 def test_variance_bounded_by_escape_floor():
     # Diagonal of the covariance is 1 / (degree x escape) <= 1 / eps.
-    from percut.rw_cutsets import escape_constant
+    from percut.rw_cutsets import escape_constant, escape_probabilities
 
     for name, g in CORPUS.items():
         gm = green(g)
-        eps = escape_constant(g)
+        eps = escape_constant(g, escape_probabilities(g))
         for v in gm.interior:
             assert gm.variance(v) <= 1.0 / eps + 1e-9
 

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import HORIZON, Graph, grid_graph, path_graph, star_graph
-from percut.cutsets import Cutset, verified_cutset
+from percut import HORIZON, Graph, fkg_chain, grid_graph, path_graph, percolation, star_graph
+from percut._util import SWEEP_EDGES
+from percut.cutsets import Cutset, enumerate_minimal_cutsets_bruteforce, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
+from percut.fkg_chain import (
+    ConnectivityOracle,
+    theorem1_lower_bound_check,
+    verify_full_connectivity,
+)
 from percut.percolation import (
     PercConfig,
+    _sampled_configs,
     boundary_census_exact,
     boundary_census_mc,
     boundary_hit_probability,
@@ -23,7 +30,6 @@ from percut.percolation import (
     mc_prob,
     peierls_bound,
     profile_probability,
-    sample_config,
     strong_percolation_experiment,
     theta,
 )
@@ -41,10 +47,12 @@ def test_config_from_mask_bit_order():
     assert c.is_open(0) and not c.is_open(1)
 
 
-def test_sample_config_shape():
-    rng = np.random.default_rng(0)
-    c = sample_config(path_graph(5), 0.5, rng)
-    assert len(c.open_bits) == 4
+def test_sampled_configs_shape():
+    configs = list(_sampled_configs(path_graph(5), 0.5, 3, seed=0))
+    assert len(configs) == 3
+    for c in configs:
+        assert len(c.open_bits) == 4
+        assert all(type(b) is bool for b in c.open_bits)
 
 
 def test_cluster_report_p5_all_open():
@@ -107,11 +115,38 @@ def test_profile_probability_single_edge_event():
         assert profile_probability(profile, p) == pytest.approx(p, abs=1e-12)
 
 
-def test_event_popcount_profile_cap():
-    g = CORPUS["rand16"]
-    if g.n_edges > 20:
-        with pytest.raises(CapExceededError):
-            event_popcount_profile(g, lambda c: True)
+# grid:4,4 has 24 edges, over the sweep cap; all its vertices but 1 induce 21.
+_REGION_44 = tuple(v for v in range(16) if v != 1)
+
+SWEEP_ENTRY_POINTS = {
+    "event_popcount_profile": lambda g: event_popcount_profile(g, lambda c: True),
+    "exact_prob": lambda g: exact_prob(g, 0.5, lambda c: True),
+    "fkg_spot_check": lambda g: fkg_spot_check(g, 0.5, [((5, HORIZON), (6, HORIZON))]),
+    "strong_percolation_experiment": lambda g: strong_percolation_experiment(
+        g, 0.5, 0.1, sets=[(5,)]
+    ),
+    "ConnectivityOracle": lambda g: ConnectivityOracle(g, _REGION_44, 0.5),
+    "verify_full_connectivity": lambda g: verify_full_connectivity(g, _REGION_44, (0, 15), 5, 0.5),
+    "theorem1_lower_bound_check": lambda g: theorem1_lower_bound_check(
+        g, 0.5, verified_cutset(g, g.incident_edges(5), 5)
+    ),
+    "enumerate_minimal_cutsets_bruteforce": lambda g: enumerate_minimal_cutsets_bruteforce(g, 5, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SWEEP_ENTRY_POINTS))
+def test_sweep_cap(entry, monkeypatch):
+    g = grid_graph(4, 4)
+    assert g.n_edges > SWEEP_EDGES
+
+    # A sweep that got past the cap fails here rather than running 2^21+ configurations.
+    def runaway(*args):
+        raise AssertionError("swept past the cap")
+
+    monkeypatch.setattr(percolation, "config_from_mask", runaway)
+    monkeypatch.setattr(fkg_chain, "component_labels", runaway)
+    with pytest.raises(CapExceededError, match="sweep cap"):
+        SWEEP_ENTRY_POINTS[entry](g)
 
 
 def test_complementary_profiles_sum_to_one():
@@ -144,6 +179,25 @@ def test_mc_prob_rejects_bad_args():
         mc_prob(p5, 1.5, lambda c: True, 10, seed=0)
     with pytest.raises(PreconditionError):
         mc_prob(p5, 0.5, lambda c: True, 0, seed=0)
+
+
+def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
+    g = grid_graph(4, 4)
+    region = (5, 6, 9, 10, 11)
+
+    def draw():
+        oracle = ConnectivityOracle(g, region, 0.6, mode="monte_carlo", trials=1000, seed=3)
+        return (
+            mc_prob(g, 0.6, connection_event(g, 5, HORIZON), 1000, seed=11),
+            boundary_census_mc(g, 5, 0.6, 1000, seed=12),
+            oracle._labels.tolist(),
+            [oracle.connect_prob(u, (11,)) for u in region],
+        )
+
+    assert percolation._BLOCK_ROWS > 1000  # the default draws one block
+    default = draw()
+    monkeypatch.setattr(percolation, "_BLOCK_ROWS", 7)
+    assert draw() == default
 
 
 def test_theta_mc_needs_seed():

@@ -30,14 +30,15 @@ from corpus import CORPUS, table_for
 
 
 def test_escape_p3():
-    assert escape_probabilities(path_graph(3)) == pytest.approx({1: 1.0})
-    assert escape_constant(path_graph(3)) == pytest.approx(2.0, abs=1e-12)
+    got = escape_probabilities(path_graph(3))
+    assert got == pytest.approx({1: 1.0})
+    assert escape_constant(path_graph(3), got) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_escape_p5():
     got = escape_probabilities(path_graph(5))
     assert got == pytest.approx({1: 2 / 3, 2: 1 / 2, 3: 2 / 3}, abs=1e-12)
-    assert escape_constant(path_graph(5)) == pytest.approx(1.0, abs=1e-12)
+    assert escape_constant(path_graph(5), got) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_escape_routes_agree_everywhere():
