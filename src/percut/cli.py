@@ -5,6 +5,12 @@ Every command resolves a graph (file path or family spec such as
 emits a result record as CSV or JSON.  Randomized commands require an
 explicit seed and are pure functions of (config, seed).
 
+Commands with an exact and a sampled route (``perc theta``, ``perc
+census``, ``chain build``, ``rw escape``) follow one rule: they sample
+when ``--trials`` or ``--seed`` is given without ``--exact``, and are
+exact otherwise.  Sampling needs ``--seed``; ``--trials`` defaults to
+``DEFAULT_TRIALS``.
+
 Exit codes: 0 success, 1 usage or input problems, 2 a violated
 mathematical invariant (so batch pipelines can tell bugs from typos).
 """
@@ -66,6 +72,8 @@ from .gff import green, section8_pipeline
 
 _USAGE_ERRORS = (ParseError, GraphStructureError, PreconditionError, CapExceededError)
 _HASH_SKIP = {"func", "fmt", "output_file", "config"}
+# Trials drawn by a sampled command that names no --trials.
+DEFAULT_TRIALS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +141,16 @@ def _require_seed(args) -> int:
     if getattr(args, "seed", None) is None:
         raise PreconditionError("--seed is required for randomized commands")
     return args.seed
+
+
+def _route(args) -> tuple[int, int | None]:
+    """The exact-or-sampled rule of the module docstring, as library ``(trials, seed)``.
+
+    A seed of None selects the exact route, as it does in the library.
+    """
+    sampled = not args.exact and (args.trials is not None or args.seed is not None)
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    return trials, _require_seed(args) if sampled else None
 
 
 # ---- emission ----
@@ -244,15 +262,8 @@ def _run_cutsets_karger(args) -> list[dict]:
 
 def _run_perc_theta(args) -> list[dict]:
     graph = resolve_graph(args.graph, args.horizon)
-    use_exact = args.exact or (
-        args.trials is None and args.seed is None and graph.n_edges <= 20
-    )
-    if use_exact:
-        result = theta(graph, args.p, args.vertex, exact=True)
-    else:
-        seed = _require_seed(args)
-        trials = args.trials if args.trials is not None else 100_000
-        result = theta(graph, args.p, args.vertex, exact=False, trials=trials, seed=seed)
+    trials, seed = _route(args)
+    result = theta(graph, args.p, args.vertex, trials, seed)
     return [
         {
             "vertex": args.vertex,
@@ -275,7 +286,8 @@ def _run_perc_peierls(args) -> list[dict]:
 def _run_perc_census(args) -> list[dict]:
     graph = resolve_graph(args.graph, args.horizon)
     rows: list[dict] = []
-    if args.exact or (args.trials is None and args.seed is None):
+    trials, seed = _route(args)
+    if seed is None:
         profiles, infinite = boundary_census_exact(graph, args.vertex)
         for ids in sorted(profiles, key=lambda t: (len(t), t)):
             rows.append(
@@ -295,8 +307,6 @@ def _run_perc_census(args) -> list[dict]:
             }
         )
         return rows
-    seed = _require_seed(args)
-    trials = args.trials if args.trials is not None else 100_000
     counts, infinite_count = boundary_census_mc(graph, args.vertex, args.p, trials, seed)
     for ids in sorted(counts, key=lambda t: (len(t), t)):
         rows.append(
@@ -324,16 +334,10 @@ def _run_chain_build(args) -> list[dict]:
     graph = resolve_graph(args.graph, args.horizon)
     region = _int_list(args.set_a)
     targets = _int_list(args.set_b)
-    if args.trials is not None and not args.exact:
-        seed = _require_seed(args)
-        chain = build_chain(
-            graph, region, targets, args.origin, theta=args.theta, p=args.p,
-            mode="monte_carlo", trials=args.trials, seed=seed,
-        )
-    else:
-        chain = build_chain(
-            graph, region, targets, args.origin, theta=args.theta, p=args.p, mode="exact"
-        )
+    trials, seed = _route(args)
+    chain = build_chain(
+        graph, region, targets, args.origin, theta=args.theta, p=args.p, trials=trials, seed=seed
+    )
     return [
         {
             "vertices": list(chain.vertices),
@@ -371,7 +375,7 @@ def _run_cover_exact(args) -> list[dict]:
 def _run_cover_mc(args) -> list[dict]:
     sub, eps, delta = _cover_common(args)
     seed = _require_seed(args)
-    trials = args.trials if args.trials is not None else 100_000
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     est = covering_sum_mc(sub, trials, seed)
     return [
         {
@@ -409,11 +413,11 @@ def _run_cover_verify(args) -> list[dict]:
 
 def _run_rw_escape(args) -> list[dict]:
     graph = resolve_graph(args.graph, args.horizon)
-    if args.trials is not None and not args.exact:
-        seed = _require_seed(args)
+    trials, seed = _route(args)
+    if seed is not None:
         if args.vertex is None:
             raise PreconditionError("sampled escape needs --vertex")
-        est = escape_probability_mc(graph, args.vertex, args.trials, seed)
+        est = escape_probability_mc(graph, args.vertex, trials, seed)
         return [
             {
                 "vertex": args.vertex,
@@ -536,6 +540,16 @@ def _add_graph(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--horizon", default=None, help="'boundary' or comma ids")
 
 
+def _add_sampling(
+    ap: argparse.ArgumentParser, exact: bool = False, trials_required: bool = False
+) -> None:
+    """--trials and --seed, plus --exact on commands that also have an exact route."""
+    if exact:
+        ap.add_argument("--exact", action="store_true")
+    ap.add_argument("--trials", type=int, required=trials_required, default=None)
+    ap.add_argument("--seed", type=int, default=None)
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="percut", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
@@ -550,8 +564,7 @@ def build_parser() -> _Parser:
     ap.set_defaults(func=_run_cutsets_enum)
     ap = cut.add_parser("karger")
     _add_graph(ap)
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap)
     _add_common(ap, "json")
     ap.set_defaults(func=_run_cutsets_karger)
 
@@ -560,9 +573,7 @@ def build_parser() -> _Parser:
     _add_graph(ap)
     ap.add_argument("--p", type=float, required=True)
     ap.add_argument("--vertex", type=int, required=True)
-    ap.add_argument("--exact", action="store_true")
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, exact=True)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_perc_theta)
     ap = perc.add_parser("peierls")
@@ -577,9 +588,7 @@ def build_parser() -> _Parser:
     _add_graph(ap)
     ap.add_argument("--p", type=float, required=True)
     ap.add_argument("--vertex", type=int, required=True)
-    ap.add_argument("--exact", action="store_true")
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, exact=True)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_perc_census)
 
@@ -591,9 +600,7 @@ def build_parser() -> _Parser:
     ap.add_argument("--origin", type=int, required=True)
     ap.add_argument("--p", type=float, default=0.5)
     ap.add_argument("--theta", type=float, default=None)
-    ap.add_argument("--exact", action="store_true")
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, exact=True)
     _add_common(ap, "json")
     ap.set_defaults(func=_run_chain_build)
 
@@ -606,8 +613,7 @@ def build_parser() -> _Parser:
         ap = cover.add_parser(action)
         ap.add_argument("--matrix", required=True)
         if needs_trials:
-            ap.add_argument("--trials", type=int, default=None)
-            ap.add_argument("--seed", type=int, default=None)
+            _add_sampling(ap)
         _add_common(ap, "json")
         ap.set_defaults(func=func)
 
@@ -615,16 +621,13 @@ def build_parser() -> _Parser:
     ap = rw.add_parser("escape")
     _add_graph(ap)
     ap.add_argument("--vertex", type=int, default=None)
-    ap.add_argument("--exact", action="store_true")
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, exact=True)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_rw_escape)
     ap = rw.add_parser("census")
     _add_graph(ap)
     ap.add_argument("--origin", type=int, required=True)
-    ap.add_argument("--trials", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, trials_required=True)
     ap.add_argument("--max-steps", type=int, default=10_000_000)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_rw_census)
@@ -644,8 +647,7 @@ def build_parser() -> _Parser:
     _add_graph(ap)
     ap.add_argument("--origin", type=int, required=True)
     ap.add_argument("--cutset", required=True, help="base edge ids")
-    ap.add_argument("--trials", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=None)
+    _add_sampling(ap, trials_required=True)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_gff_pipeline)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import checked_solve, derive_seed, trial_generator, wilson_interval
+from ._util import checked_solve, derive_seed, trial_generator
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, search, subdivide
@@ -240,25 +240,21 @@ class Section8Report:
     fe_count: int
     boundary_count: int
 
-    def _prob(self, count: int) -> EventProbability:
-        lo, hi = wilson_interval(count, self.trials)
-        return EventProbability(count / self.trials, "monte_carlo", self.trials, lo, hi)
-
     @property
     def f_prob(self) -> EventProbability:
-        return self._prob(self.f_count)
+        return EventProbability.sampled(self.f_count, self.trials)
 
     @property
     def e_prob(self) -> EventProbability:
-        return self._prob(self.e_count)
+        return EventProbability.sampled(self.e_count, self.trials)
 
     @property
     def fe_prob(self) -> EventProbability:
-        return self._prob(self.fe_count)
+        return EventProbability.sampled(self.fe_count, self.trials)
 
     @property
     def boundary_prob(self) -> EventProbability:
-        return self._prob(self.boundary_count)
+        return EventProbability.sampled(self.boundary_count, self.trials)
 
 
 def _below(interior: np.ndarray, values: np.ndarray, level: float) -> set[int]:
@@ -360,10 +356,7 @@ class SignBoundReport:
 
     @property
     def connect_prob(self) -> EventProbability:
-        lo, hi = wilson_interval(self.connect_count, self.trials)
-        return EventProbability(
-            self.connect_count / self.trials, "monte_carlo", self.trials, lo, hi
-        )
+        return EventProbability.sampled(self.connect_count, self.trials)
 
 
 def sign_bound_check(graph: Graph, origin: int, trials: int, seed: int) -> SignBoundReport:
@@ -453,14 +446,10 @@ def domination_endpoint_check(
             if block[t, o_idx] >= -1.0:
                 below = _below(interior, block[t], -1.0)
                 hits += targets <= search(killed_graph, (origin,), avoid=below)[0]
-    lo, hi = wilson_interval(hits, k_trials)
-    killed = EventProbability(hits / k_trials, "monte_carlo", k_trials, lo, hi)
+    killed = EventProbability.sampled(hits, k_trials)
     if report.f_count == 0:
         return DominationReport(0, 0, None, killed, True)
-    lo, hi = wilson_interval(report.fe_count, report.f_count)
-    conditional = EventProbability(
-        report.fe_count / report.f_count, "monte_carlo", report.f_count, lo, hi
-    )
+    conditional = EventProbability.sampled(report.fe_count, report.f_count)
     return DominationReport(
         report.f_count, report.fe_count, conditional, killed, False
     )

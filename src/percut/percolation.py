@@ -35,8 +35,8 @@ from .graph_core import (
 MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
-# Configurations drawn per block; it bounds memory and never changes a result.
-_BLOCK_ROWS = 10_000
+# Random doubles drawn per block; it bounds memory and never changes a result.
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,12 @@ class EventProbability:
         if (self.method == "monte_carlo") != (self.trials is not None):
             raise PreconditionError("trial count present iff monte_carlo")
 
+    @classmethod
+    def sampled(cls, hits: int, trials: int) -> EventProbability:
+        """Hit frequency over ``trials`` draws with its Wilson 99% interval."""
+        lo, hi = wilson_interval(hits, trials)
+        return cls(hits / trials, "monte_carlo", trials, lo, hi)
+
 
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
@@ -108,7 +114,7 @@ def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[n
     if trials < 1:
         raise PreconditionError("trials must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    block = _BLOCK_ROWS
+    block = max(1, _BLOCK_CELLS // max(n_edges, 1))
     return (
         rng.random((min(block, trials - done), n_edges)) < p
         for done in range(0, trials, block)
@@ -190,8 +196,7 @@ def mc_prob(
     seed: int,
 ) -> EventProbability:
     hits = sum(1 for config in _sampled_configs(graph, p, trials, seed) if event(config))
-    lo, hi = wilson_interval(hits, trials)
-    return EventProbability(hits / trials, "monte_carlo", trials, lo, hi)
+    return EventProbability.sampled(hits, trials)
 
 
 # ---- named quantities ----
@@ -201,21 +206,21 @@ def theta(
     graph: Graph,
     p: float,
     v: int,
-    exact: bool | None = None,
     trials: int = 100_000,
     seed: int | None = None,
 ) -> EventProbability:
-    """Probability that v reaches the horizon through open edges."""
+    """Probability that v reaches the horizon through open edges.
+
+    Exact by the cluster law; with a seed, sampled from ``trials``
+    configurations instead.
+    """
     if v in graph.horizon:
         return EventProbability(1.0, "exact")
-    use_exact = exact if exact is not None else graph.n_edges <= 20
-    if use_exact:
-        _check_p(p)
-        _, infinite = boundary_census_exact(graph, v)
-        return EventProbability(profile_probability(infinite, p), "exact")
-    if seed is None:
-        raise PreconditionError("monte carlo theta needs a seed")
-    return mc_prob(graph, p, connection_event(graph, v, HORIZON), trials, seed)
+    if seed is not None:
+        return mc_prob(graph, p, connection_event(graph, v, HORIZON), trials, seed)
+    _check_p(p)
+    _, infinite = boundary_census_exact(graph, v)
+    return EventProbability(profile_probability(infinite, p), "exact")
 
 
 def peierls_bound(table: QnTable, p: float, v: int | None = None) -> float:
@@ -238,24 +243,12 @@ def boundary_hit_event(graph: Graph, cutset: Cutset) -> Callable[[PercConfig], b
     return event
 
 
-def boundary_hit_probability(
-    graph: Graph,
-    p: float,
-    cutset: Cutset,
-    exact: bool | None = None,
-    trials: int = 100_000,
-    seed: int | None = None,
-) -> EventProbability:
-    """Probability that the source cluster's exposed boundary is this cutset."""
-    use_exact = exact if exact is not None else graph.n_edges <= 20
-    if use_exact:
-        _check_p(p)
-        profiles, _ = boundary_census_exact(graph, cutset.source)
-        profile = profiles.get(cutset.edge_ids)
-        return EventProbability(0.0 if profile is None else profile_probability(profile, p), "exact")
-    if seed is None:
-        raise PreconditionError("monte carlo boundary hit needs a seed")
-    return mc_prob(graph, p, boundary_hit_event(graph, cutset), trials, seed)
+def boundary_hit_probability(graph: Graph, p: float, cutset: Cutset) -> EventProbability:
+    """Exact probability that the source cluster's exposed boundary is this cutset."""
+    _check_p(p)
+    profiles, _ = boundary_census_exact(graph, cutset.source)
+    profile = profiles.get(cutset.edge_ids)
+    return EventProbability(0.0 if profile is None else profile_probability(profile, p), "exact")
 
 
 def _inner_edge_count(graph: Graph, s: frozenset[int]) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import UniformBuffer, checked_solve, trial_generator, wilson_interval
+from ._util import UniformBuffer, checked_solve, trial_generator
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
@@ -121,8 +121,7 @@ def escape_probability_mc(
                 break
         else:
             raise CapExceededError("walk exceeded the step cap")
-    lo, hi = wilson_interval(hits, trials)
-    return EventProbability(hits / trials, "monte_carlo", trials, lo, hi)
+    return EventProbability.sampled(hits, trials)
 
 
 # ---- subdivision transience report ----

@@ -195,7 +195,7 @@ def test_criterion_05_joint_connection_beats_the_chain_bound(verdict):
             region = tuple(sorted(decomp.component_a))
             targets = tuple(sorted(decomp.inner_b))
             for p in (0.3, 0.7):
-                oracle = ConnectivityOracle(graph, region, p, mode="exact")
+                oracle = ConnectivityOracle(graph, region, p)
                 theta = min(oracle.connect_prob(u, targets) for u in region)
                 exact = oracle.all_connected_prob(v, targets)
                 bound = fkg_lower_bound(theta, p, len(targets))
@@ -225,7 +225,7 @@ def test_criterion_06_boundary_hit_probability_beats_the_closed_ring_bound(verdi
             for decomp in decomps:
                 region = tuple(sorted(decomp.component_a))
                 targets = tuple(sorted(decomp.inner_b))
-                oracle = ConnectivityOracle(graph, region, p, mode="exact")
+                oracle = ConnectivityOracle(graph, region, p)
                 theta = min(oracle.connect_prob(u, targets) for u in region)
                 n = decomp.cutset.size
                 hit = profile_probability(profiles[decomp.cutset.edge_ids], p)

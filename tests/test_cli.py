@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import percut
+from percut import cli
 from percut.cli import main
 from percut.errors import NumericalError, TheoremViolationError
 from percut.graph_core import dump_graph
@@ -334,6 +338,54 @@ def test_config_missing_file(capsys):
 # ---- failure modes ----
 
 
+# Each dual-route command with the first row its exact record starts with.
+_DUAL_ROUTE = {
+    "perc-theta": (
+        ["perc", "theta", "--graph", "grid:5,5", "--vertex", "12", "--p", "0.6"],
+        {"value": 0.958654334454, "method": "exact"},
+    ),
+    "perc-census": (
+        ["perc", "census", "--graph", "path:5", "--p", "0.5", "--vertex", "2"],
+        {"edge_ids": [0, 2], "probability": 0.125},
+    ),
+    "chain-build": (
+        ["chain", "build", "--graph", "path:5", "--setA", "1,2,3", "--setB", "1,3",
+         "--origin", "2", "--p", "0.9"],
+        {"vertices": [2], "theta": 0.99},
+    ),
+    "rw-escape": (
+        ["rw", "escape", "--graph", "path:5", "--vertex", "2"],
+        {"vertex": 2, "escape": 0.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,first", _DUAL_ROUTE.values(), ids=_DUAL_ROUTE)
+def test_seed_selects_sampling(capsys, monkeypatch, argv, first):
+    monkeypatch.setattr(cli, "DEFAULT_TRIALS", 3000)
+
+    def rows(*flags):
+        code, out, err = run_cli(capsys, [*argv, *flags, "--out", "json"])
+        assert code == 0, err
+        return json.loads(out)["rows"]
+
+    exact = rows()
+    assert exact[0].items() >= first.items()
+    assert rows("--exact", "--trials", "300", "--seed", "5") == exact
+    sampled = rows("--seed", "5")
+    assert sampled != exact
+    assert sampled == rows("--trials", "3000", "--seed", "5")
+    code, _, err = run_cli(capsys, [*argv, "--trials", "300"])
+    assert code == 1
+    assert "--seed" in err
+
+
+def test_sampled_escape_needs_vertex(capsys):
+    code, _, err = run_cli(capsys, ["rw", "escape", "--graph", "path:5", "--seed", "5"])
+    assert code == 1
+    assert "--vertex" in err
+
+
 def test_missing_seed_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["cutsets", "karger", "--graph", "cycle:4"])
     assert code == 1
@@ -422,11 +474,14 @@ def test_numerical_error_exits_two(capsys, monkeypatch):
 
 
 def test_console_script_runs():
+    # The subprocess must import the package under test, not an installed copy.
+    src = str(Path(percut.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "percut.cli", "perc", "theta", "--graph", "path:5",
          "--p", "0.5", "--vertex", "2", "--out", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["value"] == 0.4375

@@ -82,20 +82,11 @@ def test_oracle_rejects_outside_vertex():
 
 def test_oracle_mc_matches_exact():
     exact = ConnectivityOracle(path_graph(5), (1, 2, 3), 0.5)
-    mc = ConnectivityOracle(
-        path_graph(5), (1, 2, 3), 0.5, mode="monte_carlo", trials=40_000, seed=5
-    )
+    mc = ConnectivityOracle(path_graph(5), (1, 2, 3), 0.5, trials=40_000, seed=5)
     assert mc.noise > 0
     want = exact.all_connected_prob(2, [1, 3])
     got = mc.all_connected_prob(2, [1, 3])
     assert abs(got - want) <= 3 * mc.noise
-
-
-def test_oracle_mc_needs_seed_and_known_mode():
-    with pytest.raises(PreconditionError):
-        ConnectivityOracle(path_graph(5), (1, 2, 3), 0.5, mode="monte_carlo")
-    with pytest.raises(PreconditionError):
-        ConnectivityOracle(path_graph(5), (1, 2, 3), 0.5, mode="bogus")
 
 
 def test_oracle_connect_monotone_in_targets():

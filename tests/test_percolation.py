@@ -186,7 +186,7 @@ def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
     region = (5, 6, 9, 10, 11)
 
     def draw():
-        oracle = ConnectivityOracle(g, region, 0.6, mode="monte_carlo", trials=1000, seed=3)
+        oracle = ConnectivityOracle(g, region, 0.6, trials=1000, seed=3)
         return (
             mc_prob(g, 0.6, connection_event(g, 5, HORIZON), 1000, seed=11),
             boundary_census_mc(g, 5, 0.6, 1000, seed=12),
@@ -194,15 +194,11 @@ def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
             [oracle.connect_prob(u, (11,)) for u in region],
         )
 
-    assert percolation._BLOCK_ROWS > 1000  # the default draws one block
+    assert percolation._BLOCK_CELLS >= 1000 * g.n_edges  # the default draws one block
     default = draw()
-    monkeypatch.setattr(percolation, "_BLOCK_ROWS", 7)
+    # 2 rows of 24 edges, 10 of the oracle's 5 induced edges.
+    monkeypatch.setattr(percolation, "_BLOCK_CELLS", 50)
     assert draw() == default
-
-
-def test_theta_mc_needs_seed():
-    with pytest.raises(PreconditionError):
-        theta(path_graph(5), 0.5, 2, exact=False)
 
 
 # ---- peierls ----
@@ -289,10 +285,10 @@ def test_census_law_matches_sweep_oracle(name):
         assert infinite.dtype == np.int64
         assert np.array_equal(infinite, ref_infinite)
         for p in (0.3, 0.7):
-            assert theta(g, p, v, exact=True).value == profile_probability(ref_infinite, p)
+            assert theta(g, p, v).value == profile_probability(ref_infinite, p)
         if name in CORPUS:
             for key, ref in ref_profiles.items():
-                hit = boundary_hit_probability(g, 0.3, Cutset(key, v), exact=True).value
+                hit = boundary_hit_probability(g, 0.3, Cutset(key, v)).value
                 assert hit == profile_probability(ref, 0.3)
 
 
@@ -318,7 +314,7 @@ def test_theta_exact_past_twenty_edges(width, height, v):
     small = _absorbing_reduction(g)
     _, ref_infinite = census_by_sweep(small, g.interior.index(v))
     for p in (0.3, 0.6):
-        priced = theta(g, p, v, exact=True)
+        priced = theta(g, p, v)
         assert priced.method == "exact"
         assert priced.value == pytest.approx(profile_probability(ref_infinite, p), abs=1e-12)
 
