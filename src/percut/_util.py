@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import CapExceededError, NumericalError
@@ -26,6 +28,15 @@ def check_sweep(m: int) -> None:
         raise CapExceededError(f"{m} edges exceed the {SWEEP_EDGES}-edge sweep cap")
 
 
+def _derived_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(seed, t)`` for every t in ``range(start, stop)``, as uint64."""
+    z = np.arange(stop - start, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
+    z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed & _MASK64)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Mix a base seed with a trial index into a fresh 64-bit seed.
 
@@ -33,15 +44,89 @@ def derive_seed(seed: int, index: int) -> int:
     serial and fanned-out runs of the same experiment agree on the stream
     assigned to each trial.
     """
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return int(_derived_seeds(seed, index, index + 1)[0])
 
 
-def trial_generator(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one trial of a seeded experiment."""
-    return np.random.Generator(np.random.PCG64(derive_seed(seed, index)))
+# numpy.random.SeedSequence's hash constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each 64-bit entropy e.
+
+    numpy's documented hash (a pool of four 32-bit words, ``hashmix`` and
+    ``mix``) in wrapping uint32 arithmetic, vectorised over ``entropy``.  An
+    entropy below 2^32 pads its pool with the hash of 0, the same word a zero
+    high half hashes to, so every entropy is hashed as two words.
+    """
+    e = np.asarray(entropy, dtype=np.uint64)
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ r >> np.uint32(16)
+
+    zero = np.zeros(e.shape, dtype=np.uint32)
+    low = (e & np.uint64(_MASK32)).astype(np.uint32)
+    high = (e >> np.uint64(32)).astype(np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _INIT_B
+    state = np.empty(e.shape + (8,), dtype="<u4")
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[..., i] = value ^ value >> np.uint32(16)
+    return state.view("<u8").astype(np.uint64)
+
+
+@cache
+def _hashed_words_type() -> type:
+    """A seed sequence type that hands ``PCG64`` words ``_seed_words`` computed.
+
+    ``PCG64`` asks its seed sequence for four uint64 words once, at
+    construction; this one returns them without hashing again.  The type is
+    built on first use because importing ``numpy.random`` costs every
+    command about 3 MB and 50 ms at start-up.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedWords(ISeedSequence):
+        __slots__ = ("_words",)
+
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._words
+
+    return HashedWords
+
+
+def trial_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Independent generators for trials ``start .. stop - 1`` of a seeded experiment.
+
+    Trial t's generator is ``Generator(PCG64(derive_seed(seed, t)))`` bit for
+    bit; deriving a block of them at once skips building a ``SeedSequence``
+    per trial, which costs most of a generator's construction.
+    """
+    words = _seed_words(_derived_seeds(seed, start, stop))
+    hashed = _hashed_words_type()
+    return [np.random.Generator(np.random.PCG64(hashed(row))) for row in words]
 
 
 class UniformBuffer:

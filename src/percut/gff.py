@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import checked_solve, derive_seed, trial_generator
+from ._util import checked_solve, derive_seed, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, search, subdivide
@@ -263,13 +263,9 @@ def _below(interior: np.ndarray, values: np.ndarray, level: float) -> set[int]:
 
 
 def _field_blocks(gm: GreenMatrix, seed: int, trials: int):
-    done = 0
-    block = 0
-    while done < trials:
-        size = min(_BLOCK, trials - done)
-        yield gm.sample_block(trial_generator(seed, block), size)
-        done += size
-        block += 1
+    sizes = [min(_BLOCK, trials - done) for done in range(0, trials, _BLOCK)]
+    for rng, size in zip(trial_generators(seed, 0, len(sizes)), sizes):
+        yield gm.sample_block(rng, size)
 
 
 def section8_pipeline(

@@ -35,7 +35,8 @@ from .graph_core import (
 MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
-# Random doubles drawn per block; it bounds memory and never changes a result.
+# Cells per block: random doubles drawn here, a walk's row, buffer and
+# generator in rw_cutsets.  It bounds memory and never changes a result.
 _BLOCK_CELLS = 1 << 20
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import UniformBuffer, checked_solve, trial_generator
+from . import percolation
+from ._util import UniformBuffer, checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
@@ -107,20 +108,24 @@ def escape_probability_mc(
     """Simulated no-return frequency with a Wilson interval."""
     if v in graph.horizon:
         raise PreconditionError("escape is defined for interior vertices")
+    adjacency = graph.adjacency
+    horizon = graph.horizon
+    block = _walks_per_block(graph)
     hits = 0
-    for t in range(trials):
-        buf = UniformBuffer(trial_generator(seed, t))
-        x = v
-        for _ in range(max_steps):
-            nbrs = graph.adjacency[x]
-            x = nbrs[buf.index(len(nbrs))][0]
-            if x == v:
-                break
-            if x in graph.horizon:
-                hits += 1
-                break
-        else:
-            raise CapExceededError("walk exceeded the step cap")
+    for lo in range(0, trials, block):
+        for rng in trial_generators(seed, lo, min(trials, lo + block)):
+            buf = UniformBuffer(rng)
+            x = v
+            for _ in range(max_steps):
+                nbrs = adjacency[x]
+                x = nbrs[buf.index(len(nbrs))][0]
+                if x == v:
+                    break
+                if x in horizon:
+                    hits += 1
+                    break
+            else:
+                raise CapExceededError("walk exceeded the step cap")
     return EventProbability.sampled(hits, trials)
 
 
@@ -278,9 +283,10 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """A walk to absorption: vertices, last start revisit, early range."""
+    """A walk to absorption: its length, where it ended, last start revisit, early range."""
 
-    vertices: tuple[int, ...]
+    steps: int
+    end: int
     tau: int
     range_c: frozenset[int]
 
@@ -293,27 +299,107 @@ class BoundarySample:
     decoded: Cutset | None
 
 
+def _walks_per_block(graph: Graph) -> int:
+    """Walks per block under ``percolation._BLOCK_CELLS``.
+
+    A walk holds a first-visit row, a 64-double buffer and a generator, whose
+    ``Generator`` and ``PCG64`` objects take about 1.5 KB, the room of 192
+    doubles.
+    """
+    return max(1, percolation._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
+
+
+def _walk_block(
+    graph: Graph, start: int, rngs: list[np.random.Generator], max_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One simple random walk from ``start`` per generator, advanced in lockstep.
+
+    Every walk draws from its own generator 64 doubles at a time and steps
+    to entry ``int(u * degree)`` of its vertex's adjacency list, so each walk,
+    and the state its generator is left in, match a scalar walk's bit for
+    bit.  Walks leave the active set when they land on the horizon.  Returns
+    per walk: tau (the last step at the start), the absorbing step, the
+    horizon vertex reached (-1 for a walk still out after ``max_steps``
+    steps) and every vertex's first visit time (``max_steps + 1`` when never
+    visited), so the range up to tau is ``first <= tau``.
+    """
+    n = graph.n_vertices
+    deg = np.array([len(adj) for adj in graph.adjacency], dtype=np.int64)
+    nbr = np.zeros((n, int(deg.max())), dtype=np.int64)
+    for v, adj in enumerate(graph.adjacency):
+        nbr[v, : len(adj)] = [w for w, _ in adj]
+    absorbing = np.zeros(n, dtype=bool)
+    absorbing[list(graph.horizon)] = True
+
+    w = len(rngs)
+    first = np.full((w, n), max_steps + 1, dtype=np.int64)
+    first[:, start] = 0
+    visits = first.reshape(-1)
+    tau = np.zeros(w, dtype=np.int64)
+    steps = np.zeros(w, dtype=np.int64)
+    end = np.full(w, -1, dtype=np.int64)
+    draws = np.empty((w, 64))
+    live = np.arange(w)
+    cells = live * n
+    x = np.full(w, start, dtype=np.int64)
+    for step in range(1, max_steps + 1):
+        col = (step - 1) % 64
+        if col == 0:
+            for k in live.tolist():
+                rngs[k].random(out=draws[k])
+        x = nbr[x, (draws[live, col] * deg[x]).astype(np.int64)]
+        at = cells + x
+        visits[at] = np.minimum(visits[at], step)
+        tau[live[x == start]] = step
+        out = absorbing[x]
+        if out.any():
+            done = live[out]
+            end[done] = x[out]
+            steps[done] = step
+            keep = ~out
+            live, cells, x = live[keep], cells[keep], x[keep]
+            if not live.size:
+                break
+    return tau, steps, end, first
+
+
 def sample_walk(
     graph: Graph, start: int, rng: np.random.Generator, max_steps: int = 10_000_000
 ) -> WalkTrace:
     """Simple random walk from start until it lands on the horizon."""
     if start in graph.horizon:
         raise PreconditionError("walk must start off the horizon")
-    buf = UniformBuffer(rng)
-    adjacency = graph.adjacency
-    horizon = graph.horizon
-    path = [start]
-    x = start
-    tau = 0
-    for step in range(1, max_steps + 1):
-        nbrs = adjacency[x]
-        x = nbrs[buf.index(len(nbrs))][0]
-        path.append(x)
-        if x == start:
-            tau = step
-        if x in horizon:
-            return WalkTrace(tuple(path), tau, frozenset(path[: tau + 1]))
-    raise CapExceededError("walk exceeded the step cap without absorption")
+    tau, steps, end, first = _walk_block(graph, start, [rng], max_steps)
+    if end[0] < 0:
+        raise CapExceededError("walk exceeded the step cap without absorption")
+    range_c = frozenset(np.flatnonzero(first[0] <= tau[0]).tolist())
+    return WalkTrace(int(steps[0]), int(end[0]), int(tau[0]), range_c)
+
+
+def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
+    """Where boundary walks from ``origin`` start, once the inputs are checked."""
+    if sd.order != 2:
+        raise PreconditionError("boundary sampling runs on order-2 subdivisions")
+    if origin in sd.base.horizon:
+        raise PreconditionError("origin must be off the horizon")
+    return origin_midpoint(sd, origin)
+
+
+def _decode(
+    sd: SubdivisionMap, origin: int, c: frozenset[int]
+) -> tuple[frozenset[int], str, Cutset | None]:
+    """Boundary, outcome and decoded cutset of one walk range; a pure function of c."""
+    inner = set()
+    for eid in exposed_boundary(sd.derived, c):
+        u, v = sd.derived.edges[eid]
+        inner.add(u if u in c else v)
+    boundary = frozenset(inner)
+    if all(sd.is_midpoint(x) for x in boundary):
+        base_ids = tuple(sorted(sd.base_edge_of(x) for x in boundary))
+        if is_minimal_cutset(sd.base, base_ids, origin):
+            return boundary, DECODED, Cutset(base_ids, origin)
+        return boundary, NOT_MINIMAL, None
+    return boundary, NON_MIDPOINT, None
 
 
 def sample_cluster_boundary(
@@ -329,25 +415,8 @@ def sample_cluster_boundary(
     cutset from the origin, the sample decodes.  Mixed or non-minimal
     boundaries are distinct outcomes, never dropped.
     """
-    if sd.order != 2:
-        raise PreconditionError("boundary sampling runs on order-2 subdivisions")
-    if origin in sd.base.horizon:
-        raise PreconditionError("origin must be off the horizon")
-    start = origin_midpoint(sd, origin)
-    trace = sample_walk(sd.derived, start, rng, max_steps)
-    c = trace.range_c
-    exposed = exposed_boundary(sd.derived, c)
-    inner = set()
-    for eid in exposed:
-        u, v = sd.derived.edges[eid]
-        inner.add(u if u in c else v)
-    boundary = frozenset(inner)
-    if all(sd.is_midpoint(x) for x in boundary):
-        base_ids = tuple(sorted(sd.base_edge_of(x) for x in boundary))
-        if is_minimal_cutset(sd.base, base_ids, origin):
-            return BoundarySample(trace, boundary, DECODED, Cutset(base_ids, origin))
-        return BoundarySample(trace, boundary, NOT_MINIMAL, None)
-    return BoundarySample(trace, boundary, NON_MIDPOINT, None)
+    trace = sample_walk(sd.derived, _start_midpoint(sd, origin), rng, max_steps)
+    return BoundarySample(trace, *_decode(sd, origin, trace.range_c))
 
 
 @dataclass(frozen=True)
@@ -377,23 +446,35 @@ def qn_census_rw(
     seed: int,
     max_steps: int = 10_000_000,
 ) -> RwCensus:
-    """Repeat the boundary sampler and tabulate every outcome.
+    """Walk ``trials`` times from the start midpoint and tabulate every outcome.
 
-    Each trial gets its own derived seed.  Step-capped walks are counted
-    under their own outcome rather than raising.
+    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))``.  Walks run
+    in blocks, and each distinct range is decoded once: walks with equal
+    ranges share one outcome.  Step-capped walks are counted under their own
+    outcome rather than raising.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
+    start = _start_midpoint(sd, origin)
     outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     hits: dict[Cutset, int] = {}
-    for t in range(trials):
-        rng = trial_generator(seed, t)
-        try:
-            sample = sample_cluster_boundary(sd, origin, rng, max_steps)
-        except CapExceededError:
-            outcomes[ABORTED] += 1
-            continue
-        outcomes[sample.outcome] += 1
-        if sample.decoded is not None:
-            hits[sample.decoded] = hits.get(sample.decoded, 0) + 1
+    decoded: dict[bytes, tuple[str, Cutset | None]] = {}
+    block = _walks_per_block(sd.derived)
+    for lo in range(0, trials, block):
+        rngs = trial_generators(seed, lo, min(trials, lo + block))
+        tau, _, end, first = _walk_block(sd.derived, start, rngs, max_steps)
+        ranges = first <= tau[:, None]
+        for row, absorbed in zip(ranges, (end >= 0).tolist()):
+            if not absorbed:
+                outcomes[ABORTED] += 1
+                continue
+            key = row.tobytes()
+            result = decoded.get(key)
+            if result is None:
+                c = frozenset(np.flatnonzero(row).tolist())
+                result = decoded[key] = _decode(sd, origin, c)[1:]
+            outcome, cutset = result
+            outcomes[outcome] += 1
+            if cutset is not None:
+                hits[cutset] = hits.get(cutset, 0) + 1
     return RwCensus(origin, trials, outcomes, hits)

@@ -4,7 +4,9 @@ Small named graphs, every one connected with a non-empty horizon and a
 non-empty interior, all within the exact-enumeration caps.  Cutset
 tables and boundary censuses are cached per (graph, vertex) because
 several suites sweep the same pairs.  ``census_by_sweep`` is the
-configuration-sweep oracle the connected-set census is checked against.
+configuration-sweep oracle the connected-set census is checked against;
+``walk_by_steps`` is the one-step-at-a-time walk the lockstep walk kernel
+is checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from percut import Graph, QnTable
+from percut._util import UniformBuffer
+from percut.errors import CapExceededError
 from percut.cutsets import enumerate_minimal_cutsets_by_components
 from percut.graph_core import (
     box3d_graph,
@@ -109,6 +113,28 @@ def census_by_sweep(graph: Graph, v: int):
             profile = infinite
         profile[mask.bit_count()] += 1
     return profiles, infinite
+
+
+def walk_by_steps(graph: Graph, start: int, rng: np.random.Generator, max_steps: int):
+    """Scalar simple random walk from start to the horizon.
+
+    Returns ``(steps, end, tau, range_c)``: the absorbing step, the horizon
+    vertex reached, the last step at the start and the vertices visited up
+    to then.  Raises ``CapExceededError`` after ``max_steps`` steps.
+    """
+    buf = UniformBuffer(rng)
+    path = [start]
+    x = start
+    tau = 0
+    for step in range(1, max_steps + 1):
+        nbrs = graph.adjacency[x]
+        x = nbrs[buf.index(len(nbrs))][0]
+        path.append(x)
+        if x == start:
+            tau = step
+        if x in graph.horizon:
+            return step, x, tau, frozenset(path[: tau + 1])
+    raise CapExceededError("walk exceeded the step cap without absorption")
 
 
 def all_pairs() -> list[tuple[str, int]]:

@@ -473,15 +473,25 @@ def test_numerical_error_exits_two(capsys, monkeypatch):
 # ---- installed entry point ----
 
 
-def test_console_script_runs():
+def _run_module(module):
     # The subprocess must import the package under test, not an installed copy.
     src = str(Path(percut.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "percut.cli", "perc", "theta", "--graph", "path:5",
+    return subprocess.run(
+        [sys.executable, "-m", module, "perc", "theta", "--graph", "path:5",
          "--p", "0.5", "--vertex", "2", "--out", "json"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_console_script_runs():
+    proc = _run_module("percut.cli")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rows"][0]["value"] == 0.4375
+
+
+def test_package_runs_as_module():
+    proc = _run_module("percut")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["value"] == 0.4375

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,26 @@ def test_karger_counts_never_exceed_pair_bound():
         result = karger_count_min_cuts(g, np.random.default_rng(3))
         n = g.n_vertices
         assert result.distinct_count <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_karger_min_cut_size_matches_stoer_wagner(name):
+    g = CORPUS[name]
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n_vertices))
+    nxg.add_edges_from(g.edges)
+    want, _ = nx.stoer_wagner(nxg)
+    # A trial keeps a given minimum cut with probability at least 2/(n(n-1)),
+    # 1/36 on these graphs of at most 9 vertices, so 600 trials all miss it
+    # with probability below 5e-8.
+    assert g.n_vertices <= 9
+    result = karger_count_min_cuts(g, np.random.default_rng(11), trials=600)
+    assert result.min_cut_size == want
+    for cut in result.cuts:
+        assert len(cut) == want
+        rest = nx.Graph(nxg)
+        rest.remove_edges_from(g.edges[e] for e in cut)
+        assert not nx.is_connected(rest)
 
 
 def test_karger_trials_grow_with_size():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import path_graph
+from percut import path_graph, percolation
+from percut._util import trial_generators
 from percut.cutsets import verified_cutset
 from percut.errors import CapExceededError, PreconditionError
-from percut.graph_core import subdivide
+from percut.graph_core import grid_graph, subdivide
 from percut.rw_cutsets import (
     ABORTED,
     DECODED,
@@ -23,7 +24,7 @@ from percut.rw_cutsets import (
     subdivision_escape_check,
 )
 
-from corpus import CORPUS, table_for
+from corpus import CORPUS, table_for, walk_by_steps
 
 
 # ---- escape probabilities ----
@@ -151,16 +152,67 @@ def test_origin_midpoint():
 
 def test_sample_walk_p5():
     trace = sample_walk(path_graph(5), 2, np.random.default_rng(0))
-    assert trace.vertices[0] == 2
-    assert trace.vertices[-1] in (0, 4)
-    assert trace.vertices[trace.tau] == 2
+    assert trace.end in (0, 4)
+    assert 0 <= trace.tau < trace.steps
     assert 2 in trace.range_c
-    assert trace.range_c == frozenset(trace.vertices[: trace.tau + 1])
+    assert trace == sample_walk(path_graph(5), 2, np.random.default_rng(0))
 
 
 def test_sample_walk_step_cap():
     with pytest.raises(CapExceededError):
         sample_walk(path_graph(9), 4, np.random.default_rng(0), max_steps=3)
+
+
+# (name, base graph, origin, walks, a step cap that aborts some walks): the
+# perfbench census graphs and path:5.
+WALK_CASES = [
+    ("grid5x5", grid_graph(5, 5), 12, 1500, 40),
+    ("ladder", grid_graph(30, 2, horizon=(0, 29, 30, 59)), 15, 60, 1000),
+    ("path5", path_graph(5), 2, 1500, 10),
+]
+WALK_IDS = [c[0] for c in WALK_CASES]
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("name, base, origin, walks, cap", WALK_CASES, ids=WALK_IDS)
+def test_walks_match_scalar_oracle(name, base, origin, walks, cap, capped):
+    # Walk for walk: the lockstep kernel, behind both public samplers, against
+    # a walk taken one scalar step at a time on an equal generator.
+    max_steps = cap if capped else 10_000_000
+    sd = subdivide(base, 2)
+    start = origin_midpoint(sd, origin)
+    aborted = 0
+    for t, (rng, ref) in enumerate(zip(trial_generators(3, 0, walks), trial_generators(3, 0, walks))):
+        try:
+            want = walk_by_steps(sd.derived, start, ref, max_steps)
+        except CapExceededError:
+            aborted += 1
+            with pytest.raises(CapExceededError):
+                sample_walk(sd.derived, start, rng, max_steps)
+        else:
+            trace = sample_walk(sd.derived, start, rng, max_steps)
+            assert (trace.steps, trace.end, trace.tau, trace.range_c) == want, t
+        assert rng.bit_generator.state == ref.bit_generator.state, t
+    assert (0 < aborted < walks) if capped else aborted == 0
+
+
+@pytest.mark.parametrize("name, base, origin, walks, cap", WALK_CASES, ids=WALK_IDS)
+def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, walks, cap, monkeypatch):
+    sd = subdivide(base, 2)
+    want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
+    want_hits = {}
+    for rng in trial_generators(9, 0, walks):
+        s = sample_cluster_boundary(sd, origin, rng)
+        want_outcomes[s.outcome] += 1
+        if s.decoded is not None:
+            want_hits[s.decoded] = want_hits.get(s.decoded, 0) + 1
+    one_block = qn_census_rw(sd, origin, walks, seed=9)
+    assert percolation._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
+    monkeypatch.setattr(percolation, "_BLOCK_CELLS", 7 * (sd.derived.n_vertices + 256))
+    small_blocks = qn_census_rw(sd, origin, walks, seed=9)
+    for census in (one_block, small_blocks):
+        assert census.outcome_counts == want_outcomes
+        assert list(census.hits.items()) == list(want_hits.items())
 
 
 def test_sample_cluster_boundary_outcomes():

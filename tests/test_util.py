@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from percut._util import (
     UniformBuffer,
+    _seed_words,
     checked_solve,
     derive_seed,
     fmt12,
-    trial_generator,
+    trial_generators,
     wilson_interval,
 )
 from percut.errors import NumericalError
@@ -28,21 +30,41 @@ def test_derive_seed_distinct_across_seeds():
     assert derive_seed(1, 0) != derive_seed(2, 0)
 
 
+def test_derive_seed_is_splitmix64():
+    # splitmix64's first outputs from state 0: derive_seed(0, i) is output i.
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [derive_seed(0, i) for i in range(3)] == want
+
+
 def test_trial_generator_reproducible():
-    a = trial_generator(7, 3).random(5)
-    b = trial_generator(7, 3).random(5)
+    a = trial_generators(7, 3, 4)[0].random(5)
+    b = trial_generators(7, 0, 5)[3].random(5)
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_match_seed_sequence(entropy):
+    want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    assert np.array_equal(_seed_words(np.array([entropy], dtype=np.uint64))[0], want)
+
+
+@pytest.mark.parametrize("seed, start, stop", [(5, 0, 10_000), (2**64 - 1, 2**32 - 50, 2**32 + 50)])
+def test_trial_generators_match_seeded_pcg64(seed, start, stop):
+    got = trial_generators(seed, start, stop)
+    assert len(got) == stop - start
+    for t, gen in zip(range(start, stop), got):
+        assert gen.bit_generator.state == np.random.PCG64(derive_seed(seed, t)).state
+
+
 def test_uniform_buffer_matches_generator_stream():
-    buf = UniformBuffer(trial_generator(1, 1), block=8)
-    raw = trial_generator(1, 1).random(24)
+    buf = UniformBuffer(trial_generators(1, 1, 2)[0], block=8)
+    raw = trial_generators(1, 1, 2)[0].random(24)
     drawn = [buf.uniform() for _ in range(24)]
     assert np.allclose(drawn, raw)
 
 
 def test_uniform_buffer_index_range():
-    buf = UniformBuffer(trial_generator(2, 2))
+    buf = UniformBuffer(trial_generators(2, 2, 3)[0])
     for _ in range(1000):
         assert 0 <= buf.index(7) < 7
 
@@ -74,6 +96,28 @@ def test_checked_solve_accepts_well_conditioned():
 def test_checked_solve_refuses_singular():
     with pytest.raises(NumericalError):
         checked_solve(np.zeros((2, 2)), np.ones(2))
+
+
+def test_checked_solve_matches_scipy():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        # Diagonally dominant, so every system is well conditioned.
+        a = rng.normal(size=(n, n)) + 2 * n * np.eye(n)
+        b = rng.normal(size=(n, int(rng.integers(1, 4))))
+        want = scipy.linalg.solve(a, b)
+        np.testing.assert_allclose(checked_solve(a, b), want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(checked_solve(a, b[:, 0]), want[:, 0], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]])
+def test_checked_solve_refuses_what_scipy_calls_singular(a):
+    a = np.array(a)
+    b = np.ones(len(a))
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve(a, b)
+    with pytest.raises(NumericalError):
+        checked_solve(a, b)
 
 
 def test_fmt12():
