@@ -85,8 +85,6 @@ from .rw_cutsets import (
     escape_constant,
     escape_probabilities,
     qn_census_rw,
-    sample_cluster_boundary,
-    sample_walk,
     subdivision_escape_check,
 )
 from .gff import (

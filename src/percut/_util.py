@@ -129,34 +129,6 @@ def trial_generators(seed: int, start: int, stop: int) -> list[np.random.Generat
     return [np.random.Generator(np.random.PCG64(hashed(row))) for row in words]
 
 
-class UniformBuffer:
-    """Block-buffered U(0,1) draws from a numpy generator.
-
-    Single scalar draws dominate the cost of long random walks; pulling
-    blocks of 64 amortizes the generator call overhead about tenfold.
-    """
-
-    __slots__ = ("_gen", "_block", "_buf", "_pos")
-
-    def __init__(self, gen: np.random.Generator, block: int = 64):
-        self._gen = gen
-        self._block = block
-        self._buf = gen.random(block)
-        self._pos = 0
-
-    def uniform(self) -> float:
-        if self._pos == self._block:
-            self._buf = self._gen.random(self._block)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-    def index(self, n: int) -> int:
-        """Uniform draw from range(n); bias is O(2^-53), ignorable here."""
-        return int(self.uniform() * n)
-
-
 def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 

@@ -131,6 +131,16 @@ def resolve_graph(spec: str, horizon: str | None) -> Graph:
     return FAMILY_BUILDERS[name](*nums, horizon=hz)
 
 
+def _graph(args) -> Graph:
+    """The command's graph, refusing a ``--vertex`` or ``--origin`` that is not one of its ids."""
+    graph = resolve_graph(args.graph, args.horizon)
+    for flag in ("vertex", "origin"):
+        v = getattr(args, flag, None)
+        if v is not None and not 0 <= v < graph.n_vertices:
+            raise PreconditionError(f"--{flag} {v} is not a vertex id in 0..{graph.n_vertices - 1}")
+    return graph
+
+
 def _check_seed(args) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < 1 << 64:
@@ -228,7 +238,7 @@ def _config_hash(args) -> str:
 
 def _cutset_table(args) -> QnTable:
     """Minimal cutsets from ``--vertex`` up to ``--nmax`` by the ``--algo`` route."""
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     if args.algo == "brute":
         return enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
     return enumerate_minimal_cutsets_by_components(graph, args.vertex, args.nmax)
@@ -246,7 +256,7 @@ def _run_cutsets_enum(args) -> list[dict]:
 
 
 def _run_cutsets_karger(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     seed = _require_seed(args)
     trials = args.trials if args.trials is not None else default_karger_trials(graph.n_vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -261,7 +271,7 @@ def _run_cutsets_karger(args) -> list[dict]:
 
 
 def _run_perc_theta(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     trials, seed = _route(args)
     result = theta(graph, args.p, args.vertex, trials, seed)
     return [
@@ -284,7 +294,7 @@ def _run_perc_peierls(args) -> list[dict]:
 
 
 def _run_perc_census(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     rows: list[dict] = []
     trials, seed = _route(args)
     if seed is None:
@@ -331,7 +341,7 @@ def _run_perc_census(args) -> list[dict]:
 
 
 def _run_chain_build(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     region = _int_list(args.set_a)
     targets = _int_list(args.set_b)
     trials, seed = _route(args)
@@ -412,7 +422,7 @@ def _run_cover_verify(args) -> list[dict]:
 
 
 def _run_rw_escape(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     trials, seed = _route(args)
     if seed is not None:
         if args.vertex is None:
@@ -446,7 +456,7 @@ def _run_rw_escape(args) -> list[dict]:
 
 
 def _run_rw_census(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     seed = _require_seed(args)
     sd = subdivide(graph, 2)
     census = qn_census_rw(sd, args.origin, args.trials, seed, max_steps=args.max_steps)
@@ -479,7 +489,7 @@ def _run_rw_census(args) -> list[dict]:
 
 
 def _run_rw_crossing(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     cs = verified_cutset(graph, _int_list(args.cutset), args.origin)
     sd = subdivide(graph, 2)
     cm = crossing_matrix(sd, cs)
@@ -496,13 +506,13 @@ def _run_rw_crossing(args) -> list[dict]:
 
 
 def _run_gff_green(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     gm = green(graph)
     return [{"interior": list(gm.interior), "matrix": gm.g}]
 
 
 def _run_gff_pipeline(args) -> list[dict]:
-    graph = resolve_graph(args.graph, args.horizon)
+    graph = _graph(args)
     seed = _require_seed(args)
     cs = verified_cutset(graph, _int_list(args.cutset), args.origin)
     report = section8_pipeline(graph, cs, args.trials, seed)

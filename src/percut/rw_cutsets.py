@@ -1,23 +1,26 @@
-"""Random walks that discover minimal cutsets.
+"""Killed random walks: escape probabilities and walks that discover minimal cutsets.
 
-On the order-2 subdivision of a uniformly transient horizon graph, run
-the simple random walk from a fixed midpoint neighbor of the origin
-until absorption, keep the range up to the last visit to the start, and
-read off the inner endpoints of its exposed boundary.  When those are
-all midpoints of a minimal base cutset, the walk has certified that
-cutset.  The crossing matrix of excursion probabilities between the
-relevant midpoints is symmetric sub-stochastic with a guaranteed cut
-lower bound, which feeds the covering machinery.
+Exact quantities solve one killed system (``_killed_system``); sampled ones
+run on one lockstep walk kernel (``_walk_block``).  Sampled escape walks on
+the graph killed also at its start.  The walk census walks on the order-2
+subdivision of a uniformly transient horizon graph from a fixed midpoint
+neighbor of the origin, keeps the range up to the last visit to the start,
+and reads off the inner endpoints of its exposed boundary.  When those are
+all midpoints of a minimal base cutset, the walk has certified that cutset.
+The crossing matrix of excursion probabilities between the relevant
+midpoints is symmetric sub-stochastic with a guaranteed cut lower bound,
+which feeds the covering machinery.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import percolation
-from ._util import UniformBuffer, checked_solve, trial_generators
+from ._util import checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
@@ -29,6 +32,41 @@ NOT_MINIMAL = "not_minimal"
 ABORTED = "aborted"
 
 
+# ---- killed systems ----
+
+
+def _killed_system(
+    graph: Graph, inside: tuple[int, ...], target: frozenset[int]
+) -> tuple[dict[int, int], np.ndarray, np.ndarray]:
+    """The walk killed off ``inside``: index, steps q within it, one-step mass b into ``target``."""
+    index = {x: i for i, x in enumerate(inside)}
+    k = len(inside)
+    q = np.zeros((k, k))
+    b = np.zeros(k)
+    for x in inside:
+        for w, _ in graph.adjacency[x]:
+            if w in index:
+                q[index[x], index[w]] += 1.0 / graph.degree(x)
+            elif w in target:
+                b[index[x]] += 1.0 / graph.degree(x)
+    return index, q, b
+
+
+def _hit_probability(
+    graph: Graph, start: int, inside: tuple[int, ...], target: frozenset[int], what: str
+) -> float:
+    """P(walk from ``start`` hits ``target`` inside ``inside``): one solve, then one first step."""
+    index, q, b = _killed_system(graph, inside, target)
+    h = checked_solve(np.eye(len(inside)) - q, b, what) if inside else b
+    total = 0.0
+    for w, _ in graph.adjacency[start]:
+        if w in target:
+            total += 1.0
+        elif w in index:
+            total += float(h[index[w]])
+    return total / graph.degree(start)
+
+
 # ---- escape probabilities ----
 
 
@@ -37,13 +75,8 @@ def fundamental_matrix(graph: Graph) -> tuple[tuple[int, ...], np.ndarray]:
     if not graph.horizon:
         raise PreconditionError("walks need a horizon to be absorbed at")
     interior = graph.interior
-    index = {v: i for i, v in enumerate(interior)}
+    _, q, _ = _killed_system(graph, interior, frozenset())
     k = len(interior)
-    q = np.zeros((k, k))
-    for v in interior:
-        for w, _ in graph.adjacency[v]:
-            if w in index:
-                q[index[v], index[w]] += 1.0 / graph.degree(v)
     n = checked_solve(np.eye(k) - q, np.eye(k), "fundamental matrix")
     return interior, n
 
@@ -67,28 +100,12 @@ def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int,
         raise PreconditionError(f"unknown method {method!r}")
     if not graph.horizon:
         raise PreconditionError("walks need a horizon to be absorbed at")
-    out = {}
-    for v in graph.interior:
-        others = [x for x in graph.interior if x != v]
-        index = {x: i for i, x in enumerate(others)}
-        k = len(others)
-        q = np.zeros((k, k))
-        b = np.zeros(k)
-        for x in others:
-            for w, _ in graph.adjacency[x]:
-                if w in index:
-                    q[index[x], index[w]] += 1.0 / graph.degree(x)
-                elif w in graph.horizon:
-                    b[index[x]] += 1.0 / graph.degree(x)
-        u = checked_solve(np.eye(k) - q, b, "escape system") if k else b
-        total = 0.0
-        for w, _ in graph.adjacency[v]:
-            if w in graph.horizon:
-                total += 1.0
-            elif w != v:
-                total += float(u[index[w]])
-        out[v] = total / graph.degree(v)
-    return out
+    return {
+        v: _hit_probability(
+            graph, v, tuple(x for x in graph.interior if x != v), graph.horizon, "escape system"
+        )
+        for v in graph.interior
+    }
 
 
 def escape_constant(graph: Graph, probs: dict[int, float]) -> float:
@@ -105,27 +122,22 @@ def escape_constant(graph: Graph, probs: dict[int, float]) -> float:
 def escape_probability_mc(
     graph: Graph, v: int, trials: int, seed: int, max_steps: int = 10_000_000
 ) -> EventProbability:
-    """Simulated no-return frequency with a Wilson interval."""
+    """Simulated no-return frequency with a Wilson interval.
+
+    Each walk is killed on the horizon and at ``v`` itself, the system the
+    absorbing route of ``escape_probabilities`` solves, and escapes when it
+    is killed on the horizon.
+    """
+    if trials < 1:
+        raise PreconditionError("trials must be positive")
     if v in graph.horizon:
         raise PreconditionError("escape is defined for interior vertices")
-    adjacency = graph.adjacency
-    horizon = graph.horizon
-    block = _walks_per_block(graph)
+    killed = Graph(graph.n_vertices, graph.edges, graph.horizon | {v})
     hits = 0
-    for lo in range(0, trials, block):
-        for rng in trial_generators(seed, lo, min(trials, lo + block)):
-            buf = UniformBuffer(rng)
-            x = v
-            for _ in range(max_steps):
-                nbrs = adjacency[x]
-                x = nbrs[buf.index(len(nbrs))][0]
-                if x == v:
-                    break
-                if x in horizon:
-                    hits += 1
-                    break
-            else:
-                raise CapExceededError("walk exceeded the step cap")
+    for _, _, end, _ in _walk_blocks(killed, v, trials, seed, max_steps):
+        if (end < 0).any():
+            raise CapExceededError("walk exceeded the step cap")
+        hits += int(np.count_nonzero(end != v))
     return EventProbability.sampled(hits, trials)
 
 
@@ -214,25 +226,8 @@ def origin_midpoint(sd: SubdivisionMap, origin: int) -> int:
 
 def _excursion_probability(graph: Graph, region: set[int], u: int, v: int) -> float:
     """P(walk from u reaches v before leaving region - {u} or dying)."""
-    inner = sorted((region - {u, v}) - graph.horizon)
-    index = {x: i for i, x in enumerate(inner)}
-    k = len(inner)
-    q = np.zeros((k, k))
-    b = np.zeros(k)
-    for x in inner:
-        for w, _ in graph.adjacency[x]:
-            if w == v:
-                b[index[x]] += 1.0 / graph.degree(x)
-            elif w in index:
-                q[index[x], index[w]] += 1.0 / graph.degree(x)
-    f = checked_solve(np.eye(k) - q, b, "excursion system") if k else b
-    total = 0.0
-    for w, _ in graph.adjacency[u]:
-        if w == v:
-            total += 1.0
-        elif w in index:
-            total += float(f[index[w]])
-    return total / graph.degree(u)
+    inner = tuple(sorted((region - {u, v}) - graph.horizon))
+    return _hit_probability(graph, u, inner, frozenset((v,)), "excursion system")
 
 
 def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
@@ -279,34 +274,6 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
 
 
 # ---- walk sampling ----
-
-
-@dataclass(frozen=True)
-class WalkTrace:
-    """A walk to absorption: its length, where it ended, last start revisit, early range."""
-
-    steps: int
-    end: int
-    tau: int
-    range_c: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    trace: WalkTrace
-    boundary: frozenset[int]
-    outcome: str
-    decoded: Cutset | None
-
-
-def _walks_per_block(graph: Graph) -> int:
-    """Walks per block under ``percolation._BLOCK_CELLS``.
-
-    A walk holds a first-visit row, a 64-double buffer and a generator, whose
-    ``Generator`` and ``PCG64`` objects take about 1.5 KB, the room of 192
-    doubles.
-    """
-    return max(1, percolation._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
 
 
 def _walk_block(
@@ -363,17 +330,20 @@ def _walk_block(
     return tau, steps, end, first
 
 
-def sample_walk(
-    graph: Graph, start: int, rng: np.random.Generator, max_steps: int = 10_000_000
-) -> WalkTrace:
-    """Simple random walk from start until it lands on the horizon."""
-    if start in graph.horizon:
-        raise PreconditionError("walk must start off the horizon")
-    tau, steps, end, first = _walk_block(graph, start, [rng], max_steps)
-    if end[0] < 0:
-        raise CapExceededError("walk exceeded the step cap without absorption")
-    range_c = frozenset(np.flatnonzero(first[0] <= tau[0]).tolist())
-    return WalkTrace(int(steps[0]), int(end[0]), int(tau[0]), range_c)
+def _walk_blocks(
+    graph: Graph, start: int, trials: int, seed: int, max_steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``_walk_block`` over trials ``0 .. trials - 1``, in ``percolation._BLOCK_CELLS`` blocks.
+
+    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))``, so results do
+    not depend on the block size.  A walk holds a first-visit row, a 64-double
+    buffer and a generator, whose objects take about 1.5 KB, the room of 192
+    doubles.
+    """
+    block = max(1, percolation._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
+    for lo in range(0, trials, block):
+        rngs = trial_generators(seed, lo, min(trials, lo + block))
+        yield _walk_block(graph, start, rngs, max_steps)
 
 
 def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
@@ -385,38 +355,24 @@ def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
     return origin_midpoint(sd, origin)
 
 
-def _decode(
-    sd: SubdivisionMap, origin: int, c: frozenset[int]
-) -> tuple[frozenset[int], str, Cutset | None]:
-    """Boundary, outcome and decoded cutset of one walk range; a pure function of c."""
+def _decode(sd: SubdivisionMap, origin: int, c: frozenset[int]) -> tuple[str, Cutset | None]:
+    """Outcome and decoded cutset of one walk range; a pure function of c.
+
+    The inner endpoints of the range's exposed boundary are collected;
+    when all of them are midpoints whose base edges form a minimal cutset
+    from the origin, the range decodes.  Mixed or non-minimal boundaries
+    are distinct outcomes, never dropped.
+    """
     inner = set()
     for eid in exposed_boundary(sd.derived, c):
         u, v = sd.derived.edges[eid]
         inner.add(u if u in c else v)
-    boundary = frozenset(inner)
-    if all(sd.is_midpoint(x) for x in boundary):
-        base_ids = tuple(sorted(sd.base_edge_of(x) for x in boundary))
+    if all(sd.is_midpoint(x) for x in inner):
+        base_ids = tuple(sorted(sd.base_edge_of(x) for x in inner))
         if is_minimal_cutset(sd.base, base_ids, origin):
-            return boundary, DECODED, Cutset(base_ids, origin)
-        return boundary, NOT_MINIMAL, None
-    return boundary, NON_MIDPOINT, None
-
-
-def sample_cluster_boundary(
-    sd: SubdivisionMap,
-    origin: int,
-    rng: np.random.Generator,
-    max_steps: int = 10_000_000,
-) -> BoundarySample:
-    """One walk from the start midpoint, decoded to a base cutset if possible.
-
-    The inner endpoints of the range's exposed boundary are collected;
-    when all of them are midpoints whose base edges form a minimal
-    cutset from the origin, the sample decodes.  Mixed or non-minimal
-    boundaries are distinct outcomes, never dropped.
-    """
-    trace = sample_walk(sd.derived, _start_midpoint(sd, origin), rng, max_steps)
-    return BoundarySample(trace, *_decode(sd, origin, trace.range_c))
+            return DECODED, Cutset(base_ids, origin)
+        return NOT_MINIMAL, None
+    return NON_MIDPOINT, None
 
 
 @dataclass(frozen=True)
@@ -448,10 +404,9 @@ def qn_census_rw(
 ) -> RwCensus:
     """Walk ``trials`` times from the start midpoint and tabulate every outcome.
 
-    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))``.  Walks run
-    in blocks, and each distinct range is decoded once: walks with equal
-    ranges share one outcome.  Step-capped walks are counted under their own
-    outcome rather than raising.
+    Walks run in blocks (``_walk_blocks``), and each distinct range is
+    decoded once: walks with equal ranges share one outcome.  Step-capped
+    walks are counted under their own outcome rather than raising.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -459,10 +414,7 @@ def qn_census_rw(
     outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     hits: dict[Cutset, int] = {}
     decoded: dict[bytes, tuple[str, Cutset | None]] = {}
-    block = _walks_per_block(sd.derived)
-    for lo in range(0, trials, block):
-        rngs = trial_generators(seed, lo, min(trials, lo + block))
-        tau, _, end, first = _walk_block(sd.derived, start, rngs, max_steps)
+    for tau, _, end, first in _walk_blocks(sd.derived, start, trials, seed, max_steps):
         ranges = first <= tau[:, None]
         for row, absorbed in zip(ranges, (end >= 0).tolist()):
             if not absorbed:
@@ -472,7 +424,7 @@ def qn_census_rw(
             result = decoded.get(key)
             if result is None:
                 c = frozenset(np.flatnonzero(row).tolist())
-                result = decoded[key] = _decode(sd, origin, c)[1:]
+                result = decoded[key] = _decode(sd, origin, c)
             outcome, cutset = result
             outcomes[outcome] += 1
             if cutset is not None:

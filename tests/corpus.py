@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from percut import Graph, QnTable
-from percut._util import UniformBuffer
 from percut.errors import CapExceededError
 from percut.cutsets import enumerate_minimal_cutsets_by_components
 from percut.graph_core import (
@@ -120,15 +119,18 @@ def walk_by_steps(graph: Graph, start: int, rng: np.random.Generator, max_steps:
 
     Returns ``(steps, end, tau, range_c)``: the absorbing step, the horizon
     vertex reached, the last step at the start and the vertices visited up
-    to then.  Raises ``CapExceededError`` after ``max_steps`` steps.
+    to then.  Raises ``CapExceededError`` after ``max_steps`` steps.  Draws
+    come from ``rng`` 64 doubles at a time, and step t takes entry
+    ``int(u * degree)`` of the adjacency list for the t-th double u.
     """
-    buf = UniformBuffer(rng)
     path = [start]
     x = start
     tau = 0
     for step in range(1, max_steps + 1):
+        if (step - 1) % 64 == 0:
+            draws = rng.random(64)
         nbrs = graph.adjacency[x]
-        x = nbrs[buf.index(len(nbrs))][0]
+        x = nbrs[int(draws[(step - 1) % 64] * len(nbrs))][0]
         path.append(x)
         if x == start:
             tau = step

@@ -386,6 +386,47 @@ def test_sampled_escape_needs_vertex(capsys):
     assert "--vertex" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sampled_escape_refuses_bad_trials(capsys, trials):
+    argv = ["rw", "escape", "--graph", "path:5", "--vertex", "2", "--seed", "5", "--trials", trials]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "trials must be positive" in err
+    assert out == ""
+
+
+# Every command with a --vertex or --origin flag, on grid:4,4 (16 vertices);
+# the id goes last.  Sampled routes are listed beside exact ones because they
+# index per-vertex arrays.
+_VERTEX_COMMANDS = {
+    "cutsets-enum": ["cutsets", "enum", "--graph", "grid:4,4", "--nmax", "3", "--vertex"],
+    "perc-theta": ["perc", "theta", "--graph", "grid:4,4", "--p", "0.5", "--vertex"],
+    "perc-theta-seed": ["perc", "theta", "--graph", "grid:4,4", "--p", "0.5", "--seed", "1",
+                        "--trials", "10", "--vertex"],
+    "perc-peierls": ["perc", "peierls", "--graph", "grid:4,4", "--p", "0.5", "--nmax", "3", "--vertex"],
+    "perc-census": ["perc", "census", "--graph", "grid:4,4", "--p", "0.5", "--vertex"],
+    "perc-census-seed": ["perc", "census", "--graph", "grid:4,4", "--p", "0.5", "--seed", "1",
+                         "--trials", "10", "--vertex"],
+    "chain-build": ["chain", "build", "--graph", "grid:4,4", "--setA", "5,6", "--setB", "6", "--origin"],
+    "rw-escape": ["rw", "escape", "--graph", "grid:4,4", "--vertex"],
+    "rw-escape-seed": ["rw", "escape", "--graph", "grid:4,4", "--seed", "3", "--trials", "10", "--vertex"],
+    "rw-census": ["rw", "census", "--graph", "grid:4,4", "--seed", "1", "--trials", "10", "--origin"],
+    "rw-crossing": ["rw", "crossing", "--graph", "grid:4,4", "--cutset", "0,1", "--origin"],
+    "gff-pipeline": ["gff", "pipeline", "--graph", "grid:4,4", "--cutset", "0,1", "--seed", "1",
+                     "--trials", "10", "--origin"],
+}
+
+
+@pytest.mark.parametrize("vertex", ["-1", "16"])
+@pytest.mark.parametrize("argv", _VERTEX_COMMANDS.values(), ids=_VERTEX_COMMANDS)
+def test_vertex_ids_out_of_range_are_usage_errors(capsys, argv, vertex):
+    code, out, err = run_cli(capsys, [*argv, vertex])
+    assert code == 1
+    assert err.startswith("error:") and f" {vertex} is not a vertex id in 0..15" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_missing_seed_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["cutsets", "karger", "--graph", "cycle:4"])
     assert code == 1

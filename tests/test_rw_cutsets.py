@@ -12,6 +12,8 @@ from percut.rw_cutsets import (
     DECODED,
     NON_MIDPOINT,
     NOT_MINIMAL,
+    _decode,
+    _walk_block,
     crossing_matrix,
     escape_constant,
     escape_probabilities,
@@ -19,8 +21,6 @@ from percut.rw_cutsets import (
     fundamental_matrix,
     origin_midpoint,
     qn_census_rw,
-    sample_cluster_boundary,
-    sample_walk,
     subdivision_escape_check,
 )
 
@@ -74,6 +74,40 @@ def test_escape_mc_p5():
 def test_escape_mc_rejects_horizon_start():
     with pytest.raises(PreconditionError):
         escape_probability_mc(path_graph(5), 0, 100, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_escape_mc_rejects_bad_trials(trials):
+    with pytest.raises(PreconditionError, match="trials must be positive"):
+        escape_probability_mc(path_graph(5), 2, trials, seed=5)
+
+
+# (name, graph, start, walks) for the escape oracle: path:5, grid:5,5 and the ladder.
+ESCAPE_CASES = [
+    ("path5", path_graph(5), 2, 3000),
+    ("grid5x5", grid_graph(5, 5), 12, 1500),
+    ("ladder", grid_graph(30, 2, horizon=(0, 29, 30, 59)), 15, 400),
+]
+
+
+@pytest.mark.parametrize("name, graph, v, walks", ESCAPE_CASES, ids=[c[0] for c in ESCAPE_CASES])
+def test_escape_mc_counts_walks_that_never_return(name, graph, v, walks):
+    # A walk escapes exactly when the walk to the horizon never comes back to
+    # its start (tau == 0); the scalar oracle walks on equal streams.
+    est = escape_probability_mc(graph, v, walks, seed=4)
+    taus = [walk_by_steps(graph, v, rng, 10_000_000)[2] for rng in trial_generators(4, 0, walks)]
+    escaped = taus.count(0)
+    assert 0 < escaped < walks
+    assert est == percolation.EventProbability.sampled(escaped, walks)
+
+
+def test_escape_mc_step_cap():
+    # From the middle of path:9 the horizon is 4 steps away and a return takes
+    # an even number of steps, so a walk not back after 2 steps is out after 3.
+    with pytest.raises(CapExceededError):
+        escape_probability_mc(path_graph(9), 4, 100, seed=1, max_steps=3)
+    # On path:5 every walk from 2 returns or is absorbed within 2 steps.
+    assert escape_probability_mc(path_graph(5), 2, 100, seed=1, max_steps=2).trials == 100
 
 
 # ---- order-2 subdivision floors ----
@@ -150,19 +184,6 @@ def test_origin_midpoint():
 # ---- walks and the decoded census ----
 
 
-def test_sample_walk_p5():
-    trace = sample_walk(path_graph(5), 2, np.random.default_rng(0))
-    assert trace.end in (0, 4)
-    assert 0 <= trace.tau < trace.steps
-    assert 2 in trace.range_c
-    assert trace == sample_walk(path_graph(5), 2, np.random.default_rng(0))
-
-
-def test_sample_walk_step_cap():
-    with pytest.raises(CapExceededError):
-        sample_walk(path_graph(9), 4, np.random.default_rng(0), max_steps=3)
-
-
 # (name, base graph, origin, walks, a step cap that aborts some walks): the
 # perfbench census graphs and path:5.
 WALK_CASES = [
@@ -176,22 +197,23 @@ WALK_IDS = [c[0] for c in WALK_CASES]
 @pytest.mark.parametrize("capped", [False, True])
 @pytest.mark.parametrize("name, base, origin, walks, cap", WALK_CASES, ids=WALK_IDS)
 def test_walks_match_scalar_oracle(name, base, origin, walks, cap, capped):
-    # Walk for walk: the lockstep kernel, behind both public samplers, against
-    # a walk taken one scalar step at a time on an equal generator.
+    # Walk for walk: one lockstep block of every walk against a walk taken one
+    # scalar step at a time on an equal generator.
     max_steps = cap if capped else 10_000_000
     sd = subdivide(base, 2)
     start = origin_midpoint(sd, origin)
+    rngs = trial_generators(3, 0, walks)
+    tau, steps, end, first = _walk_block(sd.derived, start, rngs, max_steps)
     aborted = 0
-    for t, (rng, ref) in enumerate(zip(trial_generators(3, 0, walks), trial_generators(3, 0, walks))):
+    for t, (rng, ref) in enumerate(zip(rngs, trial_generators(3, 0, walks))):
         try:
             want = walk_by_steps(sd.derived, start, ref, max_steps)
         except CapExceededError:
             aborted += 1
-            with pytest.raises(CapExceededError):
-                sample_walk(sd.derived, start, rng, max_steps)
+            assert end[t] == -1, t
         else:
-            trace = sample_walk(sd.derived, start, rng, max_steps)
-            assert (trace.steps, trace.end, trace.tau, trace.range_c) == want, t
+            range_c = frozenset(np.flatnonzero(first[t] <= tau[t]).tolist())
+            assert (int(steps[t]), int(end[t]), int(tau[t]), range_c) == want, t
         assert rng.bit_generator.state == ref.bit_generator.state, t
     assert (0 < aborted < walks) if capped else aborted == 0
 
@@ -199,13 +221,14 @@ def test_walks_match_scalar_oracle(name, base, origin, walks, cap, capped):
 @pytest.mark.parametrize("name, base, origin, walks, cap", WALK_CASES, ids=WALK_IDS)
 def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, walks, cap, monkeypatch):
     sd = subdivide(base, 2)
+    start = origin_midpoint(sd, origin)
     want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     want_hits = {}
     for rng in trial_generators(9, 0, walks):
-        s = sample_cluster_boundary(sd, origin, rng)
-        want_outcomes[s.outcome] += 1
-        if s.decoded is not None:
-            want_hits[s.decoded] = want_hits.get(s.decoded, 0) + 1
+        outcome, cutset = _decode(sd, origin, walk_by_steps(sd.derived, start, rng, 10_000_000)[3])
+        want_outcomes[outcome] += 1
+        if cutset is not None:
+            want_hits[cutset] = want_hits.get(cutset, 0) + 1
     one_block = qn_census_rw(sd, origin, walks, seed=9)
     assert percolation._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
     monkeypatch.setattr(percolation, "_BLOCK_CELLS", 7 * (sd.derived.n_vertices + 256))
@@ -216,19 +239,14 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
 
 
 def test_sample_cluster_boundary_outcomes():
-    sd = subdivide(path_graph(5), 2)
-    rng = np.random.default_rng(5)
-    outcomes = set()
-    for _ in range(200):
-        s = sample_cluster_boundary(sd, 2, rng, 1_000_000)
-        outcomes.add(s.outcome)
-        if s.outcome == DECODED:
-            assert s.decoded is not None
-            assert s.decoded.source == 2
-            assert set(s.boundary) <= set(range(5, 9))
-        else:
-            assert s.decoded is None
-    assert DECODED in outcomes
+    # Every decoded walk is a hit on a cutset from the origin, made of base
+    # edges (midpoints 5..8 of path:5's subdivision are its edges 0..3).
+    census = qn_census_rw(subdivide(path_graph(5), 2), 2, trials=200, seed=5, max_steps=1_000_000)
+    assert census.outcome_counts[DECODED] > 0
+    assert sum(census.hits.values()) == census.outcome_counts[DECODED]
+    for cutset in census.hits:
+        assert cutset.source == 2
+        assert set(cutset.edge_ids) <= set(range(4))
 
 
 def test_census_p5_recovers_exact_table():
@@ -278,12 +296,11 @@ def test_escape_symmetric_on_paths(n):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_decoded_boundaries_always_minimal(seed):
+    from percut.cutsets import is_minimal_cutset
+
     g = CORPUS["theta6"]
     sd = subdivide(g, 2)
-    rng = np.random.default_rng(seed)
-    origin = g.interior[int(rng.integers(len(g.interior)))]
-    s = sample_cluster_boundary(sd, origin, rng, 1_000_000)
-    if s.outcome == DECODED:
-        from percut.cutsets import is_minimal_cutset
-
-        assert is_minimal_cutset(g, s.decoded.edge_ids, origin)
+    origin = g.interior[seed % len(g.interior)]
+    census = qn_census_rw(sd, origin, trials=20, seed=seed, max_steps=1_000_000)
+    for cutset in census.hits:
+        assert is_minimal_cutset(g, cutset.edge_ids, origin)

@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from percut._util import (
-    UniformBuffer,
     _seed_words,
     checked_solve,
     derive_seed,
@@ -54,19 +53,6 @@ def test_trial_generators_match_seeded_pcg64(seed, start, stop):
     assert len(got) == stop - start
     for t, gen in zip(range(start, stop), got):
         assert gen.bit_generator.state == np.random.PCG64(derive_seed(seed, t)).state
-
-
-def test_uniform_buffer_matches_generator_stream():
-    buf = UniformBuffer(trial_generators(1, 1, 2)[0], block=8)
-    raw = trial_generators(1, 1, 2)[0].random(24)
-    drawn = [buf.uniform() for _ in range(24)]
-    assert np.allclose(drawn, raw)
-
-
-def test_uniform_buffer_index_range():
-    buf = UniformBuffer(trial_generators(2, 2, 3)[0])
-    for _ in range(1000):
-        assert 0 <= buf.index(7) < 7
 
 
 def test_wilson_zero_trials():
