@@ -47,6 +47,7 @@ from .cutsets import (
     karger_count_min_cuts,
     verified_cutset,
 )
+from .frontier import count_minimal_cutsets
 from .percolation import (
     ClusterReport,
     EventProbability,

@@ -42,10 +42,10 @@ from .cutsets import (
     QnTable,
     default_karger_trials,
     enumerate_minimal_cutsets_bruteforce,
-    enumerate_minimal_cutsets_by_components,
     karger_count_min_cuts,
     verified_cutset,
 )
+from .frontier import count_minimal_cutsets
 from .percolation import (
     boundary_census_exact,
     boundary_census_mc,
@@ -237,11 +237,11 @@ def _config_hash(args) -> str:
 
 
 def _cutset_table(args) -> QnTable:
-    """Minimal cutsets from ``--vertex`` up to ``--nmax`` by the ``--algo`` route."""
+    """Minimal cutset counts from ``--vertex`` up to ``--nmax`` by the ``--algo`` route."""
     graph = _graph(args)
     if args.algo == "brute":
         return enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
-    return enumerate_minimal_cutsets_by_components(graph, args.vertex, args.nmax)
+    return count_minimal_cutsets(graph, args.vertex, args.nmax)
 
 
 def _run_cutsets_enum(args) -> list[dict]:
@@ -438,6 +438,8 @@ def _run_rw_escape(args) -> list[dict]:
                 "ci_high": est.ci_high,
             }
         ]
+    if args.vertex is not None and args.vertex in graph.horizon:
+        raise PreconditionError("escape is defined for interior vertices")
     probs = escape_probabilities(graph)
     constant = escape_constant(graph, probs)
     rows = []
@@ -569,7 +571,7 @@ def build_parser() -> _Parser:
     _add_graph(ap)
     ap.add_argument("--vertex", type=int, required=True)
     ap.add_argument("--nmax", type=int, required=True)
-    ap.add_argument("--algo", choices=("brute", "components"), default="components")
+    ap.add_argument("--algo", choices=("brute", "frontier"), default="frontier")
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_cutsets_enum)
     ap = cut.add_parser("karger")
@@ -591,7 +593,7 @@ def build_parser() -> _Parser:
     ap.add_argument("--p", type=float, required=True)
     ap.add_argument("--vertex", type=int, required=True)
     ap.add_argument("--nmax", type=int, required=True)
-    ap.add_argument("--algo", choices=("brute", "components"), default="components")
+    ap.add_argument("--algo", choices=("brute", "frontier"), default="frontier")
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_perc_peierls)
     ap = perc.add_parser("census")

@@ -1,9 +1,12 @@
 """Minimal edge cutsets separating a vertex from the horizon.
 
-Two independent enumerations are kept deliberately: a powerset sweep
-that tests minimality edge by edge, and a component walk that emits the
-exposed boundary of every connected set around the source.  They must
-agree exactly; the agreement is one of the package's core checks.
+Three independent routes give the table of minimal cutsets by size.  Two
+list the cutsets themselves: a powerset sweep that tests minimality edge
+by edge, and a component walk that emits the exposed boundary of every
+connected set around the source.  The third, ``frontier``'s bond-state
+DP, counts them without listing any and is the command line's default.
+All three must agree exactly; the agreement is one of the package's core
+checks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .graph_core import (
     connected_subsets_containing,
     search,
 )
+
+# Most connected sets the component walk may visit before it gives up.
+MAX_SUBSETS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -151,48 +157,37 @@ def decompose(graph: Graph, cutset: Cutset) -> CutsetDecomposition:
 
 @dataclass(frozen=True)
 class QnTable:
-    """Minimal cutsets of each size, per source vertex.
+    """Minimal cutset counts of each size, per source vertex.
 
-    ``cutsets[v][n]`` is the sorted tuple of all size-n minimal cutsets
-    from v; counts derive from it.  The growth estimate is the largest
-    count^(1/n) over recorded sizes.
+    ``counts[v][n]`` is the number of size-n minimal cutsets from v, with
+    sizes ascending.  The listing routes also keep ``cutsets[v][n]``, the
+    sorted tuple of those cutsets; the counting route keeps none.  The
+    growth estimate is the largest count^(1/n) over recorded sizes.
     """
 
-    cutsets: dict[int, dict[int, tuple[Cutset, ...]]]
-
-    @cached_property
-    def counts(self) -> dict[int, dict[int, int]]:
-        return {
-            v: {n: len(items) for n, items in by_size.items()}
-            for v, by_size in self.cutsets.items()
-        }
+    counts: dict[int, dict[int, int]]
+    cutsets: dict[int, dict[int, tuple[Cutset, ...]]] | None = None
 
     @cached_property
     def kappa_estimate(self) -> float:
         best = 0.0
-        for by_size in self.cutsets.values():
-            for n, items in by_size.items():
-                if items:
-                    best = max(best, len(items) ** (1.0 / n))
+        for by_size in self.counts.values():
+            for n, count in by_size.items():
+                if count:
+                    best = max(best, count ** (1.0 / n))
         return best
 
     def count(self, v: int, n: int) -> int:
-        return len(self.cutsets.get(v, {}).get(n, ()))
+        return self.counts.get(v, {}).get(n, 0)
 
     def all_cutsets(self, v: int | None = None) -> Iterator[Cutset]:
+        if self.cutsets is None:
+            raise PreconditionError("this table holds counts only; list cutsets with a listing route")
         for vertex, by_size in sorted(self.cutsets.items()):
             if v is not None and vertex != v:
                 continue
             for n in sorted(by_size):
                 yield from by_size[n]
-
-    def merged_with(self, other: "QnTable") -> "QnTable":
-        data = {v: dict(by_size) for v, by_size in self.cutsets.items()}
-        for v, by_size in other.cutsets.items():
-            if v in data and data[v] and by_size:
-                raise PreconditionError(f"both tables already cover vertex {v}")
-            data.setdefault(v, {}).update(by_size)
-        return QnTable(data)
 
 
 def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:
@@ -201,7 +196,7 @@ def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:
         for n, items in sorted(found.items())
         if items
     }
-    return QnTable({v: packed})
+    return QnTable({v: {n: len(items) for n, items in packed.items()}}, {v: packed})
 
 
 def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> QnTable:
@@ -219,9 +214,7 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
     return _pack_table(v, found)
 
 
-def enumerate_minimal_cutsets_by_components(
-    graph: Graph, v: int, n_max: int, max_subsets: int = 2_000_000
-) -> QnTable:
+def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) -> QnTable:
     """Component walk: exposed boundaries of connected sets around v.
 
     Every minimal cutset is the exposed boundary of the source component
@@ -233,7 +226,7 @@ def enumerate_minimal_cutsets_by_components(
         raise PreconditionError("n_max must be at least 1")
     seen: set[tuple[int, ...]] = set()
     found: dict[int, list[Cutset]] = {}
-    for s in connected_subsets_containing(graph, v, allowed=graph.interior, max_count=max_subsets):
+    for s in connected_subsets_containing(graph, v, allowed=graph.interior, max_count=MAX_SUBSETS):
         ids = exposed_boundary(graph, s)
         if len(ids) > n_max or ids in seen:
             continue

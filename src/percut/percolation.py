@@ -228,12 +228,12 @@ def peierls_bound(table: QnTable, p: float, v: int | None = None) -> float:
     """Sum of (cutset count) x (all-closed probability) over recorded sizes."""
     _check_p(p)
     if v is None:
-        vertices = list(table.cutsets)
+        vertices = list(table.counts)
         if len(vertices) != 1:
             raise PreconditionError("table covers several vertices; name one")
         v = vertices[0]
-    by_size = table.cutsets.get(v, {})
-    return sum(len(items) * (1.0 - p) ** n for n, items in by_size.items())
+    by_size = table.counts.get(v, {})
+    return sum(count * (1.0 - p) ** n for n, count in by_size.items())
 
 
 def boundary_hit_event(graph: Graph, cutset: Cutset) -> Callable[[PercConfig], bool]:

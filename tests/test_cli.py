@@ -171,6 +171,27 @@ def test_peierls(capsys):
     assert row["bound"] == pytest.approx(1.0)
 
 
+def test_peierls_routes_give_the_same_bound(capsys):
+    argv = ["perc", "peierls", "--graph", "grid:3,4", "--horizon", "0,11", "--vertex", "5",
+            "--p", "0.7", "--nmax", "17", "--out", "json", "--algo"]
+    bounds = []
+    for algo in ("frontier", "brute"):
+        code, out, _ = run_cli(capsys, [*argv, algo])
+        assert code == 0
+        bounds.append(json.loads(out)["rows"][0]["bound"])
+    assert bounds[0] == bounds[1]
+
+
+def test_enum_counts_grid7x7_by_default(capsys):
+    code, out, _ = run_cli(
+        capsys, ["cutsets", "enum", "--graph", "grid:7,7", "--vertex", "24", "--nmax", "12"]
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [int(r["n"]) for r in rows] == [4, 6, 8, 10, 12]
+    assert sum(int(r["count"]) for r in rows) == 737
+
+
 def test_chain_build(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -423,6 +444,14 @@ def test_vertex_ids_out_of_range_are_usage_errors(capsys, argv, vertex):
     code, out, err = run_cli(capsys, [*argv, vertex])
     assert code == 1
     assert err.startswith("error:") and f" {vertex} is not a vertex id in 0..15" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_exact_escape_refuses_horizon_vertex(capsys):
+    code, out, err = run_cli(capsys, ["rw", "escape", "--graph", "path:5", "--vertex", "0"])
+    assert code == 1
+    assert err.startswith("error:") and "interior" in err
     assert "Traceback" not in err
     assert out == ""
 

@@ -196,16 +196,6 @@ def test_n_max_truncates():
     assert table.counts.get(2, {}) == {}
 
 
-def test_merged_with():
-    a = table_for("path5", 1)
-    b = table_for("path5", 2)
-    merged = a.merged_with(b)
-    assert merged.counts[1] == a.counts[1]
-    assert merged.counts[2] == b.counts[2]
-    with pytest.raises(PreconditionError):
-        merged.merged_with(b)
-
-
 # ---- contraction-based counting ----
 
 

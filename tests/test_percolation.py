@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import HORIZON, Graph, fkg_chain, grid_graph, path_graph, percolation, star_graph
+from percut import HORIZON, Graph, QnTable, fkg_chain, grid_graph, path_graph, percolation, star_graph
 from percut._util import SWEEP_EDGES
 from percut.cutsets import Cutset, enumerate_minimal_cutsets_bruteforce, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
@@ -229,7 +229,7 @@ def test_peierls_dominates_on_sample():
 
 
 def test_peierls_multi_vertex_table_needs_vertex():
-    merged = table_for("path5", 1).merged_with(table_for("path5", 2))
+    merged = QnTable({1: table_for("path5", 1).counts[1], 2: table_for("path5", 2).counts[2]})
     with pytest.raises(PreconditionError):
         peierls_bound(merged, 0.5)
     assert peierls_bound(merged, 0.5, 2) == pytest.approx(1.0)
