@@ -1,4 +1,4 @@
-"""Shared numeric helpers: seed mixing, Wilson intervals, checked solves, the sweep cap."""
+"""Shared numeric helpers: seed mixing, Wilson intervals, checked solves, sweep and step caps."""
 
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ SOLVE_RESIDUAL_REFUSE = 1e-6
 # Most edges a route may sweep; a sweep visits all 2^m edge configurations
 # (or edge subsets).
 SWEEP_EDGES = 20
+
+# Most steps a sampled walk or killed chain may take before it stops.
+MAX_STEPS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 
@@ -129,8 +132,8 @@ def trial_generators(seed: int, start: int, stop: int) -> list[np.random.Generat
     return [np.random.Generator(np.random.PCG64(hashed(row))) for row in words]
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 99% (``Z99``) for a binomial proportion.
 
     Returns (low, high). With zero trials the interval is the full unit
     interval.
@@ -138,10 +141,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
     if trials <= 0:
         return 0.0, 1.0
     phat = successes / trials
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = (z / denom) * np.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
+    half = (Z99 / denom) * np.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high

@@ -461,7 +461,7 @@ def _run_rw_census(args) -> list[dict]:
     graph = _graph(args)
     seed = _require_seed(args)
     sd = subdivide(graph, 2)
-    census = qn_census_rw(sd, args.origin, args.trials, seed, max_steps=args.max_steps)
+    census = qn_census_rw(sd, args.origin, args.trials, seed)
     rows: list[dict] = []
     for label in sorted(census.outcome_counts):
         count = census.outcome_counts[label]
@@ -542,7 +542,7 @@ def _run_gff_pipeline(args) -> list[dict]:
 
 
 def _add_common(ap: argparse.ArgumentParser, fmt_default: str) -> None:
-    ap.add_argument("--out", "--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
+    ap.add_argument("--out", dest="fmt", choices=("csv", "json"), default=fmt_default)
     ap.add_argument("--output-file", default=None)
     ap.add_argument("--config", default=None, help="JSON file mirroring the flags")
 
@@ -640,7 +640,6 @@ def build_parser() -> _Parser:
     _add_graph(ap)
     ap.add_argument("--origin", type=int, required=True)
     _add_sampling(ap, trials_required=True)
-    ap.add_argument("--max-steps", type=int, default=10_000_000)
     _add_common(ap, "csv")
     ap.set_defaults(func=_run_rw_census)
     ap = rw.add_parser("crossing")

@@ -18,25 +18,34 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _util
 from ._util import checked_solve, wilson_interval
 from .errors import CapExceededError, PreconditionError
 from .graph_core import Multigraph, UnionFind, euler_circuit_edges, eulerian_from_two_trees
+
+# Largest input asymmetry that SubStochasticMatrix averages away.
+ASYMMETRY_TOL = 1e-9
+# Most states each exhaustive route accepts: the 2^n split sweep of min_cut,
+# the (state, visited-set) recursion and the explicit sequence enumeration.
+MAX_CUT_STATES = 16
+MAX_EXACT_STATES = 12
+MAX_ENUM_STATES = 4
 
 
 class SubStochasticMatrix:
     """Symmetric non-negative matrix with row sums at most one.
 
-    Input asymmetry up to ``tol`` is averaged away; anything larger is
-    refused.  Entries are clipped to zero from tiny negatives.
+    Input asymmetry up to ``ASYMMETRY_TOL`` is averaged away; anything
+    larger is refused.  Entries are clipped to zero from tiny negatives.
     """
 
-    def __init__(self, matrix, tol: float = 1e-9):
+    def __init__(self, matrix):
         p = np.asarray(matrix, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise PreconditionError("matrix must be square and non-empty")
         gap = float(np.max(np.abs(p - p.T))) if p.size else 0.0
-        if gap > tol:
-            raise PreconditionError(f"asymmetry {gap:.3e} above tolerance {tol:.1e}")
+        if gap > ASYMMETRY_TOL:
+            raise PreconditionError(f"asymmetry {gap:.3e} above tolerance {ASYMMETRY_TOL:.1e}")
         p = (p + p.T) / 2.0
         if float(p.min(initial=0.0)) < -1e-12:
             raise PreconditionError("negative entry")
@@ -74,7 +83,7 @@ def load_matrix_file(text: str) -> SubStochasticMatrix:
     return SubStochasticMatrix(np.array(rows))
 
 
-def min_cut(sub: SubStochasticMatrix, max_n: int = 16) -> float:
+def min_cut(sub: SubStochasticMatrix) -> float:
     """Smallest one-directional crossing mass over nontrivial state splits.
 
     For each non-empty proper subset I, sum p(i, j) over i in I, j
@@ -82,8 +91,8 @@ def min_cut(sub: SubStochasticMatrix, max_n: int = 16) -> float:
     the empty collection is infinity.
     """
     n = sub.n
-    if n > max_n:
-        raise CapExceededError(f"{n} states exceed the exhaustive cut cap {max_n}")
+    if n > MAX_CUT_STATES:
+        raise CapExceededError(f"{n} states exceed the exhaustive cut cap {MAX_CUT_STATES}")
     if n == 1:
         return float("inf")
     best = float("inf")
@@ -126,7 +135,7 @@ def _reaches(adj: list[list[int]], inside: list[int], seeds: list[int]) -> set[i
     return seen
 
 
-def covering_sum_exact(sub: SubStochasticMatrix, max_n: int = 12) -> float:
+def covering_sum_exact(sub: SubStochasticMatrix) -> float:
     """Exact cover-and-return weight by a (state, visited-set) recursion.
 
     With the visited set complete the remaining weight is the hitting
@@ -135,8 +144,8 @@ def covering_sum_exact(sub: SubStochasticMatrix, max_n: int = 12) -> float:
     set contribute zero, which also keeps every solve non-singular.
     """
     n = sub.n
-    if n > max_n:
-        raise CapExceededError(f"{n} states exceed the exact covering cap {max_n}")
+    if n > MAX_EXACT_STATES:
+        raise CapExceededError(f"{n} states exceed the exact covering cap {MAX_EXACT_STATES}")
     p = sub.p
     full = (1 << n) - 1
     adj = _positive_adjacency(p)
@@ -195,16 +204,11 @@ class CoveringEstimate:
     aborted: int
 
 
-def covering_sum_mc(
-    sub: SubStochasticMatrix,
-    trials: int,
-    seed: int,
-    max_steps: int = 10_000_000,
-) -> CoveringEstimate:
+def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> CoveringEstimate:
     """Simulate killed chains from state 0 and count cover-and-return hits.
 
-    Trials still alive at the per-trial step cap are counted as misses
-    and reported in ``aborted``.
+    Trials still alive after ``_util.MAX_STEPS`` steps are counted as
+    misses and reported in ``aborted``.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -219,7 +223,7 @@ def covering_sum_mc(
     alive = np.ones(trials, dtype=bool)
     success = np.zeros(trials, dtype=bool)
     steps = 0
-    while steps < max_steps:
+    while steps < _util.MAX_STEPS:
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
@@ -276,9 +280,7 @@ def is_gamma_sequence(n: int, states) -> bool:
     return qualifying == [len(seq) - 1]
 
 
-def gamma_sequences(
-    sub: SubStochasticMatrix, k_max: int, max_n: int = 4
-) -> Iterator[GammaPath]:
+def gamma_sequences(sub: SubStochasticMatrix, k_max: int) -> Iterator[GammaPath]:
     """Positive-weight cover-and-return sequences of at most k_max steps.
 
     Depth-first over transitions with positive weight; a branch stops at
@@ -286,8 +288,8 @@ def gamma_sequences(
     return non-unique.
     """
     n = sub.n
-    if n > max_n:
-        raise CapExceededError(f"{n} states exceed the enumeration cap {max_n}")
+    if n > MAX_ENUM_STATES:
+        raise CapExceededError(f"{n} states exceed the enumeration cap {MAX_ENUM_STATES}")
     if k_max < 1 or k_max > 20:
         raise PreconditionError("k_max must be in [1, 20]")
     p = sub.p.tolist()
@@ -312,9 +314,9 @@ def gamma_sequences(
             stack.append((mask | (1 << v), w, iter(range(n))))
 
 
-def covering_sum_bruteforce(sub: SubStochasticMatrix, k_max: int, max_n: int = 4) -> float:
+def covering_sum_bruteforce(sub: SubStochasticMatrix, k_max: int) -> float:
     """Partial covering sum over sequences of at most k_max steps."""
-    return sum(g.weight for g in gamma_sequences(sub, k_max, max_n))
+    return sum(g.weight for g in gamma_sequences(sub, k_max))
 
 
 def bruteforce_tail_bound(sub: SubStochasticMatrix, k_max: int) -> float:

@@ -174,7 +174,7 @@ class QnTable:
         for by_size in self.counts.values():
             for n, count in by_size.items():
                 if count:
-                    best = max(best, count ** (1.0 / n))
+                    best = max(best, _nth_root(count, n))
         return best
 
     def count(self, v: int, n: int) -> int:
@@ -188,6 +188,14 @@ class QnTable:
                 continue
             for n in sorted(by_size):
                 yield from by_size[n]
+
+
+def _nth_root(count: int, n: int) -> float:
+    """``count ** (1 / n)``, in log space when ``count`` is too large for a float."""
+    try:
+        return count ** (1.0 / n)
+    except OverflowError:
+        return math.exp(math.log(count) / n)
 
 
 def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:

@@ -414,11 +414,7 @@ class DominationReport:
 
 
 def domination_endpoint_check(
-    base: Graph,
-    cutset: Cutset,
-    trials: int,
-    seed: int,
-    killed_trials: int | None = None,
+    base: Graph, cutset: Cutset, trials: int, seed: int
 ) -> DominationReport:
     """Estimate both sides of the domination step and compare their CIs."""
     report = section8_pipeline(base, cutset, trials, seed)
@@ -434,15 +430,14 @@ def domination_endpoint_check(
     o_idx = gm.index(origin)
     interior = np.array(gm.interior)
     targets = set(frame.inner_vertices)
-    k_trials = killed_trials if killed_trials is not None else trials
     k_seed = derive_seed(seed, 1 << 32)
     hits = 0
-    for block in _field_blocks(gm, k_seed, k_trials):
+    for block in _field_blocks(gm, k_seed, trials):
         for t in range(block.shape[0]):
             if block[t, o_idx] >= -1.0:
                 below = _below(interior, block[t], -1.0)
                 hits += targets <= search(killed_graph, (origin,), avoid=below)[0]
-    killed = EventProbability.sampled(hits, k_trials)
+    killed = EventProbability.sampled(hits, trials)
     if report.f_count == 0:
         return DominationReport(0, 0, None, killed, True)
     conditional = EventProbability.sampled(report.fe_count, report.f_count)

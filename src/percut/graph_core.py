@@ -20,6 +20,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _util
 from .errors import (
     CapExceededError,
     GraphStructureError,
@@ -570,39 +571,22 @@ def set_weight(graph: Graph, s: Iterable[int]) -> int:
     return sum(graph.degree(v) for v in s)
 
 
-def iso_profile(
-    graph: Graph,
-    n: int,
-    connected_only: bool = False,
-    max_interior: int = 20,
-    max_subsets: int = 2_000_000,
-) -> float:
+def iso_profile(graph: Graph, n: int) -> float:
     """Smallest boundary over sets of degree-weighted size at least ``n``.
 
     Sets range over non-empty proper vertex subsets disjoint from the
-    horizon.  With ``connected_only`` the search is restricted to
-    connected sets, which scales further but is a different minimum in
-    general.  Returns ``inf`` when no admissible set is heavy enough.
+    horizon; all 2^k of them are tried, so at most ``SWEEP_EDGES``
+    non-horizon vertices are accepted.  Returns ``inf`` when no admissible
+    set is heavy enough.
     """
     if n < 1:
         raise PreconditionError("weight threshold must be at least 1")
     interior = graph.interior
-    best = float("inf")
-    if connected_only:
-        allow = set(interior)
-        for root in interior:
-            for s in connected_subsets_containing(
-                graph, root, allowed={v for v in allow if v >= root}, max_count=max_subsets
-            ):
-                if len(s) == graph.n_vertices:
-                    continue
-                if set_weight(graph, s) >= n:
-                    best = min(best, len(boundary_edges(graph, s)))
-        return best
-    if len(interior) > max_interior:
+    if len(interior) > _util.SWEEP_EDGES:
         raise CapExceededError(
-            f"{len(interior)} non-horizon vertices exceed the exhaustive cap {max_interior}"
+            f"{len(interior)} non-horizon vertices exceed the exhaustive cap {_util.SWEEP_EDGES}"
         )
+    best = float("inf")
     degrees = [graph.degree(v) for v in interior]
     for mask in range(1, 1 << len(interior)):
         s = [interior[i] for i in range(len(interior)) if mask >> i & 1]

@@ -35,6 +35,8 @@ from .graph_core import (
 MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
+# Largest connected set the strong percolation experiment prices.
+STRONG_SET_SIZE = 6
 # Cells per block: random doubles drawn here, a walk's row, buffer and
 # generator in rw_cutsets.  It bounds memory and never changes a result.
 _BLOCK_CELLS = 1 << 20
@@ -45,13 +47,6 @@ class PercConfig:
     """One open/closed assignment, indexed by edge id."""
 
     open_bits: tuple[bool, ...]
-
-    def is_open(self, eid: int) -> bool:
-        return self.open_bits[eid]
-
-    @property
-    def n_open(self) -> int:
-        return sum(self.open_bits)
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,24 @@ def peierls_bound(table: QnTable, p: float, v: int | None = None) -> float:
             raise PreconditionError("table covers several vertices; name one")
         v = vertices[0]
     by_size = table.counts.get(v, {})
-    return sum(count * (1.0 - p) ** n for n, count in by_size.items())
+    return sum(_peierls_term(count, 1.0 - p, n) for n, count in by_size.items())
+
+
+def _peierls_term(count: int, q: float, n: int) -> float:
+    """``count * q**n``, in log space when ``count`` is too large for a float.
+
+    Such a term is 0 at q = 0 and ``inf`` when the product itself is too
+    large for a float.
+    """
+    try:
+        return count * q**n
+    except OverflowError:
+        if q == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(count) + n * math.log(q))
+        except OverflowError:
+            return math.inf
 
 
 def boundary_hit_event(graph: Graph, cutset: Cutset) -> Callable[[PercConfig], bool]:
@@ -257,7 +269,7 @@ def _inner_edge_count(graph: Graph, s: frozenset[int]) -> int:
 
 
 def boundary_census_exact(
-    graph: Graph, v: int, max_sets: int = EXACT_SET_BUDGET
+    graph: Graph, v: int
 ) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray]:
     """Popcount profile of every realized exposed boundary, by connected sets.
 
@@ -275,7 +287,7 @@ def boundary_census_exact(
 
     Returns (per-boundary profiles, profile of the infinite-cluster
     event); summing a boundary profile at p gives the exact hit
-    probability of that boundary.  Raises past ``max_sets`` connected
+    probability of that boundary.  Raises past ``EXACT_SET_BUDGET`` connected
     sets, counting both the walk over S and the walks over each T.
     """
     if v in graph.horizon:
@@ -291,7 +303,8 @@ def boundary_census_exact(
     # [0, 2**62], so its value decodes slot by slot.
     x1 = 1 + (1 << 64)
     sets = sorted(
-        connected_subsets_containing(graph, v, graph.interior, max_count=max_sets), key=len
+        connected_subsets_containing(graph, v, graph.interior, max_count=EXACT_SET_BUDGET),
+        key=len,
     )
     walked = len(sets)
     spanning: dict[frozenset[int], int] = {}
@@ -301,8 +314,10 @@ def boundary_census_exact(
         c = x1**e_s
         for t in connected_subsets_containing(graph, v, s):
             walked += 1
-            if walked > max_sets:
-                raise CapExceededError(f"more than {max_sets} connected sets in the cluster law")
+            if walked > EXACT_SET_BUDGET:
+                raise CapExceededError(
+                    f"more than {EXACT_SET_BUDGET} connected sets in the cluster law"
+                )
             if len(t) < len(s):
                 c -= spanning[t] * x1 ** _inner_edge_count(graph, s - t)
         spanning[s] = c
@@ -392,33 +407,24 @@ class StrongPercReport:
     all_satisfied: bool
 
 
-def strong_percolation_experiment(
-    graph: Graph,
-    p: float,
-    c_fit: float,
-    sets: Iterable[Iterable[int]] | None = None,
-    max_set_size: int = 6,
-) -> StrongPercReport:
+def strong_percolation_experiment(graph: Graph, p: float, c_fit: float) -> StrongPercReport:
     """Compare -ln P(S misses the horizon) against c_fit x boundary profile.
 
-    By default S ranges over connected horizon-free sets of bounded
-    size.  Rows with miss probability zero are omitted (their log
-    diverges).
+    S ranges over connected horizon-free sets of at most
+    ``STRONG_SET_SIZE`` vertices.  Rows with miss probability zero are
+    omitted (their log diverges).
     """
     if not graph.horizon:
         raise PreconditionError("experiment needs a horizon to miss")
     _check_p(p)
-    if sets is None:
-        pool: set[frozenset[int]] = set()
-        for root in graph.interior:
-            for s in connected_subsets_containing(
-                graph, root, allowed={u for u in graph.interior if u >= root}
-            ):
-                if len(s) <= max_set_size:
-                    pool.add(s)
-        chosen: list[tuple[int, ...]] = sorted(tuple(sorted(s)) for s in pool)
-    else:
-        chosen = [tuple(sorted(s)) for s in sets]
+    pool: set[frozenset[int]] = set()
+    for root in graph.interior:
+        for s in connected_subsets_containing(
+            graph, root, allowed={u for u in graph.interior if u >= root}
+        ):
+            if len(s) <= STRONG_SET_SIZE:
+                pool.add(s)
+    chosen = sorted(tuple(sorted(s)) for s in pool)
     rows = []
     for s in chosen:
         members = list(s)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import percolation
+from . import _util, percolation
 from ._util import checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
@@ -119,14 +119,13 @@ def escape_constant(graph: Graph, probs: dict[int, float]) -> float:
     return min(graph.degree(v) * p for v, p in probs.items())
 
 
-def escape_probability_mc(
-    graph: Graph, v: int, trials: int, seed: int, max_steps: int = 10_000_000
-) -> EventProbability:
+def escape_probability_mc(graph: Graph, v: int, trials: int, seed: int) -> EventProbability:
     """Simulated no-return frequency with a Wilson interval.
 
     Each walk is killed on the horizon and at ``v`` itself, the system the
     absorbing route of ``escape_probabilities`` solves, and escapes when it
-    is killed on the horizon.
+    is killed on the horizon.  A walk still out after ``_util.MAX_STEPS``
+    steps raises.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -134,7 +133,7 @@ def escape_probability_mc(
         raise PreconditionError("escape is defined for interior vertices")
     killed = Graph(graph.n_vertices, graph.edges, graph.horizon | {v})
     hits = 0
-    for _, _, end, _ in _walk_blocks(killed, v, trials, seed, max_steps):
+    for _, _, end, _ in _walk_blocks(killed, v, trials, seed):
         if (end < 0).any():
             raise CapExceededError("walk exceeded the step cap")
         hits += int(np.count_nonzero(end != v))
@@ -331,19 +330,19 @@ def _walk_block(
 
 
 def _walk_blocks(
-    graph: Graph, start: int, trials: int, seed: int, max_steps: int
+    graph: Graph, start: int, trials: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """``_walk_block`` over trials ``0 .. trials - 1``, in ``percolation._BLOCK_CELLS`` blocks.
 
-    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))``, so results do
-    not depend on the block size.  A walk holds a first-visit row, a 64-double
+    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))`` for at most
+    ``_util.MAX_STEPS`` steps, so results do not depend on the block size.  A walk holds a first-visit row, a 64-double
     buffer and a generator, whose objects take about 1.5 KB, the room of 192
     doubles.
     """
     block = max(1, percolation._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
     for lo in range(0, trials, block):
         rngs = trial_generators(seed, lo, min(trials, lo + block))
-        yield _walk_block(graph, start, rngs, max_steps)
+        yield _walk_block(graph, start, rngs, _util.MAX_STEPS)
 
 
 def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
@@ -395,18 +394,13 @@ class RwCensus:
         return self.hits.get(cutset, 0) / self.trials
 
 
-def qn_census_rw(
-    sd: SubdivisionMap,
-    origin: int,
-    trials: int,
-    seed: int,
-    max_steps: int = 10_000_000,
-) -> RwCensus:
+def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwCensus:
     """Walk ``trials`` times from the start midpoint and tabulate every outcome.
 
     Walks run in blocks (``_walk_blocks``), and each distinct range is
-    decoded once: walks with equal ranges share one outcome.  Step-capped
-    walks are counted under their own outcome rather than raising.
+    decoded once: walks with equal ranges share one outcome.  Walks still
+    out after ``_util.MAX_STEPS`` steps are counted under their own outcome
+    rather than raising.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -414,7 +408,7 @@ def qn_census_rw(
     outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     hits: dict[Cutset, int] = {}
     decoded: dict[bytes, tuple[str, Cutset | None]] = {}
-    for tau, _, end, first in _walk_blocks(sd.derived, start, trials, seed, max_steps):
+    for tau, _, end, first in _walk_blocks(sd.derived, start, trials, seed):
         ranges = first <= tau[:, None]
         for row, absorbed in zip(ranges, (end >= 0).tolist()):
             if not absorbed:

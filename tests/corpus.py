@@ -82,6 +82,16 @@ for _name, _g in CORPUS.items():
     assert _g.horizon and _g.interior, _name
 
 
+def broom(k: int) -> Graph:
+    """Vertex 0 joined to 1..k, each i joined to horizon vertex k + i.
+
+    Its minimal cutsets from 0 take one edge of each of the k paths, so
+    there are 2^k of them, all of size k: past the float range for k >= 1024.
+    """
+    edges = tuple((0, i) for i in range(1, k + 1)) + tuple((i, k + i) for i in range(1, k + 1))
+    return Graph(2 * k + 1, edges, frozenset(range(k + 1, 2 * k + 1)))
+
+
 def interior_vertices(name: str) -> tuple[int, ...]:
     return CORPUS[name].interior
 

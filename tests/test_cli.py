@@ -14,7 +14,7 @@ from percut.cli import main
 from percut.errors import NumericalError, TheoremViolationError
 from percut.graph_core import dump_graph
 
-from corpus import CORPUS
+from corpus import CORPUS, broom
 
 
 def run_cli(capsys, argv):
@@ -82,6 +82,21 @@ def test_threads_flag_is_unrecognised(capsys):
     )
     assert code == 1
     assert "unrecognized arguments: --threads 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rw", "census", "--graph", "path:5", "--origin", "2", "--trials", "20", "--seed", "9",
+          "--max-steps", "5"], "--max-steps 5"),
+        (["cutsets", "enum", "--graph", "path:5", "--vertex", "2", "--nmax", "4",
+          "--format", "json"], "--format json"),
+    ],
+)
+def test_removed_flags_are_unrecognised(capsys, argv, flag):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_karger_cycle4(capsys):
@@ -190,6 +205,23 @@ def test_enum_counts_grid7x7_by_default(capsys):
     _, rows = parse_csv(out)
     assert [int(r["n"]) for r in rows] == [4, 6, 8, 10, 12]
     assert sum(int(r["count"]) for r in rows) == 737
+
+
+@pytest.mark.parametrize("argv", [["cutsets", "enum"], ["perc", "peierls", "--p", "0.6"]])
+def test_counts_past_the_float_range(capsys, tmp_path, argv):
+    # 2^1100 minimal cutsets of size 1100; neither a count nor a term fits a float.
+    path = tmp_path / "broom.txt"
+    path.write_text(dump_graph(broom(1100)))
+    code, out, err = run_cli(
+        capsys, [*argv, "--graph", str(path), "--vertex", "0", "--nmax", "2200", "--out", "json"]
+    )
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    if argv[0] == "cutsets":
+        assert row["count"] == 2**1100
+        assert row["kappa_estimate"] == pytest.approx(2.0, rel=1e-9)
+    else:
+        assert row["bound"] == pytest.approx(0.8**1100, rel=1e-9)
 
 
 def test_chain_build(capsys):
@@ -349,6 +381,15 @@ def test_config_unknown_key(capsys, tmp_path):
     cfg.write_text(json.dumps({"graph": "path:5", "p": 0.5, "vertex": 2, "bogus": 1}))
     code, _, err = run_cli(capsys, ["perc", "theta", "--config", str(cfg)])
     assert code == 1
+
+
+def test_config_max_steps_is_unknown(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": "path:5", "origin": 2, "trials": 20, "seed": 9,
+                               "max_steps": 5}))
+    code, _, err = run_cli(capsys, ["rw", "census", "--config", str(cfg)])
+    assert code == 1
+    assert "unrecognized arguments: --max-steps 5" in err
 
 
 def test_config_missing_file(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from percut import cover_lemma
 from percut.cover_lemma import (
     SubStochasticMatrix,
     bruteforce_tail_bound,
@@ -80,9 +81,10 @@ def test_min_cut_values():
     assert min_cut(uniform_matrix(1, 0.5)) == float("inf")
 
 
-def test_min_cut_cap():
+def test_min_cut_cap(monkeypatch):
+    monkeypatch.setattr(cover_lemma, "MAX_CUT_STATES", 1)
     with pytest.raises(CapExceededError):
-        min_cut(uniform_matrix(2, 0.25), max_n=1)
+        min_cut(uniform_matrix(2, 0.25))
 
 
 def test_delta_bound_value():
@@ -117,9 +119,10 @@ def test_covering_sum_no_kill_is_one():
     assert covering_sum_exact(swap) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_covering_sum_cap():
+def test_covering_sum_cap(monkeypatch):
+    monkeypatch.setattr(cover_lemma, "MAX_EXACT_STATES", 2)
     with pytest.raises(CapExceededError):
-        covering_sum_exact(uniform_matrix(3, 0.1), max_n=2)
+        covering_sum_exact(uniform_matrix(3, 0.1))
 
 
 def test_covering_sum_beats_delta_floor():

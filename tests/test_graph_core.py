@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from percut import Graph
-from percut.errors import GraphStructureError, ParseError, PreconditionError
+from percut import Graph, _util
+from percut.errors import CapExceededError, GraphStructureError, ParseError, PreconditionError
 from percut.graph_core import (
     Multigraph,
     UnionFind,
@@ -450,12 +450,12 @@ def test_iso_profile_agrees_with_independent_order():
             assert iso_profile(g, n) == _iso_profile_reversed(g, n)
 
 
-def test_iso_profile_connected_only_never_below_free():
-    for name in ("path7", "bowtie", "diamond"):
-        g = CORPUS[name]
-        free = iso_profile(g, 2)
-        connected = iso_profile(g, 2, connected_only=True)
-        assert connected >= free
+def test_iso_profile_cap(monkeypatch):
+    monkeypatch.setattr(_util, "SWEEP_EDGES", 3)
+    assert iso_profile(path_graph(5), 2) == 2
+    monkeypatch.setattr(_util, "SWEEP_EDGES", 2)
+    with pytest.raises(CapExceededError, match="3 non-horizon vertices"):
+        iso_profile(path_graph(5), 2)
 
 
 # ---- generators ----

@@ -8,6 +8,7 @@ from percut import HORIZON, Graph, QnTable, fkg_chain, grid_graph, path_graph, p
 from percut._util import SWEEP_EDGES
 from percut.cutsets import Cutset, enumerate_minimal_cutsets_bruteforce, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
+from percut.frontier import count_minimal_cutsets
 from percut.fkg_chain import (
     ConnectivityOracle,
     theorem1_lower_bound_check,
@@ -34,7 +35,7 @@ from percut.percolation import (
     theta,
 )
 
-from corpus import CORPUS, census_by_sweep, table_for
+from corpus import CORPUS, broom, census_by_sweep, table_for
 
 
 # ---- configurations and clusters ----
@@ -43,8 +44,8 @@ from corpus import CORPUS, census_by_sweep, table_for
 def test_config_from_mask_bit_order():
     c = config_from_mask(path_graph(5), 0b0101)
     assert c.open_bits == (True, False, True, False)
-    assert c.n_open == 2
-    assert c.is_open(0) and not c.is_open(1)
+    assert sum(c.open_bits) == 2
+    assert c.open_bits[0] and not c.open_bits[1]
 
 
 def test_sampled_configs_shape():
@@ -110,7 +111,7 @@ def test_profile_probability_single_edge_event():
     # "Edge 0 open" has probability p for every p; the profile route
     # must reproduce that exactly.
     p5 = path_graph(5)
-    profile = event_popcount_profile(p5, lambda c: c.is_open(0))
+    profile = event_popcount_profile(p5, lambda c: c.open_bits[0])
     for p in (0.1, 0.5, 0.9):
         assert profile_probability(profile, p) == pytest.approx(p, abs=1e-12)
 
@@ -122,9 +123,7 @@ SWEEP_ENTRY_POINTS = {
     "event_popcount_profile": lambda g: event_popcount_profile(g, lambda c: True),
     "exact_prob": lambda g: exact_prob(g, 0.5, lambda c: True),
     "fkg_spot_check": lambda g: fkg_spot_check(g, 0.5, [((5, HORIZON), (6, HORIZON))]),
-    "strong_percolation_experiment": lambda g: strong_percolation_experiment(
-        g, 0.5, 0.1, sets=[(5,)]
-    ),
+    "strong_percolation_experiment": lambda g: strong_percolation_experiment(g, 0.5, 0.1),
     "ConnectivityOracle": lambda g: ConnectivityOracle(g, _REGION_44, 0.5),
     "verify_full_connectivity": lambda g: verify_full_connectivity(g, _REGION_44, (0, 15), 5, 0.5),
     "theorem1_lower_bound_check": lambda g: theorem1_lower_bound_check(
@@ -228,6 +227,15 @@ def test_peierls_dominates_on_sample():
                 assert exact <= peierls_bound(table, p, v) + 1e-12
 
 
+def test_counts_past_the_float_range():
+    table = count_minimal_cutsets(broom(1100), 0, 2200)
+    assert table.counts == {0: {1100: 2**1100}}
+    assert table.kappa_estimate == pytest.approx(2.0, rel=1e-9)
+    assert peierls_bound(table, 0.6) == pytest.approx(0.8**1100, rel=1e-9)
+    assert peierls_bound(table, 1.0) == 0.0
+    assert peierls_bound(table, 0.0) == math.inf
+
+
 def test_peierls_multi_vertex_table_needs_vertex():
     merged = QnTable({1: table_for("path5", 1).counts[1], 2: table_for("path5", 2).counts[2]})
     with pytest.raises(PreconditionError):
@@ -319,16 +327,17 @@ def test_theta_exact_past_twenty_edges(width, height, v):
         assert priced.value == pytest.approx(profile_probability(ref_infinite, p), abs=1e-12)
 
 
-def test_census_law_caps():
+def test_census_law_caps(monkeypatch):
     with pytest.raises(CapExceededError, match="int64"):
         boundary_census_exact(grid_graph(7, 7), 24)
     p9 = path_graph(9)
     # 16 intervals contain vertex 4; the recurrence walks more on top.
-    assert len(boundary_census_exact(p9, 4, max_sets=1000)[0]) == 16
-    with pytest.raises(CapExceededError):
-        boundary_census_exact(p9, 4, max_sets=15)
-    with pytest.raises(CapExceededError):
-        boundary_census_exact(p9, 4, max_sets=16)
+    monkeypatch.setattr(percolation, "EXACT_SET_BUDGET", 1000)
+    assert len(boundary_census_exact(p9, 4)[0]) == 16
+    for budget in (15, 16):
+        monkeypatch.setattr(percolation, "EXACT_SET_BUDGET", budget)
+        with pytest.raises(CapExceededError):
+            boundary_census_exact(p9, 4)
     with pytest.raises(PreconditionError):
         boundary_census_exact(p9, 0)
 

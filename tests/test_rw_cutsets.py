@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import path_graph, percolation
+from percut import _util, path_graph, percolation
 from percut._util import trial_generators
 from percut.cutsets import verified_cutset
 from percut.errors import CapExceededError, PreconditionError
@@ -101,13 +101,15 @@ def test_escape_mc_counts_walks_that_never_return(name, graph, v, walks):
     assert est == percolation.EventProbability.sampled(escaped, walks)
 
 
-def test_escape_mc_step_cap():
+def test_escape_mc_step_cap(monkeypatch):
     # From the middle of path:9 the horizon is 4 steps away and a return takes
     # an even number of steps, so a walk not back after 2 steps is out after 3.
+    monkeypatch.setattr(_util, "MAX_STEPS", 3)
     with pytest.raises(CapExceededError):
-        escape_probability_mc(path_graph(9), 4, 100, seed=1, max_steps=3)
+        escape_probability_mc(path_graph(9), 4, 100, seed=1)
     # On path:5 every walk from 2 returns or is absorbed within 2 steps.
-    assert escape_probability_mc(path_graph(5), 2, 100, seed=1, max_steps=2).trials == 100
+    monkeypatch.setattr(_util, "MAX_STEPS", 2)
+    assert escape_probability_mc(path_graph(5), 2, 100, seed=1).trials == 100
 
 
 # ---- order-2 subdivision floors ----
@@ -241,7 +243,7 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
 def test_sample_cluster_boundary_outcomes():
     # Every decoded walk is a hit on a cutset from the origin, made of base
     # edges (midpoints 5..8 of path:5's subdivision are its edges 0..3).
-    census = qn_census_rw(subdivide(path_graph(5), 2), 2, trials=200, seed=5, max_steps=1_000_000)
+    census = qn_census_rw(subdivide(path_graph(5), 2), 2, trials=200, seed=5)
     assert census.outcome_counts[DECODED] > 0
     assert sum(census.hits.values()) == census.outcome_counts[DECODED]
     for cutset in census.hits:
@@ -301,6 +303,6 @@ def test_decoded_boundaries_always_minimal(seed):
     g = CORPUS["theta6"]
     sd = subdivide(g, 2)
     origin = g.interior[seed % len(g.interior)]
-    census = qn_census_rw(sd, origin, trials=20, seed=seed, max_steps=1_000_000)
+    census = qn_census_rw(sd, origin, trials=20, seed=seed)
     for cutset in census.hits:
         assert is_minimal_cutset(g, cutset.edge_ids, origin)
