@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -167,32 +168,84 @@ def _route(args) -> tuple[int, int | None]:
 
 
 def _json_value(v):
+    """A scalar as ``json.dumps`` takes it: floats to 12 digits, non-finite floats as strings."""
     if isinstance(v, float):
-        return float(fmt12(v)) if np.isfinite(v) else str(v)
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_json_value(x) for x in v.tolist()]
-    if isinstance(v, (np.integer,)):
+        return float(fmt12(v)) if math.isfinite(v) else str(v)
+    if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, np.floating):
         return _json_value(float(v))
     return v
+
+
+def _fmt12_join(values: list[float], sep: str) -> str:
+    """``sep.join(map(fmt12, values))`` in one C-level format call."""
+    return sep.join(["%.12g"] * len(values)) % tuple(values)
+
+
+def _json_float_row(row: np.ndarray, level: int) -> str:
+    """The indent-2 JSON text of a 1-D float array, each entry under ``_json_value``.
+
+    The 12-digit text of a float equals the shortest repr of the float it
+    parses to, except in layout (no ``.``, an exponent of e+12..e+15, or
+    non-finite) or for subnormals (``e-3``); only those entries are redone.
+    """
+    values = row.tolist()
+    sep = ",\n" + "  " * (level + 1)
+    body = _fmt12_join(values, sep)
+    if body.count(".") != len(values) or "e+1" in body or "e-3" in body:
+        body = sep.join(
+            t if "." in t and "e+1" not in t and "e-3" not in t else json.dumps(_json_value(x))
+            for t, x in zip(body.split(sep), values)
+        )
+    return "[" + sep[1:] + body + "\n" + "  " * level + "]"
+
+
+def _json_chunks(v, level: int = 0):
+    """``json.dump(v, indent=2)`` in pieces, every scalar under ``_json_value``.
+
+    A float matrix is one piece per row, so no nested list of it is built.
+    """
+    if isinstance(v, np.ndarray):
+        if v.ndim == 1 and v.dtype.kind == "f" and v.size:
+            yield _json_float_row(v, level)
+            return
+        v = list(v) if v.ndim > 1 else v.tolist()
+    if isinstance(v, dict):
+        items, brackets = [(json.dumps(k) + ": ", x) for k, x in v.items()], "{}"
+    elif isinstance(v, (list, tuple)):
+        items, brackets = [("", x) for x in v], "[]"
+    else:
+        yield json.dumps(_json_value(v))
+        return
+    if not items:
+        yield brackets
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = brackets[0] + inner
+    for key, x in items:
+        yield sep + key
+        yield from _json_chunks(x, level + 1)
+        sep = "," + inner
+    yield "\n" + "  " * level + brackets[1]
 
 
 def _csv_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return fmt12(v) if np.isfinite(v) else str(v)
+        return fmt12(v)
+    if isinstance(v, np.ndarray):
+        if v.dtype.kind == "f" and v.size:
+            return _fmt12_join(v.ravel().tolist(), ";")
+        v = v.tolist()
     if isinstance(v, (list, tuple)):
         return ";".join(_csv_value(x) for x in v)
-    if isinstance(v, np.ndarray):
-        return _csv_value(v.tolist())
     return str(v)
 
 
 def _emit(args, echo: str, cfg_hash: str, wall: float, rows: list[dict]) -> None:
+    """Write the record: JSON streamed piece by piece, or CSV with header lines."""
     stream = sys.stdout
     close = False
     if getattr(args, "output_file", None):
@@ -204,9 +257,10 @@ def _emit(args, echo: str, cfg_hash: str, wall: float, rows: list[dict]) -> None
                 "command": echo,
                 "config_hash": cfg_hash,
                 "wall_time_s": float(f"{wall:.6f}"),
-                "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
+                "rows": rows,
             }
-            json.dump(record, stream, indent=2)
+            for chunk in _json_chunks(record):
+                stream.write(chunk)
             stream.write("\n")
         else:
             stream.write(f"# command={echo}\n")

@@ -207,8 +207,13 @@ class CoveringEstimate:
 def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> CoveringEstimate:
     """Simulate killed chains from state 0 and count cover-and-return hits.
 
-    Trials still alive after ``_util.MAX_STEPS`` steps are counted as
-    misses and reported in ``aborted``.
+    A live trial whose state reaches (by a positive path of one step or
+    more) neither state 0 nor every state it has not visited can never
+    hit; it is retired as a miss before its next step, so a chain that can
+    neither die nor cover ends at once.  When every state reaches every
+    state no trial is ever retired and the check is skipped.  Trials still
+    alive after ``_util.MAX_STEPS`` steps are counted as misses and
+    reported in ``aborted``; retired trials are not.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -218,6 +223,13 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     rng = np.random.Generator(np.random.PCG64(seed))
     cum = np.cumsum(sub.p, axis=1)
     full = (1 << n) - 1
+    adj = _positive_adjacency(sub.p)
+    everything = list(range(n))
+    reach = np.array(
+        [sum(1 << v for v in _reaches(adj, everything, adj[u])) for u in everything],
+        dtype=np.int64,
+    )
+    retire = bool((reach != full).any())
     state = np.zeros(trials, dtype=np.int64)
     visited = np.ones(trials, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)
@@ -225,6 +237,11 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     steps = 0
     while steps < _util.MAX_STEPS:
         idx = np.nonzero(alive)[0]
+        if retire and idx.size:
+            r = reach[state[idx]]
+            doomed = ((r & 1) == 0) | ((~visited[idx] & ~r & full) != 0)
+            alive[idx[doomed]] = False
+            idx = idx[~doomed]
         if idx.size == 0:
             break
         steps += 1

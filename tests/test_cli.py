@@ -1,17 +1,21 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import percut
 from percut import cli
-from percut.cli import main
+from percut._util import fmt12
+from percut.cli import main, resolve_graph
 from percut.errors import NumericalError, TheoremViolationError
+from percut.gff import green
 from percut.graph_core import dump_graph
 
 from corpus import CORPUS, broom
@@ -350,6 +354,124 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["rows"][0]["matrix"] == [[0.5]]
+
+
+def test_non_finite_floats_are_text(capsys, tmp_path):
+    # One state has no split, so its epsilon is infinite.
+    path = tmp_path / "one.txt"
+    path.write_text("1\n0.5\n")
+    code, out, _ = run_cli(capsys, ["cover", "exact", "--matrix", str(path)])
+    assert code == 0
+    assert '"epsilon": "inf"' in out
+    assert json.loads(out)["rows"][0]["epsilon"] == "inf"
+    code, out, _ = run_cli(capsys, ["cover", "exact", "--matrix", str(path), "--out", "csv"])
+    assert code == 0
+    assert parse_csv(out)[1][0]["epsilon"] == "inf"
+
+
+def test_green_matrix_round_trips_at_twelve_digits(capsys):
+    gm = green(resolve_graph("grid:6,6", None))
+    expected = [[float(fmt12(x)) for x in row] for row in gm.g.tolist()]
+    code, out, _ = run_cli(capsys, ["gff", "green", "--graph", "grid:6,6"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["interior"] == list(gm.interior)
+    assert row["matrix"] == expected
+    code, out, _ = run_cli(capsys, ["gff", "green", "--graph", "grid:6,6", "--out", "csv"])
+    assert code == 0
+    cell = parse_csv(out)[1][0]["matrix"]
+    assert [float(t) for t in cell.split(";")] == [x for r in expected for x in r]
+
+
+# ---- emission against the whole-record conversion ----
+
+
+def _reference_json_value(v):
+    """Each scalar converted in a nested copy of the record, for ``json.dumps(indent=2)``."""
+    if isinstance(v, float):
+        return float(fmt12(v)) if math.isfinite(v) else str(v)
+    if isinstance(v, (list, tuple)):
+        return [_reference_json_value(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return _reference_json_value(v.tolist())
+    if isinstance(v, dict):
+        return {k: _reference_json_value(x) for k, x in v.items()}
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return _reference_json_value(float(v))
+    return v
+
+
+def _reference_csv_value(v) -> str:
+    """A CSV cell formatted one element at a time."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return fmt12(v) if math.isfinite(v) else str(v)
+    if isinstance(v, (list, tuple)):
+        return ";".join(_reference_csv_value(x) for x in v)
+    if isinstance(v, np.ndarray):
+        return _reference_csv_value(v.tolist())
+    return str(v)
+
+
+# Floats whose 12-digit text is laid out unlike their repr, or whose digits
+# differ from it: integer values, e+12..e+16, signed zeros and subnormals.
+AWKWARD = [0.0, -0.0, 3.0, -7.0, 1e12, 1e13, 1e14, 1e15, 1e16, 1.5e12, -2.5e15,
+           123456789012345.0, 999999999999.9, 9.9999999999995e15, 0.99999999999996,
+           1e-5, 0.1, 1 / 3, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 1.7e308]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _random_floats(n: int) -> np.ndarray:
+    """Every bit pattern of a double is equally likely: all exponents, some nan."""
+    rng = np.random.default_rng(11)
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+
+
+def test_json_chunks_equal_json_dump_of_the_converted_record():
+    row = np.array(AWKWARD)
+    record = {
+        "command": "percut gff green --graph grid:3,3",
+        "rows": [
+            {
+                "row": row,
+                # Rows in which every text has a '.', so only the exponent shows.
+                "subnormal_row": np.array([5e-324, -1.2345678901234e-312, 0.1]),
+                "large_row": np.array([1.5e12, -2.5e15, 0.1]),
+                "matrix": np.array([AWKWARD[:3], [0.5, math.nan, 0.25], NON_FINITE]),
+                "random": _random_floats(4000).reshape(40, 100),
+                "floats": AWKWARD + NON_FINITE,
+                "empty_list": [],
+                "empty_dict": {},
+                "empty_array": np.zeros(0),
+                "hollow": np.zeros((2, 0)),
+                "ints": np.arange(6).reshape(2, 3),
+                "np_int": np.int64(7),
+                "np_float": np.float32(0.1),
+                "nested": {"inner": [1.0, math.inf, {"deep": 1e15}], "none": None},
+                "text": "Grüße ∞ \"q\"",
+                "flag": True,
+            },
+            {},
+        ],
+    }
+    assert "".join(cli._json_chunks(record)) == json.dumps(_reference_json_value(record), indent=2)
+
+
+def test_csv_cells_equal_per_element_formatting():
+    cells = [
+        np.array(AWKWARD),
+        np.array(AWKWARD + NON_FINITE).reshape(2, 13),
+        _random_floats(2000),
+        np.zeros(0),
+        np.zeros((2, 0)),
+        np.arange(5),
+        AWKWARD + NON_FINITE,
+    ]
+    for cell in cells:
+        assert cli._csv_value(cell) == _reference_csv_value(cell)
 
 
 # ---- config files ----

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import cover_lemma
+from percut import _util, cover_lemma
 from percut.cover_lemma import (
     SubStochasticMatrix,
     bruteforce_tail_bound,
@@ -168,6 +168,24 @@ def test_covering_sum_mc_three_state():
     est = covering_sum_mc(THREE, 60_000, seed=23)
     exact = covering_sum_exact(THREE)
     assert est.ci_low <= exact <= est.ci_high
+    # Every state reaches every state, so no trial is retired and the stream
+    # is the one drawn before retirement existed.
+    assert round(est.value * 60_000) == 4477
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]],
+    ids=["identity", "pair_beside_a_lazy_state"],
+)
+def test_covering_sum_mc_retires_chains_that_cannot_cover(monkeypatch, rows):
+    # Neither chain can die before covering nor cover; unretired, every
+    # trial would walk to the step cap and count as aborted.
+    monkeypatch.setattr(_util, "MAX_STEPS", 1000)
+    sub = SubStochasticMatrix(rows)
+    est = covering_sum_mc(sub, 10, seed=1)
+    assert (est.value, est.trials, est.aborted) == (0.0, 10, 0)
+    assert covering_sum_exact(sub) == 0.0
 
 
 def test_covering_sum_mc_rejects():
