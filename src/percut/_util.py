@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # 99% two-sided normal quantile, used by every Wilson interval in the package.
 Z99 = 2.5758293035489004
@@ -33,6 +36,8 @@ def check_sweep(m: int) -> None:
 
 def _derived_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """``derive_seed(seed, t)`` for every t in ``range(start, stop)``, as uint64."""
+    import numpy as np
+
     z = np.arange(stop - start, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
     z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed & _MASK64)
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
@@ -65,6 +70,8 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     entropy below 2^32 pads its pool with the hash of 0, the same word a zero
     high half hashes to, so every entropy is hashed as two words.
     """
+    import numpy as np
+
     e = np.asarray(entropy, dtype=np.uint64)
     const = _INIT_A
 
@@ -106,6 +113,7 @@ def _hashed_words_type() -> type:
     built on first use because importing ``numpy.random`` costs every
     command about 3 MB and 50 ms at start-up.
     """
+    import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
     class HashedWords(ISeedSequence):
@@ -127,6 +135,8 @@ def trial_generators(seed: int, start: int, stop: int) -> list[np.random.Generat
     bit; deriving a block of them at once skips building a ``SeedSequence``
     per trial, which costs most of a generator's construction.
     """
+    import numpy as np
+
     words = _seed_words(_derived_seeds(seed, start, stop))
     hashed = _hashed_words_type()
     return [np.random.Generator(np.random.PCG64(hashed(row))) for row in words]
@@ -144,7 +154,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     z2 = Z99 * Z99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = (Z99 / denom) * np.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
+    half = (Z99 / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
@@ -152,6 +162,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> np.ndarray:
     """Solve a x = b and refuse the answer when the residual is untrustworthy."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     try:

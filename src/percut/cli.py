@@ -26,8 +26,7 @@ import re
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._util import fmt12
 from .errors import (
@@ -38,38 +37,12 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .graph_core import FAMILY_BUILDERS, Graph, grid_graph, load_graph, subdivide
-from .cutsets import (
-    QnTable,
-    default_karger_trials,
-    enumerate_minimal_cutsets_bruteforce,
-    karger_count_min_cuts,
-    verified_cutset,
-)
-from .frontier import count_minimal_cutsets
-from .percolation import (
-    boundary_census_exact,
-    boundary_census_mc,
-    peierls_bound,
-    profile_probability,
-    theta,
-)
-from .fkg_chain import build_chain, fkg_lower_bound
-from .cover_lemma import (
-    covering_sum_exact,
-    covering_sum_mc,
-    delta_bound,
-    load_matrix_file,
-    min_cut,
-)
-from .rw_cutsets import (
-    crossing_matrix,
-    escape_constant,
-    escape_probabilities,
-    escape_probability_mc,
-    qn_census_rw,
-)
-from .gff import green, section8_pipeline
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cutsets import QnTable
+    from .graph_core import Graph
 
 _USAGE_ERRORS = (ParseError, GraphStructureError, PreconditionError, CapExceededError)
 _HASH_SKIP = {"func", "fmt", "output_file", "config"}
@@ -100,6 +73,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def resolve_graph(spec: str, horizon: str | None) -> Graph:
     """A file path, or a family name with parameters after ':' or spaces."""
+    from .graph_core import FAMILY_BUILDERS, Graph, grid_graph, load_graph
+
     path = Path(spec)
     if path.is_file():
         graph = load_graph(path.read_text())
@@ -167,13 +142,23 @@ def _route(args) -> tuple[int, int | None]:
 # ---- emission ----
 
 
+def _numpy_type(name: str) -> tuple[type, ...]:
+    """``(numpy.<name>,)`` for ``isinstance``, or ``()`` while numpy is not loaded.
+
+    Only a command that loaded numpy can hand the emitter a numpy value, so
+    the emitter never imports numpy itself.
+    """
+    np = sys.modules.get("numpy")
+    return () if np is None else (getattr(np, name),)
+
+
 def _json_value(v):
     """A scalar as ``json.dumps`` takes it: floats to 12 digits, non-finite floats as strings."""
     if isinstance(v, float):
         return float(fmt12(v)) if math.isfinite(v) else str(v)
-    if isinstance(v, np.integer):
+    if isinstance(v, _numpy_type("integer")):
         return int(v)
-    if isinstance(v, np.floating):
+    if isinstance(v, _numpy_type("floating")):
         return _json_value(float(v))
     return v
 
@@ -206,7 +191,7 @@ def _json_chunks(v, level: int = 0):
 
     A float matrix is one piece per row, so no nested list of it is built.
     """
-    if isinstance(v, np.ndarray):
+    if isinstance(v, _numpy_type("ndarray")):
         if v.ndim == 1 and v.dtype.kind == "f" and v.size:
             yield _json_float_row(v, level)
             return
@@ -235,7 +220,7 @@ def _csv_value(v) -> str:
         return ""
     if isinstance(v, float):
         return fmt12(v)
-    if isinstance(v, np.ndarray):
+    if isinstance(v, _numpy_type("ndarray")):
         if v.dtype.kind == "f" and v.size:
             return _fmt12_join(v.ravel().tolist(), ";")
         v = v.tolist()
@@ -289,12 +274,19 @@ def _config_hash(args) -> str:
 
 # ---- handlers, one per action ----
 
+# Each handler imports the library functions it runs when it runs, so a
+# command loads only their modules, and numpy only if one of them needs it.
+
 
 def _cutset_table(args) -> QnTable:
     """Minimal cutset counts from ``--vertex`` up to ``--nmax`` by the ``--algo`` route."""
     graph = _graph(args)
     if args.algo == "brute":
+        from .cutsets import enumerate_minimal_cutsets_bruteforce
+
         return enumerate_minimal_cutsets_bruteforce(graph, args.vertex, args.nmax)
+    from .frontier import count_minimal_cutsets
+
     return count_minimal_cutsets(graph, args.vertex, args.nmax)
 
 
@@ -310,6 +302,10 @@ def _run_cutsets_enum(args) -> list[dict]:
 
 
 def _run_cutsets_karger(args) -> list[dict]:
+    import numpy as np
+
+    from .cutsets import default_karger_trials, karger_count_min_cuts
+
     graph = _graph(args)
     seed = _require_seed(args)
     trials = args.trials if args.trials is not None else default_karger_trials(graph.n_vertices)
@@ -325,6 +321,8 @@ def _run_cutsets_karger(args) -> list[dict]:
 
 
 def _run_perc_theta(args) -> list[dict]:
+    from .percolation import theta
+
     graph = _graph(args)
     trials, seed = _route(args)
     result = theta(graph, args.p, args.vertex, trials, seed)
@@ -342,12 +340,16 @@ def _run_perc_theta(args) -> list[dict]:
 
 
 def _run_perc_peierls(args) -> list[dict]:
+    from .percolation import peierls_bound
+
     table = _cutset_table(args)
     bound = peierls_bound(table, args.p, args.vertex)
     return [{"vertex": args.vertex, "p": args.p, "nmax": args.nmax, "bound": bound}]
 
 
 def _run_perc_census(args) -> list[dict]:
+    from .percolation import boundary_census_exact, boundary_census_mc, profile_probability
+
     graph = _graph(args)
     rows: list[dict] = []
     trials, seed = _route(args)
@@ -395,6 +397,8 @@ def _run_perc_census(args) -> list[dict]:
 
 
 def _run_chain_build(args) -> list[dict]:
+    from .fkg_chain import build_chain, fkg_lower_bound
+
     graph = _graph(args)
     region = _int_list(args.set_a)
     targets = _int_list(args.set_b)
@@ -414,6 +418,8 @@ def _run_chain_build(args) -> list[dict]:
 
 
 def _cover_common(args) -> tuple:
+    from .cover_lemma import delta_bound, load_matrix_file, min_cut
+
     sub = load_matrix_file(Path(args.matrix).read_text())
     eps = min_cut(sub) if sub.n > 1 else float("inf")
     delta = delta_bound(eps, sub.n) if 0.0 < eps <= 1.0 else None
@@ -421,6 +427,8 @@ def _cover_common(args) -> tuple:
 
 
 def _run_cover_exact(args) -> list[dict]:
+    from .cover_lemma import covering_sum_exact
+
     sub, eps, delta = _cover_common(args)
     value = covering_sum_exact(sub)
     return [
@@ -437,6 +445,8 @@ def _run_cover_exact(args) -> list[dict]:
 
 
 def _run_cover_mc(args) -> list[dict]:
+    from .cover_lemma import covering_sum_mc
+
     sub, eps, delta = _cover_common(args)
     seed = _require_seed(args)
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
@@ -457,6 +467,8 @@ def _run_cover_mc(args) -> list[dict]:
 
 
 def _run_cover_verify(args) -> list[dict]:
+    from .cover_lemma import covering_sum_exact
+
     sub, eps, delta = _cover_common(args)
     value = covering_sum_exact(sub)
     if delta is not None and value < delta - 1e-15:
@@ -476,6 +488,8 @@ def _run_cover_verify(args) -> list[dict]:
 
 
 def _run_rw_escape(args) -> list[dict]:
+    from .rw_cutsets import escape_constant, escape_probabilities, escape_probability_mc
+
     graph = _graph(args)
     trials, seed = _route(args)
     if seed is not None:
@@ -512,6 +526,9 @@ def _run_rw_escape(args) -> list[dict]:
 
 
 def _run_rw_census(args) -> list[dict]:
+    from .graph_core import subdivide
+    from .rw_cutsets import qn_census_rw
+
     graph = _graph(args)
     seed = _require_seed(args)
     sd = subdivide(graph, 2)
@@ -545,6 +562,10 @@ def _run_rw_census(args) -> list[dict]:
 
 
 def _run_rw_crossing(args) -> list[dict]:
+    from .cutsets import verified_cutset
+    from .graph_core import subdivide
+    from .rw_cutsets import crossing_matrix
+
     graph = _graph(args)
     cs = verified_cutset(graph, _int_list(args.cutset), args.origin)
     sd = subdivide(graph, 2)
@@ -562,12 +583,17 @@ def _run_rw_crossing(args) -> list[dict]:
 
 
 def _run_gff_green(args) -> list[dict]:
+    from .gff import green
+
     graph = _graph(args)
     gm = green(graph)
     return [{"interior": list(gm.interior), "matrix": gm.g}]
 
 
 def _run_gff_pipeline(args) -> list[dict]:
+    from .cutsets import verified_cutset
+    from .gff import section8_pipeline
+
     graph = _graph(args)
     seed = _require_seed(args)
     cs = verified_cutset(graph, _int_list(args.cutset), args.origin)

@@ -15,9 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
@@ -28,6 +26,9 @@ from .graph_core import (
     connected_subsets_containing,
     search,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most connected sets the component walk may visit before it gives up.
 MAX_SUBSETS = 2_000_000
@@ -102,20 +103,33 @@ def is_minimal_cutset(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:
     _require_cutset_context(graph, v)
     removed = frozenset(edge_ids)
     m = graph.n_edges
-    is_open = [True] * m
+    if not all(0 <= eid < m for eid in removed):
+        return False  # an edge the graph lacks is never needed to strand v
+    return _strands_minimally(graph, removed, v, [True] * m)
+
+
+def _strands_minimally(
+    graph: Graph, removed: Collection[int], v: int, is_open: list[bool]
+) -> bool:
+    """``is_minimal_cutset`` for distinct edge ids of the graph, on the caller's open bits.
+
+    ``is_open`` must be all True; it is all True again on return, so one
+    list serves every call of a sweep.
+    """
     for eid in removed:
-        if not 0 <= eid < m:
-            return False  # an edge the graph lacks is never needed to strand v
         is_open[eid] = False
-    if search(graph, (v,), is_open, stop_at_horizon=True)[1]:
-        return False
+    # Removing the set strands v, and putting back any one edge frees it.
+    minimal = not search(graph, (v,), is_open, stop_at_horizon=True)[1]
+    if minimal:
+        for eid in removed:
+            is_open[eid] = True
+            minimal = search(graph, (v,), is_open, stop_at_horizon=True)[1]
+            is_open[eid] = False
+            if not minimal:
+                break
     for eid in removed:
         is_open[eid] = True
-        stranded = not search(graph, (v,), is_open, stop_at_horizon=True)[1]
-        is_open[eid] = False
-        if stranded:
-            return False
-    return True
+    return minimal
 
 
 def verified_cutset(graph: Graph, edge_ids: Iterable[int], source: int) -> Cutset:
@@ -215,9 +229,10 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
         raise PreconditionError("n_max must be at least 1")
     found: dict[int, list[Cutset]] = {}
     ids = range(graph.n_edges)
+    is_open = [True] * graph.n_edges
     for size in range(1, min(n_max, graph.n_edges) + 1):
         for combo in itertools.combinations(ids, size):
-            if is_minimal_cutset(graph, combo, v):
+            if _strands_minimally(graph, combo, v, is_open):
                 found.setdefault(size, []).append(Cutset(combo, v))
     return _pack_table(v, found)
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
 
 from . import _util
 from .errors import (
@@ -28,6 +26,9 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _HorizonTarget:
@@ -191,6 +192,8 @@ def component_labels(
     found for all rows at once by passing minimum labels along open
     edges until no edge changes one.
     """
+    import numpy as np
+
     open_cols = np.ascontiguousarray(np.asarray(open_rows, dtype=bool).T)
     labels = np.repeat(np.arange(k, dtype=np.int16)[:, None], open_cols.shape[1], axis=1)
     changed = True

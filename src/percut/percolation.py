@@ -14,10 +14,9 @@ through.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ._util import check_sweep, wilson_interval
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
@@ -31,7 +30,11 @@ from .graph_core import (
     set_weight,
 )
 
-# Profiles are int64; one sums to at most 2^m, which fits up to 62 edges.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Profile coefficients are read from int64 slots; one sums to at most 2^m,
+# which fits up to 62 edges.
 MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
@@ -106,6 +109,8 @@ def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[n
     yields the same doubles however a draw is split, so the block size never
     changes a result.  Arguments are checked at the call, draws made lazily.
     """
+    import numpy as np
+
     _check_p(p)
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -162,6 +167,8 @@ def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], bool]) ->
     One sweep of all 2^m configurations; the resulting profile prices
     the event at any p via a short polynomial sum.
     """
+    import numpy as np
+
     profile = np.zeros(graph.n_edges + 1, dtype=np.int64)
     for mask, config in _swept_configs(graph):
         if event(config):
@@ -169,7 +176,12 @@ def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], bool]) ->
     return profile
 
 
-def profile_probability(profile: np.ndarray, p: float) -> float:
+def profile_probability(profile: Sequence[int], p: float) -> float:
+    """Probability at p of the configurations a popcount profile counts.
+
+    ``profile[k]`` counts configurations with k of the m edges open, as a
+    list of Python ints or an integer array of length m + 1.
+    """
     _check_p(p)
     m = len(profile) - 1
     total = 0.0
@@ -270,7 +282,7 @@ def _inner_edge_count(graph: Graph, s: frozenset[int]) -> int:
 
 def boundary_census_exact(
     graph: Graph, v: int
-) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray]:
+) -> tuple[dict[tuple[int, ...], list[int]], list[int]]:
     """Popcount profile of every realized exposed boundary, by connected sets.
 
     The cluster of v is finite and equal to S exactly when S is a
@@ -286,8 +298,9 @@ def boundary_census_exact(
         c_S = (1+x)^e(S) - sum over T proper of c_T (1+x)^e(S - T).
 
     Returns (per-boundary profiles, profile of the infinite-cluster
-    event); summing a boundary profile at p gives the exact hit
-    probability of that boundary.  Raises past ``EXACT_SET_BUDGET`` connected
+    event), each a list of m + 1 Python ints indexed by open-edge count;
+    summing a boundary profile at p gives the exact hit probability of
+    that boundary.  Raises past ``EXACT_SET_BUDGET`` connected
     sets, counting both the walk over S and the walks over each T.
     """
     if v in graph.horizon:
@@ -325,8 +338,8 @@ def boundary_census_exact(
         key = exposed_boundary(graph, s)
         packed[key] = packed.get(key, 0) + c * x1 ** (m - e_s - leaving)
 
-    def unpack(value: int) -> np.ndarray:
-        return np.frombuffer(value.to_bytes(8 * (m + 1), "little"), dtype="<i8").astype(np.int64)
+    def unpack(value: int) -> list[int]:
+        return list(struct.unpack(f"<{m + 1}q", value.to_bytes(8 * (m + 1), "little")))
 
     infinite = x1**m - sum(packed.values())
     return {key: unpack(value) for key, value in packed.items()}, unpack(infinite)

@@ -677,12 +677,13 @@ def test_nonminimal_cutset_rejected(capsys):
 
 
 def test_theorem_violation_exits_two(capsys, monkeypatch, tmp_path):
-    import percut.cli as cli_mod
+    import percut.cover_lemma
 
     path = tmp_path / "m.txt"
     path.write_text(QUARTER)
+    # The handler imports the function when it runs, so patch its home module.
     monkeypatch.setattr(
-        cli_mod,
+        percut.cover_lemma,
         "covering_sum_exact",
         lambda sub, **kw: (_ for _ in ()).throw(TheoremViolationError("forced")),
     )
@@ -692,10 +693,10 @@ def test_theorem_violation_exits_two(capsys, monkeypatch, tmp_path):
 
 
 def test_numerical_error_exits_two(capsys, monkeypatch):
-    import percut.cli as cli_mod
+    import percut.gff
 
     monkeypatch.setattr(
-        cli_mod,
+        percut.gff,
         "green",
         lambda graph: (_ for _ in ()).throw(NumericalError("forced")),
     )

@@ -11,6 +11,7 @@ from percut.cutsets import (
     default_karger_trials,
     enumerate_minimal_cutsets_bruteforce,
     enumerate_minimal_cutsets_by_components,
+    _strands_minimally,
     exposed_boundary,
     is_minimal_cutset,
     karger_count_min_cuts,
@@ -59,6 +60,24 @@ def test_is_minimal_cutset_p5():
     assert not is_minimal_cutset(p5, (0, 1, 2, 3), 2)
     assert not is_minimal_cutset(p5, (0,), 2)
     assert not is_minimal_cutset(p5, (), 2)
+
+
+def test_minimality_kernel_agrees_and_restores_open_bits():
+    """The sweep kernel gives ``is_minimal_cutset``'s verdict and leaves its list all True."""
+    rng = np.random.default_rng(11)
+    for name, g in CORPUS.items():
+        is_open = [True] * g.n_edges
+        for v in g.interior:
+            # The component walk's cutsets are minimal; random subsets mostly are not.
+            cutsets = [c.edge_ids for c in table_for(name, v).all_cutsets(v)]
+            randoms = [
+                tuple(int(e) for e in np.flatnonzero(rng.random(g.n_edges) < rng.random()))
+                for _ in range(40)
+            ]
+            for ids in cutsets + randoms:
+                want = ids in cutsets or is_minimal_cutset(g, ids, v)
+                assert _strands_minimally(g, ids, v, is_open) == want, (name, v, ids)
+                assert is_open == [True] * g.n_edges
 
 
 def test_verified_cutset_normalizes_and_rejects():

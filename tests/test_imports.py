@@ -1,0 +1,132 @@
+"""What a command or ``import percut`` loads: the lazy namespace and the import guard."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import percut
+
+# Every public name of the package, by the module that defines it.
+PUBLIC = {
+    "errors": (
+        "CapExceededError", "GraphStructureError", "NumericalError", "ParseError",
+        "PercutError", "PreconditionError", "TheoremViolationError",
+    ),
+    "graph_core": (
+        "FAMILY_BUILDERS", "HORIZON", "Graph", "Multigraph", "SubdivisionMap", "box3d_graph",
+        "contract_subdivision", "cycle_graph", "dump_graph", "euler_circuit",
+        "eulerian_from_two_trees", "grid_graph", "iso_profile", "load_graph", "path_graph",
+        "star_graph", "subdivide",
+    ),
+    "cutsets": (
+        "Cutset", "CutsetDecomposition", "KargerResult", "QnTable", "decompose",
+        "enumerate_minimal_cutsets_bruteforce", "enumerate_minimal_cutsets_by_components",
+        "exposed_boundary", "is_minimal_cutset", "karger_count_min_cuts", "verified_cutset",
+    ),
+    "frontier": ("count_minimal_cutsets",),
+    "percolation": (
+        "ClusterReport", "EventProbability", "PercConfig", "boundary_census_exact",
+        "boundary_census_mc", "boundary_hit_probability", "cluster_report", "peierls_bound",
+        "theta",
+    ),
+    "fkg_chain": (
+        "ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound",
+        "theorem1_lower_bound_check", "verify_full_connectivity",
+    ),
+    "cover_lemma": (
+        "SubStochasticMatrix", "covering_sum_bruteforce", "covering_sum_exact",
+        "covering_sum_mc", "delta_bound", "gamma_sequences", "is_gamma_sequence",
+        "load_matrix_file", "min_cut", "sample_h_graphs",
+    ),
+    "rw_cutsets": (
+        "CrossingMatrix", "RwCensus", "crossing_matrix", "escape_constant",
+        "escape_probabilities", "qn_census_rw", "subdivision_escape_check",
+    ),
+    "gff": (
+        "GaussianField", "GreenMatrix", "domination_endpoint_check", "excursion_cluster",
+        "green", "markov_check", "sample_field", "section8_pipeline", "sign_bound_check",
+    ),
+}
+
+
+# ---- the lazy namespace ----
+
+
+def test_public_names_are_their_home_objects():
+    names = [name for names in PUBLIC.values() for name in names]
+    assert len(names) == len(set(names)) == 77
+    for module, names in PUBLIC.items():
+        home = import_module(f"percut.{module}")
+        for name in names:
+            assert getattr(percut, name) is getattr(home, name), name
+
+
+def test_dir_and_star_import_list_the_public_names():
+    names = {name for names in PUBLIC.values() for name in names}
+    assert names <= set(dir(percut))
+    namespace: dict = {}
+    exec("from percut import *", namespace)
+    assert set(namespace) - {"__builtins__"} == names
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        percut.no_such_name
+    assert not hasattr(percut, "count_minimal_cutsetz")
+
+
+# ---- the import guard ----
+
+# Runs one command line in a fresh interpreter, then prints the loaded modules.
+_PROBE = """
+import json, sys
+from percut.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded(argv: list[str], tmp_path: Path) -> set[str]:
+    # The subprocess must import the package under test, not an installed copy.
+    src = str(Path(percut.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    return set(report["modules"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "cutsets enum --graph grid:4,4 --vertex 5 --nmax 8 --output-file o.csv",
+        "cutsets enum --graph grid:3,3 --vertex 4 --nmax 6 --algo brute --output-file o.csv",
+        "perc peierls --graph grid:4,4 --vertex 5 --p 0.7 --nmax 8 --output-file o.csv",
+        "perc theta --graph grid:3,3 --vertex 4 --p 0.5 --output-file o.csv",
+        "perc census --graph grid:3,3 --vertex 4 --p 0.5 --out json --output-file o.json",
+    ],
+)
+def test_counting_routes_never_load_numpy(argv, tmp_path):
+    loaded = _loaded(argv.split(), tmp_path)
+    assert "numpy" not in loaded
+    assert "percut.cli" in loaded
+
+
+def test_cover_exact_loads_only_the_cover_lemma(tmp_path):
+    (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
+    loaded = _loaded(["cover", "exact", "--matrix", "m.txt", "--output-file", "o.json"], tmp_path)
+    assert "percut.cover_lemma" in loaded and "numpy" in loaded
+    for module in ("gff", "rw_cutsets", "fkg_chain", "percolation"):
+        assert f"percut.{module}" not in loaded, module

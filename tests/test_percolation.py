@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -288,10 +287,10 @@ def test_census_law_matches_sweep_oracle(name):
         ref_profiles, ref_infinite = census_by_sweep(g, v)
         assert profiles.keys() == ref_profiles.keys()
         for key, ref in ref_profiles.items():
-            assert profiles[key].dtype == np.int64
-            assert np.array_equal(profiles[key], ref)
-        assert infinite.dtype == np.int64
-        assert np.array_equal(infinite, ref_infinite)
+            assert all(type(c) is int for c in profiles[key])
+            assert profiles[key] == ref.tolist()
+        assert all(type(c) is int for c in infinite)
+        assert infinite == ref_infinite.tolist()
         for p in (0.3, 0.7):
             assert theta(g, p, v).value == profile_probability(ref_infinite, p)
         if name in CORPUS:
