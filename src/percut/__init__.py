@@ -18,39 +18,29 @@ _HOMES = {
             "PercutError", "PreconditionError", "TheoremViolationError",
         ),
         "graph_core": (
-            "FAMILY_BUILDERS", "HORIZON", "Graph", "Multigraph", "SubdivisionMap",
-            "box3d_graph", "contract_subdivision", "cycle_graph", "dump_graph",
-            "euler_circuit", "eulerian_from_two_trees", "grid_graph", "iso_profile",
-            "load_graph", "path_graph", "star_graph", "subdivide",
+            "FAMILY_BUILDERS", "HORIZON", "Graph", "SubdivisionMap", "box3d_graph",
+            "cycle_graph", "grid_graph", "load_graph", "path_graph", "star_graph", "subdivide",
         ),
         "cutsets": (
             "Cutset", "CutsetDecomposition", "KargerResult", "QnTable", "decompose",
-            "enumerate_minimal_cutsets_bruteforce", "enumerate_minimal_cutsets_by_components",
-            "exposed_boundary", "is_minimal_cutset", "karger_count_min_cuts", "verified_cutset",
+            "enumerate_minimal_cutsets_bruteforce", "exposed_boundary", "is_minimal_cutset",
+            "karger_count_min_cuts", "verified_cutset",
         ),
         "frontier": ("count_minimal_cutsets",),
         "percolation": (
             "ClusterReport", "EventProbability", "PercConfig", "boundary_census_exact",
-            "boundary_census_mc", "boundary_hit_probability", "cluster_report",
-            "peierls_bound", "theta",
+            "boundary_census_mc", "cluster_report", "peierls_bound", "theta",
         ),
-        "fkg_chain": (
-            "ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound",
-            "theorem1_lower_bound_check", "verify_full_connectivity",
-        ),
+        "fkg_chain": ("ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound"),
         "cover_lemma": (
-            "SubStochasticMatrix", "covering_sum_bruteforce", "covering_sum_exact",
-            "covering_sum_mc", "delta_bound", "gamma_sequences", "is_gamma_sequence",
-            "load_matrix_file", "min_cut", "sample_h_graphs",
+            "SubStochasticMatrix", "covering_sum_exact", "covering_sum_mc", "delta_bound",
+            "load_matrix_file", "min_cut",
         ),
         "rw_cutsets": (
             "CrossingMatrix", "RwCensus", "crossing_matrix", "escape_constant",
-            "escape_probabilities", "qn_census_rw", "subdivision_escape_check",
+            "escape_probabilities", "qn_census_rw",
         ),
-        "gff": (
-            "GaussianField", "GreenMatrix", "domination_endpoint_check", "excursion_cluster",
-            "green", "markov_check", "sample_field", "section8_pipeline", "sign_bound_check",
-        ),
+        "gff": ("GreenMatrix", "green", "section8_pipeline"),
     }.items()
     for name in names
 }

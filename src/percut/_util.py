@@ -35,7 +35,11 @@ def check_sweep(m: int) -> None:
 
 
 def _derived_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """``derive_seed(seed, t)`` for every t in ``range(start, stop)``, as uint64."""
+    """Trial t's 64-bit seed for every t in ``range(start, stop)``, as uint64.
+
+    The seed is splitmix64 of ``seed + (t + 1) * golden``, so serial and
+    fanned-out runs of one experiment agree on each trial's stream.
+    """
     import numpy as np
 
     z = np.arange(stop - start, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
@@ -43,16 +47,6 @@ def _derived_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
     return z ^ z >> np.uint64(31)
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Mix a base seed with a trial index into a fresh 64-bit seed.
-
-    The mix is splitmix64 applied to ``seed + index * golden`` so that
-    serial and fanned-out runs of the same experiment agree on the stream
-    assigned to each trial.
-    """
-    return int(_derived_seeds(seed, index, index + 1)[0])
 
 
 # numpy.random.SeedSequence's hash constants.
@@ -131,9 +125,10 @@ def _hashed_words_type() -> type:
 def trial_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
     """Independent generators for trials ``start .. stop - 1`` of a seeded experiment.
 
-    Trial t's generator is ``Generator(PCG64(derive_seed(seed, t)))`` bit for
-    bit; deriving a block of them at once skips building a ``SeedSequence``
-    per trial, which costs most of a generator's construction.
+    Trial t's generator is ``Generator(PCG64(s))`` bit for bit, with s the
+    trial's ``_derived_seeds`` entry; deriving a block of them at once skips
+    building a ``SeedSequence`` per trial, which costs most of a generator's
+    construction.
     """
     import numpy as np
 

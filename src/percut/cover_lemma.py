@@ -4,32 +4,28 @@ The central quantity: starting from state 0, the total weight of killed
 chains that visit every state and end at their first return to 0 after
 coverage is complete.  Whenever every nontrivial state split has
 crossing mass at least epsilon, this sum is at least
-(epsilon^2 / (16 e^2))^n.  Three routes compute or bound it: an exact
-dynamic program over (state, visited) with linear solves, a vectorized
-simulation, and an explicit small-case enumeration.  The two-tree
-sampling construction behind the bound's proof is also implemented.
+(epsilon^2 / (16 e^2))^n.  Two routes compute it: an exact dynamic
+program over (state, visited) with linear solves, and a vectorized
+simulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import _util
 from ._util import checked_solve, wilson_interval
 from .errors import CapExceededError, PreconditionError
-from .graph_core import Multigraph, UnionFind, euler_circuit_edges, eulerian_from_two_trees
 
 # Largest input asymmetry that SubStochasticMatrix averages away.
 ASYMMETRY_TOL = 1e-9
-# Most states each exhaustive route accepts: the 2^n split sweep of min_cut,
-# the (state, visited-set) recursion and the explicit sequence enumeration.
+# Most states each exhaustive route accepts: the 2^n split sweep of min_cut
+# and the (state, visited-set) recursion.
 MAX_CUT_STATES = 16
 MAX_EXACT_STATES = 12
-MAX_ENUM_STATES = 4
 
 
 class SubStochasticMatrix:
@@ -263,150 +259,3 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     hits = int(success.sum())
     lo, hi = wilson_interval(hits, trials)
     return CoveringEstimate(hits / trials, trials, lo, hi, aborted)
-
-
-# ---- explicit small-case enumeration ----
-
-
-@dataclass(frozen=True)
-class GammaPath:
-    """A cover-and-return state sequence starting at 0, with its weight."""
-
-    states: tuple[int, ...]
-    weight: float
-
-
-def is_gamma_sequence(n: int, states) -> bool:
-    """Definitional membership test for cover-and-return sequences.
-
-    Among indices i >= 1 where the state is 0 and the prefix through i
-    covers all n states, there must be exactly one, and it must be the
-    final index.  Pre-coverage visits to 0 are allowed.
-    """
-    seq = tuple(states)
-    if len(seq) < 2 or seq[0] != 0:
-        return False
-    if any(not 0 <= s < n for s in seq):
-        return False
-    covered = {0}
-    qualifying = []
-    for i, s in enumerate(seq):
-        covered.add(s)
-        if i >= 1 and s == 0 and len(covered) == n:
-            qualifying.append(i)
-    return qualifying == [len(seq) - 1]
-
-
-def gamma_sequences(sub: SubStochasticMatrix, k_max: int) -> Iterator[GammaPath]:
-    """Positive-weight cover-and-return sequences of at most k_max steps.
-
-    Depth-first over transitions with positive weight; a branch stops at
-    its first qualifying return, since any extension would make that
-    return non-unique.
-    """
-    n = sub.n
-    if n > MAX_ENUM_STATES:
-        raise CapExceededError(f"{n} states exceed the enumeration cap {MAX_ENUM_STATES}")
-    if k_max < 1 or k_max > 20:
-        raise PreconditionError("k_max must be in [1, 20]")
-    p = sub.p.tolist()
-    full = (1 << n) - 1
-    # One frame per state of ``seq``: (visited mask, weight, next candidates).
-    seq = [0]
-    stack = [(1, 1.0, iter(range(n)))]
-    while stack:
-        mask, weight, candidates = stack[-1]
-        v = next(candidates, None)
-        if v is None:
-            stack.pop()
-            seq.pop()
-            continue
-        w = weight * p[seq[-1]][v]
-        if w <= 0.0:
-            continue
-        if v == 0 and mask == full:
-            yield GammaPath((*seq, v), w)
-        elif len(seq) < k_max:
-            seq.append(v)
-            stack.append((mask | (1 << v), w, iter(range(n))))
-
-
-def covering_sum_bruteforce(sub: SubStochasticMatrix, k_max: int) -> float:
-    """Partial covering sum over sequences of at most k_max steps."""
-    return sum(g.weight for g in gamma_sequences(sub, k_max))
-
-
-def bruteforce_tail_bound(sub: SubStochasticMatrix, k_max: int) -> float:
-    """Weight unaccounted for by length-limited enumeration.
-
-    All mass still alive after k_max steps is at most (largest row
-    sum)^k_max.
-    """
-    return float(sub.p.sum(axis=1).max()) ** k_max
-
-
-# ---- the two-tree sampling construction ----
-
-
-@dataclass(frozen=True)
-class HGraphSample:
-    """One sample of the paired random edge multisets.
-
-    ``slots`` holds 2n-2 independent draws: an ordered pair (u, v) with
-    probability p(u, v)/n each, or None for the leftover mass.  When the
-    first n-1 and last n-1 slots both connect all states, the two-tree
-    Eulerian construction produces a cover-and-return sequence whose
-    steps use distinct slots.
-    """
-
-    slots: tuple[tuple[int, int] | None, ...]
-    h1_connected: bool
-    h2_connected: bool
-    gamma: GammaPath | None
-    gamma_slots: tuple[int, ...] | None
-
-
-def _slots_connect(n: int, slots) -> bool:
-    sets = UnionFind(n)
-    for pair in slots:
-        if pair is not None:
-            sets.union(*pair)
-    return sets.components == 1
-
-
-def sample_h_graphs(sub: SubStochasticMatrix, rng: np.random.Generator) -> HGraphSample:
-    """Draw the 2n-2 edge slots and, when both halves connect, the sequence."""
-    n = sub.n
-    if n == 1:
-        return HGraphSample((), True, True, None, None)
-    flat = (sub.p / n).reshape(-1)
-    cum = np.cumsum(flat)
-    slots: list[tuple[int, int] | None] = []
-    for u in rng.random(2 * n - 2):
-        k = int(np.searchsorted(cum, u, side="right"))
-        slots.append((k // n, k % n) if k < n * n else None)
-    h1 = _slots_connect(n, slots[: n - 1])
-    h2 = _slots_connect(n, slots[n - 1 :])
-    gamma = None
-    gamma_slots = None
-    if h1 and h2:
-        mg = Multigraph(n, tuple(slots))  # type: ignore[arg-type]
-        t1 = tuple(range(n - 1))
-        t2 = tuple(range(n - 1, 2 * n - 2))
-        even = eulerian_from_two_trees(mg, t1, t2)
-        verts, eids = euler_circuit_edges(mg, even, 0)
-        covered = {0}
-        cut = None
-        for i in range(1, len(verts)):
-            covered.add(verts[i])
-            if verts[i] == 0 and len(covered) == n:
-                cut = i
-                break
-        assert cut is not None, "full circuit must qualify"
-        seq = tuple(verts[: cut + 1])
-        weight = 1.0
-        for i in range(1, len(seq)):
-            weight *= float(sub.p[seq[i - 1], seq[i]])
-        gamma = GammaPath(seq, weight)
-        gamma_slots = tuple(eids[:cut])
-    return HGraphSample(tuple(slots), h1, h2, gamma, gamma_slots)

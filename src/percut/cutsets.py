@@ -1,12 +1,9 @@
 """Minimal edge cutsets separating a vertex from the horizon.
 
-Three independent routes give the table of minimal cutsets by size.  Two
-list the cutsets themselves: a powerset sweep that tests minimality edge
-by edge, and a component walk that emits the exposed boundary of every
-connected set around the source.  The third, ``frontier``'s bond-state
-DP, counts them without listing any and is the command line's default.
-All three must agree exactly; the agreement is one of the package's core
-checks.
+Two routes give the table of minimal cutsets by size: a powerset sweep
+that lists them, testing minimality edge by edge, and ``frontier``'s
+bond-state DP, which counts them without listing any and is the command
+line's default.  The two must agree exactly.
 """
 
 from __future__ import annotations
@@ -19,19 +16,10 @@ from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import (
-    Graph,
-    UnionFind,
-    boundary_edges,
-    connected_subsets_containing,
-    search,
-)
+from .graph_core import Graph, UnionFind, boundary_edges, search
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Most connected sets the component walk may visit before it gives up.
-MAX_SUBSETS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -234,27 +222,6 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
         for combo in itertools.combinations(ids, size):
             if _strands_minimally(graph, combo, v, is_open):
                 found.setdefault(size, []).append(Cutset(combo, v))
-    return _pack_table(v, found)
-
-
-def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) -> QnTable:
-    """Component walk: exposed boundaries of connected sets around v.
-
-    Every minimal cutset is the exposed boundary of the source component
-    it cuts out, so sweeping connected sets and deduplicating boundaries
-    by edge ids recovers the same table as the powerset sweep.
-    """
-    _require_cutset_context(graph, v)
-    if n_max < 1:
-        raise PreconditionError("n_max must be at least 1")
-    seen: set[tuple[int, ...]] = set()
-    found: dict[int, list[Cutset]] = {}
-    for s in connected_subsets_containing(graph, v, allowed=graph.interior, max_count=MAX_SUBSETS):
-        ids = exposed_boundary(graph, s)
-        if len(ids) > n_max or ids in seen:
-            continue
-        seen.add(ids)
-        found.setdefault(len(ids), []).append(Cutset(ids, v))
     return _pack_table(v, found)
 
 

@@ -4,28 +4,21 @@ Given percolation on an induced region where every vertex reaches a
 target set B with probability at least theta, a short greedy chain of
 vertices certifies that the origin connects to all of B simultaneously
 with probability at least ((p theta / 2)^(3/theta))^|B|.  This module
-builds such chains, carries the exact/Monte-Carlo connection oracle
-they query, and re-verifies the lower bounds by enumeration.
+builds such chains and carries the exact or sampled connection oracle
+they query.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ._util import Z99, check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .cutsets import Cutset, decompose
-from .percolation import (
-    _config_blocks,
-    _swept_configs,
-    boundary_hit_event,
-    boundary_hit_probability,
-)
-from .graph_core import Graph, component_labels, search
+from .graph_core import Graph, component_labels
 
 
 class ConnectivityOracle:
@@ -75,6 +68,8 @@ class ConnectivityOracle:
             bits = bits.T
             self.noise = 0.0
         else:
+            from .percolation import _config_blocks
+
             bits = np.concatenate(list(_config_blocks(m, p, trials, seed)))
             self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
@@ -242,104 +237,3 @@ def build_chain(
     if p2 < half - tol:
         fail(f"termination certificate {p2} below theta/2 = {half}")
     return ChainedSequence(tuple(chain), tuple(probs), theta, p, n, p2)
-
-
-@dataclass(frozen=True)
-class FullConnectivityResult:
-    exact: float
-    bound: float
-    theta: float
-
-
-def verify_full_connectivity(
-    graph: Graph,
-    region: Iterable[int],
-    targets: Iterable[int],
-    origin: int,
-    p: float,
-) -> FullConnectivityResult:
-    """Exact P(origin <-> all targets) against the chain lower bound."""
-    region = tuple(sorted(set(region)))
-    targets = tuple(sorted(set(targets)))
-    oracle = ConnectivityOracle(graph, region, p)
-    if not oracle.region_connected():
-        raise PreconditionError("induced region is not connected")
-    theta = min(oracle.connect_prob(u, targets) for u in region)
-    if theta <= 0.0:
-        raise PreconditionError("hypothesis fails: theta = 0")
-    exact = oracle.all_connected_prob(origin, targets)
-    bound = fkg_lower_bound(theta, p, len(targets))
-    if exact < bound - 1e-12:
-        raise TheoremViolationError(f"connection bound failed: {exact} < {bound}")
-    return FullConnectivityResult(exact, bound, theta)
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    exact: float
-    bound: float
-    theta: float
-    n: int
-    configs_checked: int
-    implication_failures: int
-
-
-def theorem1_lower_bound_check(
-    graph: Graph,
-    p: float,
-    cutset: Cutset,
-    theta: float | None = None,
-) -> Theorem1Report:
-    """Boundary-hit probability against the closed-ring lower bound.
-
-    Decomposes the cutset, prices P(exposed boundary = cutset) by the
-    exact cluster law, and checks it is at least (c (1-p))^n with c from
-    the chain bound at the computed (or supplied, if weaker) hypothesis
-    level.  Also sweeps every configuration and confirms the defining
-    implication: targets all reached inside the component and the cutset
-    fully closed force the exposed boundary to be exactly the cutset.
-    """
-    if not 0.0 < p < 1.0:
-        raise PreconditionError("theorem check needs p strictly inside (0, 1)")
-    configs = _swept_configs(graph)  # refuses past the sweep cap before any work
-    decomp = decompose(graph, cutset)
-    region = tuple(sorted(decomp.component_a))
-    targets = tuple(sorted(decomp.inner_b))
-    origin = cutset.source
-    oracle = ConnectivityOracle(graph, region, p)
-    computed = min(oracle.connect_prob(u, targets) for u in region)
-    if theta is None:
-        theta = computed
-    elif theta > computed + 1e-12:
-        raise PreconditionError(
-            f"supplied theta {theta} exceeds the valid hypothesis level {computed}"
-        )
-    if theta <= 0.0:
-        raise PreconditionError("hypothesis fails: theta = 0")
-
-    n = cutset.size
-    bound = fkg_lower_bound(theta, p, n) * (1.0 - p) ** n
-
-    outside = frozenset(range(graph.n_vertices)) - decomp.component_a
-    cut_ids = set(cutset.edge_ids)
-    hit = boundary_hit_event(graph, cutset)
-    failures = 0
-    checked = 0
-    for mask, config in configs:
-        if any(mask >> e & 1 for e in cut_ids):
-            continue
-        # Keeping out of ``outside`` confines the search to induced edges.
-        seen, _ = search(graph, (origin,), config.open_bits, avoid=outside)
-        if not set(targets) <= seen:
-            continue
-        checked += 1
-        if not hit(config):
-            failures += 1
-    exact = boundary_hit_probability(graph, p, cutset).value
-    if failures:
-        raise TheoremViolationError(
-            f"{failures} configurations broke the closed-ring implication"
-        )
-    if exact < bound - 1e-15:
-        raise TheoremViolationError(f"boundary-hit bound failed: {exact} < {bound}")
-    return Theorem1Report(exact, bound, theta, n, checked, failures)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import checked_solve, derive_seed, trial_generators
+from ._util import trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, search, subdivide
@@ -102,76 +102,6 @@ def green(graph: Graph) -> GreenMatrix:
             f"absorption identity off at vertex {interior[worst]}: {absorbed[worst]}"
         )
     return gm
-
-
-@dataclass(frozen=True)
-class GaussianField:
-    """One sampled field; values align with the generator's interior."""
-
-    values: tuple[float, ...]
-    generator: GreenMatrix
-    seed: int | None
-
-    def value(self, v: int) -> float:
-        return self.values[self.generator.index(v)]
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.generator.interior, self.values))
-
-
-def sample_field(gm: GreenMatrix, rng: np.random.Generator | int) -> GaussianField:
-    """Draw one field; an integer is treated as a recorded seed."""
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.Generator(np.random.PCG64(seed))
-    row = gm.sample_block(rng, 1)[0]
-    return GaussianField(tuple(float(x) for x in row), gm, seed)
-
-
-def excursion_cluster(field: GaussianField, origin: int, level: float = 0.0) -> frozenset[int]:
-    """Component of the origin among interior vertices at or above level."""
-    gm = field.generator
-    gm.index(origin)
-    if not field.value(origin) >= level:
-        return frozenset()
-    below = _below(np.array(gm.interior), np.array(field.values), level)
-    return frozenset(search(gm.graph, (origin,), avoid=below)[0])
-
-
-def markov_check(gm: GreenMatrix, conditioned: set[int] | frozenset[int]) -> float:
-    """Conditional covariance given a vertex set, against the slit domain.
-
-    Conditioning the field on a vertex set must leave the covariance of
-    the killed walk that treats those vertices as additional horizon.
-    Returns the max entrywise residual; above 1e-9 raises.
-    """
-    conditioned = set(conditioned)
-    extra = conditioned - set(gm.interior)
-    if extra:
-        raise PreconditionError(f"conditioning on non-interior vertices {sorted(extra)}")
-    keep = [v for v in gm.interior if v not in conditioned]
-    if not keep:
-        return 0.0
-    ki = [gm.index(v) for v in keep]
-    ci = [gm.index(v) for v in sorted(conditioned)]
-    g_kk = gm.g[np.ix_(ki, ki)]
-    if ci:
-        g_kc = gm.g[np.ix_(ki, ci)]
-        g_cc = gm.g[np.ix_(ci, ci)]
-        schur = g_kk - g_kc @ checked_solve(g_cc, g_kc.T, "conditioning block")
-    else:
-        schur = g_kk
-    slit = Graph(
-        gm.graph.n_vertices, gm.graph.edges, gm.graph.horizon | frozenset(conditioned)
-    )
-    other = green(slit)
-    if other.interior != tuple(keep):
-        raise TheoremViolationError("interior mismatch in the conditioned graph")
-    residual = float(np.max(np.abs(schur - other.g)))
-    if residual > 1e-9:
-        raise TheoremViolationError(f"markov residual {residual:.3e}")
-    return residual
 
 
 # ---- order-3 cutset frame ----
@@ -330,117 +260,4 @@ def section8_pipeline(
                     )
     return Section8Report(
         cutset, mids, trials, f_count, e_count, fe_count, boundary_count
-    )
-
-
-# ---- the two endpoints around stochastic domination ----
-
-
-@dataclass(frozen=True)
-class SignBoundReport:
-    """Connection frequency versus mean sign at the -1 level.
-
-    ``margin_mean`` is the per-sample mean of indicator minus sign; the
-    inequality predicts it is non-negative up to sampling error.
-    """
-
-    trials: int
-    connect_count: int
-    sign_mean: float
-    margin_mean: float
-    margin_se: float
-
-    @property
-    def connect_prob(self) -> EventProbability:
-        return EventProbability.sampled(self.connect_count, self.trials)
-
-
-def sign_bound_check(graph: Graph, origin: int, trials: int, seed: int) -> SignBoundReport:
-    """Compare P(origin reaches the horizon side at level -1) to E[sgn].
-
-    The horizon plays the killed boundary, whose field value is zero and
-    so always clears the -1 level; the connection event therefore asks
-    the origin's level-set cluster to touch a horizon-adjacent vertex.
-    Both quantities come from the same samples.
-    """
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
-    gm = green(graph)
-    o_idx = gm.index(origin)
-    interior = np.array(gm.interior)
-    connect = 0
-    sign_total = 0.0
-    margins: list[np.ndarray] = []
-    for block in _field_blocks(gm, seed, trials):
-        signs = np.sign(block[:, o_idx] + 1.0)
-        sign_total += float(signs.sum())
-        hits = np.zeros(block.shape[0])
-        for t in range(block.shape[0]):
-            # The cluster meets a horizon-adjacent vertex iff its search touches the horizon.
-            if block[t, o_idx] >= -1.0:
-                below = _below(interior, block[t], -1.0)
-                hits[t] = search(graph, (origin,), avoid=below, stop_at_horizon=True)[1]
-        connect += int(hits.sum())
-        margins.append(hits - signs)
-    margin = np.concatenate(margins)
-    se = float(margin.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return SignBoundReport(
-        trials, connect, sign_total / trials, float(margin.mean()), se
-    )
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """The two measurable ends of the conditioned-field comparison.
-
-    ``conditional`` is the connection frequency among clamped samples on
-    the full subdivision; ``killed`` is the same connection frequency
-    under the field killed at the inner midpoints, shifted to level -1.
-    Domination predicts conditional >= killed; with no clamped samples
-    the comparison is vacuous.
-    """
-
-    f_count: int
-    fe_count: int
-    conditional: EventProbability | None
-    killed: EventProbability
-    vacuous: bool
-
-    @property
-    def ordering_consistent(self) -> bool:
-        if self.vacuous:
-            return True
-        return self.conditional.ci_high >= self.killed.ci_low
-
-
-def domination_endpoint_check(
-    base: Graph, cutset: Cutset, trials: int, seed: int
-) -> DominationReport:
-    """Estimate both sides of the domination step and compare their CIs."""
-    report = section8_pipeline(base, cutset, trials, seed)
-    frame = cutset_frame(base, cutset)
-    derived = frame.sd.derived
-    x_set = frozenset(frame.x_vertices)
-    killed_horizon = (
-        frozenset(range(derived.n_vertices)) - frame.component
-    ) | x_set
-    killed_graph = Graph(derived.n_vertices, derived.edges, killed_horizon)
-    gm = green(killed_graph)
-    origin = cutset.source
-    o_idx = gm.index(origin)
-    interior = np.array(gm.interior)
-    targets = set(frame.inner_vertices)
-    k_seed = derive_seed(seed, 1 << 32)
-    hits = 0
-    for block in _field_blocks(gm, k_seed, trials):
-        for t in range(block.shape[0]):
-            if block[t, o_idx] >= -1.0:
-                below = _below(interior, block[t], -1.0)
-                hits += targets <= search(killed_graph, (origin,), avoid=below)[0]
-    killed = EventProbability.sampled(hits, trials)
-    if report.f_count == 0:
-        return DominationReport(0, 0, None, killed, True)
-    conditional = EventProbability.sampled(report.fe_count, report.f_count)
-    return DominationReport(
-        report.f_count, report.fe_count, conditional, killed, False
     )

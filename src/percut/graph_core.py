@@ -7,24 +7,21 @@ means "reaches some horizon vertex".  Reachability under closed edges or
 forbidden vertices goes through one kernel here: ``search`` (the vertices
 reached over open edges, the horizon absorbing), ``UnionFind``, and
 ``component_labels`` (labels under many edge configurations at once).
-Subdivisions, multigraphs and the two-tree Eulerian construction used by
-the covering argument live here as well.
+Graph parsing, the built-in families, edge subdivisions and connected
+vertex sets live here as well.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
 
-from . import _util
 from .errors import (
     CapExceededError,
     GraphStructureError,
     ParseError,
     PreconditionError,
-    TheoremViolationError,
 )
 
 if TYPE_CHECKING:
@@ -271,14 +268,6 @@ def load_graph(text: str) -> Graph:
     return Graph(n, tuple(edges), frozenset(horizon))
 
 
-def dump_graph(graph: Graph) -> str:
-    lines = [f"v {graph.n_vertices}"]
-    if graph.horizon:
-        lines.append("z " + " ".join(str(z) for z in sorted(graph.horizon)))
-    lines.extend(f"e {u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
 # ---- subdivision ----
 
 
@@ -303,10 +292,6 @@ class SubdivisionMap:
         if not self.is_midpoint(v):
             raise PreconditionError(f"{v} is a base vertex, not a midpoint")
         return (v - self.base.n_vertices) // (self.order - 1)
-
-    def derived_edge_ids(self, base_eid: int) -> tuple[int, ...]:
-        k = self.order
-        return tuple(range(k * base_eid, k * base_eid + k))
 
     def mid_edge_id(self, base_eid: int) -> int:
         """Derived id of the middle segment of a base edge (order 3 only)."""
@@ -334,189 +319,6 @@ def subdivide(graph: Graph, order: int) -> SubdivisionMap:
             derived_edges += [(u, m1), (m1, m2), (m2, v)]
     derived = Graph(n + (order - 1) * graph.n_edges, tuple(derived_edges), graph.horizon)
     return SubdivisionMap(graph, derived, order, tuple(midpoints))
-
-
-def contract_subdivision(sd: SubdivisionMap) -> Graph:
-    """Undo a subdivision; the round trip must reproduce the base exactly."""
-    pairs = []
-    for eid in range(sd.base.n_edges):
-        ends = []
-        for did in sd.derived_edge_ids(eid):
-            for x in sd.derived.edges[did]:
-                if not sd.is_midpoint(x):
-                    ends.append(x)
-        if len(ends) != 2:
-            raise TheoremViolationError("subdivision path lost its endpoints")
-        pairs.append((min(ends), max(ends)))
-    return Graph(sd.base.n_vertices, tuple(pairs), sd.base.horizon)
-
-
-# ---- multigraphs and Eulerian circuits ----
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph; loops and parallel edges allowed."""
-
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GraphStructureError(f"edge endpoint out of range: {(u, v)}")
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            if u != v:
-                adj[v].append((u, eid))
-        return tuple(tuple(a) for a in adj)
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
-    def is_spanning_tree(self, edge_ids: Iterable[int]) -> bool:
-        ids = list(edge_ids)
-        if len(ids) != self.n_vertices - 1:
-            return False
-        sets = UnionFind(self.n_vertices)
-        for eid in ids:
-            u, v = self.edges[eid]
-            if u == v or not sets.union(u, v):
-                return False
-        return True
-
-
-def eulerian_from_two_trees(
-    mg: Multigraph, tree1: Iterable[int], tree2: Iterable[int]
-) -> tuple[int, ...]:
-    """Even connected spanning edge set from two edge-disjoint spanning trees.
-
-    Pair up the odd-degree vertices of the first tree and add, over
-    GF(2), the second-tree paths joining each pair.  The first tree
-    survives intact, so the result is spanning and connected; the path
-    endpoints fix the parity, so every degree is even.
-    """
-    t1 = sorted(set(tree1))
-    t2 = sorted(set(tree2))
-    if set(t1) & set(t2):
-        raise PreconditionError("tree edge id sets must be disjoint")
-    if not mg.is_spanning_tree(t1) or not mg.is_spanning_tree(t2):
-        raise PreconditionError("both inputs must be spanning trees of the multigraph")
-
-    deg1 = [0] * mg.n_vertices
-    for eid in t1:
-        u, v = mg.edges[eid]
-        deg1[u] += 1
-        deg1[v] += 1
-    odd = [v for v in range(mg.n_vertices) if deg1[v] % 2 == 1]
-
-    adj2: list[list[tuple[int, int]]] = [[] for _ in range(mg.n_vertices)]
-    for eid in t2:
-        u, v = mg.edges[eid]
-        adj2[u].append((v, eid))
-        adj2[v].append((u, eid))
-
-    def tree_path(a: int, b: int) -> list[int]:
-        prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for w, eid in adj2[u]:
-                if w not in prev:
-                    prev[w] = (u, eid)
-                    stack.append(w)
-        path = []
-        x = b
-        while x != a:
-            x, eid = prev[x]
-            path.append(eid)
-        return path
-
-    parity: dict[int, int] = {}
-    for i in range(0, len(odd), 2):
-        for eid in tree_path(odd[i], odd[i + 1]):
-            parity[eid] = parity.get(eid, 0) ^ 1
-    result = sorted(set(t1) | {eid for eid, bit in parity.items() if bit})
-
-    deg = [0] * mg.n_vertices
-    for eid in result:
-        u, v = mg.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-    if any(d == 0 or d % 2 for d in deg):
-        raise TheoremViolationError("two-tree sum is not spanning with even degrees")
-    return tuple(result)
-
-
-def euler_circuit_edges(
-    mg: Multigraph, edge_ids: Iterable[int], root: int
-) -> tuple[list[int], list[int]]:
-    """Closed walk from ``root`` using each listed edge exactly once.
-
-    Returns (vertex sequence, edge id sequence); the vertex sequence has
-    one more entry than the edge sequence and starts and ends at root.
-    """
-    ids = sorted(set(edge_ids))
-    deg = [0] * mg.n_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(mg.n_vertices)]
-    for eid in ids:
-        u, v = mg.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append((v, eid))
-        if u != v:
-            adj[v].append((u, eid))
-    if any(d % 2 for d in deg):
-        raise PreconditionError("odd degree vertex; no Euler circuit")
-    if not ids:
-        return [root], []
-    if deg[root] == 0:
-        raise PreconditionError("root touches no chosen edge")
-
-    used = [False] * (max(ids) + 1)
-    ptr = [0] * mg.n_vertices
-    stack: list[tuple[int, int]] = [(root, -1)]
-    out_v: list[int] = []
-    out_e: list[int] = []
-    while stack:
-        v, via = stack[-1]
-        found = False
-        while ptr[v] < len(adj[v]):
-            w, eid = adj[v][ptr[v]]
-            if used[eid]:
-                ptr[v] += 1
-                continue
-            used[eid] = True
-            stack.append((w, eid))
-            found = True
-            break
-        if not found:
-            stack.pop()
-            out_v.append(v)
-            out_e.append(via)
-    out_v.reverse()
-    out_e.reverse()
-    out_e = [e for e in out_e if e != -1]
-    if len(out_e) != len(ids):
-        raise PreconditionError("chosen edges are not connected through the root")
-    return out_v, out_e
-
-
-def euler_circuit(mg: Multigraph, edge_ids: Iterable[int], root: int) -> list[int]:
-    """Vertex sequence of an Euler circuit on the chosen edges."""
-    return euler_circuit_edges(mg, edge_ids, root)[0]
 
 
 # ---- subset machinery ----
@@ -572,34 +374,6 @@ def boundary_edges(graph: Graph, s: Iterable[int]) -> tuple[int, ...]:
 def set_weight(graph: Graph, s: Iterable[int]) -> int:
     """Degree-weighted size: the sum of full-graph degrees over the set."""
     return sum(graph.degree(v) for v in s)
-
-
-def iso_profile(graph: Graph, n: int) -> float:
-    """Smallest boundary over sets of degree-weighted size at least ``n``.
-
-    Sets range over non-empty proper vertex subsets disjoint from the
-    horizon; all 2^k of them are tried, so at most ``SWEEP_EDGES``
-    non-horizon vertices are accepted.  Returns ``inf`` when no admissible
-    set is heavy enough.
-    """
-    if n < 1:
-        raise PreconditionError("weight threshold must be at least 1")
-    interior = graph.interior
-    if len(interior) > _util.SWEEP_EDGES:
-        raise CapExceededError(
-            f"{len(interior)} non-horizon vertices exceed the exhaustive cap {_util.SWEEP_EDGES}"
-        )
-    best = float("inf")
-    degrees = [graph.degree(v) for v in interior]
-    for mask in range(1, 1 << len(interior)):
-        s = [interior[i] for i in range(len(interior)) if mask >> i & 1]
-        if len(s) == graph.n_vertices:
-            continue
-        if sum(degrees[i] for i in range(len(interior)) if mask >> i & 1) >= n:
-            size = len(boundary_edges(graph, s))
-            if size < best:
-                best = size
-    return best
 
 
 # ---- built-in families ----

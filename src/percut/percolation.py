@@ -2,11 +2,9 @@
 
 Exact probabilities are counts of edge configurations grouped by
 open-edge count, so one profile prices every p.  The source cluster's
-law (theta, boundary censuses, boundary hits) is summed over the
-connected sets the cluster can be; general events sweep all 2^m
-configurations, up to ``SWEEP_EDGES`` edges.  Every sampled estimate draws
-its configurations from one ``PCG64(seed)`` stream and carries a Wilson
-99% interval.
+law (theta, boundary censuses) is summed over the connected sets the
+cluster can be.  Every sampled estimate draws its configurations from
+one ``PCG64(seed)`` stream and carries a Wilson 99% interval.
 Horizon vertices absorb: open paths may end on them but never pass
 through.
 """
@@ -14,32 +12,19 @@ through.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from ._util import check_sweep, wilson_interval
-from .errors import CapExceededError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, QnTable, exposed_boundary
-from .graph_core import (
-    HORIZON,
-    Graph,
-    connected_subsets_containing,
-    iso_profile,
-    search,
-    set_weight,
-)
+from ._util import wilson_interval
+from .errors import CapExceededError, PreconditionError
+from .cutsets import QnTable, exposed_boundary
+from .graph_core import HORIZON, Graph, connected_subsets_containing, search, set_weight
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Profile coefficients are read from int64 slots; one sums to at most 2^m,
-# which fits up to 62 edges.
-MAX_PROFILE_EDGES = 62
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
-# Largest connected set the strong percolation experiment prices.
-STRONG_SET_SIZE = 6
 # Cells per block: random doubles drawn here, a walk's row, buffer and
 # generator in rw_cutsets.  It bounds memory and never changes a result.
 _BLOCK_CELLS = 1 << 20
@@ -90,16 +75,6 @@ class EventProbability:
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"p={p} outside [0, 1]")
-
-
-def config_from_mask(graph: Graph, mask: int) -> PercConfig:
-    return PercConfig(tuple(bool(mask >> i & 1) for i in range(graph.n_edges)))
-
-
-def _swept_configs(graph: Graph) -> Iterator[tuple[int, PercConfig]]:
-    """Every configuration with its mask; refuses at once past the sweep cap."""
-    check_sweep(graph.n_edges)
-    return ((mask, config_from_mask(graph, mask)) for mask in range(1 << graph.n_edges))
 
 
 def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[np.ndarray]:
@@ -154,28 +129,6 @@ def connection_event(graph: Graph, a: int, b) -> Callable[[PercConfig], bool]:
     return lambda config: config_connects(graph, config, a, b)
 
 
-def finite_cluster_event(graph: Graph, v: int) -> Callable[[PercConfig], bool]:
-    return lambda config: not config_connects(graph, config, v, HORIZON)
-
-
-# ---- exact enumeration ----
-
-
-def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], bool]) -> np.ndarray:
-    """Count satisfying configurations grouped by number of open edges.
-
-    One sweep of all 2^m configurations; the resulting profile prices
-    the event at any p via a short polynomial sum.
-    """
-    import numpy as np
-
-    profile = np.zeros(graph.n_edges + 1, dtype=np.int64)
-    for mask, config in _swept_configs(graph):
-        if event(config):
-            profile[mask.bit_count()] += 1
-    return profile
-
-
 def profile_probability(profile: Sequence[int], p: float) -> float:
     """Probability at p of the configurations a popcount profile counts.
 
@@ -189,11 +142,6 @@ def profile_probability(profile: Sequence[int], p: float) -> float:
         if profile[k]:
             total += float(profile[k]) * p**k * (1.0 - p) ** (m - k)
     return total
-
-
-def exact_prob(graph: Graph, p: float, event: Callable[[PercConfig], bool]) -> EventProbability:
-    profile = event_popcount_profile(graph, event)
-    return EventProbability(profile_probability(profile, p), "exact")
 
 
 def mc_prob(
@@ -260,22 +208,6 @@ def _peierls_term(count: int, q: float, n: int) -> float:
             return math.inf
 
 
-def boundary_hit_event(graph: Graph, cutset: Cutset) -> Callable[[PercConfig], bool]:
-    def event(config: PercConfig) -> bool:
-        report = cluster_report(graph, config, cutset.source)
-        return report.finite and report.exposed == cutset.edge_ids
-
-    return event
-
-
-def boundary_hit_probability(graph: Graph, p: float, cutset: Cutset) -> EventProbability:
-    """Exact probability that the source cluster's exposed boundary is this cutset."""
-    _check_p(p)
-    profiles, _ = boundary_census_exact(graph, cutset.source)
-    profile = profiles.get(cutset.edge_ids)
-    return EventProbability(0.0 if profile is None else profile_probability(profile, p), "exact")
-
-
 def _inner_edge_count(graph: Graph, s: frozenset[int]) -> int:
     return sum(1 for u in s for w, _ in graph.adjacency[u] if w in s) // 2
 
@@ -306,15 +238,12 @@ def boundary_census_exact(
     if v in graph.horizon:
         raise PreconditionError("cluster source must be off the horizon")
     m = graph.n_edges
-    if m > MAX_PROFILE_EDGES:
-        raise CapExceededError(
-            f"{m} edges exceed the {MAX_PROFILE_EDGES}-edge limit of int64 profiles"
-        )
-    # Polynomials are evaluated at x = 2**64, so coefficient k sits in bits
-    # 64k..64k+63.  Integer arithmetic on these values is exact, and every
-    # polynomial read back (c_S, the profiles) has coefficients in
-    # [0, 2**62], so its value decodes slot by slot.
-    x1 = 1 + (1 << 64)
+    # Polynomials are evaluated at x = 2**w with w = m + 1, so coefficient k
+    # sits in bits wk..wk+w-1.  Integer arithmetic on these values is exact,
+    # and every polynomial read back (c_S, the profiles) has coefficients in
+    # [0, 2**m], so its value decodes slot by slot.
+    w = m + 1
+    x1 = 1 + (1 << w)
     sets = sorted(
         connected_subsets_containing(graph, v, graph.interior, max_count=EXACT_SET_BUDGET),
         key=len,
@@ -338,8 +267,10 @@ def boundary_census_exact(
         key = exposed_boundary(graph, s)
         packed[key] = packed.get(key, 0) + c * x1 ** (m - e_s - leaving)
 
+    slot = (1 << w) - 1
+
     def unpack(value: int) -> list[int]:
-        return list(struct.unpack(f"<{m + 1}q", value.to_bytes(8 * (m + 1), "little")))
+        return [value >> w * k & slot for k in range(m + 1)]
 
     infinite = x1**m - sum(packed.values())
     return {key: unpack(value) for key, value in packed.items()}, unpack(infinite)
@@ -362,96 +293,3 @@ def boundary_census_mc(
         else:
             infinite += 1
     return counts, infinite
-
-
-# ---- positive association spot checks ----
-
-
-@dataclass(frozen=True)
-class FkgCheck:
-    joint: float
-    product: float
-
-
-def fkg_spot_check(
-    graph: Graph,
-    p: float,
-    event_pairs: Iterable[tuple[tuple[int, object], tuple[int, object]]],
-) -> list[FkgCheck]:
-    """Exact P(A and B) >= P(A) P(B) for pairs of connection events.
-
-    Events are (a, b) descriptors with b a vertex or HORIZON.  Both are
-    increasing, so a violation beyond float noise is an implementation
-    bug and raises.
-    """
-    checks = []
-    for (a1, b1), (a2, b2) in event_pairs:
-        e1 = connection_event(graph, a1, b1)
-        e2 = connection_event(graph, a2, b2)
-        joint = exact_prob(graph, p, lambda c: e1(c) and e2(c)).value
-        product = exact_prob(graph, p, e1).value * exact_prob(graph, p, e2).value
-        if joint < product - 1e-12:
-            raise TheoremViolationError(
-                f"positive association failed: {joint} < {product} for "
-                f"({a1},{b1}) vs ({a2},{b2})"
-            )
-        checks.append(FkgCheck(joint, product))
-    return checks
-
-
-# ---- strong percolation experiment ----
-
-
-@dataclass(frozen=True)
-class StrongPercRow:
-    vertices: tuple[int, ...]
-    weight: int
-    psi: float
-    miss_probability: float
-    minus_log: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class StrongPercReport:
-    p: float
-    c_fit: float
-    rows: tuple[StrongPercRow, ...]
-    all_satisfied: bool
-
-
-def strong_percolation_experiment(graph: Graph, p: float, c_fit: float) -> StrongPercReport:
-    """Compare -ln P(S misses the horizon) against c_fit x boundary profile.
-
-    S ranges over connected horizon-free sets of at most
-    ``STRONG_SET_SIZE`` vertices.  Rows with miss probability zero are
-    omitted (their log diverges).
-    """
-    if not graph.horizon:
-        raise PreconditionError("experiment needs a horizon to miss")
-    _check_p(p)
-    pool: set[frozenset[int]] = set()
-    for root in graph.interior:
-        for s in connected_subsets_containing(
-            graph, root, allowed={u for u in graph.interior if u >= root}
-        ):
-            if len(s) <= STRONG_SET_SIZE:
-                pool.add(s)
-    chosen = sorted(tuple(sorted(s)) for s in pool)
-    rows = []
-    for s in chosen:
-        members = list(s)
-
-        def miss(config: PercConfig, members=members) -> bool:
-            return all(not config_connects(graph, config, u, HORIZON) for u in members)
-
-        prob = exact_prob(graph, p, miss).value
-        if prob == 0.0:
-            continue
-        weight = set_weight(graph, members)
-        psi = iso_profile(graph, weight)
-        minus_log = -math.log(prob)
-        rows.append(
-            StrongPercRow(s, weight, psi, prob, minus_log, minus_log >= c_fit * psi - 1e-12)
-        )
-    return StrongPercReport(p, c_fit, tuple(rows), all(r.satisfied for r in rows))

@@ -140,61 +140,6 @@ def escape_probability_mc(graph: Graph, v: int, trials: int, seed: int) -> Event
     return EventProbability.sampled(hits, trials)
 
 
-# ---- subdivision transience report ----
-
-
-@dataclass(frozen=True)
-class SubdivisionEscapeReport:
-    eps_base: float
-    eps_derived_floor: float
-    weighted_escape: dict[int, float]
-    min_over_midpoints: float
-    min_over_originals: float
-    max_identity_residual: float
-
-
-def subdivision_escape_check(sd: SubdivisionMap) -> SubdivisionEscapeReport:
-    """Degree-weighted escape on an order-2 subdivision, with the floors.
-
-    Every derived vertex must clear 2 eps / (4 + eps); original vertices
-    must clear eps / 2 (their walk is the lazy base walk).  Midpoint
-    no-return is also re-derived through the visit-count identity
-    E[visits to z] = 1 + E[visits to u]/d_u + E[visits to v]/d_v, which
-    must hold to 1e-9.
-    """
-    if sd.order != 2:
-        raise PreconditionError("escape check runs on order-2 subdivisions")
-    eps = escape_constant(sd.base, escape_probabilities(sd.base))
-    floor_all = 2.0 * eps / (4.0 + eps)
-    floor_orig = eps / 2.0
-    interior, n = fundamental_matrix(sd.derived)
-    weighted = {v: sd.derived.degree(v) * p for v, p in _no_return(interior, n).items()}
-    index = {v: i for i, v in enumerate(interior)}
-    worst = 0.0
-    for eid in range(sd.base.n_edges):
-        (z,) = sd.midpoints[eid]
-        u, v = sd.base.edges[eid]
-        lhs = float(n[index[z], index[z]])
-        rhs = 1.0
-        for end in (u, v):
-            if end in index:
-                rhs += float(n[index[z], index[end]]) / sd.derived.degree(end)
-        worst = max(worst, abs(lhs - rhs))
-    if worst > 1e-9:
-        raise TheoremViolationError(f"midpoint visit identity residual {worst:.3e}")
-
-    mins_mid = min(weighted[v] for v in weighted if sd.is_midpoint(v))
-    originals = [v for v in weighted if not sd.is_midpoint(v)]
-    mins_orig = min((weighted[v] for v in originals), default=float("inf"))
-    for v, value in weighted.items():
-        floor = floor_orig if not sd.is_midpoint(v) else floor_all
-        if value < floor - 1e-12:
-            raise TheoremViolationError(
-                f"derived vertex {v}: weighted escape {value} below floor {floor}"
-            )
-    return SubdivisionEscapeReport(eps, floor_all, weighted, mins_mid, mins_orig, worst)
-
-
 # ---- crossing matrices ----
 
 

@@ -3,10 +3,7 @@
 Small named graphs, every one connected with a non-empty horizon and a
 non-empty interior, all within the exact-enumeration caps.  Cutset
 tables and boundary censuses are cached per (graph, vertex) because
-several suites sweep the same pairs.  ``census_by_sweep`` is the
-configuration-sweep oracle the connected-set census is checked against;
-``walk_by_steps`` is the one-step-at-a-time walk the lockstep walk kernel
-is checked against.
+several suites sweep the same pairs.
 """
 
 from __future__ import annotations
@@ -15,9 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from oracles import enumerate_minimal_cutsets_by_components
 from percut import Graph, QnTable
-from percut.errors import CapExceededError
-from percut.cutsets import enumerate_minimal_cutsets_by_components
 from percut.graph_core import (
     box3d_graph,
     cycle_graph,
@@ -25,7 +21,7 @@ from percut.graph_core import (
     path_graph,
     star_graph,
 )
-from percut.percolation import boundary_census_exact, cluster_report, config_from_mask
+from percut.percolation import boundary_census_exact
 
 
 def _random_graph(seed: int, n: int, extra: int, horizon_size: int) -> Graph:
@@ -105,48 +101,6 @@ def table_for(name: str, v: int) -> QnTable:
 @lru_cache(maxsize=None)
 def census_for(name: str, v: int):
     return boundary_census_exact(CORPUS[name], v)
-
-
-def census_by_sweep(graph: Graph, v: int):
-    """Boundary census by sweeping all 2^m edge configurations."""
-    m = graph.n_edges
-    profiles: dict[tuple[int, ...], np.ndarray] = {}
-    infinite = np.zeros(m + 1, dtype=np.int64)
-    for mask in range(1 << m):
-        report = cluster_report(graph, config_from_mask(graph, mask), v)
-        if report.finite:
-            profile = profiles.get(report.exposed)
-            if profile is None:
-                profile = profiles[report.exposed] = np.zeros(m + 1, dtype=np.int64)
-        else:
-            profile = infinite
-        profile[mask.bit_count()] += 1
-    return profiles, infinite
-
-
-def walk_by_steps(graph: Graph, start: int, rng: np.random.Generator, max_steps: int):
-    """Scalar simple random walk from start to the horizon.
-
-    Returns ``(steps, end, tau, range_c)``: the absorbing step, the horizon
-    vertex reached, the last step at the start and the vertices visited up
-    to then.  Raises ``CapExceededError`` after ``max_steps`` steps.  Draws
-    come from ``rng`` 64 doubles at a time, and step t takes entry
-    ``int(u * degree)`` of the adjacency list for the t-th double u.
-    """
-    path = [start]
-    x = start
-    tau = 0
-    for step in range(1, max_steps + 1):
-        if (step - 1) % 64 == 0:
-            draws = rng.random(64)
-        nbrs = graph.adjacency[x]
-        x = nbrs[int(draws[(step - 1) % 64] * len(nbrs))][0]
-        path.append(x)
-        if x == start:
-            tau = step
-        if x in graph.horizon:
-            return step, x, tau, frozenset(path[: tau + 1])
-    raise CapExceededError("walk exceeded the step cap without absorption")
 
 
 def all_pairs() -> list[tuple[str, int]]:

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from corpus import CORPUS, all_pairs, census_for, interior_vertices, table_for
+from oracles import (
+    Multigraph, bruteforce_tail_bound, covering_sum_bruteforce, derive_seed,
+    eulerian_from_two_trees, markov_check, subdivision_escape_check,
+)
 from percut import (
     ConnectivityOracle,
-    Multigraph,
     SubStochasticMatrix,
     build_chain,
-    covering_sum_bruteforce,
     covering_sum_exact,
     covering_sum_mc,
     count_minimal_cutsets,
@@ -29,22 +31,17 @@ from percut import (
     delta_bound,
     enumerate_minimal_cutsets_bruteforce,
     escape_probabilities,
-    eulerian_from_two_trees,
     exposed_boundary,
     fkg_lower_bound,
     green,
     is_minimal_cutset,
     karger_count_min_cuts,
-    markov_check,
     min_cut,
     peierls_bound,
     qn_census_rw,
     section8_pipeline,
     subdivide,
-    subdivision_escape_check,
 )
-from percut._util import derive_seed
-from percut.cover_lemma import bruteforce_tail_bound
 from percut.percolation import profile_probability
 
 SEED = 20260823

@@ -16,9 +16,9 @@ from percut._util import fmt12
 from percut.cli import main, resolve_graph
 from percut.errors import NumericalError, TheoremViolationError
 from percut.gff import green
-from percut.graph_core import dump_graph
 
 from corpus import CORPUS, broom
+from oracles import dump_graph
 
 
 def run_cli(capsys, argv):
@@ -152,14 +152,14 @@ def test_theta_exact_grid5x5_inside_mc_interval(capsys):
     assert mc["ci_low"] <= exact["value"] <= mc["ci_high"]
 
 
-@pytest.mark.parametrize("spec,vertex", [("grid:3,5", "7"), ("grid:4,4", "5")])
+@pytest.mark.parametrize("spec,vertex", [("grid:3,5", "7"), ("grid:4,4", "5"), ("path:70", "3")])
 def test_perc_theta_exact_past_twenty_edges(capsys, spec, vertex):
     row = _theta_row(capsys, ["--graph", spec, "--vertex", vertex, "--p", "0.6", "--exact"])
     assert row["method"] == "exact"
 
 
 def test_theta_exact_set_budget_is_usage_error(capsys):
-    # 60 edges fit the int64 profiles; 16 interior vertices overrun the set budget.
+    # 16 interior vertices overrun the set budget.
     code, _, err = run_cli(
         capsys, ["perc", "theta", "--graph", "grid:6,6", "--vertex", "14", "--p", "0.5", "--exact"]
     )

@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 from percut import _util, cover_lemma
 from percut.cover_lemma import (
     SubStochasticMatrix,
-    bruteforce_tail_bound,
-    covering_sum_bruteforce,
     covering_sum_exact,
     covering_sum_mc,
     delta_bound,
-    gamma_sequences,
-    is_gamma_sequence,
     load_matrix_file,
     min_cut,
-    sample_h_graphs,
 )
 from percut.errors import CapExceededError, PreconditionError
+
+from oracles import (
+    bruteforce_tail_bound, covering_sum_bruteforce, gamma_sequences, is_gamma_sequence,
+    sample_h_graphs,
+)
 
 
 def uniform_matrix(n: int, value: float) -> SubStochasticMatrix:

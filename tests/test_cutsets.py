@@ -10,7 +10,6 @@ from percut.cutsets import (
     decompose,
     default_karger_trials,
     enumerate_minimal_cutsets_bruteforce,
-    enumerate_minimal_cutsets_by_components,
     _strands_minimally,
     exposed_boundary,
     is_minimal_cutset,
@@ -21,6 +20,7 @@ from percut.errors import PreconditionError
 from percut.graph_core import connected_subsets_containing, cycle_graph
 
 from corpus import CORPUS, table_for
+from oracles import enumerate_minimal_cutsets_by_components
 
 
 # ---- exposed boundaries ----

@@ -3,11 +3,12 @@ import pytest
 
 from percut import Graph, grid_graph, path_graph
 from percut import frontier
-from percut.cutsets import QnTable, enumerate_minimal_cutsets_by_components
+from percut.cutsets import QnTable
 from percut.errors import CapExceededError, PreconditionError, TheoremViolationError
 from percut.frontier import count_minimal_cutsets
 
 from corpus import _random_graph
+from oracles import enumerate_minimal_cutsets_by_components
 
 
 # ---- agreement with the component walk ----

@@ -6,21 +6,14 @@ import pytest
 from percut import grid_graph, path_graph
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError, TheoremViolationError
-from percut.gff import (
-    GaussianField,
-    GreenMatrix,
-    cutset_frame,
-    domination_endpoint_check,
-    excursion_cluster,
-    green,
-    markov_check,
-    sample_field,
-    section8_pipeline,
-    sign_bound_check,
-)
+from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
 from percut.rw_cutsets import escape_probabilities
 
 from corpus import CORPUS
+from oracles import (
+    GaussianField, domination_endpoint_check, excursion_cluster, markov_check, sample_field,
+    sign_bound_check,
+)
 
 
 P5_GREEN = np.array([[0.75, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.75]])

@@ -1,5 +1,6 @@
 """What a command or ``import percut`` loads: the lazy namespace and the import guard."""
 
+import ast
 import json
 import os
 import subprocess
@@ -18,39 +19,29 @@ PUBLIC = {
         "PercutError", "PreconditionError", "TheoremViolationError",
     ),
     "graph_core": (
-        "FAMILY_BUILDERS", "HORIZON", "Graph", "Multigraph", "SubdivisionMap", "box3d_graph",
-        "contract_subdivision", "cycle_graph", "dump_graph", "euler_circuit",
-        "eulerian_from_two_trees", "grid_graph", "iso_profile", "load_graph", "path_graph",
-        "star_graph", "subdivide",
+        "FAMILY_BUILDERS", "HORIZON", "Graph", "SubdivisionMap", "box3d_graph", "cycle_graph",
+        "grid_graph", "load_graph", "path_graph", "star_graph", "subdivide",
     ),
     "cutsets": (
         "Cutset", "CutsetDecomposition", "KargerResult", "QnTable", "decompose",
-        "enumerate_minimal_cutsets_bruteforce", "enumerate_minimal_cutsets_by_components",
-        "exposed_boundary", "is_minimal_cutset", "karger_count_min_cuts", "verified_cutset",
+        "enumerate_minimal_cutsets_bruteforce", "exposed_boundary", "is_minimal_cutset",
+        "karger_count_min_cuts", "verified_cutset",
     ),
     "frontier": ("count_minimal_cutsets",),
     "percolation": (
         "ClusterReport", "EventProbability", "PercConfig", "boundary_census_exact",
-        "boundary_census_mc", "boundary_hit_probability", "cluster_report", "peierls_bound",
-        "theta",
+        "boundary_census_mc", "cluster_report", "peierls_bound", "theta",
     ),
-    "fkg_chain": (
-        "ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound",
-        "theorem1_lower_bound_check", "verify_full_connectivity",
-    ),
+    "fkg_chain": ("ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound"),
     "cover_lemma": (
-        "SubStochasticMatrix", "covering_sum_bruteforce", "covering_sum_exact",
-        "covering_sum_mc", "delta_bound", "gamma_sequences", "is_gamma_sequence",
-        "load_matrix_file", "min_cut", "sample_h_graphs",
+        "SubStochasticMatrix", "covering_sum_exact", "covering_sum_mc", "delta_bound",
+        "load_matrix_file", "min_cut",
     ),
     "rw_cutsets": (
         "CrossingMatrix", "RwCensus", "crossing_matrix", "escape_constant",
-        "escape_probabilities", "qn_census_rw", "subdivision_escape_check",
+        "escape_probabilities", "qn_census_rw",
     ),
-    "gff": (
-        "GaussianField", "GreenMatrix", "domination_endpoint_check", "excursion_cluster",
-        "green", "markov_check", "sample_field", "section8_pipeline", "sign_bound_check",
-    ),
+    "gff": ("GreenMatrix", "green", "section8_pipeline"),
 }
 
 
@@ -59,7 +50,7 @@ PUBLIC = {
 
 def test_public_names_are_their_home_objects():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 77
+    assert len(names) == len(set(names)) == 56
     for module, names in PUBLIC.items():
         home = import_module(f"percut.{module}")
         for name in names:
@@ -128,5 +119,68 @@ def test_cover_exact_loads_only_the_cover_lemma(tmp_path):
     (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
     loaded = _loaded(["cover", "exact", "--matrix", "m.txt", "--output-file", "o.json"], tmp_path)
     assert "percut.cover_lemma" in loaded and "numpy" in loaded
-    for module in ("gff", "rw_cutsets", "fkg_chain", "percolation"):
+    for module in ("gff", "rw_cutsets", "fkg_chain", "percolation", "graph_core"):
         assert f"percut.{module}" not in loaded, module
+
+
+def test_exact_chain_build_loads_only_the_chain_and_graph_modules(tmp_path):
+    argv = (
+        "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,3,4,5,6,7,8,9,10,11"
+        " --setB 1,2,3,4,5,6,7,8,9,10,11 --origin 1 --p 0.3 --exact --output-file o.json"
+    )
+    loaded = _loaded(argv.split(), tmp_path)
+    assert {"percut.fkg_chain", "percut.graph_core", "numpy"} <= loaded
+    for module in ("percolation", "cutsets"):
+        assert f"percut.{module}" not in loaded, module
+
+
+# ---- the package is what its commands run ----
+
+
+def _top_level(tree: ast.Module):
+    """(name, node) for each top-level function, class and assignment of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _names_in(node: ast.AST):
+    """Every name, attribute and imported name that appears in ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    """Follow names from ``cli.py``'s definitions through every module, importing nothing."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(percut.__file__).parent.glob("*.py")
+    }
+    definitions: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, node in _top_level(tree):
+            definitions.setdefault(name, []).append(node)
+    todo = [name for name, _ in _top_level(trees["cli"])]
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for node in definitions.get(name, ()) for n in _names_in(node))
+    unreached = [
+        f"{module}.{name}"
+        for module, tree in sorted(trees.items())
+        for name, node in _top_level(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and name not in reached
+        and not name.startswith("__")
+    ]
+    assert not unreached, f"no command reaches: {', '.join(unreached)}"

@@ -3,38 +3,32 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from percut import HORIZON, Graph, QnTable, fkg_chain, grid_graph, path_graph, percolation, star_graph
 from percut._util import SWEEP_EDGES
 from percut.cutsets import Cutset, enumerate_minimal_cutsets_bruteforce, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
 from percut.frontier import count_minimal_cutsets
-from percut.fkg_chain import (
-    ConnectivityOracle,
-    theorem1_lower_bound_check,
-    verify_full_connectivity,
-)
+from percut.fkg_chain import ConnectivityOracle
 from percut.percolation import (
-    PercConfig,
     _sampled_configs,
     boundary_census_exact,
     boundary_census_mc,
-    boundary_hit_probability,
     cluster_report,
     config_connects,
-    config_from_mask,
     connection_event,
-    event_popcount_profile,
-    exact_prob,
-    finite_cluster_event,
-    fkg_spot_check,
     mc_prob,
     peierls_bound,
     profile_probability,
-    strong_percolation_experiment,
     theta,
 )
 
-from corpus import CORPUS, broom, census_by_sweep, table_for
+from corpus import CORPUS, broom, table_for
+from oracles import (
+    boundary_hit_probability, census_by_sweep, config_from_mask, event_popcount_profile, exact_prob,
+    fkg_spot_check, strong_percolation_experiment, theorem1_lower_bound_check,
+    verify_full_connectivity,
+)
 
 
 # ---- configurations and clusters ----
@@ -102,15 +96,15 @@ def test_theta_horizon_vertex_is_one():
 
 def test_finite_cluster_star3():
     g = CORPUS["star3"]
-    ev = finite_cluster_event(g, 0)
-    assert exact_prob(g, 0.5, ev).value == pytest.approx(1 / 8, abs=1e-15)
+    finite = exact_prob(g, 0.5, lambda c: not config_connects(g, c, 0, HORIZON))
+    assert finite.value == pytest.approx(1 / 8, abs=1e-15)
 
 
 def test_profile_probability_single_edge_event():
     # "Edge 0 open" has probability p for every p; the profile route
     # must reproduce that exactly.
     p5 = path_graph(5)
-    profile = event_popcount_profile(p5, lambda c: c.open_bits[0])
+    profile = event_popcount_profile(p5, lambda c: c.open_bits[0])[True]
     for p in (0.1, 0.5, 0.9):
         assert profile_probability(profile, p) == pytest.approx(p, abs=1e-12)
 
@@ -141,7 +135,7 @@ def test_sweep_cap(entry, monkeypatch):
     def runaway(*args):
         raise AssertionError("swept past the cap")
 
-    monkeypatch.setattr(percolation, "config_from_mask", runaway)
+    monkeypatch.setattr(oracles, "config_from_mask", runaway)
     monkeypatch.setattr(fkg_chain, "component_labels", runaway)
     with pytest.raises(CapExceededError, match="sweep cap"):
         SWEEP_ENTRY_POINTS[entry](g)
@@ -150,8 +144,8 @@ def test_sweep_cap(entry, monkeypatch):
 def test_complementary_profiles_sum_to_one():
     p5 = path_graph(5)
     ev = connection_event(p5, 2, HORIZON)
-    a = event_popcount_profile(p5, ev)
-    b = event_popcount_profile(p5, lambda c: not ev(c))
+    a = event_popcount_profile(p5, ev)[True]
+    b = event_popcount_profile(p5, lambda c: not ev(c))[True]
     for p in (0.2, 0.5, 0.8):
         total = profile_probability(a, p) + profile_probability(b, p)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +205,7 @@ def test_peierls_star3_tight():
     g = CORPUS["star3"]
     table = table_for("star3", 0)
     bound = peierls_bound(table, 0.5)
-    exact = exact_prob(g, 0.5, finite_cluster_event(g, 0)).value
+    exact = exact_prob(g, 0.5, lambda c: not config_connects(g, c, 0, HORIZON)).value
     assert bound == pytest.approx(1 / 8, abs=1e-12)
     assert exact == pytest.approx(bound, abs=1e-12)
 
@@ -222,7 +216,7 @@ def test_peierls_dominates_on_sample():
         for v in g.interior:
             table = table_for(name, v)
             for p in (0.3, 0.6, 0.9):
-                exact = exact_prob(g, p, finite_cluster_event(g, v)).value
+                exact = exact_prob(g, p, lambda c: not config_connects(g, c, v, HORIZON)).value
                 assert exact <= peierls_bound(table, p, v) + 1e-12
 
 
@@ -326,8 +320,17 @@ def test_theta_exact_past_twenty_edges(width, height, v):
         assert priced.value == pytest.approx(profile_probability(ref_infinite, p), abs=1e-12)
 
 
+def test_census_law_past_sixty_two_edges():
+    # 69 edges: each profile slot needs 70 bits, more than a 64-bit slot holds.
+    g = path_graph(70)
+    profiles, infinite = boundary_census_exact(g, 3)
+    assert sum(map(sum, profiles.values())) + sum(infinite) == 2**69
+    p = 0.9
+    assert theta(g, p, 3).value == pytest.approx(p**3 + p**66 - p**69, abs=1e-15)
+
+
 def test_census_law_caps(monkeypatch):
-    with pytest.raises(CapExceededError, match="int64"):
+    with pytest.raises(CapExceededError, match="200000 connected"):
         boundary_census_exact(grid_graph(7, 7), 24)
     p9 = path_graph(9)
     # 16 intervals contain vertex 4; the recurrence walks more on top.
@@ -407,5 +410,5 @@ def test_theta_monotone_in_p(n, p, bump):
 @given(st.integers(2, 5), st.floats(0.1, 0.9))
 def test_star_finite_probability_closed_form(leaves, p):
     g = star_graph(leaves)
-    exact = exact_prob(g, p, finite_cluster_event(g, 0)).value
+    exact = exact_prob(g, p, lambda c: not config_connects(g, c, 0, HORIZON)).value
     assert exact == pytest.approx((1 - p) ** leaves, abs=1e-12)

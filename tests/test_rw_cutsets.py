@@ -21,10 +21,10 @@ from percut.rw_cutsets import (
     fundamental_matrix,
     origin_midpoint,
     qn_census_rw,
-    subdivision_escape_check,
 )
 
-from corpus import CORPUS, table_for, walk_by_steps
+from corpus import CORPUS, table_for
+from oracles import subdivision_escape_check, walk_by_steps
 
 
 # ---- escape probabilities ----
