@@ -279,7 +279,7 @@ def _walk_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """``_walk_block`` over trials ``0 .. trials - 1``, in ``percolation._BLOCK_CELLS`` blocks.
 
-    Trial t walks on ``Generator(PCG64(derive_seed(seed, t)))`` for at most
+    Trial t walks on its own ``trial_generators`` stream for at most
     ``_util.MAX_STEPS`` steps, so results do not depend on the block size.  A walk holds a first-visit row, a 64-double
     buffer and a generator, whose objects take about 1.5 KB, the room of 192
     doubles.
