@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
+# Edges of the exact cluster law: its coefficients reach 2^m, priced as floats.
+EXACT_EDGE_CAP = 1000
 # Cells per block: random doubles drawn here, a walk's row, buffer and
 # generator in rw_cutsets.  It bounds memory and never changes a result.
 _BLOCK_CELLS = 1 << 20
@@ -232,12 +234,15 @@ def boundary_census_exact(
     Returns (per-boundary profiles, profile of the infinite-cluster
     event), each a list of m + 1 Python ints indexed by open-edge count;
     summing a boundary profile at p gives the exact hit probability of
-    that boundary.  Raises past ``EXACT_SET_BUDGET`` connected
-    sets, counting both the walk over S and the walks over each T.
+    that boundary.  Raises past ``EXACT_EDGE_CAP`` edges, or past
+    ``EXACT_SET_BUDGET`` connected sets, counting both the walk over S
+    and the walks over each T.
     """
     if v in graph.horizon:
         raise PreconditionError("cluster source must be off the horizon")
     m = graph.n_edges
+    if m > EXACT_EDGE_CAP:
+        raise CapExceededError(f"{m} edges exceed the {EXACT_EDGE_CAP}-edge cap of the cluster law")
     # Polynomials are evaluated at x = 2**w with w = m + 1, so coefficient k
     # sits in bits wk..wk+w-1.  Integer arithmetic on these values is exact,
     # and every polynomial read back (c_S, the profiles) has coefficients in

@@ -323,6 +323,7 @@ def census_by_sweep(graph: Graph, v: int):
 
 def boundary_hit_probability(graph: Graph, p: float, cutset: Cutset) -> EventProbability:
     """Exact probability that the source cluster's exposed boundary is this cutset."""
+    _check_p(p)
     profiles, _ = boundary_census_exact(graph, cutset.source)
     profile = profiles.get(cutset.edge_ids)
     return EventProbability(0.0 if profile is None else profile_probability(profile, p), "exact")

@@ -167,6 +167,14 @@ def test_theta_exact_set_budget_is_usage_error(capsys):
     assert "connected sets" in err
 
 
+def test_theta_exact_edge_cap_is_usage_error(capsys):
+    # Three interior sets hold vertex 3, but 1099 edges are past the edge cap.
+    argv = ["--graph", "path:1100", "--horizon", "0,4", "--vertex", "3", "--p", "0.5"]
+    code, _, err = run_cli(capsys, ["perc", "theta", *argv])
+    assert code == 1
+    assert "1000-edge cap" in err
+
+
 def test_perc_census_mc(capsys):
     code, out, _ = run_cli(
         capsys,

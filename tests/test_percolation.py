@@ -330,8 +330,8 @@ def test_census_law_past_sixty_two_edges():
 
 
 def test_census_law_caps(monkeypatch):
-    with pytest.raises(CapExceededError, match="200000 connected"):
-        boundary_census_exact(grid_graph(7, 7), 24)
+    with pytest.raises(CapExceededError, match="1000-edge cap"):
+        boundary_census_exact(path_graph(1002), 3)
     p9 = path_graph(9)
     # 16 intervals contain vertex 4; the recurrence walks more on top.
     monkeypatch.setattr(percolation, "EXACT_SET_BUDGET", 1000)
