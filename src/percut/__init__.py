@@ -18,7 +18,7 @@ _HOMES = {
             "PercutError", "PreconditionError", "TheoremViolationError",
         ),
         "graph_core": (
-            "FAMILY_BUILDERS", "HORIZON", "Graph", "SubdivisionMap", "box3d_graph",
+            "FAMILY_BUILDERS", "Graph", "SubdivisionMap", "box3d_graph",
             "cycle_graph", "grid_graph", "load_graph", "path_graph", "star_graph", "subdivide",
         ),
         "cutsets": (
@@ -27,10 +27,8 @@ _HOMES = {
             "karger_count_min_cuts", "verified_cutset",
         ),
         "frontier": ("count_minimal_cutsets",),
-        "percolation": (
-            "ClusterReport", "EventProbability", "PercConfig", "boundary_census_exact",
-            "boundary_census_mc", "cluster_report", "peierls_bound", "theta",
-        ),
+        "_util": ("EventProbability",),
+        "percolation": ("boundary_census_exact", "boundary_census_mc", "peierls_bound", "theta"),
         "fkg_chain": ("ChainedSequence", "ConnectivityOracle", "build_chain", "fkg_lower_bound"),
         "cover_lemma": (
             "SubStochasticMatrix", "covering_sum_exact", "covering_sum_mc", "delta_bound",

@@ -1,12 +1,13 @@
-"""Shared numeric helpers: seed mixing, Wilson intervals, checked solves, sweep and step caps."""
+"""Shared helpers: seed mixing, Wilson intervals, event probabilities, checked solves and caps."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import CapExceededError, NumericalError
+from .errors import CapExceededError, NumericalError, PreconditionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,6 +25,11 @@ SWEEP_EDGES = 20
 
 # Most steps a sampled walk or killed chain may take before it stops.
 MAX_STEPS = 10_000_000
+
+# Cells per block: random doubles drawn for sampled percolation, a walk's
+# row, buffer and generator in rw_cutsets.  It bounds memory and never
+# changes a result.
+_BLOCK_CELLS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,6 +161,27 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+@dataclass(frozen=True)
+class EventProbability:
+    value: float
+    method: str
+    trials: int | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+
+    def __post_init__(self):
+        if self.method not in ("exact", "monte_carlo"):
+            raise PreconditionError(f"unknown method {self.method!r}")
+        if (self.method == "monte_carlo") != (self.trials is not None):
+            raise PreconditionError("trial count present iff monte_carlo")
+
+    @classmethod
+    def sampled(cls, hits: int, trials: int) -> EventProbability:
+        """Hit frequency over ``trials`` draws with its Wilson 99% interval."""
+        lo, hi = wilson_interval(hits, trials)
+        return cls(hits / trials, "monte_carlo", trials, lo, hi)
+
+
 def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> np.ndarray:
     """Solve a x = b and refuse the answer when the residual is untrustworthy."""
     import numpy as np
@@ -170,8 +197,3 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> 
     if residual > SOLVE_RESIDUAL_REFUSE * scale:
         raise NumericalError(f"{what}: solve residual {residual:.3e} above refusal threshold")
     return x
-
-
-def fmt12(x: float) -> str:
-    """Format a float with 12 significant digits, the package-wide contract."""
-    return f"{float(x):.12g}"

@@ -28,7 +28,6 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ._util import fmt12
 from .errors import (
     CapExceededError,
     GraphStructureError,
@@ -155,7 +154,7 @@ def _numpy_type(name: str) -> tuple[type, ...]:
 def _json_value(v):
     """A scalar as ``json.dumps`` takes it: floats to 12 digits, non-finite floats as strings."""
     if isinstance(v, float):
-        return float(fmt12(v)) if math.isfinite(v) else str(v)
+        return float(_fmt12(v)) if math.isfinite(v) else str(v)
     if isinstance(v, _numpy_type("integer")):
         return int(v)
     if isinstance(v, _numpy_type("floating")):
@@ -163,8 +162,13 @@ def _json_value(v):
     return v
 
 
+def _fmt12(x: float) -> str:
+    """A float with 12 significant digits, as every record writes it."""
+    return f"{float(x):.12g}"
+
+
 def _fmt12_join(values: list[float], sep: str) -> str:
-    """``sep.join(map(fmt12, values))`` in one C-level format call."""
+    """``sep.join(map(_fmt12, values))`` in one C-level format call."""
     return sep.join(["%.12g"] * len(values)) % tuple(values)
 
 
@@ -219,7 +223,7 @@ def _csv_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return fmt12(v)
+        return _fmt12(v)
     if isinstance(v, _numpy_type("ndarray")):
         if v.dtype.kind == "f" and v.size:
             return _fmt12_join(v.ravel().tolist(), ";")
@@ -304,13 +308,12 @@ def _run_cutsets_enum(args) -> list[dict]:
 def _run_cutsets_karger(args) -> list[dict]:
     import numpy as np
 
-    from .cutsets import default_karger_trials, karger_count_min_cuts
+    from .cutsets import karger_count_min_cuts
 
     graph = _graph(args)
     seed = _require_seed(args)
-    trials = args.trials if args.trials is not None else default_karger_trials(graph.n_vertices)
     rng = np.random.Generator(np.random.PCG64(seed))
-    result = karger_count_min_cuts(graph, rng, trials)
+    result = karger_count_min_cuts(graph, rng, args.trials)
     return [
         {
             "min_cut_size": result.min_cut_size,
@@ -421,7 +424,7 @@ def _cover_common(args) -> tuple:
     from .cover_lemma import delta_bound, load_matrix_file, min_cut
 
     sub = load_matrix_file(Path(args.matrix).read_text())
-    eps = min_cut(sub) if sub.n > 1 else float("inf")
+    eps = min_cut(sub)
     delta = delta_bound(eps, sub.n) if 0.0 < eps <= 1.0 else None
     return sub, eps, delta
 
@@ -473,7 +476,7 @@ def _run_cover_verify(args) -> list[dict]:
     value = covering_sum_exact(sub)
     if delta is not None and value < delta - 1e-15:
         raise TheoremViolationError(
-            f"cover sum {fmt12(value)} below the guarantee {fmt12(delta)}"
+            f"cover sum {_fmt12(value)} below the guarantee {_fmt12(delta)}"
         )
     return [
         {

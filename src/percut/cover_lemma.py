@@ -52,9 +52,6 @@ class SubStochasticMatrix:
         self.p = p
         self.n = p.shape[0]
 
-    def kill_probability(self, state: int) -> float:
-        return max(0.0, 1.0 - float(self.p[state].sum()))
-
 
 def load_matrix_file(text: str) -> SubStochasticMatrix:
     """Parse a matrix file: first line the order, then that many rows."""

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
@@ -178,18 +178,6 @@ class QnTable:
                 if count:
                     best = max(best, _nth_root(count, n))
         return best
-
-    def count(self, v: int, n: int) -> int:
-        return self.counts.get(v, {}).get(n, 0)
-
-    def all_cutsets(self, v: int | None = None) -> Iterator[Cutset]:
-        if self.cutsets is None:
-            raise PreconditionError("this table holds counts only; list cutsets with a listing route")
-        for vertex, by_size in sorted(self.cutsets.items()):
-            if v is not None and vertex != v:
-                continue
-            for n in sorted(by_size):
-                yield from by_size[n]
 
 
 def _nth_root(count: int, n: int) -> float:

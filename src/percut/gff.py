@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import trial_generators
+from ._util import EventProbability, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, search, subdivide
-from .percolation import EventProbability
 from .rw_cutsets import escape_probabilities, fundamental_matrix
 
 _BLOCK = 4096
@@ -60,12 +59,6 @@ class GreenMatrix:
         if v not in self._index:
             raise PreconditionError(f"vertex {v} is not interior")
         return self._index[v]
-
-    def entry(self, x: int, y: int) -> float:
-        return float(self.g[self.index(x), self.index(y)])
-
-    def variance(self, x: int) -> float:
-        return self.entry(x, x)
 
     def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, len(self.interior)))

@@ -28,23 +28,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class _HorizonTarget:
-    """Sentinel meaning "any horizon vertex" as a connectivity target."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "HORIZON"
-
-
-HORIZON = _HorizonTarget()
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple connected graph with ordered edges and a horizon set.

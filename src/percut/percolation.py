@@ -12,13 +12,13 @@ through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ._util import wilson_interval
+from . import _util
+from ._util import EventProbability
 from .errors import CapExceededError, PreconditionError
 from .cutsets import QnTable, exposed_boundary
-from .graph_core import HORIZON, Graph, connected_subsets_containing, search, set_weight
+from .graph_core import Graph, connected_subsets_containing, search, set_weight
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,51 +27,6 @@ if TYPE_CHECKING:
 EXACT_SET_BUDGET = 200_000
 # Edges of the exact cluster law: its coefficients reach 2^m, priced as floats.
 EXACT_EDGE_CAP = 1000
-# Cells per block: random doubles drawn here, a walk's row, buffer and
-# generator in rw_cutsets.  It bounds memory and never changes a result.
-_BLOCK_CELLS = 1 << 20
-
-
-@dataclass(frozen=True)
-class PercConfig:
-    """One open/closed assignment, indexed by edge id."""
-
-    open_bits: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Open cluster of a source vertex; exposed boundary only when finite."""
-
-    source: int
-    cluster: frozenset[int]
-    finite: bool
-    exposed: tuple[int, ...] | None
-
-    def __post_init__(self):
-        if self.finite != (self.exposed is not None):
-            raise PreconditionError("exposed boundary present iff the cluster is finite")
-
-
-@dataclass(frozen=True)
-class EventProbability:
-    value: float
-    method: str
-    trials: int | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
-
-    def __post_init__(self):
-        if self.method not in ("exact", "monte_carlo"):
-            raise PreconditionError(f"unknown method {self.method!r}")
-        if (self.method == "monte_carlo") != (self.trials is not None):
-            raise PreconditionError("trial count present iff monte_carlo")
-
-    @classmethod
-    def sampled(cls, hits: int, trials: int) -> EventProbability:
-        """Hit frequency over ``trials`` draws with its Wilson 99% interval."""
-        lo, hi = wilson_interval(hits, trials)
-        return cls(hits / trials, "monte_carlo", trials, lo, hi)
 
 
 def _check_p(p: float) -> None:
@@ -85,6 +40,8 @@ def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[n
     Row i of the concatenated blocks is configuration i.  ``Generator.random``
     yields the same doubles however a draw is split, so the block size never
     changes a result.  Arguments are checked at the call, draws made lazily.
+    Callers turn one row at a time into an open-bit list: a whole block as
+    Python lists would outweigh the block itself.
     """
     import numpy as np
 
@@ -92,43 +49,11 @@ def _config_blocks(n_edges: int, p: float, trials: int, seed: int) -> Iterator[n
     if trials < 1:
         raise PreconditionError("trials must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    block = max(1, _BLOCK_CELLS // max(n_edges, 1))
+    block = max(1, _util._BLOCK_CELLS // max(n_edges, 1))
     return (
         rng.random((min(block, trials - done), n_edges)) < p
         for done in range(0, trials, block)
     )
-
-
-def _sampled_configs(graph: Graph, p: float, trials: int, seed: int) -> Iterator[PercConfig]:
-    # Row by row: a whole block as Python lists would outweigh the block itself.
-    blocks = _config_blocks(graph.n_edges, p, trials, seed)
-    return (PercConfig(tuple(row.tolist())) for block in blocks for row in block)
-
-
-def cluster_report(graph: Graph, config: PercConfig, v: int) -> ClusterReport:
-    """Search over open edges from v; membership stops at horizon contact."""
-    if v in graph.horizon:
-        raise PreconditionError("cluster source must be off the horizon")
-    reached, touched = search(graph, (v,), config.open_bits)
-    cluster = frozenset(reached)
-    exposed = None if touched else exposed_boundary(graph, cluster)
-    return ClusterReport(v, cluster, not touched, exposed)
-
-
-def config_connects(graph: Graph, config: PercConfig, a: int, b) -> bool:
-    """Open-path connectivity; horizon vertices absorb rather than relay."""
-    if b is HORIZON:
-        return a in graph.horizon or search(graph, (a,), config.open_bits, stop_at_horizon=True)[1]
-    if a == b:
-        return True
-    reached, _ = search(graph, (a,), config.open_bits)
-    if b in graph.horizon:
-        return any(config.open_bits[eid] and w in reached for w, eid in graph.adjacency[b])
-    return b in reached
-
-
-def connection_event(graph: Graph, a: int, b) -> Callable[[PercConfig], bool]:
-    return lambda config: config_connects(graph, config, a, b)
 
 
 def profile_probability(profile: Sequence[int], p: float) -> float:
@@ -146,14 +71,13 @@ def profile_probability(profile: Sequence[int], p: float) -> float:
     return total
 
 
-def mc_prob(
-    graph: Graph,
-    p: float,
-    event: Callable[[PercConfig], bool],
-    trials: int,
-    seed: int,
-) -> EventProbability:
-    hits = sum(1 for config in _sampled_configs(graph, p, trials, seed) if event(config))
+def mc_prob(graph: Graph, p: float, v: int, trials: int, seed: int) -> EventProbability:
+    """Share of ``trials`` sampled configurations where v's open cluster touches the horizon."""
+    hits = sum(
+        search(graph, (v,), row.tolist(), stop_at_horizon=True)[1]
+        for block in _config_blocks(graph.n_edges, p, trials, seed)
+        for row in block
+    )
     return EventProbability.sampled(hits, trials)
 
 
@@ -175,7 +99,7 @@ def theta(
     if v in graph.horizon:
         return EventProbability(1.0, "exact")
     if seed is not None:
-        return mc_prob(graph, p, connection_event(graph, v, HORIZON), trials, seed)
+        return mc_prob(graph, p, v, trials, seed)
     _check_p(p)
     _, infinite = boundary_census_exact(graph, v)
     return EventProbability(profile_probability(infinite, p), "exact")
@@ -289,12 +213,17 @@ def boundary_census_mc(
     Returns (hit counts per boundary, count of horizon-touching
     clusters); the two sides add up to the trial count.
     """
+    blocks = _config_blocks(graph.n_edges, p, trials, seed)
+    if v in graph.horizon:
+        raise PreconditionError("cluster source must be off the horizon")
     counts: dict[tuple[int, ...], int] = {}
     infinite = 0
-    for config in _sampled_configs(graph, p, trials, seed):
-        report = cluster_report(graph, config, v)
-        if report.finite:
-            counts[report.exposed] = counts.get(report.exposed, 0) + 1
-        else:
-            infinite += 1
+    for block in blocks:
+        for row in block:
+            cluster, touched = search(graph, (v,), row.tolist(), stop_at_horizon=True)
+            if touched:
+                infinite += 1
+            else:
+                key = exposed_boundary(graph, cluster)
+                counts[key] = counts.get(key, 0) + 1
     return counts, infinite

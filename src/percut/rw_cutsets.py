@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util, percolation
-from ._util import checked_solve, trial_generators
+from . import _util
+from ._util import EventProbability, checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, QnTable, _pack_table, decompose, exposed_boundary, is_minimal_cutset
+from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
-from .percolation import EventProbability
 
 DECODED = "decoded"
 NON_MIDPOINT = "non_midpoint"
@@ -277,14 +276,14 @@ def _walk_block(
 def _walk_blocks(
     graph: Graph, start: int, trials: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``_walk_block`` over trials ``0 .. trials - 1``, in ``percolation._BLOCK_CELLS`` blocks.
+    """``_walk_block`` over trials ``0 .. trials - 1``, in ``_util._BLOCK_CELLS`` blocks.
 
     Trial t walks on its own ``trial_generators`` stream for at most
     ``_util.MAX_STEPS`` steps, so results do not depend on the block size.  A walk holds a first-visit row, a 64-double
     buffer and a generator, whose objects take about 1.5 KB, the room of 192
     doubles.
     """
-    block = max(1, percolation._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
+    block = max(1, _util._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
     for lo in range(0, trials, block):
         rngs = trial_generators(seed, lo, min(trials, lo + block))
         yield _walk_block(graph, start, rngs, _util.MAX_STEPS)
@@ -327,16 +326,6 @@ class RwCensus:
     trials: int
     outcome_counts: dict[str, int]
     hits: dict[Cutset, int]
-
-    @property
-    def table(self) -> QnTable:
-        by_size: dict[int, list[Cutset]] = {}
-        for cs in self.hits:
-            by_size.setdefault(cs.size, []).append(cs)
-        return _pack_table(self.origin, by_size)
-
-    def frequency(self, cutset: Cutset) -> float:
-        return self.hits.get(cutset, 0) / self.trials
 
 
 def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwCensus:

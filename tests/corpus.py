@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from oracles import enumerate_minimal_cutsets_by_components
-from percut import Graph, QnTable
+from percut import Cutset, Graph, QnTable
 from percut.graph_core import (
     box3d_graph,
     cycle_graph,
@@ -96,6 +96,11 @@ def interior_vertices(name: str) -> tuple[int, ...]:
 def table_for(name: str, v: int) -> QnTable:
     graph = CORPUS[name]
     return enumerate_minimal_cutsets_by_components(graph, v, graph.n_edges)
+
+
+def cutsets_for(name: str, v: int) -> list[Cutset]:
+    """Every minimal cutset from v, smallest first, as ``table_for`` lists them."""
+    return [c for by_size in table_for(name, v).cutsets[v].values() for c in by_size]
 
 
 @lru_cache(maxsize=None)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from percut import _util
-from percut._util import _derived_seeds, check_sweep, checked_solve
+from percut._util import EventProbability, _derived_seeds, check_sweep, checked_solve
 from percut.cover_lemma import SubStochasticMatrix
 from percut.cutsets import (
     Cutset, QnTable, _pack_table, _require_cutset_context, decompose, exposed_boundary,
@@ -31,13 +32,10 @@ from percut.errors import (
 from percut.fkg_chain import ConnectivityOracle, fkg_lower_bound
 from percut.gff import GreenMatrix, _below, _field_blocks, cutset_frame, green, section8_pipeline
 from percut.graph_core import (
-    HORIZON, Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing,
-    search, set_weight,
+    Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, search,
+    set_weight,
 )
-from percut.percolation import (
-    EventProbability, PercConfig, _check_p, boundary_census_exact, cluster_report,
-    config_connects, connection_event, profile_probability,
-)
+from percut.percolation import _check_p, boundary_census_exact, profile_probability
 from percut.rw_cutsets import _no_return, escape_constant, escape_probabilities, fundamental_matrix
 
 # Most connected sets the component walk may visit before it gives up.
@@ -289,11 +287,23 @@ def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) ->
 # ---- the configuration sweep ----
 
 
-def config_from_mask(graph: Graph, mask: int) -> PercConfig:
-    return PercConfig(tuple(bool(mask >> i & 1) for i in range(graph.n_edges)))
+def config_from_mask(graph: Graph, mask: int) -> tuple[bool, ...]:
+    return tuple(bool(mask >> i & 1) for i in range(graph.n_edges))
 
 
-def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], object]) -> dict:
+def _connects(graph: Graph, a: int, b: int | None, is_open: tuple[bool, ...]) -> bool:
+    """Open path from a to b, or to the horizon when b is None; the horizon absorbs."""
+    if b is None:
+        return a in graph.horizon or search(graph, (a,), is_open, stop_at_horizon=True)[1]
+    if a == b:
+        return True
+    reached, _ = search(graph, (a,), is_open)
+    if b in graph.horizon:
+        return any(is_open[eid] and w in reached for w, eid in graph.adjacency[b])
+    return b in reached
+
+
+def event_popcount_profile(graph: Graph, event: Callable[[tuple[bool, ...]], object]) -> dict:
     """Configurations counted by the value ``event`` takes and by open-edge count.
 
     One sweep of all 2^m configurations, refused at once past the sweep
@@ -310,14 +320,23 @@ def event_popcount_profile(graph: Graph, event: Callable[[PercConfig], object]) 
     return profiles
 
 
-def exact_prob(graph: Graph, p: float, event: Callable[[PercConfig], bool]) -> EventProbability:
+def exact_prob(
+    graph: Graph, p: float, event: Callable[[tuple[bool, ...]], bool]
+) -> EventProbability:
     profile = event_popcount_profile(graph, event)[True]
     return EventProbability(profile_probability(profile, p), "exact")
 
 
 def census_by_sweep(graph: Graph, v: int):
     """Boundary census by sweeping all 2^m edge configurations."""
-    profiles = event_popcount_profile(graph, lambda c: cluster_report(graph, c, v).exposed)
+    if v in graph.horizon:
+        raise PreconditionError("cluster source must be off the horizon")
+
+    def exposed(config: tuple[bool, ...]) -> tuple[int, ...] | None:
+        cluster, touched = search(graph, (v,), config, stop_at_horizon=True)
+        return None if touched else exposed_boundary(graph, cluster)
+
+    profiles = event_popcount_profile(graph, exposed)
     return profiles, profiles.pop(None)
 
 
@@ -338,18 +357,18 @@ class FkgCheck:
 def fkg_spot_check(
     graph: Graph,
     p: float,
-    event_pairs: Iterable[tuple[tuple[int, object], tuple[int, object]]],
+    event_pairs: Iterable[tuple[tuple[int, int | None], tuple[int, int | None]]],
 ) -> list[FkgCheck]:
     """Exact P(A and B) >= P(A) P(B) for pairs of connection events.
 
-    Events are (a, b) descriptors with b a vertex or HORIZON.  Both are
-    increasing, so a violation beyond float noise is an implementation
-    bug and raises.
+    Events are (a, b) descriptors with b a vertex, or None for the
+    horizon.  Both are increasing, so a violation beyond float noise is
+    an implementation bug and raises.
     """
     checks = []
     for (a1, b1), (a2, b2) in event_pairs:
-        e1 = connection_event(graph, a1, b1)
-        e2 = connection_event(graph, a2, b2)
+        e1 = partial(_connects, graph, a1, b1)
+        e2 = partial(_connects, graph, a2, b2)
         joint = exact_prob(graph, p, lambda c: e1(c) and e2(c)).value
         product = exact_prob(graph, p, e1).value * exact_prob(graph, p, e2).value
         if joint < product - 1e-12:
@@ -401,8 +420,8 @@ def strong_percolation_experiment(graph: Graph, p: float, c_fit: float) -> Stron
     for s in chosen:
         members = list(s)
 
-        def miss(config: PercConfig, members=members) -> bool:
-            return all(not config_connects(graph, config, u, HORIZON) for u in members)
+        def miss(config: tuple[bool, ...], members=members) -> bool:
+            return all(not _connects(graph, u, None, config) for u in members)
 
         prob = exact_prob(graph, p, miss).value
         if prob == 0.0:
@@ -496,14 +515,15 @@ def theorem1_lower_bound_check(
     bound = fkg_lower_bound(theta, p, n) * (1.0 - p) ** n
     outside = frozenset(range(graph.n_vertices)) - decomp.component_a
 
-    def implied(config: PercConfig) -> bool | None:
+    def implied(config: tuple[bool, ...]) -> bool | None:
         """None off the premise; on it, whether the exposed boundary is the cutset."""
-        if any(config.open_bits[e] for e in cutset.edge_ids):
+        if any(config[e] for e in cutset.edge_ids):
             return None
         # Keeping out of ``outside`` confines the search to induced edges.
-        if not targets <= search(graph, (origin,), config.open_bits, avoid=outside)[0]:
+        if not targets <= search(graph, (origin,), config, avoid=outside)[0]:
             return None
-        return cluster_report(graph, config, origin).exposed == cutset.edge_ids
+        cluster, touched = search(graph, (origin,), config, stop_at_horizon=True)
+        return not touched and exposed_boundary(graph, cluster) == cutset.edge_ids
 
     profiles = event_popcount_profile(graph, implied)
     failures = int(profiles[False].sum())

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from corpus import CORPUS, all_pairs, census_for, interior_vertices, table_for
+from corpus import CORPUS, all_pairs, census_for, cutsets_for, interior_vertices, table_for
 from oracles import (
     Multigraph, bruteforce_tail_bound, covering_sum_bruteforce, derive_seed,
     eulerian_from_two_trees, markov_check, subdivision_escape_check,
@@ -109,7 +109,7 @@ def test_criterion_02_sandwiched_sets_share_the_exposed_boundary(verdict):
     bad = 0
     for name, v in all_pairs():
         graph = CORPUS[name]
-        for cs in table_for(name, v).all_cutsets(v):
+        for cs in cutsets_for(name, v):
             decomp = decompose(graph, cs)
             core = set(decomp.inner_b) | {v}
             free = sorted(decomp.component_a - core)
@@ -195,7 +195,7 @@ def test_criterion_05_joint_connection_beats_the_chain_bound(verdict):
     bad = 0
     for name, v in all_pairs():
         graph = CORPUS[name]
-        for cs in table_for(name, v).all_cutsets(v):
+        for cs in cutsets_for(name, v):
             decomp = decompose(graph, cs)
             region = tuple(sorted(decomp.component_a))
             targets = tuple(sorted(decomp.inner_b))
@@ -224,7 +224,7 @@ def test_criterion_06_boundary_hit_probability_beats_the_closed_ring_bound(verdi
     for name, v in all_pairs():
         graph = CORPUS[name]
         profiles, infinite = census_for(name, v)
-        decomps = [decompose(graph, cs) for cs in table_for(name, v).all_cutsets(v)]
+        decomps = [decompose(graph, cs) for cs in cutsets_for(name, v)]
         for p in (0.3, 0.7):
             total = 0.0
             for decomp in decomps:
@@ -353,7 +353,7 @@ def test_criterion_09_subdivision_identities_and_crossing_floors(verdict):
         if any(w < rep.eps_derived_floor - 1e-12 for w in rep.weighted_escape.values()):
             floor_bad += 1
         for v in interior_vertices(name):
-            for cs in table_for(name, v).all_cutsets(v):
+            for cs in cutsets_for(name, v):
                 cm = crossing_matrix(sd, cs)
                 if float(np.max(np.abs(cm.p - cm.p.T))) > 1e-9:
                     sym_bad += 1
@@ -382,7 +382,7 @@ def test_criterion_10_walk_census_recovers_exact_cutset_tables(verdict):
         if v is None:
             v = interior_vertices(name)[0]
         census = qn_census_rw(subdivide(graph, 2), v, 100_000, SEED)
-        exact_ids = {cs.edge_ids for cs in table_for(name, v).all_cutsets(v)}
+        exact_ids = {cs.edge_ids for cs in cutsets_for(name, v)}
         decoded_ids = {cs.edge_ids for cs in census.hits}
         if decoded_ids != exact_ids:
             bad.append(f"{name}: decoded {sorted(decoded_ids)} != exact {sorted(exact_ids)}")
@@ -412,7 +412,7 @@ def test_criterion_11_field_identities_covariance_and_pipeline(verdict):
         esc = escape_probabilities(graph)
         for x in gm.interior:
             d_x = len(graph.adjacency[x])
-            if abs(gm.entry(x, x) * d_x * esc[x] - 1.0) > 1e-9:
+            if abs(gm.g[gm.index(x), gm.index(x)] * d_x * esc[x] - 1.0) > 1e-9:
                 diag_bad += 1
         subsets = [{x} for x in gm.interior]
         if len(gm.interior) >= 2:
@@ -432,7 +432,7 @@ def test_criterion_11_field_identities_covariance_and_pipeline(verdict):
     pipeline_bad = 0
     for name, v, trials, seed in [("pendant3", 3, 30_000, 77), ("path5", 2, 20_000, 78)]:
         graph = CORPUS[name]
-        for cs in table_for(name, v).all_cutsets(v):
+        for cs in cutsets_for(name, v):
             try:
                 rep = section8_pipeline(graph, cs, trials, seed)
             except Exception:

@@ -12,8 +12,7 @@ import pytest
 
 import percut
 from percut import cli
-from percut._util import fmt12
-from percut.cli import main, resolve_graph
+from percut.cli import _fmt12 as fmt12, main, resolve_graph
 from percut.errors import NumericalError, TheoremViolationError
 from percut.gff import green
 

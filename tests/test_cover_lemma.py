@@ -36,8 +36,8 @@ THREE = SubStochasticMatrix(
 def test_matrix_basics():
     m = uniform_matrix(2, 0.25)
     assert m.n == 2
-    assert m.kill_probability(0) == pytest.approx(0.5)
-    assert m.kill_probability(1) == pytest.approx(0.5)
+    assert 1.0 - m.p[0].sum() == pytest.approx(0.5)
+    assert 1.0 - m.p[1].sum() == pytest.approx(0.5)
 
 
 def test_matrix_averages_tiny_asymmetry():

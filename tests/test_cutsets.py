@@ -19,7 +19,7 @@ from percut.cutsets import (
 from percut.errors import PreconditionError
 from percut.graph_core import connected_subsets_containing, cycle_graph
 
-from corpus import CORPUS, table_for
+from corpus import CORPUS, cutsets_for, table_for
 from oracles import enumerate_minimal_cutsets_by_components
 
 
@@ -69,7 +69,7 @@ def test_minimality_kernel_agrees_and_restores_open_bits():
         is_open = [True] * g.n_edges
         for v in g.interior:
             # The component walk's cutsets are minimal; random subsets mostly are not.
-            cutsets = [c.edge_ids for c in table_for(name, v).all_cutsets(v)]
+            cutsets = [c.edge_ids for c in cutsets_for(name, v)]
             randoms = [
                 tuple(int(e) for e in np.flatnonzero(rng.random(g.n_edges) < rng.random()))
                 for _ in range(40)
@@ -104,7 +104,7 @@ def test_decompose_p5():
 def test_decompose_every_corpus_cutset():
     for name, g in CORPUS.items():
         for v in g.interior:
-            for c in table_for(name, v).all_cutsets():
+            for c in cutsets_for(name, v):
                 d = decompose(g, c)
                 assert v in d.component_a
                 assert d.inner_b <= d.component_a
@@ -134,7 +134,7 @@ def test_sandwiched_sets_share_exposed_boundary():
     for name in ("path9", "theta6", "k4_pair", "rand14"):
         g = CORPUS[name]
         for v in g.interior:
-            for c in table_for(name, v).all_cutsets():
+            for c in cutsets_for(name, v):
                 d = decompose(g, c)
                 free = sorted(d.component_a - d.inner_b - {v})
                 for _ in range(8):
@@ -202,8 +202,7 @@ def test_enumeration_outputs_are_minimal_and_sorted():
     for name in ("k4", "wheel5", "cube_corner"):
         g = CORPUS[name]
         v = g.interior[0]
-        table = table_for(name, v)
-        for c in table.all_cutsets():
+        for c in cutsets_for(name, v):
             assert is_minimal_cutset(g, c.edge_ids, v)
             assert c.edge_ids == tuple(sorted(c.edge_ids))
             assert c.source == v

@@ -9,7 +9,7 @@ from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError
 from percut.fkg_chain import ConnectivityOracle, build_chain, fkg_lower_bound
 
-from corpus import CORPUS, table_for
+from corpus import CORPUS, cutsets_for
 from oracles import theorem1_lower_bound_check, verify_full_connectivity
 
 
@@ -155,7 +155,7 @@ def test_chain_guarantees_on_corpus_decompositions():
     for name in ("path7", "theta6", "grid3x3_corners"):
         g = CORPUS[name]
         v = g.interior[0]
-        for cutset in list(table_for(name, v).all_cutsets())[:4]:
+        for cutset in cutsets_for(name, v)[:4]:
             d = decompose(g, cutset)
             for p in (0.3, 0.7):
                 chain = build_chain(g, d.component_a, d.inner_b, v, p=p)

@@ -36,8 +36,8 @@ def test_green_p5():
     gm = green(path_graph(5))
     assert gm.interior == (1, 2, 3)
     assert gm.g == pytest.approx(P5_GREEN, abs=1e-12)
-    assert gm.variance(2) == pytest.approx(1.0, abs=1e-12)
-    assert gm.entry(1, 3) == pytest.approx(0.25, abs=1e-12)
+    assert gm.g[gm.index(2), gm.index(2)] == pytest.approx(1.0, abs=1e-12)
+    assert gm.g[gm.index(1), gm.index(3)] == pytest.approx(0.25, abs=1e-12)
     assert not gm.jitter_used
 
 
@@ -46,7 +46,7 @@ def test_green_diagonal_identity_on_corpus():
         gm = green(g)
         escape = escape_probabilities(g)
         for v in gm.interior:
-            product = gm.variance(v) * g.degree(v) * escape[v]
+            product = gm.g[gm.index(v), gm.index(v)] * g.degree(v) * escape[v]
             assert abs(product - 1.0) <= 1e-9, name
         assert float(np.max(np.abs(gm.g - gm.g.T))) <= 1e-9
 
@@ -128,7 +128,7 @@ def test_variance_bounded_by_escape_floor():
         gm = green(g)
         eps = escape_constant(g, escape_probabilities(g))
         for v in gm.interior:
-            assert gm.variance(v) <= 1.0 / eps + 1e-9
+            assert gm.g[gm.index(v), gm.index(v)] <= 1.0 / eps + 1e-9
 
 
 # ---- level-set clusters ----
@@ -202,12 +202,12 @@ def test_cutset_frame_p5_wide_component():
 
 
 def test_cutset_frame_structure_on_corpus():
-    from corpus import table_for
+    from corpus import cutsets_for
 
     for name in ("pendant3", "theta6", "k4"):
         g = CORPUS[name]
         v = g.interior[0]
-        for cutset in list(table_for(name, v).all_cutsets())[:3]:
+        for cutset in cutsets_for(name, v)[:3]:
             frame = cutset_frame(g, cutset)
             assert len(frame.x_vertices) == cutset.size
             assert v in frame.component

@@ -1,32 +1,33 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from percut import HORIZON, Graph, QnTable, fkg_chain, grid_graph, path_graph, percolation, star_graph
+from percut import Graph, QnTable, _util, fkg_chain, grid_graph, path_graph, percolation, star_graph
 from percut._util import SWEEP_EDGES
-from percut.cutsets import Cutset, enumerate_minimal_cutsets_bruteforce, verified_cutset
+from percut.cutsets import (
+    Cutset, enumerate_minimal_cutsets_bruteforce, exposed_boundary, verified_cutset,
+)
 from percut.errors import CapExceededError, PreconditionError
 from percut.frontier import count_minimal_cutsets
 from percut.fkg_chain import ConnectivityOracle
+from percut.graph_core import search
 from percut.percolation import (
-    _sampled_configs,
+    _config_blocks,
     boundary_census_exact,
     boundary_census_mc,
-    cluster_report,
-    config_connects,
-    connection_event,
     mc_prob,
     peierls_bound,
     profile_probability,
     theta,
 )
 
-from corpus import CORPUS, broom, table_for
+from corpus import CORPUS, broom, cutsets_for, table_for
 from oracles import (
-    boundary_hit_probability, census_by_sweep, config_from_mask, event_popcount_profile, exact_prob,
-    fkg_spot_check, strong_percolation_experiment, theorem1_lower_bound_check,
+    _connects, boundary_hit_probability, census_by_sweep, config_from_mask, event_popcount_profile,
+    exact_prob, fkg_spot_check, strong_percolation_experiment, theorem1_lower_bound_check,
     verify_full_connectivity,
 )
 
@@ -36,47 +37,47 @@ from oracles import (
 
 def test_config_from_mask_bit_order():
     c = config_from_mask(path_graph(5), 0b0101)
-    assert c.open_bits == (True, False, True, False)
-    assert sum(c.open_bits) == 2
-    assert c.open_bits[0] and not c.open_bits[1]
+    assert c == (True, False, True, False)
+    assert sum(c) == 2
+    assert c[0] and not c[1]
 
 
 def test_sampled_configs_shape():
-    configs = list(_sampled_configs(path_graph(5), 0.5, 3, seed=0))
+    configs = [row.tolist() for block in _config_blocks(4, 0.5, 3, seed=0) for row in block]
     assert len(configs) == 3
     for c in configs:
-        assert len(c.open_bits) == 4
-        assert all(type(b) is bool for b in c.open_bits)
+        assert len(c) == 4
+        assert all(type(b) is bool for b in c)
 
 
 def test_cluster_report_p5_all_open():
     p5 = path_graph(5)
-    report = cluster_report(p5, config_from_mask(p5, 0b1111), 2)
-    assert not report.finite
+    _, touched = search(p5, (2,), config_from_mask(p5, 0b1111))
+    assert touched
 
 
 def test_cluster_report_p5_island():
     p5 = path_graph(5)
-    report = cluster_report(p5, config_from_mask(p5, 0b0110), 2)
-    assert report.finite
-    assert report.cluster == frozenset({1, 2, 3})
-    assert report.exposed == (0, 3)
+    cluster, touched = search(p5, (2,), config_from_mask(p5, 0b0110))
+    assert not touched
+    assert cluster == {1, 2, 3}
+    assert exposed_boundary(p5, cluster) == (0, 3)
 
 
 def test_cluster_report_isolated_source():
     p5 = path_graph(5)
-    report = cluster_report(p5, config_from_mask(p5, 0b1001), 2)
-    assert report.finite
-    assert report.cluster == frozenset({2})
-    assert report.exposed == (1, 2)
+    cluster, touched = search(p5, (2,), config_from_mask(p5, 0b1001))
+    assert not touched
+    assert cluster == {2}
+    assert exposed_boundary(p5, cluster) == (1, 2)
 
 
 def test_config_connects():
     p5 = path_graph(5)
     c = config_from_mask(p5, 0b0011)
-    assert config_connects(p5, c, 2, 0)
-    assert not config_connects(p5, c, 2, 4)
-    assert config_connects(p5, c, 2, HORIZON)
+    assert _connects(p5, 2, 0, c)
+    assert not _connects(p5, 2, 4, c)
+    assert _connects(p5, 2, None, c)
 
 
 # ---- exact probabilities ----
@@ -96,7 +97,7 @@ def test_theta_horizon_vertex_is_one():
 
 def test_finite_cluster_star3():
     g = CORPUS["star3"]
-    finite = exact_prob(g, 0.5, lambda c: not config_connects(g, c, 0, HORIZON))
+    finite = exact_prob(g, 0.5, lambda c: not _connects(g, 0, None, c))
     assert finite.value == pytest.approx(1 / 8, abs=1e-15)
 
 
@@ -104,7 +105,7 @@ def test_profile_probability_single_edge_event():
     # "Edge 0 open" has probability p for every p; the profile route
     # must reproduce that exactly.
     p5 = path_graph(5)
-    profile = event_popcount_profile(p5, lambda c: c.open_bits[0])[True]
+    profile = event_popcount_profile(p5, lambda c: c[0])[True]
     for p in (0.1, 0.5, 0.9):
         assert profile_probability(profile, p) == pytest.approx(p, abs=1e-12)
 
@@ -115,7 +116,7 @@ _REGION_44 = tuple(v for v in range(16) if v != 1)
 SWEEP_ENTRY_POINTS = {
     "event_popcount_profile": lambda g: event_popcount_profile(g, lambda c: True),
     "exact_prob": lambda g: exact_prob(g, 0.5, lambda c: True),
-    "fkg_spot_check": lambda g: fkg_spot_check(g, 0.5, [((5, HORIZON), (6, HORIZON))]),
+    "fkg_spot_check": lambda g: fkg_spot_check(g, 0.5, [((5, None), (6, None))]),
     "strong_percolation_experiment": lambda g: strong_percolation_experiment(g, 0.5, 0.1),
     "ConnectivityOracle": lambda g: ConnectivityOracle(g, _REGION_44, 0.5),
     "verify_full_connectivity": lambda g: verify_full_connectivity(g, _REGION_44, (0, 15), 5, 0.5),
@@ -143,7 +144,7 @@ def test_sweep_cap(entry, monkeypatch):
 
 def test_complementary_profiles_sum_to_one():
     p5 = path_graph(5)
-    ev = connection_event(p5, 2, HORIZON)
+    ev = partial(_connects, p5, 2, None)
     a = event_popcount_profile(p5, ev)[True]
     b = event_popcount_profile(p5, lambda c: not ev(c))[True]
     for p in (0.2, 0.5, 0.8):
@@ -156,21 +157,28 @@ def test_complementary_profiles_sum_to_one():
 
 def test_mc_prob_reproducible_and_calibrated():
     p5 = path_graph(5)
-    ev = connection_event(p5, 2, HORIZON)
-    got = mc_prob(p5, 0.5, ev, 20_000, seed=101)
-    again = mc_prob(p5, 0.5, ev, 20_000, seed=101)
+    got = mc_prob(p5, 0.5, 2, 20_000, seed=101)
+    again = mc_prob(p5, 0.5, 2, 20_000, seed=101)
     assert got == again
     assert got.method == "monte_carlo"
     assert got.trials == 20_000
     assert got.ci_low <= 7 / 16 <= got.ci_high
 
 
+def test_sampled_theta_is_the_readme_record():
+    # The README's seeded theta example, pinned to the configuration stream.
+    got = theta(grid_graph(4, 4), 0.6, 5, 20_000, seed=7)
+    assert (got.value, got.method, got.trials) == (0.97005, "monte_carlo", 20_000)
+    assert f"{got.ci_low:.12g}" == "0.966786175952"
+    assert f"{got.ci_high:.12g}" == "0.973002054161"
+
+
 def test_mc_prob_rejects_bad_args():
     p5 = path_graph(5)
     with pytest.raises(PreconditionError):
-        mc_prob(p5, 1.5, lambda c: True, 10, seed=0)
+        mc_prob(p5, 1.5, 2, 10, seed=0)
     with pytest.raises(PreconditionError):
-        mc_prob(p5, 0.5, lambda c: True, 0, seed=0)
+        mc_prob(p5, 0.5, 2, 0, seed=0)
 
 
 def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
@@ -180,16 +188,16 @@ def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
     def draw():
         oracle = ConnectivityOracle(g, region, 0.6, trials=1000, seed=3)
         return (
-            mc_prob(g, 0.6, connection_event(g, 5, HORIZON), 1000, seed=11),
+            mc_prob(g, 0.6, 5, 1000, seed=11),
             boundary_census_mc(g, 5, 0.6, 1000, seed=12),
             oracle._labels.tolist(),
             [oracle.connect_prob(u, (11,)) for u in region],
         )
 
-    assert percolation._BLOCK_CELLS >= 1000 * g.n_edges  # the default draws one block
+    assert _util._BLOCK_CELLS >= 1000 * g.n_edges  # the default draws one block
     default = draw()
     # 2 rows of 24 edges, 10 of the oracle's 5 induced edges.
-    monkeypatch.setattr(percolation, "_BLOCK_CELLS", 50)
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", 50)
     assert draw() == default
 
 
@@ -205,7 +213,7 @@ def test_peierls_star3_tight():
     g = CORPUS["star3"]
     table = table_for("star3", 0)
     bound = peierls_bound(table, 0.5)
-    exact = exact_prob(g, 0.5, lambda c: not config_connects(g, c, 0, HORIZON)).value
+    exact = exact_prob(g, 0.5, lambda c: not _connects(g, 0, None, c)).value
     assert bound == pytest.approx(1 / 8, abs=1e-12)
     assert exact == pytest.approx(bound, abs=1e-12)
 
@@ -216,7 +224,7 @@ def test_peierls_dominates_on_sample():
         for v in g.interior:
             table = table_for(name, v)
             for p in (0.3, 0.6, 0.9):
-                exact = exact_prob(g, p, lambda c: not config_connects(g, c, v, HORIZON)).value
+                exact = exact_prob(g, p, lambda c: not _connects(g, v, None, c)).value
                 assert exact <= peierls_bound(table, p, v) + 1e-12
 
 
@@ -262,7 +270,7 @@ def test_census_every_boundary_is_minimal():
         g = CORPUS[name]
         for v in g.interior:
             profiles, _ = boundary_census_exact(g, v)
-            recorded = {c.edge_ids for c in table_for(name, v).all_cutsets()}
+            recorded = {c.edge_ids for c in cutsets_for(name, v)}
             assert set(profiles) <= recorded
 
 
@@ -352,6 +360,12 @@ def test_census_mc_agrees_with_exact():
     assert infinite / 20_000 == pytest.approx(7 / 16, abs=0.02)
 
 
+def test_census_mc_stream_is_pinned():
+    counts, infinite = boundary_census_mc(path_graph(5), 2, 0.5, 20_000, seed=33)
+    assert counts == {(1, 2): 4986, (0, 2): 2521, (1, 3): 2458, (0, 3): 1252}
+    assert infinite == 8783
+
+
 # ---- positive association ----
 
 
@@ -360,7 +374,7 @@ def test_fkg_spot_check_p5():
     checks = fkg_spot_check(
         p5,
         0.5,
-        [((1, HORIZON), (3, HORIZON)), ((2, 0), (2, 4)), ((1, 3), (2, HORIZON))],
+        [((1, None), (3, None)), ((2, 0), (2, 4)), ((1, 3), (2, None))],
     )
     assert len(checks) == 3
     for check in checks:
@@ -410,5 +424,5 @@ def test_theta_monotone_in_p(n, p, bump):
 @given(st.integers(2, 5), st.floats(0.1, 0.9))
 def test_star_finite_probability_closed_form(leaves, p):
     g = star_graph(leaves)
-    exact = exact_prob(g, p, lambda c: not config_connects(g, c, 0, HORIZON)).value
+    exact = exact_prob(g, p, lambda c: not _connects(g, 0, None, c)).value
     assert exact == pytest.approx((1 - p) ** leaves, abs=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import _util, path_graph, percolation
-from percut._util import trial_generators
+from percut import _util, path_graph
+from percut._util import EventProbability, trial_generators
 from percut.cutsets import verified_cutset
 from percut.errors import CapExceededError, PreconditionError
 from percut.graph_core import grid_graph, subdivide
@@ -23,7 +23,7 @@ from percut.rw_cutsets import (
     qn_census_rw,
 )
 
-from corpus import CORPUS, table_for
+from corpus import CORPUS, cutsets_for
 from oracles import subdivision_escape_check, walk_by_steps
 
 
@@ -98,7 +98,7 @@ def test_escape_mc_counts_walks_that_never_return(name, graph, v, walks):
     taus = [walk_by_steps(graph, v, rng, 10_000_000)[2] for rng in trial_generators(4, 0, walks)]
     escaped = taus.count(0)
     assert 0 < escaped < walks
-    assert est == percolation.EventProbability.sampled(escaped, walks)
+    assert est == EventProbability.sampled(escaped, walks)
 
 
 def test_escape_mc_step_cap(monkeypatch):
@@ -170,7 +170,7 @@ def test_crossing_matrix_symmetry_and_floor_on_corpus():
         g = CORPUS[name]
         sd = subdivide(g, 2)
         for v in g.interior:
-            for cutset in list(table_for(name, v).all_cutsets())[:3]:
+            for cutset in cutsets_for(name, v)[:3]:
                 cm = crossing_matrix(sd, cutset)
                 assert np.max(np.abs(cm.p - cm.p.T)) <= 1e-9
                 if len(cm.vertices) > 1:
@@ -232,8 +232,8 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
         if cutset is not None:
             want_hits[cutset] = want_hits.get(cutset, 0) + 1
     one_block = qn_census_rw(sd, origin, walks, seed=9)
-    assert percolation._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
-    monkeypatch.setattr(percolation, "_BLOCK_CELLS", 7 * (sd.derived.n_vertices + 256))
+    assert _util._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", 7 * (sd.derived.n_vertices + 256))
     small_blocks = qn_census_rw(sd, origin, walks, seed=9)
     for census in (one_block, small_blocks):
         assert census.outcome_counts == want_outcomes
@@ -256,12 +256,12 @@ def test_census_p5_recovers_exact_table():
     census = qn_census_rw(subdivide(p5, 2), 2, trials=4_000, seed=11)
     assert census.trials == 4_000
     assert sum(census.outcome_counts.values()) == 4_000
-    want = {c.edge_ids for c in table_for("path5", 2).all_cutsets()}
+    want = {c.edge_ids for c in cutsets_for("path5", 2)}
     got = {c.edge_ids for c in census.hits}
     assert got == want
-    assert census.table.counts[2] == {2: 4}
+    assert [c.size for c in census.hits] == [2] * 4
     for c, count in census.hits.items():
-        assert census.frequency(c) == count / 4_000
+        assert census.hits[c] / census.trials == count / 4_000
     assert census.outcome_counts[ABORTED] == 0
 
 

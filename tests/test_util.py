@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from percut._util import _seed_words, checked_solve, fmt12, trial_generators, wilson_interval
+from percut._util import _seed_words, checked_solve, trial_generators, wilson_interval
+from percut.cli import _fmt12 as fmt12
 from percut.errors import NumericalError
 
 from oracles import derive_seed
