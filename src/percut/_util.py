@@ -183,7 +183,13 @@ class EventProbability:
 
 
 def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> np.ndarray:
-    """Solve a x = b and refuse the answer when the residual is untrustworthy."""
+    """Solve a x = b and refuse the answer when the residual is untrustworthy.
+
+    ``b`` is one right-hand side or a matrix of them.  A 3-D ``a`` is a
+    stack of systems with ``b`` stacked the same way (one column matrix
+    each, as ``np.linalg.solve`` takes them); each system's residual is
+    held to the rule against its own right-hand side.
+    """
     import numpy as np
 
     a = np.asarray(a, dtype=float)
@@ -192,8 +198,11 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> 
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what}: singular matrix ({exc})") from exc
-    residual = np.max(np.abs(a @ x - b)) if b.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if residual > SOLVE_RESIDUAL_REFUSE * scale:
-        raise NumericalError(f"{what}: solve residual {residual:.3e} above refusal threshold")
+    per_system = tuple(range(a.ndim - 2, b.ndim))
+    residual = np.abs(a @ x - b).max(axis=per_system, initial=0.0)
+    scale = np.maximum(1.0, np.abs(b).max(axis=per_system, initial=0.0))
+    refused = residual > SOLVE_RESIDUAL_REFUSE * scale
+    if refused.any():
+        worst = float(residual[refused].max())
+        raise NumericalError(f"{what}: solve residual {worst:.3e} above refusal threshold")
     return x

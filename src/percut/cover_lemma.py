@@ -24,8 +24,8 @@ from .errors import CapExceededError, PreconditionError
 ASYMMETRY_TOL = 1e-9
 # Most states each exhaustive route accepts: the 2^n split sweep of min_cut
 # and the (state, visited-set) recursion.
-MAX_CUT_STATES = 16
-MAX_EXACT_STATES = 12
+MAX_CUT_STATES = 22
+MAX_EXACT_STATES = 16
 
 
 class SubStochasticMatrix:
@@ -82,19 +82,55 @@ def min_cut(sub: SubStochasticMatrix) -> float:
     For each non-empty proper subset I, sum p(i, j) over i in I, j
     outside.  A single state has no nontrivial split; the minimum over
     the empty collection is infinity.
+
+    A subset is a low half (the first n // 2 states) and a high half.
+    Per target j, the mass into j from each half's subsets is a table
+    built by adding one row of p at a time, and a subset's mass into j is
+    its two halves' entries added.  Adding those over the targets outside
+    I, in target order, gives its cut; every term is non-negative, and no
+    value depends on how the subsets are split into blocks of at most
+    ``_util._BLOCK_CELLS`` cells.
     """
     n = sub.n
     if n > MAX_CUT_STATES:
         raise CapExceededError(f"{n} states exceed the exhaustive cut cap {MAX_CUT_STATES}")
     if n == 1:
         return float("inf")
-    best = float("inf")
     p = sub.p
-    for mask in range(1, (1 << n) - 1):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        best = min(best, float(p[np.ix_(inside, outside)].sum()))
+    low = n // 2
+    mass_lo, out_lo = _subset_mass(p[:low])
+    mass_hi, out_hi = _subset_mass(p[low:])
+    n_hi = 1 << (n - low)
+    step = max(1, _util._BLOCK_CELLS // (n << low))
+    best = float("inf")
+    for start in range(0, n_hi, step):
+        his = slice(start, min(start + step, n_hi))
+        cut = np.zeros((his.stop - start, 1 << low))
+        for j in range(n):
+            into = mass_hi[j, his, None] + mass_lo[j]
+            cut += into * (out_lo[j] if j < low else out_hi[j - low, his, None])
+        if start == 0:
+            cut[0, 0] = np.inf  # the empty set
+        if his.stop == n_hi:
+            cut[-1, -1] = np.inf  # every state
+        best = min(best, float(cut.min()))
     return best
+
+
+def _subset_mass(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For k rows of p over n targets: (mass, outside), each indexed [j, subset].
+
+    ``mass[j, s]`` sums row i's entry j over the rows i in subset s, added
+    in row order; ``outside[j, s]`` is 1.0 when subset s omits row j
+    (j < k) and 0.0 when it holds it.
+    """
+    k, n = rows.shape
+    mass = np.zeros((n, 1))
+    for i in range(k):
+        mass = np.concatenate([mass, mass + rows[i][:, None]], axis=1)
+    subsets = np.arange(1 << k)
+    outside = (subsets >> np.arange(k)[:, None] & 1 == 0).astype(float)
+    return mass, outside
 
 
 def delta_bound(epsilon: float, n: int) -> float:
@@ -135,6 +171,11 @@ def covering_sum_exact(sub: SubStochasticMatrix) -> float:
     probability of state 0, a single linear solve; incomplete sets feed
     on the completed ones.  States that cannot leak out of the current
     set contribute zero, which also keeps every solve non-singular.
+
+    The sets holding state 0 are taken a size at a time, largest first,
+    and all systems of one size are solved in one stacked call.  A
+    state that cannot leak gets an identity row and a zero right-hand
+    side, and its value is then set to exactly zero.
     """
     n = sub.n
     if n > MAX_EXACT_STATES:
@@ -156,33 +197,39 @@ def covering_sum_exact(sub: SubStochasticMatrix) -> float:
             x[v] = sol[i]
     g_full = p[:, 0] + p[:, others] @ x[others] if others else p[:, 0].copy()
 
-    h: dict[tuple[int, int], float] = {(u, full): float(g_full[u]) for u in range(n)}
-    masks = sorted(
-        (m for m in range(1, full) if m & 1), key=lambda m: -m.bit_count()
-    )
-    for mask in masks:
-        states = [u for u in range(n) if mask >> u & 1]
-        outside = [v for v in range(n) if not mask >> v & 1]
-        b = np.zeros(len(states))
-        for i, u in enumerate(states):
-            b[i] = sum(p[u, v] * h[(v, mask | (1 << v))] for v in outside if p[u, v] > 0.0)
-        leaking = [
-            u
-            for u in states
-            if p[u].sum() < 1.0 - 1e-12 or any(p[u, v] > 0.0 for v in outside)
-        ]
-        live = _reaches(adj, states, leaking)
-        order = sorted(live)
-        vals = np.zeros(len(states))
-        if order:
-            idx = {u: i for i, u in enumerate(states)}
-            sul = np.eye(len(order)) - p[np.ix_(order, order)]
-            sol = checked_solve(sul, np.array([b[idx[u]] for u in order]), "covering set system")
-            for i, u in enumerate(order):
-                vals[idx[u]] = sol[i]
-        for i, u in enumerate(states):
-            h[(u, mask)] = float(vals[i])
-    return h[(0, 1)] if n > 1 else float(g_full[0])
+    # h[mask, u]: the weight still to come from state u with ``mask`` visited.
+    h = np.zeros((full + 1, n))
+    h[full] = g_full
+    states = np.arange(n)
+    positive = p > 0.0
+    stochastic = p.sum(axis=1) >= 1.0 - 1e-12
+    masks = np.arange(1, full, 2)
+    sizes = np.bitwise_count(masks)
+    for k in range(n - 1, 0, -1):
+        level = masks[sizes == k]
+        inside = (level[:, None] >> states & 1).astype(bool)
+        members = np.nonzero(inside)[1].reshape(-1, k)
+        rows = np.arange(level.size)[:, None]
+        # Weight through each first step out of the set, to every state.
+        onward = h[level[:, None] | 1 << states, states]
+        onward[inside] = 0.0
+        rhs = (onward @ p.T)[rows, members]
+        exits = (~inside).astype(float) @ positive.T > 0.0
+        leaking = ~stochastic[members] | exits[rows, members]
+        within = positive[members[:, :, None], members[:, None, :]]
+        live = leaking
+        while True:
+            grown = live | (within & live[:, None, :]).any(axis=2)
+            if (grown == live).all():
+                break
+            live = grown
+        a = np.eye(k) - p[members[:, :, None], members[:, None, :]]
+        a[~live] = np.eye(k)[np.nonzero(~live)[1]]
+        rhs[~live] = 0.0
+        vals = checked_solve(a, rhs[:, :, None], "covering set system")[:, :, 0]
+        vals[~live] = 0.0
+        h[level[:, None], members] = vals
+    return float(h[1, 0])
 
 
 # ---- simulation ----

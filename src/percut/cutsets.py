@@ -1,18 +1,17 @@
 """Minimal edge cutsets separating a vertex from the horizon.
 
 Two routes give the table of minimal cutsets by size: a powerset sweep
-that lists them, testing minimality edge by edge, and ``frontier``'s
-bond-state DP, which counts them without listing any and is the command
-line's default.  The two must agree exactly.
+that lists them, testing all 2^m edge subsets at once on bitsets, and
+``frontier``'s bond-state DP, which counts them without listing any and is
+the command line's default.  The two must agree exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
@@ -93,31 +92,17 @@ def is_minimal_cutset(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:
     m = graph.n_edges
     if not all(0 <= eid < m for eid in removed):
         return False  # an edge the graph lacks is never needed to strand v
-    return _strands_minimally(graph, removed, v, [True] * m)
-
-
-def _strands_minimally(
-    graph: Graph, removed: Collection[int], v: int, is_open: list[bool]
-) -> bool:
-    """``is_minimal_cutset`` for distinct edge ids of the graph, on the caller's open bits.
-
-    ``is_open`` must be all True; it is all True again on return, so one
-    list serves every call of a sweep.
-    """
-    for eid in removed:
-        is_open[eid] = False
+    is_open = [eid not in removed for eid in range(m)]
     # Removing the set strands v, and putting back any one edge frees it.
-    minimal = not search(graph, (v,), is_open, stop_at_horizon=True)[1]
-    if minimal:
-        for eid in removed:
-            is_open[eid] = True
-            minimal = search(graph, (v,), is_open, stop_at_horizon=True)[1]
-            is_open[eid] = False
-            if not minimal:
-                break
+    if search(graph, (v,), is_open, stop_at_horizon=True)[1]:
+        return False
     for eid in removed:
         is_open[eid] = True
-    return minimal
+        freed = search(graph, (v,), is_open, stop_at_horizon=True)[1]
+        is_open[eid] = False
+        if not freed:
+            return False
+    return True
 
 
 def verified_cutset(graph: Graph, edge_ids: Iterable[int], source: int) -> Cutset:
@@ -198,19 +183,80 @@ def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:
 
 
 def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> QnTable:
-    """Powerset sweep: test every edge subset of size up to ``n_max``."""
+    """Powerset sweep: test every edge subset of size up to ``n_max``.
+
+    All 2^m subsets are tested at once.  A bitset is one Python int of 2^m
+    bits, bit x standing for "edge subset x removed".  Per vertex u,
+    ``reach[u]`` marks the subsets whose removal leaves u joined to v and
+    ``esc[u]`` those that leave u joined to the horizon.  Subset x strands
+    v when v is joined to no horizon vertex, and is minimal when putting
+    back any one of its edges (a, b) frees v: v reaches a and b escapes,
+    or the other way round.  That is ``is_minimal_cutset`` for every x.
+    """
     _require_cutset_context(graph, v)
-    check_sweep(graph.n_edges)
+    m = graph.n_edges
+    check_sweep(m)
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
+    full = (1 << (1 << m)) - 1
+    is_open = [_open_bits(eid, m) for eid in range(m)]
+    reach = _joined_bits(graph, (v,), is_open, full)
+    esc = _joined_bits(graph, graph.horizon, is_open, full)
+    minimal = full
+    for z in graph.horizon:
+        minimal &= ~reach[z]
+    for eid, (a, b) in enumerate(graph.edges):
+        minimal &= is_open[eid] | reach[a] & esc[b] | reach[b] & esc[a]
     found: dict[int, list[Cutset]] = {}
-    ids = range(graph.n_edges)
-    is_open = [True] * graph.n_edges
-    for size in range(1, min(n_max, graph.n_edges) + 1):
-        for combo in itertools.combinations(ids, size):
-            if _strands_minimally(graph, combo, v, is_open):
-                found.setdefault(size, []).append(Cutset(combo, v))
+    data = minimal.to_bytes((1 << m) + 7 >> 3, "little")
+    for i, byte in enumerate(data):
+        if not byte:
+            continue
+        for j in range(8):
+            if byte >> j & 1:
+                x = i << 3 | j
+                size = x.bit_count()
+                if size <= n_max:
+                    ids = tuple(eid for eid in range(m) if x >> eid & 1)
+                    found.setdefault(size, []).append(Cutset(ids, v))
     return _pack_table(v, found)
+
+
+def _open_bits(eid: int, m: int) -> int:
+    """The subsets x of m edges that keep edge ``eid``: bit eid of x clear.
+
+    A periodic pattern of period 2^(eid+1) whose low half is set.
+    """
+    period = 2 << eid
+    bits = (1 << (period >> 1)) - 1
+    while period < 1 << m:
+        bits |= bits << period
+        period <<= 1
+    return bits
+
+
+def _joined_bits(
+    graph: Graph, seeds: Iterable[int], is_open: list[int], full: int
+) -> list[int]:
+    """Per vertex, the subsets whose removal leaves it joined to a seed.
+
+    One stack loop over whole bitsets: a vertex whose bitset grows
+    passes it on across each edge, masked by the subsets that keep that
+    edge, until nothing grows.
+    """
+    bits = [0] * graph.n_vertices
+    stack = list(seeds)
+    for s in stack:
+        bits[s] = full
+    while stack:
+        u = stack.pop()
+        here = bits[u]
+        for w, eid in graph.adjacency[u]:
+            grown = bits[w] | here & is_open[eid]
+            if grown != bits[w]:
+                bits[w] = grown
+                stack.append(w)
+    return bits
 
 
 # ---- randomized global minimum cuts ----

@@ -2,8 +2,8 @@
 
 No command reaches anything here.  Each definition is an oracle a
 command's route is checked against (the configuration sweep, the
-component walk over cutsets, the one-step walk, the explicit
-cover-and-return enumeration), or a check of one step of the paper's
+component walk over cutsets, the subset-at-a-time cutset and cover-lemma
+sweeps, the one-step walk, the explicit cover-and-return enumeration), or a check of one step of the paper's
 argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
@@ -12,6 +12,7 @@ endpoints).  Every 2^m configuration sweep goes through
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ import numpy as np
 
 from percut import _util
 from percut._util import EventProbability, _derived_seeds, check_sweep, checked_solve
-from percut.cover_lemma import SubStochasticMatrix
+from percut.cover_lemma import SubStochasticMatrix, _positive_adjacency, _reaches
 from percut.cutsets import (
     Cutset, QnTable, _pack_table, _require_cutset_context, decompose, exposed_boundary,
+    is_minimal_cutset,
 )
 from percut.errors import (
     CapExceededError, GraphStructureError, PreconditionError, TheoremViolationError,
@@ -284,6 +286,27 @@ def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) ->
     return _pack_table(v, found)
 
 
+# ---- cutsets by subset ----
+
+
+def enumerate_minimal_cutsets_by_subsets(graph: Graph, v: int, n_max: int) -> QnTable:
+    """Powerset sweep one subset at a time: ``is_minimal_cutset`` on each.
+
+    Every edge subset of size up to ``n_max`` is tested in
+    ``itertools.combinations`` order.
+    """
+    _require_cutset_context(graph, v)
+    check_sweep(graph.n_edges)
+    if n_max < 1:
+        raise PreconditionError("n_max must be at least 1")
+    found: dict[int, list[Cutset]] = {}
+    for size in range(1, min(n_max, graph.n_edges) + 1):
+        for combo in itertools.combinations(range(graph.n_edges), size):
+            if is_minimal_cutset(graph, combo, v):
+                found.setdefault(size, []).append(Cutset(combo, v))
+    return _pack_table(v, found)
+
+
 # ---- the configuration sweep ----
 
 
@@ -535,6 +558,69 @@ def theorem1_lower_bound_check(
     if exact < bound - 1e-15:
         raise TheoremViolationError(f"boundary-hit bound failed: {exact} < {bound}")
     return Theorem1Report(exact, bound, theta, n, int(profiles[True].sum()), failures)
+
+
+# ---- cover-lemma sweeps, one subset at a time ----
+
+
+def min_cut_by_splits(sub: SubStochasticMatrix) -> float:
+    """``min_cut`` split by split: the crossing mass of each proper subset summed alone."""
+    n = sub.n
+    best = float("inf")
+    for mask in range(1, (1 << n) - 1):
+        inside = [i for i in range(n) if mask >> i & 1]
+        outside = [j for j in range(n) if not mask >> j & 1]
+        best = min(best, float(sub.p[np.ix_(inside, outside)].sum()))
+    return best
+
+
+def covering_sum_by_masks(sub: SubStochasticMatrix) -> float:
+    """``covering_sum_exact`` mask by mask: one solve over each set's live states.
+
+    Masks holding state 0 go largest first; a state that cannot leak out
+    of its set gets zero without entering a solve.
+    """
+    n = sub.n
+    p = sub.p
+    full = (1 << n) - 1
+    adj = _positive_adjacency(p)
+    others = [v for v in range(n) if v != 0]
+    gate = [v for v in others if p[v, 0] > 0.0]
+    reach = _reaches(adj, others, gate) if others else set()
+    x = np.zeros(n)
+    order = sorted(reach)
+    if order:
+        sul = np.eye(len(order)) - p[np.ix_(order, order)]
+        sol = checked_solve(sul, p[order, 0], "covering hit system")
+        for i, v in enumerate(order):
+            x[v] = sol[i]
+    g_full = p[:, 0] + p[:, others] @ x[others] if others else p[:, 0].copy()
+
+    h: dict[tuple[int, int], float] = {(u, full): float(g_full[u]) for u in range(n)}
+    masks = sorted((m for m in range(1, full) if m & 1), key=lambda m: -m.bit_count())
+    for mask in masks:
+        states = [u for u in range(n) if mask >> u & 1]
+        outside = [v for v in range(n) if not mask >> v & 1]
+        b = np.zeros(len(states))
+        for i, u in enumerate(states):
+            b[i] = sum(p[u, v] * h[(v, mask | (1 << v))] for v in outside if p[u, v] > 0.0)
+        leaking = [
+            u
+            for u in states
+            if p[u].sum() < 1.0 - 1e-12 or any(p[u, v] > 0.0 for v in outside)
+        ]
+        live = _reaches(adj, states, leaking)
+        order = sorted(live)
+        vals = np.zeros(len(states))
+        if order:
+            idx = {u: i for i, u in enumerate(states)}
+            sul = np.eye(len(order)) - p[np.ix_(order, order)]
+            sol = checked_solve(sul, np.array([b[idx[u]] for u in order]), "covering set system")
+            for i, u in enumerate(order):
+                vals[idx[u]] = sol[i]
+        for i, u in enumerate(states):
+            h[(u, mask)] = float(vals[i])
+    return h[(0, 1)] if n > 1 else float(g_full[0])
 
 
 # ---- explicit cover-and-return enumeration ----

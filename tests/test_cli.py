@@ -13,7 +13,8 @@ import pytest
 import percut
 from percut import cli
 from percut.cli import _fmt12 as fmt12, main, resolve_graph
-from percut.errors import NumericalError, TheoremViolationError
+from percut.cover_lemma import covering_sum_exact, load_matrix_file
+from percut.errors import CapExceededError, NumericalError, TheoremViolationError
 from percut.gff import green
 
 from corpus import CORPUS, broom
@@ -261,6 +262,24 @@ def test_cover_exact_and_verify(capsys, tmp_path):
     row = json.loads(out)["rows"][0]
     assert row["ok"] is True
     assert row["epsilon"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_cover_exact_state_cap(capsys, tmp_path, n):
+    # Uniform rows of total 0.9: the exact route runs up to the 16-state cap.
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n}\n" + f"{' '.join([repr(0.9 / n)] * n)}\n" * n)
+    code, out, err = run_cli(capsys, ["cover", "exact", "--matrix", str(path)])
+    if n == 16:
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["epsilon"] == pytest.approx(0.9 * 15 / 16, abs=1e-14)
+        assert 0.0 < row["sum"] < 1.0
+    else:
+        assert code == 1
+        assert "17 states exceed the exact covering cap 16" in err
+        with pytest.raises(CapExceededError):
+            covering_sum_exact(load_matrix_file(path.read_text()))
 
 
 def test_cover_mc(capsys, tmp_path):

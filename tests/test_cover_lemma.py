@@ -16,8 +16,8 @@ from percut.cover_lemma import (
 from percut.errors import CapExceededError, PreconditionError
 
 from oracles import (
-    bruteforce_tail_bound, covering_sum_bruteforce, gamma_sequences, is_gamma_sequence,
-    sample_h_graphs,
+    bruteforce_tail_bound, covering_sum_bruteforce, covering_sum_by_masks, gamma_sequences,
+    is_gamma_sequence, min_cut_by_splits, sample_h_graphs,
 )
 
 
@@ -87,6 +87,66 @@ def test_min_cut_cap(monkeypatch):
         min_cut(uniform_matrix(2, 0.25))
 
 
+def ring(n: int) -> np.ndarray:
+    """Half a step each way round a cycle: every row sums to exactly one."""
+    p = np.zeros((n, n))
+    for i in range(n):
+        p[i, (i + 1) % n] += 0.5
+        p[i, (i - 1) % n] += 0.5
+    return p
+
+
+def seeded_matrices(n: int) -> dict[str, SubStochasticMatrix]:
+    """Dense, sparse, exactly stochastic, and split off an exactly stochastic block.
+
+    The ring never dies.  In the split matrix the states past state 0's
+    block form a closed stochastic class, so every set holding all of
+    them has states that cannot leak.
+    """
+    rng = np.random.default_rng(1000 + n)
+    raw = rng.random((n, n))
+    dense = (raw + raw.T) / 2.0
+    keep = np.triu(rng.random((n, n)) < 0.35, 1)
+    sparse = dense * (keep | keep.T)
+    head = max(1, n // 2)
+    split = np.zeros((n, n))
+    split[:head, :head] = dense[:head, :head] / (2.0 * dense[:head, :head].sum(axis=1).max())
+    split[head:, head:] = ring(n - head)
+
+    def scaled(p: np.ndarray) -> SubStochasticMatrix:
+        top = p.sum(axis=1).max()
+        return SubStochasticMatrix(p / (top * (1.0 + rng.random())) if top else p)
+
+    return {
+        "dense": scaled(dense),
+        "sparse": scaled(sparse),
+        "ring": SubStochasticMatrix(ring(n)),
+        "split": SubStochasticMatrix(split),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_min_cut_matches_split_loop(n):
+    for label, sub in seeded_matrices(n).items():
+        want = min_cut_by_splits(sub)
+        got = min_cut(sub)
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-14, (label, got, want)
+
+
+def test_min_cut_does_not_depend_on_the_block(monkeypatch):
+    subs = [m for n in (2, 5, 8, 13) for m in seeded_matrices(n).values()]
+    want = [min_cut(sub) for sub in subs]
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", 1)
+    assert [min_cut(sub) for sub in subs] == want
+
+
+def test_min_cut_at_the_cap():
+    n = cover_lemma.MAX_CUT_STATES
+    sub = uniform_matrix(n, 1.0 / n)
+    # A single state is the lightest split: n - 1 targets of mass 1/n each.
+    assert min_cut(sub) == pytest.approx((n - 1) / n, abs=1e-14)
+
+
 def test_delta_bound_value():
     want = (0.25 / (16 * math.e**2)) ** 2
     assert delta_bound(0.5, 2) == pytest.approx(want, rel=1e-12)
@@ -123,6 +183,23 @@ def test_covering_sum_cap(monkeypatch):
     monkeypatch.setattr(cover_lemma, "MAX_EXACT_STATES", 2)
     with pytest.raises(CapExceededError):
         covering_sum_exact(uniform_matrix(3, 0.1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_dp_matches_mask_recursion(n):
+    for label, sub in seeded_matrices(n).items():
+        want = covering_sum_by_masks(sub)
+        got = covering_sum_exact(sub)
+        assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
+
+
+def test_covering_sum_ring_and_split_values():
+    # The ring never dies, so it covers and returns surely; state 0 never
+    # reaches the split matrix's stochastic block, so it never covers.
+    for n in (3, 6, 9):
+        subs = seeded_matrices(n)
+        assert covering_sum_exact(subs["ring"]) == pytest.approx(1.0, abs=1e-12)
+        assert covering_sum_exact(subs["split"]) == 0.0
 
 
 def test_covering_sum_beats_delta_floor():

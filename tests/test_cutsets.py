@@ -10,7 +10,6 @@ from percut.cutsets import (
     decompose,
     default_karger_trials,
     enumerate_minimal_cutsets_bruteforce,
-    _strands_minimally,
     exposed_boundary,
     is_minimal_cutset,
     karger_count_min_cuts,
@@ -20,7 +19,7 @@ from percut.errors import PreconditionError
 from percut.graph_core import connected_subsets_containing, cycle_graph
 
 from corpus import CORPUS, cutsets_for, table_for
-from oracles import enumerate_minimal_cutsets_by_components
+from oracles import enumerate_minimal_cutsets_by_components, enumerate_minimal_cutsets_by_subsets
 
 
 # ---- exposed boundaries ----
@@ -62,22 +61,30 @@ def test_is_minimal_cutset_p5():
     assert not is_minimal_cutset(p5, (), 2)
 
 
-def test_minimality_kernel_agrees_and_restores_open_bits():
-    """The sweep kernel gives ``is_minimal_cutset``'s verdict and leaves its list all True."""
+def test_is_minimal_cutset_agrees_with_the_sweep():
+    """``is_minimal_cutset`` says yes exactly to the subsets the bit-parallel sweep lists."""
     rng = np.random.default_rng(11)
     for name, g in CORPUS.items():
-        is_open = [True] * g.n_edges
         for v in g.interior:
-            # The component walk's cutsets are minimal; random subsets mostly are not.
-            cutsets = [c.edge_ids for c in cutsets_for(name, v)]
+            table = enumerate_minimal_cutsets_bruteforce(g, v, g.n_edges)
+            listed = {c.edge_ids for by_size in table.cutsets[v].values() for c in by_size}
             randoms = [
                 tuple(int(e) for e in np.flatnonzero(rng.random(g.n_edges) < rng.random()))
                 for _ in range(40)
             ]
-            for ids in cutsets + randoms:
-                want = ids in cutsets or is_minimal_cutset(g, ids, v)
-                assert _strands_minimally(g, ids, v, is_open) == want, (name, v, ids)
-                assert is_open == [True] * g.n_edges
+            for ids in sorted(listed) + randoms:
+                assert is_minimal_cutset(g, ids, v) == (ids in listed), (name, v, ids)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, None], ids=["nmax1", "nmax3", "nmax_m"])
+def test_bit_parallel_sweep_matches_subset_oracle(n_max):
+    for name, g in CORPUS.items():
+        size = g.n_edges if n_max is None else n_max
+        for v in g.interior:
+            want = enumerate_minimal_cutsets_by_subsets(g, v, size)
+            got = enumerate_minimal_cutsets_bruteforce(g, v, size)
+            assert got.counts == want.counts, (name, v)
+            assert got.cutsets == want.cutsets, (name, v)
 
 
 def test_verified_cutset_normalizes_and_rejects():

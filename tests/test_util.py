@@ -102,6 +102,39 @@ def test_checked_solve_refuses_what_scipy_calls_singular(a):
         checked_solve(a, b)
 
 
+def test_checked_solve_stacked_matches_one_at_a_time():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 4, 4)) + 8 * np.eye(4)
+    b = rng.normal(size=(6, 4, 1))
+    x = checked_solve(a, b)
+    assert x.shape == (6, 4, 1)
+    for l in range(6):
+        np.testing.assert_allclose(x[l, :, 0], checked_solve(a[l], b[l, :, 0]), rtol=1e-13)
+
+
+def test_checked_solve_stacked_refuses_one_singular_system():
+    a = np.stack([np.eye(3), np.ones((3, 3)), 2 * np.eye(3)])
+    with pytest.raises(NumericalError):
+        checked_solve(a, np.ones((3, 3, 1)))
+
+
+def test_checked_solve_holds_each_system_to_its_own_rhs(monkeypatch):
+    """A residual the largest right-hand side would forgive is refused in a small system."""
+    a = np.stack([np.eye(2), np.eye(2)])
+    b = np.array([[[1e7], [1e7]], [[1.0], [1.0]]])
+    solve = np.linalg.solve
+
+    def off_in_the_second(a, b):
+        x = solve(a, b)
+        x[1] += 1e-3
+        return x
+
+    assert checked_solve(a, b)[1, 0, 0] == 1.0
+    monkeypatch.setattr(np.linalg, "solve", off_in_the_second)
+    with pytest.raises(NumericalError, match="residual 1.000e-03"):
+        checked_solve(a, b)
+
+
 def test_fmt12():
     assert fmt12(0.4375) == "0.4375"
     assert fmt12(1 / 3) == "0.333333333333"
