@@ -420,10 +420,13 @@ def _run_chain_build(args) -> list[dict]:
     ]
 
 
-def _cover_common(args) -> tuple:
-    from .cover_lemma import delta_bound, load_matrix_file, min_cut
+def _cover_common(args, sampled: bool = False) -> tuple:
+    """The matrix, epsilon and delta_n; both None when sampling past the cut cap."""
+    from .cover_lemma import MAX_CUT_STATES, delta_bound, load_matrix_file, min_cut
 
     sub = load_matrix_file(Path(args.matrix).read_text())
+    if sampled and sub.n > MAX_CUT_STATES:
+        return sub, None, None
     eps = min_cut(sub)
     delta = delta_bound(eps, sub.n) if 0.0 < eps <= 1.0 else None
     return sub, eps, delta
@@ -450,7 +453,7 @@ def _run_cover_exact(args) -> list[dict]:
 def _run_cover_mc(args) -> list[dict]:
     from .cover_lemma import covering_sum_mc
 
-    sub, eps, delta = _cover_common(args)
+    sub, eps, delta = _cover_common(args, sampled=True)
     seed = _require_seed(args)
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
     est = covering_sum_mc(sub, trials, seed)

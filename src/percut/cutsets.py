@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
+from . import _util
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import Graph, UnionFind, boundary_edges, search
+from .graph_core import Graph, boundary_edges, search
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,8 +289,15 @@ def karger_count_min_cuts(
     The horizon plays no role here.  Each trial contracts edges in a
     uniformly random order until two super-vertices remain, which is
     equivalent to contracting a uniform surviving edge at every step.
-    A strictly better cut size flushes the found set.
+    Trial t's order is the t-th ``rng.permutation(m)``.  Trials run in
+    lockstep blocks whose label and order matrices hold at most
+    ``_util._BLOCK_CELLS`` cells each.  A label is the smallest vertex of
+    a super-vertex; step j contracts the j-th edge of each trial's order
+    while the trial has more than two super-vertices, relabelling the
+    higher label to the lower one.  The block size never changes a result.
     """
+    import numpy as np
+
     n = graph.n_vertices
     if n < 2:
         raise PreconditionError("global cuts need at least two vertices")
@@ -298,24 +306,40 @@ def karger_count_min_cuts(
     if trials < 1:
         raise PreconditionError("trials must be positive")
     m = graph.n_edges
+    ends = np.array(graph.edges, dtype=np.intp).T
+    block = max(1, _util._BLOCK_CELLS // max(n, m))
     best: int | None = None
-    cuts: set[frozenset[int]] = set()
-    for _ in range(trials):
-        sets = UnionFind(n)
-        for ei in rng.permutation(m):
-            if sets.components == 2:
+    keys: set[bytes] = set()  # the best cuts seen, as packed cut rows
+    for done in range(0, trials, block):
+        rows = min(block, trials - done)
+        # Row r shuffled in place draws what the r-th ``rng.permutation(m)``
+        # would; the narrowest dtypes keep a block's matrices small.
+        order = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (rows, 1))
+        rng.permuted(order, axis=1, out=order)
+        labels = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, 1))
+        parts = np.full(rows, n)
+        for step in order.T:
+            live = np.flatnonzero(parts > 2)
+            if not live.size:
                 break
-            u, v = graph.edges[ei]
-            sets.union(u, v)
-        roots = [sets.find(x) for x in range(n)]
-        cut = frozenset(
-            eid for eid, (u, v) in enumerate(graph.edges) if roots[u] != roots[v]
-        )
-        size = len(cut)
+            e = step[live]
+            a, b = labels[live, ends[0, e]], labels[live, ends[1, e]]
+            join = a != b
+            live, low, high = live[join], np.minimum(a, b)[join], np.maximum(a, b)[join]
+            sub = labels[live]
+            labels[live] = np.where(sub == high[:, None], low[:, None], sub)
+            parts[live] -= 1
+        cut = labels[:, ends[0]] != labels[:, ends[1]]
+        sizes = cut.sum(axis=1)
+        size = int(sizes.min())
         if best is None or size < best:
             best = size
-            cuts = {cut}
-        elif size == best:
-            cuts.add(cut)
+            keys = set()
+        if size == best:
+            keys.update(row.tobytes() for row in np.packbits(cut[sizes == size], axis=1))
     assert best is not None
-    return KargerResult(best, frozenset(cuts), trials)
+    cuts = frozenset(
+        frozenset(np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8), count=m)).tolist())
+        for key in keys
+    )
+    return KargerResult(best, cuts, trials)

@@ -68,9 +68,10 @@ class ConnectivityOracle:
             bits = bits.T
             self.noise = 0.0
         else:
-            from .percolation import _config_blocks
+            from .percolation import _bit_rows, _config_blocks
 
-            bits = np.concatenate(list(_config_blocks(m, p, trials, seed)))
+            blocks = _config_blocks(m, p, trials, seed)
+            bits = np.concatenate([_bit_rows(b, count) for count, b in blocks], axis=1).T
             self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
         self._labels = component_labels(k, self._ends, bits)

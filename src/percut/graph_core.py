@@ -5,7 +5,8 @@ stable integer ids (their position in the edge list).  The horizon is a
 distinguished set of absorbing vertices: "connected to infinity" always
 means "reaches some horizon vertex".  Reachability under closed edges or
 forbidden vertices goes through one kernel here: ``search`` (the vertices
-reached over open edges, the horizon absorbing), ``UnionFind``, and
+reached over open edges, the horizon absorbing), ``flood`` (the same
+search in many trials at once, one bit per trial), ``UnionFind``, and
 ``component_labels`` (labels under many edge configurations at once).
 Graph parsing, the built-in families, edge subdivisions and connected
 vertex sets live here as well.
@@ -13,6 +14,7 @@ vertex sets live here as well.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
@@ -133,6 +135,42 @@ def search(
                 reached.add(w)
                 stack.append(w)
     return reached, touched
+
+
+def flood(
+    graph: Graph, source: int, open_bits: Sequence[int], full: int
+) -> tuple[list[int], int]:
+    """``search`` from ``source`` in many trials at once, one bit per trial.
+
+    Bit t of ``open_bits[eid]`` is set when edge eid is open in trial t,
+    and ``full`` sets every trial's bit.  Returns, per vertex, the trials
+    that reach it, and the trials that touch the horizon.  As with
+    ``stop_at_horizon``, a trial stops spreading once it touches the
+    horizon, so only untouched trials' bits are whole clusters.  Horizon
+    vertices absorb.  A FIFO worklist passes on only the bits a vertex
+    gained since it last passed some on.
+    """
+    horizon = graph.horizon
+    adjacency = graph.adjacency
+    reach = [0] * graph.n_vertices
+    pending = [0] * graph.n_vertices
+    reach[source] = pending[source] = alive = full
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        here = pending[u] & alive
+        pending[u] = 0
+        for w, eid in adjacency[u]:
+            new = here & open_bits[eid] & ~reach[w]
+            if new:
+                reach[w] |= new
+                if w in horizon:
+                    alive &= ~new
+                else:
+                    if not pending[w]:
+                        queue.append(w)
+                    pending[w] |= new
+    return reach, full & ~alive
 
 
 class UnionFind:

@@ -25,8 +25,8 @@ from percut import _util
 from percut._util import EventProbability, _derived_seeds, check_sweep, checked_solve
 from percut.cover_lemma import SubStochasticMatrix, _positive_adjacency, _reaches
 from percut.cutsets import (
-    Cutset, QnTable, _pack_table, _require_cutset_context, decompose, exposed_boundary,
-    is_minimal_cutset,
+    Cutset, KargerResult, QnTable, _pack_table, _require_cutset_context, decompose,
+    exposed_boundary, is_minimal_cutset,
 )
 from percut.errors import (
     CapExceededError, GraphStructureError, PreconditionError, TheoremViolationError,
@@ -307,6 +307,35 @@ def enumerate_minimal_cutsets_by_subsets(graph: Graph, v: int, n_max: int) -> Qn
     return _pack_table(v, found)
 
 
+# ---- contraction cuts, one trial at a time ----
+
+
+def karger_by_trials(graph: Graph, rng: np.random.Generator, trials: int) -> KargerResult:
+    """``cutsets.karger_count_min_cuts``, contracting one trial at a time on a union-find."""
+    n, m = graph.n_vertices, graph.n_edges
+    best: int | None = None
+    cuts: set[frozenset[int]] = set()
+    for _ in range(trials):
+        sets = UnionFind(n)
+        for ei in rng.permutation(m):
+            if sets.components == 2:
+                break
+            u, v = graph.edges[ei]
+            sets.union(u, v)
+        roots = [sets.find(x) for x in range(n)]
+        cut = frozenset(
+            eid for eid, (u, v) in enumerate(graph.edges) if roots[u] != roots[v]
+        )
+        size = len(cut)
+        if best is None or size < best:
+            best = size
+            cuts = {cut}
+        elif size == best:
+            cuts.add(cut)
+    assert best is not None
+    return KargerResult(best, frozenset(cuts), trials)
+
+
 # ---- the configuration sweep ----
 
 
@@ -361,6 +390,33 @@ def census_by_sweep(graph: Graph, v: int):
 
     profiles = event_popcount_profile(graph, exposed)
     return profiles, profiles.pop(None)
+
+
+def sampled_rows(n_edges: int, p: float, trials: int, seed: int) -> list[list[bool]]:
+    """The configurations ``percolation._config_blocks`` samples, drawn in one call."""
+    return (np.random.Generator(np.random.PCG64(seed)).random((trials, n_edges)) < p).tolist()
+
+
+def mc_prob_by_rows(graph: Graph, p: float, v: int, trials: int, seed: int) -> int:
+    """``percolation.mc_prob``'s hit count, searching one sampled row at a time."""
+    return sum(
+        search(graph, (v,), row, stop_at_horizon=True)[1]
+        for row in sampled_rows(graph.n_edges, p, trials, seed)
+    )
+
+
+def census_by_rows(graph: Graph, v: int, p: float, trials: int, seed: int):
+    """``percolation.boundary_census_mc``, searching one sampled row at a time."""
+    counts: dict[tuple[int, ...], int] = {}
+    infinite = 0
+    for row in sampled_rows(graph.n_edges, p, trials, seed):
+        cluster, touched = search(graph, (v,), row, stop_at_horizon=True)
+        if touched:
+            infinite += 1
+        else:
+            key = exposed_boundary(graph, cluster)
+            counts[key] = counts.get(key, 0) + 1
+    return counts, infinite
 
 
 def boundary_hit_probability(graph: Graph, p: float, cutset: Cutset) -> EventProbability:

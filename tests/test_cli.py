@@ -293,6 +293,23 @@ def test_cover_mc(capsys, tmp_path):
     assert row["ci_low"] <= 1 / 9 <= row["ci_high"]
 
 
+def test_cover_mc_past_the_cut_cap(capsys, tmp_path):
+    # 23 uniform states: one past min_cut's cap, well within the sampler's 62.
+    path = tmp_path / "m.txt"
+    path.write_text("23\n" + f"{' '.join([repr(0.9 / 23)] * 23)}\n" * 23)
+    code, out, _ = run_cli(
+        capsys, ["cover", "mc", "--matrix", str(path), "--trials", "1000", "--seed", "1"]
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert (row["n"], row["epsilon"], row["delta_n"], row["trials"]) == (23, None, None, 1000)
+    assert 0.0 <= row["ci_low"] <= row["sum"] <= row["ci_high"] <= 1.0
+    for action in ("exact", "verify"):
+        code, _, err = run_cli(capsys, ["cover", action, "--matrix", str(path)])
+        assert code == 1
+        assert "23 states exceed the exhaustive cut cap 22" in err
+
+
 def test_rw_escape_table(capsys):
     code, out, _ = run_cli(capsys, ["rw", "escape", "--graph", "path:5", "--out", "json"])
     assert code == 0

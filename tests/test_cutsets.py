@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import Graph, path_graph
+from percut import Graph, grid_graph, path_graph
 from percut.cutsets import (
     Cutset,
     KargerResult,
@@ -19,7 +19,10 @@ from percut.errors import PreconditionError
 from percut.graph_core import connected_subsets_containing, cycle_graph
 
 from corpus import CORPUS, cutsets_for, table_for
-from oracles import enumerate_minimal_cutsets_by_components, enumerate_minimal_cutsets_by_subsets
+from oracles import (
+    enumerate_minimal_cutsets_by_components, enumerate_minimal_cutsets_by_subsets,
+    karger_by_trials,
+)
 
 
 # ---- exposed boundaries ----
@@ -263,6 +266,21 @@ def test_karger_min_cut_size_matches_stoer_wagner(name):
         rest = nx.Graph(nxg)
         rest.remove_edges_from(g.edges[e] for e in cut)
         assert not nx.is_connected(rest)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [grid_graph(5, 5), grid_graph(4, 6), grid_graph(3, 3), cycle_graph(7), path_graph(2)]
+    + [CORPUS[name] for name in ("bowtie", "k4", "rand16", "theta6", "tree7")],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_karger_lockstep_matches_the_trial_oracle(graph, seed):
+    # The same best size, cuts and trial count, and the generator left in
+    # the same state, as contracting one trial at a time.
+    lockstep, by_trials = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = karger_count_min_cuts(graph, lockstep, 301)
+    assert got == karger_by_trials(graph, by_trials, 301)
+    assert lockstep.random() == by_trials.random()
 
 
 def test_karger_trials_grow_with_size():

@@ -16,6 +16,7 @@ from percut.graph_core import (
     component_labels,
     connected_subsets_containing,
     cycle_graph,
+    flood,
     grid_graph,
     load_graph,
     path_graph,
@@ -145,6 +146,23 @@ def test_search_expands_its_sources_even_on_the_horizon():
     p5 = path_graph(5)
     assert search(p5, (0,)) == ({0, 1, 2, 3}, True)
     assert search(p5, (0,), is_open=(False, True, True, True)) == ({0}, False)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_flood_is_search_in_every_trial(name):
+    # Bit t of each edge's int is trial t's open bit; every untouched trial's
+    # bits are its whole cluster, and the touched bits are the touched trials.
+    g = CORPUS[name]
+    rng = np.random.default_rng(len(name))
+    rows = (rng.random((70, g.n_edges)) < rng.random((70, 1))).tolist()
+    bits = [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(g.n_edges)]
+    for v in range(g.n_vertices):
+        reach, touched = flood(g, v, bits, (1 << len(rows)) - 1)
+        for t, row in enumerate(rows):
+            cluster, hit = search(g, (v,), row, stop_at_horizon=True)
+            assert bool(touched >> t & 1) == hit
+            if not hit:
+                assert {u for u in range(g.n_vertices) if reach[u] >> t & 1} == cluster
 
 
 def test_union_find_counts_components():

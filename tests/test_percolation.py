@@ -1,14 +1,16 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from percut import Graph, QnTable, _util, fkg_chain, grid_graph, path_graph, percolation, star_graph
-from percut._util import SWEEP_EDGES
+from percut._util import SWEEP_EDGES, EventProbability
 from percut.cutsets import (
-    Cutset, enumerate_minimal_cutsets_bruteforce, exposed_boundary, verified_cutset,
+    Cutset, enumerate_minimal_cutsets_bruteforce, exposed_boundary, karger_count_min_cuts,
+    verified_cutset,
 )
 from percut.errors import CapExceededError, PreconditionError
 from percut.frontier import count_minimal_cutsets
@@ -43,11 +45,11 @@ def test_config_from_mask_bit_order():
 
 
 def test_sampled_configs_shape():
-    configs = [row.tolist() for block in _config_blocks(4, 0.5, 3, seed=0) for row in block]
-    assert len(configs) == 3
-    for c in configs:
-        assert len(c) == 4
-        assert all(type(b) is bool for b in c)
+    # One block of 3 trials: bit t of edge eid's int is row t's entry eid.
+    [(count, bits)] = _config_blocks(4, 0.5, 3, seed=0)
+    rows = oracles.sampled_rows(4, 0.5, 3, 0)
+    assert count == 3 and len(bits) == 4
+    assert bits == [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(4)]
 
 
 def test_cluster_report_p5_all_open():
@@ -181,24 +183,46 @@ def test_mc_prob_rejects_bad_args():
         mc_prob(p5, 0.5, 2, 0, seed=0)
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_flood_routes_match_the_row_oracles(name, p):
+    g = CORPUS[name]
+    for v in g.interior:
+        hits = oracles.mc_prob_by_rows(g, p, v, 203, v)
+        assert mc_prob(g, p, v, 203, seed=v) == EventProbability.sampled(hits, 203)
+        assert boundary_census_mc(g, v, p, 203, seed=v) == oracles.census_by_rows(g, v, p, 203, v)
+
+
+def test_flood_theta_matches_the_row_oracle_on_a_large_grid():
+    g = grid_graph(12, 12)
+    for p in (0.4, 0.6):
+        hits = oracles.mc_prob_by_rows(g, p, 78, 1500, 4)
+        assert mc_prob(g, p, 78, 1500, seed=4) == EventProbability.sampled(hits, 1500)
+
+
 def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
     g = grid_graph(4, 4)
     region = (5, 6, 9, 10, 11)
+    trials = 1003  # not a multiple of 8 or 64: every block size leaves a ragged last block
 
     def draw():
-        oracle = ConnectivityOracle(g, region, 0.6, trials=1000, seed=3)
+        oracle = ConnectivityOracle(g, region, 0.6, trials=trials, seed=3)
         return (
-            mc_prob(g, 0.6, 5, 1000, seed=11),
-            boundary_census_mc(g, 5, 0.6, 1000, seed=12),
+            mc_prob(g, 0.6, 5, trials, seed=11),
+            boundary_census_mc(g, 5, 0.6, trials, seed=12),
+            karger_count_min_cuts(g, np.random.default_rng(13), trials),
             oracle._labels.tolist(),
             [oracle.connect_prob(u, (11,)) for u in region],
         )
 
-    assert _util._BLOCK_CELLS >= 1000 * g.n_edges  # the default draws one block
+    assert _util._BLOCK_CELLS >= trials * g.n_edges  # the default draws one block
     default = draw()
-    # 2 rows of 24 edges, 10 of the oracle's 5 induced edges.
-    monkeypatch.setattr(_util, "_BLOCK_CELLS", 50)
-    assert draw() == default
+    # 1 and 50 cells: 8-row draws, blocks of 8 and 16 trials and Karger
+    # blocks of 1 and 2 trials; 13 and 40 rows' worth: 8- and 40-row draws,
+    # blocks of 104 and 320 trials and Karger blocks of 13 and 40 trials.
+    for cells in (1, 50, 24 * 13, 24 * 40):
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", cells)
+        assert draw() == default, cells
 
 
 # ---- peierls ----
