@@ -1,4 +1,4 @@
-"""Shared helpers: seed mixing, Wilson intervals, event probabilities, checked solves and caps."""
+"""Shared helpers: seeds, trial bits, Wilson intervals, event probabilities, checked solves, caps."""
 
 from __future__ import annotations
 
@@ -38,6 +38,27 @@ def check_sweep(m: int) -> None:
     """Refuse a 2^m sweep over more than ``SWEEP_EDGES`` edges."""
     if m > SWEEP_EDGES:
         raise CapExceededError(f"{m} edges exceed the {SWEEP_EDGES}-edge sweep cap")
+
+
+def _bit_rows(values: list[int], count: int) -> np.ndarray:
+    """Bits 0..count-1 of each int, one uint8 row of zeros and ones per int."""
+    import numpy as np
+
+    width = count + 7 >> 3
+    data = b"".join(x.to_bytes(width, "little") for x in values)
+    packed = np.frombuffer(data, np.uint8).reshape(len(values), width)
+    return np.unpackbits(packed, axis=1, count=count, bitorder="little")
+
+
+def _row_ints(cells: np.ndarray) -> list[int]:
+    """Each row of a 2-D bool array as an int whose bit t is the row's entry t.
+
+    ``_bit_rows`` undoes it.
+    """
+    import numpy as np
+
+    packed = np.packbits(np.ascontiguousarray(cells), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _derived_seeds(seed: int, start: int, stop: int) -> np.ndarray:

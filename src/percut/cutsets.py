@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 from . import _util
 from ._util import check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import Graph, boundary_edges, search
+from .graph_core import Graph, boundary_edges, flood, search
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,12 +187,14 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
     """Powerset sweep: test every edge subset of size up to ``n_max``.
 
     All 2^m subsets are tested at once.  A bitset is one Python int of 2^m
-    bits, bit x standing for "edge subset x removed".  Per vertex u,
-    ``reach[u]`` marks the subsets whose removal leaves u joined to v and
-    ``esc[u]`` those that leave u joined to the horizon.  Subset x strands
-    v when v is joined to no horizon vertex, and is minimal when putting
-    back any one of its edges (a, b) frees v: v reaches a and b escapes,
-    or the other way round.  That is ``is_minimal_cutset`` for every x.
+    bits, bit x standing for "edge subset x removed", and one ``flood``
+    from v and one from the whole horizon search every subset.  Per
+    vertex u, ``reach[u]`` marks the subsets whose removal leaves u joined
+    to v and ``esc[u]`` those that leave u joined to the horizon.  Subset
+    x strands v when v's flood touches no horizon vertex, and is minimal
+    when putting back any one of its edges (a, b) frees v: v reaches a and
+    b escapes, or the other way round.  That is ``is_minimal_cutset`` for
+    every x.
     """
     _require_cutset_context(graph, v)
     m = graph.n_edges
@@ -201,11 +203,9 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
         raise PreconditionError("n_max must be at least 1")
     full = (1 << (1 << m)) - 1
     is_open = [_open_bits(eid, m) for eid in range(m)]
-    reach = _joined_bits(graph, (v,), is_open, full)
-    esc = _joined_bits(graph, graph.horizon, is_open, full)
-    minimal = full
-    for z in graph.horizon:
-        minimal &= ~reach[z]
+    reach, touched = flood(graph, (v,), is_open, full)
+    esc, _ = flood(graph, graph.horizon, is_open, full)
+    minimal = full & ~touched
     for eid, (a, b) in enumerate(graph.edges):
         minimal &= is_open[eid] | reach[a] & esc[b] | reach[b] & esc[a]
     found: dict[int, list[Cutset]] = {}
@@ -233,30 +233,6 @@ def _open_bits(eid: int, m: int) -> int:
     while period < 1 << m:
         bits |= bits << period
         period <<= 1
-    return bits
-
-
-def _joined_bits(
-    graph: Graph, seeds: Iterable[int], is_open: list[int], full: int
-) -> list[int]:
-    """Per vertex, the subsets whose removal leaves it joined to a seed.
-
-    One stack loop over whole bitsets: a vertex whose bitset grows
-    passes it on across each edge, masked by the subsets that keep that
-    edge, until nothing grows.
-    """
-    bits = [0] * graph.n_vertices
-    stack = list(seeds)
-    for s in stack:
-        bits[s] = full
-    while stack:
-        u = stack.pop()
-        here = bits[u]
-        for w, eid in graph.adjacency[u]:
-            grown = bits[w] | here & is_open[eid]
-            if grown != bits[w]:
-                bits[w] = grown
-                stack.append(w)
     return bits
 
 

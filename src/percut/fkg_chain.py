@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import Z99, check_sweep
+from ._util import Z99, _bit_rows, check_sweep
 from .errors import PreconditionError, TheoremViolationError
 from .graph_core import Graph, component_labels
 
@@ -68,7 +68,7 @@ class ConnectivityOracle:
             bits = bits.T
             self.noise = 0.0
         else:
-            from .percolation import _bit_rows, _config_blocks
+            from .percolation import _config_blocks
 
             blocks = _config_blocks(m, p, trials, seed)
             bits = np.concatenate([_bit_rows(b, count) for count, b in blocks], axis=1).T

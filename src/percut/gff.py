@@ -6,7 +6,10 @@ probabilities.  On order-3 subdivisions, clamping the two midpoints of
 every cutset edge to opposite signs and connecting the origin to the
 inner midpoints inside the excursion set forces the cluster boundary to
 be exactly the subdivided cutset; the pipeline here samples those
-events and checks the implication on every hit.
+events and checks the implication on every hit.  It searches a whole
+block of field samples at once on trial bits (``graph_core.flood`` and
+``graph_core.exposed_bits``), bit t of every per-vertex and per-edge int
+standing for sample t.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EventProbability, trial_generators
+from ._util import EventProbability, _row_ints, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap, search, subdivide
+from .cutsets import Cutset, decompose, is_minimal_cutset
+from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, search, subdivide
 from .rw_cutsets import escape_probabilities, fundamental_matrix
 
 _BLOCK = 4096
@@ -180,11 +183,6 @@ class Section8Report:
         return EventProbability.sampled(self.boundary_count, self.trials)
 
 
-def _below(interior: np.ndarray, values: np.ndarray, level: float) -> set[int]:
-    """Interior vertices whose field value is not at or above ``level``."""
-    return set(interior[~(values >= level)].tolist())
-
-
 def _field_blocks(gm: GreenMatrix, seed: int, trials: int):
     sizes = [min(_BLOCK, trials - done) for done in range(0, trials, _BLOCK)]
     for rng, size in zip(trial_generators(seed, 0, len(sizes)), sizes):
@@ -204,6 +202,13 @@ def section8_pipeline(
     F-and-E sample must satisfy the boundary event or the run aborts.
     Fields are drawn in blocks of 4096, one derived seed per block, so
     block-parallel runs agree with serial ones.
+
+    A block is searched at once on trial bits (bit t for its sample t):
+    per vertex the samples at or above 0 (horizon vertices always are),
+    per edge those where both ends are.  Two ``flood`` calls from the
+    origin, over the component's edges and over all edges, give E and the
+    cluster; one ``exposed_bits`` pass over the untouched clusters that
+    meet every mid-edge gives the boundary event.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -211,14 +216,12 @@ def section8_pipeline(
     derived = frame.sd.derived
     gm = green(derived)
     origin = cutset.source
-    o_idx = gm.index(origin)
     x_idx = np.array([gm.index(v) for v in frame.x_vertices])
     y_idx = np.array([gm.index(v) for v in frame.y_vertices])
-    x_set = set(frame.x_vertices)
     pairs = tuple(zip(frame.x_vertices, frame.y_vertices))
     in_component = [u in frame.component and v in frame.component for u, v in derived.edges]
     mids = frame.mid_edge_ids
-    interior = np.array(gm.interior)
+    is_mid = [eid in mids for eid in range(derived.n_edges)]
 
     f_count = e_count = fe_count = boundary_count = 0
     for block in _field_blocks(gm, seed, trials):
@@ -230,27 +233,36 @@ def section8_pipeline(
             & (fy >= -2.0).all(axis=1)
             & (fy <= -1.0).all(axis=1)
         )
-        f_count += int(f_mask.sum())
-        for t in range(block.shape[0]):
-            comp_a = cluster = set()
-            if block[t, o_idx] >= 0.0:
-                below = _below(interior, block[t], 0.0)
-                comp_a, _ = search(derived, (origin,), in_component, avoid=below)
-                cluster, _ = search(derived, (origin,), avoid=below)
-            e_hit = x_set <= comp_a
-            if e_hit:
-                e_count += 1
-            hit = False
-            if cluster and all(x in cluster or y in cluster for x, y in pairs):
-                hit = exposed_boundary(derived, cluster) == mids
-            if hit:
-                boundary_count += 1
-            if f_mask[t] and e_hit:
-                fe_count += 1
-                if not hit:
-                    raise TheoremViolationError(
-                        "clamped and connected sample missed the target boundary"
-                    )
+        full = (1 << block.shape[0]) - 1
+        up = [full] * derived.n_vertices
+        for v, bits in zip(gm.interior, _row_ints((block >= 0.0).T)):
+            up[v] = bits
+        open_bits = [up[a] & up[b] for a, b in derived.edges]
+        seeded = up[origin]
+        comp_a, _ = flood(
+            derived, (origin,), [b if keep else 0 for b, keep in zip(open_bits, in_component)],
+            seeded,
+        )
+        cluster, touched = flood(derived, (origin,), open_bits, seeded)
+        e_bits, candidate = seeded, seeded & ~touched
+        for x in frame.x_vertices:
+            e_bits &= comp_a[x]
+        for x, y in pairs:
+            candidate &= cluster[x] | cluster[y]
+        match = candidate
+        exposed = exposed_bits(derived, [bits & candidate for bits in cluster], candidate)
+        for bits, mid in zip(exposed, is_mid):
+            match &= bits if mid else ~bits
+        f_bits = _row_ints(f_mask[None, :])[0]
+        fe_bits = f_bits & e_bits
+        if fe_bits & ~match:
+            raise TheoremViolationError(
+                "clamped and connected sample missed the target boundary"
+            )
+        f_count += f_bits.bit_count()
+        e_count += e_bits.bit_count()
+        fe_count += fe_bits.bit_count()
+        boundary_count += match.bit_count()
     return Section8Report(
         cutset, mids, trials, f_count, e_count, fe_count, boundary_count
     )

@@ -6,8 +6,12 @@ distinguished set of absorbing vertices: "connected to infinity" always
 means "reaches some horizon vertex".  Reachability under closed edges or
 forbidden vertices goes through one kernel here: ``search`` (the vertices
 reached over open edges, the horizon absorbing), ``flood`` (the same
-search in many trials at once, one bit per trial), ``UnionFind``, and
-``component_labels`` (labels under many edge configurations at once).
+search from a seed set in many trials at once, one bit per trial),
+``exposed_bits`` (the exposed boundaries of many vertex sets at once, by
+one flood from the horizon), ``UnionFind``, and ``component_labels``
+(labels under many edge configurations at once).  Every sampled or swept
+cluster is a block of trial bits: bit t of each per-vertex or per-edge
+int belongs to trial t.
 Graph parsing, the built-in families, edge subdivisions and connected
 vertex sets live here as well.
 """
@@ -138,24 +142,28 @@ def search(
 
 
 def flood(
-    graph: Graph, source: int, open_bits: Sequence[int], full: int
+    graph: Graph, sources: Iterable[int], open_bits: Sequence[int], full: int
 ) -> tuple[list[int], int]:
-    """``search`` from ``source`` in many trials at once, one bit per trial.
+    """``search`` from ``sources`` in many trials at once, one bit per trial.
 
     Bit t of ``open_bits[eid]`` is set when edge eid is open in trial t,
-    and ``full`` sets every trial's bit.  Returns, per vertex, the trials
-    that reach it, and the trials that touch the horizon.  As with
-    ``stop_at_horizon``, a trial stops spreading once it touches the
-    horizon, so only untouched trials' bits are whole clusters.  Horizon
-    vertices absorb.  A FIFO worklist passes on only the bits a vertex
-    gained since it last passed some on.
+    and the sources start with every trial of ``full``.  Returns, per
+    vertex, the trials that reach it, and the trials that touch the
+    horizon.  As with ``stop_at_horizon``, a trial stops spreading once it
+    touches the horizon, so only untouched trials' bits are whole
+    clusters.  Horizon vertices absorb, but a source is never newly
+    reached, so a flood from the horizon passes through it.  A FIFO
+    worklist passes on only the bits a vertex gained since it last passed
+    some on.
     """
     horizon = graph.horizon
     adjacency = graph.adjacency
     reach = [0] * graph.n_vertices
     pending = [0] * graph.n_vertices
-    reach[source] = pending[source] = alive = full
-    queue = deque([source])
+    queue = deque(dict.fromkeys(sources))
+    for s in queue:
+        reach[s] = pending[s] = full
+    alive = full
     while queue:
         u = queue.popleft()
         here = pending[u] & alive
@@ -171,6 +179,24 @@ def flood(
                         queue.append(w)
                     pending[w] |= new
     return reach, full & ~alive
+
+
+def exposed_bits(graph: Graph, inside: Sequence[int], full: int) -> list[int]:
+    """``exposed_boundary`` of many vertex sets at once, one bit per trial.
+
+    Bit t of ``inside[u]`` is set when u is in trial t's set, and ``full``
+    sets every trial's bit; no set may hold a horizon vertex.  Returns, per
+    edge, the trials in which it is exposed.  One flood from the whole
+    horizon over the edges with neither end in the trial's set gives the
+    vertices that escape; edge (a, b) is exposed when a is inside and b
+    escapes, or the other way round, the sweep's minimality test.
+    """
+    if any(inside[z] for z in graph.horizon):
+        raise PreconditionError("set under study intersects the horizon")
+    outside = [full & ~bits for bits in inside]
+    ends = graph.edges
+    esc, _ = flood(graph, graph.horizon, [outside[a] & outside[b] for a, b in ends], full)
+    return [inside[a] & esc[b] | inside[b] & esc[a] for a, b in ends]
 
 
 class UnionFind:

@@ -6,7 +6,9 @@ law (theta, boundary censuses) is summed over the connected sets the
 cluster can be.  Every sampled estimate draws its configurations from
 one ``PCG64(seed)`` stream and carries a Wilson 99% interval.  Sampled
 configurations come in blocks of trial bits, one Python int per edge, and
-one ``flood`` per block searches all of its trials at once.
+one ``flood`` per block searches all of its trials at once; one
+``exposed_bits`` pass then gives the boundaries of the block's distinct
+clusters.
 Horizon vertices absorb: open paths may end on them but never pass
 through.
 """
@@ -14,16 +16,13 @@ through.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _util
-from ._util import EventProbability
+from ._util import EventProbability, _bit_rows, _row_ints
 from .errors import CapExceededError, PreconditionError
 from .cutsets import QnTable, exposed_boundary
-from .graph_core import Graph, connected_subsets_containing, flood, set_weight
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graph_core import Graph, connected_subsets_containing, exposed_bits, flood, set_weight
 
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
@@ -59,24 +58,17 @@ def _config_blocks(
     size = max(1, 8 * _util._BLOCK_CELLS // max(n_edges, 1) // rows) * rows
 
     def draw(count: int) -> tuple[int, list[int]]:
-        parts = []
+        packed = np.empty((n_edges, count + 7 >> 3), dtype=np.uint8)
         for done in range(0, count, rows):
             block = rng.random((min(rows, count - done), n_edges)) < p
             # Packing along a contiguous last axis is about 3x faster.
-            parts.append(np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little"))
-        return count, [int.from_bytes(row.tobytes(), "little") for row in np.concatenate(parts, 1)]
+            packed[:, done >> 3 : done + rows >> 3] = np.packbits(
+                np.ascontiguousarray(block.T), axis=1, bitorder="little"
+            )
+            del block  # before the next draw
+        return count, [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     return (draw(min(size, trials - done)) for done in range(0, trials, size))
-
-
-def _bit_rows(values: list[int], count: int) -> np.ndarray:
-    """Bits 0..count-1 of each int, one uint8 row of zeros and ones per int."""
-    import numpy as np
-
-    width = count + 7 >> 3
-    data = b"".join(x.to_bytes(width, "little") for x in values)
-    packed = np.frombuffer(data, np.uint8).reshape(len(values), width)
-    return np.unpackbits(packed, axis=1, count=count, bitorder="little")
 
 
 def profile_probability(profile: Sequence[int], p: float) -> float:
@@ -96,10 +88,10 @@ def profile_probability(profile: Sequence[int], p: float) -> float:
 
 def mc_prob(graph: Graph, p: float, v: int, trials: int, seed: int) -> EventProbability:
     """Share of ``trials`` sampled configurations where v's open cluster touches the horizon."""
-    hits = sum(
-        flood(graph, v, bits, (1 << count) - 1)[1].bit_count()
-        for count, bits in _config_blocks(graph.n_edges, p, trials, seed)
-    )
+    hits = 0
+    for count, bits in _config_blocks(graph.n_edges, p, trials, seed):
+        hits += flood(graph, (v,), bits, (1 << count) - 1)[1].bit_count()
+        del bits  # before the next block is drawn
     return EventProbability.sampled(hits, trials)
 
 
@@ -234,7 +226,8 @@ def boundary_census_mc(
 
     Returns (hit counts per boundary, count of horizon-touching
     clusters); the two sides add up to the trial count.  The exposed
-    boundary is found once per distinct cluster of a block.
+    boundaries of a block's distinct clusters come from one
+    ``exposed_bits`` pass, bit j standing for distinct cluster j.
     """
     import numpy as np
 
@@ -245,13 +238,18 @@ def boundary_census_mc(
     counts: dict[tuple[int, ...], int] = {}
     infinite = 0
     for count, bits in blocks:
-        reach, touched = flood(graph, v, bits, (1 << count) - 1)
+        reach, touched = flood(graph, (v,), bits, (1 << count) - 1)
         infinite += touched.bit_count()
         # A row per vertex and a last one for the touched trials; the
         # untouched trials' columns, packed, are their clusters.
         cells = _bit_rows(reach + [touched], count)
+        del bits, reach  # before the next block is drawn
         clusters = np.packbits(cells[:n, cells[n] == 0].T, axis=1)
-        for row, hits in zip(*np.unique(clusters, axis=0, return_counts=True)):
-            key = exposed_boundary(graph, np.flatnonzero(np.unpackbits(row, count=n)).tolist())
-            counts[key] = counts.get(key, 0) + int(hits)
+        rows, hits = np.unique(clusters, axis=0, return_counts=True)
+        del cells, clusters
+        inside = _row_ints(np.unpackbits(rows, axis=1, count=n).T)
+        exposed = exposed_bits(graph, inside, (1 << len(rows)) - 1)
+        for edges, hit in zip(_bit_rows(exposed, len(rows)).T, hits.tolist()):
+            key = tuple(np.flatnonzero(edges).tolist())
+            counts[key] = counts.get(key, 0) + hit
     return counts, infinite

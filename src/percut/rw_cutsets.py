@@ -7,6 +7,8 @@ subdivision of a uniformly transient horizon graph from a fixed midpoint
 neighbor of the origin, keeps the range up to the last visit to the start,
 and reads off the inner endpoints of its exposed boundary.  When those are
 all midpoints of a minimal base cutset, the walk has certified that cutset.
+The exposed boundaries of a walk block's new distinct ranges come from one
+``graph_core.exposed_bits`` pass, bit j of each int standing for range j.
 The crossing matrix of excursion probabilities between the relevant
 midpoints is symmetric sub-stochastic with a guaranteed cut lower bound,
 which feeds the covering machinery.
@@ -14,16 +16,16 @@ which feeds the covering machinery.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _util
-from ._util import EventProbability, checked_solve, trial_generators
+from ._util import EventProbability, _bit_rows, _row_ints, checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, decompose, exposed_boundary, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap
+from .cutsets import Cutset, decompose, is_minimal_cutset
+from .graph_core import Graph, SubdivisionMap, exposed_bits
 
 DECODED = "decoded"
 NON_MIDPOINT = "non_midpoint"
@@ -298,16 +300,18 @@ def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
     return origin_midpoint(sd, origin)
 
 
-def _decode(sd: SubdivisionMap, origin: int, c: frozenset[int]) -> tuple[str, Cutset | None]:
-    """Outcome and decoded cutset of one walk range; a pure function of c.
+def _decode(
+    sd: SubdivisionMap, origin: int, c: frozenset[int], boundary: Iterable[int]
+) -> tuple[str, Cutset | None]:
+    """Outcome and decoded cutset of one walk range c with exposed boundary ``boundary``.
 
-    The inner endpoints of the range's exposed boundary are collected;
-    when all of them are midpoints whose base edges form a minimal cutset
-    from the origin, the range decodes.  Mixed or non-minimal boundaries
-    are distinct outcomes, never dropped.
+    The inner endpoints of the boundary edges are collected; when all of
+    them are midpoints whose base edges form a minimal cutset from the
+    origin, the range decodes.  Mixed or non-minimal boundaries are
+    distinct outcomes, never dropped.
     """
     inner = set()
-    for eid in exposed_boundary(sd.derived, c):
+    for eid in boundary:
         u, v = sd.derived.edges[eid]
         inner.add(u if u in c else v)
     if all(sd.is_midpoint(x) for x in inner):
@@ -316,6 +320,20 @@ def _decode(sd: SubdivisionMap, origin: int, c: frozenset[int]) -> tuple[str, Cu
             return DECODED, Cutset(base_ids, origin)
         return NOT_MINIMAL, None
     return NON_MIDPOINT, None
+
+
+def _decode_ranges(
+    sd: SubdivisionMap, origin: int, ranges: np.ndarray
+) -> list[tuple[str, Cutset | None]]:
+    """``_decode`` of each walk range, a row of a bool matrix, after one ``exposed_bits`` pass.
+
+    Bit j of every vertex's and edge's int stands for range j.
+    """
+    exposed = exposed_bits(sd.derived, _row_ints(ranges.T), (1 << len(ranges)) - 1)
+    return [
+        _decode(sd, origin, frozenset(np.flatnonzero(row).tolist()), np.flatnonzero(edges).tolist())
+        for row, edges in zip(ranges, _bit_rows(exposed, len(ranges)).T)
+    ]
 
 
 @dataclass(frozen=True)
@@ -332,9 +350,10 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
     """Walk ``trials`` times from the start midpoint and tabulate every outcome.
 
     Walks run in blocks (``_walk_blocks``), and each distinct range is
-    decoded once: walks with equal ranges share one outcome.  Walks still
-    out after ``_util.MAX_STEPS`` steps are counted under their own outcome
-    rather than raising.
+    decoded once: walks with equal ranges share one outcome, and a block's
+    ranges not decoded in an earlier block are decoded together
+    (``_decode_ranges``).  Walks still out after ``_util.MAX_STEPS`` steps
+    are counted under their own outcome rather than raising.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -343,17 +362,15 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
     hits: dict[Cutset, int] = {}
     decoded: dict[bytes, tuple[str, Cutset | None]] = {}
     for tau, _, end, first in _walk_blocks(sd.derived, start, trials, seed):
-        ranges = first <= tau[:, None]
-        for row, absorbed in zip(ranges, (end >= 0).tolist()):
-            if not absorbed:
-                outcomes[ABORTED] += 1
-                continue
-            key = row.tobytes()
-            result = decoded.get(key)
-            if result is None:
-                c = frozenset(np.flatnonzero(row).tolist())
-                result = decoded[key] = _decode(sd, origin, c)
-            outcome, cutset = result
+        absorbed = end >= 0
+        outcomes[ABORTED] += int(np.count_nonzero(~absorbed))
+        ranges = (first <= tau[:, None])[absorbed]
+        keys = [row.tobytes() for row in ranges]
+        fresh = {key: i for i, key in enumerate(keys) if key not in decoded}
+        if fresh:
+            decoded.update(zip(fresh, _decode_ranges(sd, origin, ranges[list(fresh.values())])))
+        for key in keys:
+            outcome, cutset = decoded[key]
             outcomes[outcome] += 1
             if cutset is not None:
                 hits[cutset] = hits.get(cutset, 0) + 1

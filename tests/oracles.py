@@ -32,7 +32,9 @@ from percut.errors import (
     CapExceededError, GraphStructureError, PreconditionError, TheoremViolationError,
 )
 from percut.fkg_chain import ConnectivityOracle, fkg_lower_bound
-from percut.gff import GreenMatrix, _below, _field_blocks, cutset_frame, green, section8_pipeline
+from percut.gff import (
+    GreenMatrix, Section8Report, _field_blocks, cutset_frame, green, section8_pipeline,
+)
 from percut.graph_core import (
     Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, search,
     set_weight,
@@ -932,6 +934,62 @@ def sample_field(gm: GreenMatrix, rng: np.random.Generator | int) -> GaussianFie
         rng = np.random.Generator(np.random.PCG64(seed))
     row = gm.sample_block(rng, 1)[0]
     return GaussianField(tuple(float(x) for x in row), gm, seed)
+
+
+def _below(interior: np.ndarray, values: np.ndarray, level: float) -> set[int]:
+    """Interior vertices whose field value is not at or above ``level``."""
+    return set(interior[~(values >= level)].tolist())
+
+
+def section8_by_samples(base: Graph, cutset: Cutset, trials: int, seed: int) -> Section8Report:
+    """``gff.section8_pipeline``, two searches and one exposed boundary per sample."""
+    if trials < 1:
+        raise PreconditionError("trials must be positive")
+    frame = cutset_frame(base, cutset)
+    derived = frame.sd.derived
+    gm = green(derived)
+    origin = cutset.source
+    o_idx = gm.index(origin)
+    x_idx = np.array([gm.index(v) for v in frame.x_vertices])
+    y_idx = np.array([gm.index(v) for v in frame.y_vertices])
+    x_set = set(frame.x_vertices)
+    pairs = tuple(zip(frame.x_vertices, frame.y_vertices))
+    in_component = [u in frame.component and v in frame.component for u, v in derived.edges]
+    mids = frame.mid_edge_ids
+    interior = np.array(gm.interior)
+
+    f_count = e_count = fe_count = boundary_count = 0
+    for block in _field_blocks(gm, seed, trials):
+        fx = block[:, x_idx]
+        fy = block[:, y_idx]
+        f_mask = (
+            (fx >= 1.0).all(axis=1)
+            & (fx <= 2.0).all(axis=1)
+            & (fy >= -2.0).all(axis=1)
+            & (fy <= -1.0).all(axis=1)
+        )
+        f_count += int(f_mask.sum())
+        for t in range(block.shape[0]):
+            comp_a = cluster = set()
+            if block[t, o_idx] >= 0.0:
+                below = _below(interior, block[t], 0.0)
+                comp_a, _ = search(derived, (origin,), in_component, avoid=below)
+                cluster, _ = search(derived, (origin,), avoid=below)
+            e_hit = x_set <= comp_a
+            if e_hit:
+                e_count += 1
+            hit = False
+            if cluster and all(x in cluster or y in cluster for x, y in pairs):
+                hit = exposed_boundary(derived, cluster) == mids
+            if hit:
+                boundary_count += 1
+            if f_mask[t] and e_hit:
+                fe_count += 1
+                if not hit:
+                    raise TheoremViolationError(
+                        "clamped and connected sample missed the target boundary"
+                    )
+    return Section8Report(cutset, mids, trials, f_count, e_count, fe_count, boundary_count)
 
 
 def excursion_cluster(field: GaussianField, origin: int, level: float = 0.0) -> frozenset[int]:

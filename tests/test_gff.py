@@ -10,9 +10,10 @@ from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
 from percut.rw_cutsets import escape_probabilities
 
 from corpus import CORPUS
+import oracles
 from oracles import (
     GaussianField, domination_endpoint_check, excursion_cluster, markov_check, sample_field,
-    sign_bound_check,
+    section8_by_samples, sign_bound_check,
 )
 
 
@@ -252,6 +253,53 @@ def test_pipeline_p5():
     report = section8_pipeline(p5, verified_cutset(p5, (1, 2), 2), trials=20_000, seed=5)
     assert report.fe_count <= min(report.f_count, report.e_count)
     assert report.boundary_count >= report.fe_count
+
+
+def _counts(report):
+    return report.f_count, report.e_count, report.fe_count, report.boundary_count
+
+
+# (base graph, cutset, origin, trials, seed): the benchmark's grid:6,6 cutset,
+# and grid:5,5's four edges around its centre; both take three field blocks.
+PIPELINE_CASES = [
+    (CORPUS["pendant3"], (2,), 3, 30_000, 77),
+    (path_graph(5), (1, 2), 2, 20_000, 5),
+    (grid_graph(5, 5), (14, 20, 22, 23), 12, 10_000, 11),
+    (grid_graph(6, 6), (27, 35, 37, 38), 20, 10_000, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edge_ids, origin, trials, seed", PIPELINE_CASES,
+    ids=["pendant3", "path5", "grid5x5_centre", "grid6x6_bench"],
+)
+def test_pipeline_matches_the_per_sample_oracle(base, edge_ids, origin, trials, seed):
+    cutset = verified_cutset(base, edge_ids, origin)
+    report = section8_pipeline(base, cutset, trials, seed)
+    assert _counts(report) == _counts(section8_by_samples(base, cutset, trials, seed))
+    assert report.boundary_count > 0
+
+
+def test_pipeline_self_check_fires_on_a_wrong_frame(monkeypatch):
+    # pendant3's cutset (2,) from 3 has clamped and connected samples; with
+    # its one mid-edge dropped from the frame, those miss the target boundary.
+    import dataclasses
+
+    import percut.gff
+
+    g = CORPUS["pendant3"]
+    cutset = verified_cutset(g, (2,), 3)
+    assert section8_pipeline(g, cutset, 30_000, seed=77).fe_count > 0
+
+    def dropped(base, c):
+        frame = cutset_frame(base, c)
+        return dataclasses.replace(frame, mid_edge_ids=frame.mid_edge_ids[1:])
+
+    monkeypatch.setattr(percut.gff, "cutset_frame", dropped)
+    monkeypatch.setattr(oracles, "cutset_frame", dropped)
+    for route in (section8_pipeline, section8_by_samples):
+        with pytest.raises(TheoremViolationError, match="missed the target boundary"):
+            route(g, cutset, 30_000, 77)
 
 
 # ---- sign bound and domination endpoints ----

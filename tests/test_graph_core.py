@@ -8,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from percut import Graph, _util
+from percut.cutsets import exposed_boundary
 from percut.errors import CapExceededError, GraphStructureError, ParseError, PreconditionError
 from percut.graph_core import (
     UnionFind,
@@ -16,6 +17,7 @@ from percut.graph_core import (
     component_labels,
     connected_subsets_containing,
     cycle_graph,
+    exposed_bits,
     flood,
     grid_graph,
     load_graph,
@@ -157,12 +159,60 @@ def test_flood_is_search_in_every_trial(name):
     rows = (rng.random((70, g.n_edges)) < rng.random((70, 1))).tolist()
     bits = [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(g.n_edges)]
     for v in range(g.n_vertices):
-        reach, touched = flood(g, v, bits, (1 << len(rows)) - 1)
+        reach, touched = flood(g, (v,), bits, (1 << len(rows)) - 1)
         for t, row in enumerate(rows):
             cluster, hit = search(g, (v,), row, stop_at_horizon=True)
             assert bool(touched >> t & 1) == hit
             if not hit:
                 assert {u for u in range(g.n_vertices) if reach[u] >> t & 1} == cluster
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_flood_from_a_seed_set_is_search_from_it(name):
+    # The seeds start with the trials of ``full`` only; the horizon as the
+    # seed set passes through every horizon vertex and touches nothing.
+    g = CORPUS[name]
+    rng = np.random.default_rng(len(name) + 1)
+    rows = (rng.random((70, g.n_edges)) < rng.random((70, 1))).tolist()
+    bits = [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(g.n_edges)]
+    full = sum(1 << t for t in range(70) if rng.random() < 0.8)
+    seed_sets = [tuple(g.horizon)] + [
+        tuple(rng.choice(g.n_vertices, size, replace=False).tolist())
+        for size in rng.integers(1, g.n_vertices + 1, 6)
+    ]
+    for sources in seed_sets:
+        reach, touched = flood(g, sources, bits, full)
+        if sources == tuple(g.horizon):
+            assert touched == 0
+        for t, row in enumerate(rows):
+            if not full >> t & 1:
+                assert not touched >> t & 1 and not any(r >> t & 1 for r in reach)
+                continue
+            cluster, hit = search(g, sources, row, stop_at_horizon=True)
+            assert bool(touched >> t & 1) == hit
+            if not hit:
+                assert {u for u in range(g.n_vertices) if reach[u] >> t & 1} == cluster
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_exposed_bits_is_exposed_boundary_in_every_trial(name):
+    # Trial t's set is sets[t]: every singleton off the horizon, then random sets.
+    g = CORPUS[name]
+    rng = np.random.default_rng(len(name) + 2)
+    sets = [{v} for v in g.interior] + [
+        {v for v in g.interior if rng.random() < q} for q in rng.random(60)
+    ]
+    inside = [sum(1 << t for t, s in enumerate(sets) if u in s) for u in range(g.n_vertices)]
+    exposed = exposed_bits(g, inside, (1 << len(sets)) - 1)
+    for t, s in enumerate(sets):
+        got = tuple(eid for eid, bits in enumerate(exposed) if bits >> t & 1)
+        assert got == exposed_boundary(g, s), (t, s)
+
+
+def test_exposed_bits_refuses_a_set_on_the_horizon():
+    p5 = path_graph(5)
+    with pytest.raises(PreconditionError):
+        exposed_bits(p5, [0, 0, 0, 0, 1], 1)
 
 
 def test_union_find_counts_components():

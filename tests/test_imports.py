@@ -126,6 +126,9 @@ def test_cover_exact_loads_only_the_cover_lemma(tmp_path):
     [
         "rw escape --graph grid:4,4 --output-file o.csv",
         "gff green --graph grid:3,3 --output-file o.json",
+        "rw census --graph grid:4,4 --origin 5 --trials 200 --seed 1 --output-file o.csv",
+        "gff pipeline --graph path:5 --origin 2 --cutset 1,2 --trials 500 --seed 1"
+        " --output-file o.csv",
     ],
 )
 def test_walk_and_field_commands_never_load_percolation(argv, tmp_path):

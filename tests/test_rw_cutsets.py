@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from percut import _util, path_graph
 from percut._util import EventProbability, trial_generators
-from percut.cutsets import verified_cutset
+from percut.cutsets import exposed_boundary, verified_cutset
 from percut.errors import CapExceededError, PreconditionError
 from percut.graph_core import grid_graph, subdivide
 from percut.rw_cutsets import (
@@ -226,11 +226,17 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
     start = origin_midpoint(sd, origin)
     want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     want_hits = {}
-    for rng in trial_generators(9, 0, walks):
-        outcome, cutset = _decode(sd, origin, walk_by_steps(sd.derived, start, rng, 10_000_000)[3])
+    blocks_of = {}  # range -> the blocks of 7 walks it appears in
+    for t, rng in enumerate(trial_generators(9, 0, walks)):
+        c = walk_by_steps(sd.derived, start, rng, 10_000_000)[3]
+        blocks_of.setdefault(c, set()).add(t // 7)
+        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
         want_outcomes[outcome] += 1
         if cutset is not None:
             want_hits[cutset] = want_hits.get(cutset, 0) + 1
+    # Some range recurs in a later block, so the small blocks read the
+    # cross-block cache as well as decoding fresh ranges together.
+    assert any(len(blocks) > 1 for blocks in blocks_of.values())
     one_block = qn_census_rw(sd, origin, walks, seed=9)
     assert _util._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
     monkeypatch.setattr(_util, "_BLOCK_CELLS", 7 * (sd.derived.n_vertices + 256))
@@ -238,6 +244,26 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
     for census in (one_block, small_blocks):
         assert census.outcome_counts == want_outcomes
         assert list(census.hits.items()) == list(want_hits.items())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_census_matches_the_range_oracle_on_the_corpus(name):
+    # Every walk of the census, decoded alone from its own exposed boundary.
+    g = CORPUS[name]
+    sd = subdivide(g, 2)
+    origin = g.interior[0]
+    start = origin_midpoint(sd, origin)
+    want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
+    want_hits = {}
+    for rng in trial_generators(len(name), 0, 150):
+        c = walk_by_steps(sd.derived, start, rng, 10_000_000)[3]
+        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
+        want_outcomes[outcome] += 1
+        if cutset is not None:
+            want_hits[cutset] = want_hits.get(cutset, 0) + 1
+    census = qn_census_rw(sd, origin, 150, seed=len(name))
+    assert census.outcome_counts == want_outcomes
+    assert list(census.hits.items()) == list(want_hits.items())
 
 
 def test_sample_cluster_boundary_outcomes():
