@@ -221,7 +221,6 @@ def section8_pipeline(
     pairs = tuple(zip(frame.x_vertices, frame.y_vertices))
     in_component = [u in frame.component and v in frame.component for u, v in derived.edges]
     mids = frame.mid_edge_ids
-    is_mid = [eid in mids for eid in range(derived.n_edges)]
 
     f_count = e_count = fe_count = boundary_count = 0
     for block in _field_blocks(gm, seed, trials):
@@ -251,8 +250,8 @@ def section8_pipeline(
             candidate &= cluster[x] | cluster[y]
         match = candidate
         exposed = exposed_bits(derived, [bits & candidate for bits in cluster], candidate)
-        for bits, mid in zip(exposed, is_mid):
-            match &= bits if mid else ~bits
+        for eid, bits in enumerate(exposed):
+            match &= bits if eid in mids else ~bits
         f_bits = _row_ints(f_mask[None, :])[0]
         fe_bits = f_bits & e_bits
         if fe_bits & ~match:

@@ -160,7 +160,7 @@ def flood(
     adjacency = graph.adjacency
     reach = [0] * graph.n_vertices
     pending = [0] * graph.n_vertices
-    queue = deque(dict.fromkeys(sources))
+    queue = deque(sources)
     for s in queue:
         reach[s] = pending[s] = full
     alive = full
