@@ -3,7 +3,8 @@
 No command reaches anything here.  Each definition is an oracle a
 command's route is checked against (the configuration sweep, the
 component walk over cutsets, the subset-at-a-time cutset and cover-lemma
-sweeps, the one-step walk, the explicit cover-and-return enumeration), or a check of one step of the paper's
+sweeps, the one-step walk, the per-sample field pipeline, the explicit
+cover-and-return enumeration), or a check of one step of the paper's
 argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
@@ -40,7 +41,10 @@ from percut.graph_core import (
     set_weight,
 )
 from percut.percolation import _check_p, boundary_census_exact, profile_probability
-from percut.rw_cutsets import _no_return, escape_constant, escape_probabilities, fundamental_matrix
+from percut.rw_cutsets import (
+    ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _decode, _no_return, escape_constant,
+    escape_probabilities, fundamental_matrix, origin_midpoint,
+)
 
 # Most connected sets the component walk may visit before it gives up.
 MAX_SUBSETS = 2_000_000
@@ -854,6 +858,25 @@ def walk_by_steps(graph: Graph, start: int, rng: np.random.Generator, max_steps:
         if x in graph.horizon:
             return step, x, tau, frozenset(path[: tau + 1])
     raise CapExceededError("walk exceeded the step cap without absorption")
+
+
+def census_by_walks(sd: SubdivisionMap, origin: int, walks: int, seed: int):
+    """``rw_cutsets.qn_census_rw``, walking one scalar walk and decoding one range at a time.
+
+    Returns (outcome counts, hits per cutset, every walk's range).
+    """
+    start = origin_midpoint(sd, origin)
+    outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
+    hits: dict[Cutset, int] = {}
+    ranges = []
+    for rng in _util.trial_generators(seed, 0, walks):
+        c = walk_by_steps(sd.derived, start, rng, _util.MAX_STEPS)[3]
+        ranges.append(c)
+        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
+        outcomes[outcome] += 1
+        if cutset is not None:
+            hits[cutset] = hits.get(cutset, 0) + 1
+    return outcomes, hits, ranges
 
 
 @dataclass(frozen=True)

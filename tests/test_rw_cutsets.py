@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from percut import _util, path_graph
 from percut._util import EventProbability, trial_generators
-from percut.cutsets import exposed_boundary, verified_cutset
+from percut.cutsets import verified_cutset
 from percut.errors import CapExceededError, PreconditionError
 from percut.graph_core import grid_graph, subdivide
 from percut.rw_cutsets import (
@@ -12,7 +12,6 @@ from percut.rw_cutsets import (
     DECODED,
     NON_MIDPOINT,
     NOT_MINIMAL,
-    _decode,
     _walk_block,
     crossing_matrix,
     escape_constant,
@@ -24,7 +23,7 @@ from percut.rw_cutsets import (
 )
 
 from corpus import CORPUS, cutsets_for
-from oracles import subdivision_escape_check, walk_by_steps
+from oracles import census_by_walks, subdivision_escape_check, walk_by_steps
 
 
 # ---- escape probabilities ----
@@ -223,19 +222,12 @@ def test_walks_match_scalar_oracle(name, base, origin, walks, cap, capped):
 @pytest.mark.parametrize("name, base, origin, walks, cap", WALK_CASES, ids=WALK_IDS)
 def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, walks, cap, monkeypatch):
     sd = subdivide(base, 2)
-    start = origin_midpoint(sd, origin)
-    want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
-    want_hits = {}
-    blocks_of = {}  # range -> the blocks of 7 walks it appears in
-    for t, rng in enumerate(trial_generators(9, 0, walks)):
-        c = walk_by_steps(sd.derived, start, rng, 10_000_000)[3]
+    want_outcomes, want_hits, ranges = census_by_walks(sd, origin, walks, 9)
+    # Some range recurs in a later block of 7 walks, so the small blocks read
+    # the cross-block cache as well as decoding fresh ranges together.
+    blocks_of = {}
+    for t, c in enumerate(ranges):
         blocks_of.setdefault(c, set()).add(t // 7)
-        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
-        want_outcomes[outcome] += 1
-        if cutset is not None:
-            want_hits[cutset] = want_hits.get(cutset, 0) + 1
-    # Some range recurs in a later block, so the small blocks read the
-    # cross-block cache as well as decoding fresh ranges together.
     assert any(len(blocks) > 1 for blocks in blocks_of.values())
     one_block = qn_census_rw(sd, origin, walks, seed=9)
     assert _util._BLOCK_CELLS // (sd.derived.n_vertices + 256) >= walks
@@ -248,19 +240,10 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_census_matches_the_range_oracle_on_the_corpus(name):
-    # Every walk of the census, decoded alone from its own exposed boundary.
     g = CORPUS[name]
     sd = subdivide(g, 2)
     origin = g.interior[0]
-    start = origin_midpoint(sd, origin)
-    want_outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
-    want_hits = {}
-    for rng in trial_generators(len(name), 0, 150):
-        c = walk_by_steps(sd.derived, start, rng, 10_000_000)[3]
-        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
-        want_outcomes[outcome] += 1
-        if cutset is not None:
-            want_hits[cutset] = want_hits.get(cutset, 0) + 1
+    want_outcomes, want_hits, _ = census_by_walks(sd, origin, 150, len(name))
     census = qn_census_rw(sd, origin, 150, seed=len(name))
     assert census.outcome_counts == want_outcomes
     assert list(census.hits.items()) == list(want_hits.items())
