@@ -243,10 +243,9 @@ def boundary_census_mc(
         # A row per vertex and a last one for the touched trials; the
         # untouched trials' columns, packed, are their clusters.
         cells = _bit_rows(reach + [touched], count)
-        del bits, reach  # before the next block is drawn
         clusters = np.packbits(cells[:n, cells[n] == 0].T, axis=1)
         rows, hits = np.unique(clusters, axis=0, return_counts=True)
-        del cells, clusters
+        del bits, reach, cells, clusters  # before the next block is drawn
         inside = _row_ints(np.unpackbits(rows, axis=1, count=n).T)
         exposed = exposed_bits(graph, inside, (1 << len(rows)) - 1)
         for edges, hit in zip(_bit_rows(exposed, len(rows)).T, hits.tolist()):

@@ -330,9 +330,10 @@ def _decode_ranges(
     Bit j of every vertex's and edge's int stands for range j.
     """
     exposed = exposed_bits(sd.derived, _row_ints(ranges.T), (1 << len(ranges)) - 1)
+    boundaries = _bit_rows(exposed, len(ranges)).T
     return [
         _decode(sd, origin, frozenset(np.flatnonzero(row).tolist()), np.flatnonzero(edges).tolist())
-        for row, edges in zip(ranges, _bit_rows(exposed, len(ranges)).T)
+        for row, edges in zip(ranges, boundaries)
     ]
 
 
