@@ -154,29 +154,14 @@ def test_search_expands_its_sources_even_on_the_horizon():
 def test_flood_is_search_in_every_trial(name):
     # Bit t of each edge's int is trial t's open bit; every untouched trial's
     # bits are its whole cluster, and the touched bits are the touched trials.
+    # Sources: each vertex, the horizon (passed through, never touched) and
+    # random seed sets; they start with the trials of ``full`` only.
     g = CORPUS[name]
     rng = np.random.default_rng(len(name))
     rows = (rng.random((70, g.n_edges)) < rng.random((70, 1))).tolist()
     bits = [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(g.n_edges)]
-    for v in range(g.n_vertices):
-        reach, touched = flood(g, (v,), bits, (1 << len(rows)) - 1)
-        for t, row in enumerate(rows):
-            cluster, hit = search(g, (v,), row, stop_at_horizon=True)
-            assert bool(touched >> t & 1) == hit
-            if not hit:
-                assert {u for u in range(g.n_vertices) if reach[u] >> t & 1} == cluster
-
-
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_flood_from_a_seed_set_is_search_from_it(name):
-    # The seeds start with the trials of ``full`` only; the horizon as the
-    # seed set passes through every horizon vertex and touches nothing.
-    g = CORPUS[name]
-    rng = np.random.default_rng(len(name) + 1)
-    rows = (rng.random((70, g.n_edges)) < rng.random((70, 1))).tolist()
-    bits = [sum(row[eid] << t for t, row in enumerate(rows)) for eid in range(g.n_edges)]
     full = sum(1 << t for t in range(70) if rng.random() < 0.8)
-    seed_sets = [tuple(g.horizon)] + [
+    seed_sets = [(v,) for v in range(g.n_vertices)] + [tuple(g.horizon)] + [
         tuple(rng.choice(g.n_vertices, size, replace=False).tolist())
         for size in rng.integers(1, g.n_vertices + 1, 6)
     ]
