@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from . import _util
-from ._util import check_sweep
+from ._util import _bit_rows, _row_ints, check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import Graph, boundary_edges, flood, search
+from .graph_core import Graph, boundary_edges, exposed_bits, flood, search
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,6 +84,18 @@ def exposed_boundary(graph: Graph, s: Iterable[int]) -> tuple[int, ...]:
             if escape:
                 out.append(eid)
     return tuple(sorted(out))
+
+
+def _exposed_boundaries(graph: Graph, sets: np.ndarray) -> list[tuple[int, ...]]:
+    """``exposed_boundary`` of each row of a bool matrix (row j marks set j's vertices).
+
+    One ``graph_core.exposed_bits`` pass finds them all, bit j of every
+    vertex's and edge's int standing for set j.
+    """
+    import numpy as np
+
+    exposed = exposed_bits(graph, _row_ints(sets.T), (1 << len(sets)) - 1)
+    return [tuple(np.flatnonzero(edges).tolist()) for edges in _bit_rows(exposed, len(sets)).T]
 
 
 def is_minimal_cutset(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:

@@ -19,10 +19,10 @@ import math
 from typing import Iterator, Sequence
 
 from . import _util
-from ._util import EventProbability, _bit_rows, _row_ints
+from ._util import EventProbability, _bit_rows
 from .errors import CapExceededError, PreconditionError
-from .cutsets import QnTable, exposed_boundary
-from .graph_core import Graph, connected_subsets_containing, exposed_bits, flood, set_weight
+from .cutsets import QnTable, _exposed_boundaries, exposed_boundary
+from .graph_core import Graph, connected_subsets_containing, flood, set_weight
 
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
@@ -227,7 +227,7 @@ def boundary_census_mc(
     Returns (hit counts per boundary, count of horizon-touching
     clusters); the two sides add up to the trial count.  The exposed
     boundaries of a block's distinct clusters come from one
-    ``exposed_bits`` pass, bit j standing for distinct cluster j.
+    ``exposed_bits`` pass.
     """
     import numpy as np
 
@@ -246,9 +246,7 @@ def boundary_census_mc(
         clusters = np.packbits(cells[:n, cells[n] == 0].T, axis=1)
         rows, hits = np.unique(clusters, axis=0, return_counts=True)
         del bits, reach, cells, clusters  # before the next block is drawn
-        inside = _row_ints(np.unpackbits(rows, axis=1, count=n).T)
-        exposed = exposed_bits(graph, inside, (1 << len(rows)) - 1)
-        for edges, hit in zip(_bit_rows(exposed, len(rows)).T, hits.tolist()):
-            key = tuple(np.flatnonzero(edges).tolist())
+        sets = np.unpackbits(rows, axis=1, count=n)
+        for key, hit in zip(_exposed_boundaries(graph, sets), hits.tolist()):
             counts[key] = counts.get(key, 0) + hit
     return counts, infinite

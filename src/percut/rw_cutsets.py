@@ -8,7 +8,7 @@ neighbor of the origin, keeps the range up to the last visit to the start,
 and reads off the inner endpoints of its exposed boundary.  When those are
 all midpoints of a minimal base cutset, the walk has certified that cutset.
 The exposed boundaries of a walk block's new distinct ranges come from one
-``graph_core.exposed_bits`` pass, bit j of each int standing for range j.
+``graph_core.exposed_bits`` pass.
 The crossing matrix of excursion probabilities between the relevant
 midpoints is symmetric sub-stochastic with a guaranteed cut lower bound,
 which feeds the covering machinery.
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import EventProbability, _bit_rows, _row_ints, checked_solve, trial_generators
+from ._util import EventProbability, checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
-from .cutsets import Cutset, decompose, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap, exposed_bits
+from .cutsets import Cutset, _exposed_boundaries, decompose, is_minimal_cutset
+from .graph_core import Graph, SubdivisionMap
 
 DECODED = "decoded"
 NON_MIDPOINT = "non_midpoint"
@@ -322,21 +322,6 @@ def _decode(
     return NON_MIDPOINT, None
 
 
-def _decode_ranges(
-    sd: SubdivisionMap, origin: int, ranges: np.ndarray
-) -> list[tuple[str, Cutset | None]]:
-    """``_decode`` of each walk range, a row of a bool matrix, after one ``exposed_bits`` pass.
-
-    Bit j of every vertex's and edge's int stands for range j.
-    """
-    exposed = exposed_bits(sd.derived, _row_ints(ranges.T), (1 << len(ranges)) - 1)
-    boundaries = _bit_rows(exposed, len(ranges)).T
-    return [
-        _decode(sd, origin, frozenset(np.flatnonzero(row).tolist()), np.flatnonzero(edges).tolist())
-        for row, edges in zip(ranges, boundaries)
-    ]
-
-
 @dataclass(frozen=True)
 class RwCensus:
     """Aggregated walk census: hit counts per decoded cutset and outcome."""
@@ -351,10 +336,11 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
     """Walk ``trials`` times from the start midpoint and tabulate every outcome.
 
     Walks run in blocks (``_walk_blocks``), and each distinct range is
-    decoded once: walks with equal ranges share one outcome, and a block's
-    ranges not decoded in an earlier block are decoded together
-    (``_decode_ranges``).  Walks still out after ``_util.MAX_STEPS`` steps
-    are counted under their own outcome rather than raising.
+    decoded once: walks with equal ranges share one outcome, and the
+    exposed boundaries of a block's ranges not decoded in an earlier block
+    come from one ``exposed_bits`` pass.  Walks still out after
+    ``_util.MAX_STEPS`` steps are counted under their own outcome rather
+    than raising.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -369,7 +355,9 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
         keys = [row.tobytes() for row in ranges]
         fresh = {key: i for i, key in enumerate(keys) if key not in decoded}
         if fresh:
-            decoded.update(zip(fresh, _decode_ranges(sd, origin, ranges[list(fresh.values())])))
+            rows = ranges[list(fresh.values())]
+            for key, row, boundary in zip(fresh, rows, _exposed_boundaries(sd.derived, rows)):
+                decoded[key] = _decode(sd, origin, frozenset(np.flatnonzero(row).tolist()), boundary)
         for key in keys:
             outcome, cutset = decoded[key]
             outcomes[outcome] += 1
