@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 from . import _util
 from ._util import _bit_rows, _row_ints, check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import Graph, boundary_edges, exposed_bits, flood, search
+from .graph_core import Graph, boundary_edges, exposed_bits, flood
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,33 +57,13 @@ def exposed_boundary(graph: Graph, s: Iterable[int]) -> tuple[int, ...]:
     """Edges out of ``s`` whose far endpoint still reaches the horizon.
 
     The far endpoint may itself be a horizon vertex.  ``s`` must not
-    touch the horizon.  Only the edges around ``s`` are scanned; each
-    outside endpoint not yet classified gets one search that avoids
-    ``s`` and stops at the horizon, and everything that search reached
-    shares its verdict.
+    touch the horizon.  One ``graph_core.exposed_bits`` pass of one trial.
     """
-    inside = set(s)
-    horizon = graph.horizon
-    if inside & horizon:
-        raise PreconditionError("set under study intersects the horizon")
-    escapes: dict[int, bool] = {}
-    out = []
-    for u in inside:
-        if not 0 <= u < graph.n_vertices:
-            continue  # not a vertex, so no edge leaves it
-        for w, eid in graph.adjacency[u]:
-            if w in inside:
-                continue
-            escape = escapes.get(w)
-            if escape is None:
-                if w in horizon:
-                    escape = True
-                else:
-                    reached, escape = search(graph, (w,), avoid=inside, stop_at_horizon=True)
-                    escapes.update(dict.fromkeys(reached, escape))
-            if escape:
-                out.append(eid)
-    return tuple(sorted(out))
+    inside = [0] * graph.n_vertices
+    for u in s:
+        if 0 <= u < graph.n_vertices:  # a non-vertex has no edge leaving it
+            inside[u] = 1
+    return tuple(eid for eid, bits in enumerate(exposed_bits(graph, inside, 1)) if bits)
 
 
 def _exposed_boundaries(graph: Graph, sets: np.ndarray) -> list[tuple[int, ...]]:
@@ -98,24 +78,36 @@ def _exposed_boundaries(graph: Graph, sets: np.ndarray) -> list[tuple[int, ...]]
     return [tuple(np.flatnonzero(edges).tolist()) for edges in _bit_rows(exposed, len(sets)).T]
 
 
+def _minimal_bits(graph: Graph, v: int, open_bits: list[int], full: int) -> int:
+    """The trials of ``full`` whose closed edges form a minimal cutset from v.
+
+    Bit t of ``open_bits[eid]`` is set when edge eid is open in trial t.
+    One ``flood`` from v and one from the whole horizon give, per vertex
+    u, ``reach[u]``, the trials in which u is joined to v, and ``esc[u]``,
+    those in which u is joined to the horizon.  A trial's closed edges
+    strand v when v's flood touches no horizon vertex, and are minimal
+    when putting back any one of them, (a, b), frees v: v reaches a and b
+    escapes, or the other way round.
+    """
+    reach, touched = flood(graph, (v,), open_bits, full)
+    esc, _ = flood(graph, graph.horizon, open_bits, full)
+    minimal = full & ~touched
+    for bits, (a, b) in zip(open_bits, graph.edges):
+        minimal &= bits | reach[a] & esc[b] | reach[b] & esc[a]
+    return minimal
+
+
 def is_minimal_cutset(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:
-    """Does removing exactly this edge set, and no proper subset, strand v?"""
+    """Does removing exactly this edge set, and no proper subset, strand v?
+
+    ``_minimal_bits`` with one trial.
+    """
     _require_cutset_context(graph, v)
     removed = frozenset(edge_ids)
     m = graph.n_edges
     if not all(0 <= eid < m for eid in removed):
         return False  # an edge the graph lacks is never needed to strand v
-    is_open = [eid not in removed for eid in range(m)]
-    # Removing the set strands v, and putting back any one edge frees it.
-    if search(graph, (v,), is_open, stop_at_horizon=True)[1]:
-        return False
-    for eid in removed:
-        is_open[eid] = True
-        freed = search(graph, (v,), is_open, stop_at_horizon=True)[1]
-        is_open[eid] = False
-        if not freed:
-            return False
-    return True
+    return bool(_minimal_bits(graph, v, [int(eid not in removed) for eid in range(m)], 1))
 
 
 def verified_cutset(graph: Graph, edge_ids: Iterable[int], source: int) -> Cutset:
@@ -136,8 +128,9 @@ def decompose(graph: Graph, cutset: Cutset) -> CutsetDecomposition:
     if not is_minimal_cutset(graph, cutset.edge_ids, cutset.source):
         raise PreconditionError("decompose needs a minimal cutset")
     removed = frozenset(cutset.edge_ids)
-    is_open = [eid not in removed for eid in range(graph.n_edges)]
-    comp, _ = search(graph, (cutset.source,), is_open)
+    kept = [int(eid not in removed) for eid in range(graph.n_edges)]
+    reach, _ = flood(graph, (cutset.source,), kept, 1)
+    comp = {u for u, bits in enumerate(reach) if bits}
     inner = set()
     for eid in cutset.edge_ids:
         u, v = graph.edges[eid]
@@ -198,28 +191,18 @@ def _pack_table(v: int, found: dict[int, list[Cutset]]) -> QnTable:
 def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> QnTable:
     """Powerset sweep: test every edge subset of size up to ``n_max``.
 
-    All 2^m subsets are tested at once.  A bitset is one Python int of 2^m
-    bits, bit x standing for "edge subset x removed", and one ``flood``
-    from v and one from the whole horizon search every subset.  Per
-    vertex u, ``reach[u]`` marks the subsets whose removal leaves u joined
-    to v and ``esc[u]`` those that leave u joined to the horizon.  Subset
-    x strands v when v's flood touches no horizon vertex, and is minimal
-    when putting back any one of its edges (a, b) frees v: v reaches a and
-    b escapes, or the other way round.  That is ``is_minimal_cutset`` for
-    every x.
+    All 2^m subsets are tested at once by ``_minimal_bits``, the rule
+    ``is_minimal_cutset`` applies to one subset.  A bitset is one Python
+    int of 2^m bits, bit x standing for "edge subset x removed", so the
+    flood from v and the one from the whole horizon search every subset.
     """
     _require_cutset_context(graph, v)
     m = graph.n_edges
     check_sweep(m)
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
-    full = (1 << (1 << m)) - 1
     is_open = [_open_bits(eid, m) for eid in range(m)]
-    reach, touched = flood(graph, (v,), is_open, full)
-    esc, _ = flood(graph, graph.horizon, is_open, full)
-    minimal = full & ~touched
-    for eid, (a, b) in enumerate(graph.edges):
-        minimal &= is_open[eid] | reach[a] & esc[b] | reach[b] & esc[a]
+    minimal = _minimal_bits(graph, v, is_open, (1 << (1 << m)) - 1)
     found: dict[int, list[Cutset]] = {}
     data = minimal.to_bytes((1 << m) + 7 >> 3, "little")
     for i, byte in enumerate(data):

@@ -21,7 +21,7 @@ import numpy as np
 from ._util import EventProbability, _row_ints, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, search, subdivide
+from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, subdivide
 from .rw_cutsets import escape_probabilities, fundamental_matrix
 
 _BLOCK = 4096
@@ -144,9 +144,9 @@ def cutset_frame(base: Graph, cutset: Cutset) -> CutsetFrame:
     if not is_minimal_cutset(sd.derived, tuple(mids), cutset.source):
         raise TheoremViolationError("mid-edges fail to form a minimal cutset")
     blocked = set(mids)
-    is_open = [eid not in blocked for eid in range(sd.derived.n_edges)]
-    seen, touched = search(sd.derived, (cutset.source,), is_open)
-    if touched or seen != region:
+    kept = [int(eid not in blocked) for eid in range(sd.derived.n_edges)]
+    reach, touched = flood(sd.derived, (cutset.source,), kept, 1)
+    if touched or {u for u, bits in enumerate(reach) if bits} != region:
         raise TheoremViolationError("component reconstruction mismatch")
     return CutsetFrame(
         sd, cutset, tuple(mids), tuple(xs), tuple(ys), tuple(inners), frozenset(region)

@@ -3,15 +3,15 @@
 A graph here is simple, connected and undirected, with edges carrying
 stable integer ids (their position in the edge list).  The horizon is a
 distinguished set of absorbing vertices: "connected to infinity" always
-means "reaches some horizon vertex".  Reachability under closed edges or
-forbidden vertices goes through one kernel here: ``search`` (the vertices
-reached over open edges, the horizon absorbing), ``flood`` (the same
-search from a seed set in many trials at once, one bit per trial),
-``exposed_bits`` (the exposed boundaries of many vertex sets at once, by
-one flood from the horizon), ``UnionFind``, and ``component_labels``
-(labels under many edge configurations at once).  Every sampled or swept
-cluster is a block of trial bits: bit t of each per-vertex or per-edge
-int belongs to trial t.
+means "reaches some horizon vertex".  Reachability under closed edges
+goes through one kernel here: ``flood`` (the vertices reached over open
+edges from a seed set, the horizon absorbing, in many trials at once, one
+bit per trial), with ``exposed_bits`` (the exposed boundaries of many
+vertex sets at once, by one flood from the horizon) on top of it, plus
+``UnionFind`` and ``component_labels`` (labels under many edge
+configurations at once).  Every sampled, swept or single cluster is a
+block of trial bits: bit t of each per-vertex or per-edge int belongs to
+trial t, and a single question is a block of one trial.
 Graph parsing, the built-in families, edge subdivisions and connected
 vertex sets live here as well.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -106,55 +106,19 @@ class Graph:
 # ---- the traversal kernel ----
 
 
-def search(
-    graph: Graph,
-    sources: Iterable[int],
-    is_open: Sequence[bool] | None = None,
-    avoid: AbstractSet[int] = frozenset(),
-    stop_at_horizon: bool = False,
-) -> tuple[set[int], bool]:
-    """Vertices reached from ``sources``, and whether the horizon was touched.
-
-    The search never crosses an edge whose ``is_open[eid]`` is false
-    (with ``is_open`` None every edge is open) and never enters a vertex
-    of ``avoid``.  Horizon vertices absorb: reaching one sets ``touched``
-    but the vertex is neither expanded nor returned, and with
-    ``stop_at_horizon`` the search ends there, returning the part
-    reached so far.  The sources are always reached and expanded.
-    """
-    horizon = graph.horizon
-    adjacency = graph.adjacency
-    reached = set(sources)
-    stack = list(reached)
-    touched = False
-    while stack:
-        for w, eid in adjacency[stack.pop()]:
-            if w in reached or w in avoid or (is_open is not None and not is_open[eid]):
-                continue
-            if w in horizon:
-                if stop_at_horizon:
-                    return reached, True
-                touched = True
-            else:
-                reached.add(w)
-                stack.append(w)
-    return reached, touched
-
-
 def flood(
     graph: Graph, sources: Iterable[int], open_bits: Sequence[int], full: int
 ) -> tuple[list[int], int]:
-    """``search`` from ``sources`` in many trials at once, one bit per trial.
+    """Vertices reached from ``sources`` over open edges, in many trials at once.
 
     Bit t of ``open_bits[eid]`` is set when edge eid is open in trial t,
     and the sources start with every trial of ``full``.  Returns, per
     vertex, the trials that reach it, and the trials that touch the
-    horizon.  As with ``stop_at_horizon``, a trial stops spreading once it
-    touches the horizon, so only untouched trials' bits are whole
-    clusters.  Horizon vertices absorb, but a source is never newly
-    reached, so a flood from the horizon passes through it.  A FIFO
-    worklist passes on only the bits a vertex gained since it last passed
-    some on.
+    horizon.  A trial stops spreading once it touches the horizon, so
+    only untouched trials' bits are whole clusters.  Horizon vertices
+    absorb, but a source is never newly reached, so a flood from the
+    horizon passes through it.  A FIFO worklist passes on only the bits a
+    vertex gained since it last passed some on.
     """
     horizon = graph.horizon
     adjacency = graph.adjacency
@@ -182,14 +146,17 @@ def flood(
 
 
 def exposed_bits(graph: Graph, inside: Sequence[int], full: int) -> list[int]:
-    """``exposed_boundary`` of many vertex sets at once, one bit per trial.
+    """Exposed boundaries of many vertex sets at once, one bit per trial.
 
-    Bit t of ``inside[u]`` is set when u is in trial t's set, and ``full``
-    sets every trial's bit; no set may hold a horizon vertex.  Returns, per
-    edge, the trials in which it is exposed.  One flood from the whole
-    horizon over the edges with neither end in the trial's set gives the
-    vertices that escape; edge (a, b) is exposed when a is inside and b
-    escapes, or the other way round, the sweep's minimality test.
+    The exposed boundary of a set is the edges out of it whose far
+    endpoint still reaches the horizon (or is a horizon vertex) without
+    entering the set.  Bit t of ``inside[u]`` is set when u is in trial
+    t's set, and ``full`` sets every trial's bit; no set may hold a
+    horizon vertex.  Returns, per edge, the trials in which it is exposed.
+    One flood from the whole horizon over the edges with neither end in
+    the trial's set gives the vertices that escape; edge (a, b) is exposed
+    when a is inside and b escapes, or the other way round, the rule of
+    ``cutsets._minimal_bits``.
     """
     if any(inside[z] for z in graph.horizon):
         raise PreconditionError("set under study intersects the horizon")

@@ -43,9 +43,10 @@ def _config_blocks(
     A block is (count, bits) with ``bits[eid]`` a Python int whose bit t is
     set when edge eid is open in the block's trial t; trial i of the joined
     blocks is configuration i.  A block holds at most ``_util._BLOCK_CELLS``
-    bytes of bits, drawn at most ``_util._BLOCK_CELLS`` doubles at a time in
-    multiples of 8 trials (at least 8).  ``Generator.random`` yields the same
-    doubles however a draw is split, so the sizes never change a result.
+    bytes of bits, drawn at most ``_util._BLOCK_CELLS // 8`` doubles (as
+    many bytes as the block) at a time in multiples of 8 trials (at least
+    8).  ``Generator.random`` yields the same doubles however a draw is
+    split, so the sizes never change a result.
     Arguments are checked at the call, draws made lazily.
     """
     import numpy as np
@@ -54,7 +55,7 @@ def _config_blocks(
     if trials < 1:
         raise PreconditionError("trials must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = max(8, _util._BLOCK_CELLS // max(n_edges, 1) & -8)
+    rows = max(8, _util._BLOCK_CELLS // 8 // max(n_edges, 1) & -8)
     size = max(1, 8 * _util._BLOCK_CELLS // max(n_edges, 1) // rows) * rows
 
     def draw(count: int) -> tuple[int, list[int]]:

@@ -233,7 +233,8 @@ def _walk_block(
     per walk: tau (the last step at the start), the absorbing step, the
     horizon vertex reached (-1 for a walk still out after ``max_steps``
     steps) and every vertex's first visit time (``max_steps + 1`` when never
-    visited), so the range up to tau is ``first <= tau``.
+    visited, as int32 to halve the walks x vertices matrix), so the range up
+    to tau is ``first <= tau``.
     """
     n = graph.n_vertices
     deg = np.array([len(adj) for adj in graph.adjacency], dtype=np.int64)
@@ -244,7 +245,7 @@ def _walk_block(
     absorbing[list(graph.horizon)] = True
 
     w = len(rngs)
-    first = np.full((w, n), max_steps + 1, dtype=np.int64)
+    first = np.full((w, n), max_steps + 1, dtype=np.int32)
     first[:, start] = 0
     visits = first.reshape(-1)
     tau = np.zeros(w, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Independent routes and checks that only the tests run.
 
 No command reaches anything here.  Each definition is an oracle a
-command's route is checked against (the configuration sweep, the
-component walk over cutsets, the subset-at-a-time cutset and cover-lemma
+command's route is checked against (the one-at-a-time search, exposed
+boundary and minimality test, the configuration sweep, the component
+walk over cutsets, the subset-at-a-time cutset and cover-lemma
 sweeps, the one-step walk, the per-sample field pipeline, the explicit
 cover-and-return enumeration), or a check of one step of the paper's
 argument (the closed-ring and strong percolation bounds, the two-tree
@@ -18,7 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from percut._util import EventProbability, _derived_seeds, check_sweep, checked_
 from percut.cover_lemma import SubStochasticMatrix, _positive_adjacency, _reaches
 from percut.cutsets import (
     Cutset, KargerResult, QnTable, _pack_table, _require_cutset_context, decompose,
-    exposed_boundary, is_minimal_cutset,
 )
 from percut.errors import (
     CapExceededError, GraphStructureError, PreconditionError, TheoremViolationError,
@@ -37,8 +37,7 @@ from percut.gff import (
     GreenMatrix, Section8Report, _field_blocks, cutset_frame, green, section8_pipeline,
 )
 from percut.graph_core import (
-    Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, search,
-    set_weight,
+    Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, set_weight,
 )
 from percut.percolation import _check_p, boundary_census_exact, profile_probability
 from percut.rw_cutsets import (
@@ -57,6 +56,97 @@ MAX_ENUM_STATES = 4
 def derive_seed(seed: int, index: int) -> int:
     """Trial ``index``'s 64-bit seed, the one ``_util.trial_generators`` uses."""
     return int(_derived_seeds(seed, index, index + 1)[0])
+
+
+# ---- one search at a time ----
+
+
+def search(
+    graph: Graph,
+    sources: Iterable[int],
+    is_open: Sequence[bool] | None = None,
+    avoid: AbstractSet[int] = frozenset(),
+    stop_at_horizon: bool = False,
+) -> tuple[set[int], bool]:
+    """Vertices reached from ``sources``, and whether the horizon was touched.
+
+    ``graph_core.flood`` for one trial, on sets: the reference it is
+    checked against.  The search never crosses an edge whose
+    ``is_open[eid]`` is false (with ``is_open`` None every edge is open)
+    and never enters a vertex of ``avoid``.  Horizon vertices absorb:
+    reaching one sets ``touched`` but the vertex is neither expanded nor
+    returned, and with ``stop_at_horizon`` the search ends there,
+    returning the part reached so far.  The sources are always reached
+    and expanded.
+    """
+    horizon = graph.horizon
+    adjacency = graph.adjacency
+    reached = set(sources)
+    stack = list(reached)
+    touched = False
+    while stack:
+        for w, eid in adjacency[stack.pop()]:
+            if w in reached or w in avoid or (is_open is not None and not is_open[eid]):
+                continue
+            if w in horizon:
+                if stop_at_horizon:
+                    return reached, True
+                touched = True
+            else:
+                reached.add(w)
+                stack.append(w)
+    return reached, touched
+
+
+def exposed_boundary_by_search(graph: Graph, s: Iterable[int]) -> tuple[int, ...]:
+    """``cutsets.exposed_boundary``, scanning only the edges around ``s``.
+
+    Each outside endpoint not yet classified gets one search that avoids
+    ``s`` and stops at the horizon, and everything that search reached
+    shares its verdict.
+    """
+    inside = set(s)
+    horizon = graph.horizon
+    if inside & horizon:
+        raise PreconditionError("set under study intersects the horizon")
+    escapes: dict[int, bool] = {}
+    out = []
+    for u in inside:
+        if not 0 <= u < graph.n_vertices:
+            continue  # not a vertex, so no edge leaves it
+        for w, eid in graph.adjacency[u]:
+            if w in inside:
+                continue
+            escape = escapes.get(w)
+            if escape is None:
+                if w in horizon:
+                    escape = True
+                else:
+                    reached, escape = search(graph, (w,), avoid=inside, stop_at_horizon=True)
+                    escapes.update(dict.fromkeys(reached, escape))
+            if escape:
+                out.append(eid)
+    return tuple(sorted(out))
+
+
+def is_minimal_cutset_by_edges(graph: Graph, edge_ids: Iterable[int], v: int) -> bool:
+    """``cutsets.is_minimal_cutset``, one search per edge put back."""
+    _require_cutset_context(graph, v)
+    removed = frozenset(edge_ids)
+    m = graph.n_edges
+    if not all(0 <= eid < m for eid in removed):
+        return False  # an edge the graph lacks is never needed to strand v
+    is_open = [eid not in removed for eid in range(m)]
+    # Removing the set strands v, and putting back any one edge frees it.
+    if search(graph, (v,), is_open, stop_at_horizon=True)[1]:
+        return False
+    for eid in removed:
+        is_open[eid] = True
+        freed = search(graph, (v,), is_open, stop_at_horizon=True)[1]
+        is_open[eid] = False
+        if not freed:
+            return False
+    return True
 
 
 # ---- graphs: text, subdivisions, isoperimetry ----
@@ -284,7 +374,7 @@ def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) ->
     seen: set[tuple[int, ...]] = set()
     found: dict[int, list[Cutset]] = {}
     for s in connected_subsets_containing(graph, v, allowed=graph.interior, max_count=MAX_SUBSETS):
-        ids = exposed_boundary(graph, s)
+        ids = exposed_boundary_by_search(graph, s)
         if len(ids) > n_max or ids in seen:
             continue
         seen.add(ids)
@@ -296,7 +386,7 @@ def enumerate_minimal_cutsets_by_components(graph: Graph, v: int, n_max: int) ->
 
 
 def enumerate_minimal_cutsets_by_subsets(graph: Graph, v: int, n_max: int) -> QnTable:
-    """Powerset sweep one subset at a time: ``is_minimal_cutset`` on each.
+    """Powerset sweep one subset at a time: ``is_minimal_cutset_by_edges`` on each.
 
     Every edge subset of size up to ``n_max`` is tested in
     ``itertools.combinations`` order.
@@ -308,7 +398,7 @@ def enumerate_minimal_cutsets_by_subsets(graph: Graph, v: int, n_max: int) -> Qn
     found: dict[int, list[Cutset]] = {}
     for size in range(1, min(n_max, graph.n_edges) + 1):
         for combo in itertools.combinations(range(graph.n_edges), size):
-            if is_minimal_cutset(graph, combo, v):
+            if is_minimal_cutset_by_edges(graph, combo, v):
                 found.setdefault(size, []).append(Cutset(combo, v))
     return _pack_table(v, found)
 
@@ -392,7 +482,7 @@ def census_by_sweep(graph: Graph, v: int):
 
     def exposed(config: tuple[bool, ...]) -> tuple[int, ...] | None:
         cluster, touched = search(graph, (v,), config, stop_at_horizon=True)
-        return None if touched else exposed_boundary(graph, cluster)
+        return None if touched else exposed_boundary_by_search(graph, cluster)
 
     profiles = event_popcount_profile(graph, exposed)
     return profiles, profiles.pop(None)
@@ -420,7 +510,7 @@ def census_by_rows(graph: Graph, v: int, p: float, trials: int, seed: int):
         if touched:
             infinite += 1
         else:
-            key = exposed_boundary(graph, cluster)
+            key = exposed_boundary_by_search(graph, cluster)
             counts[key] = counts.get(key, 0) + 1
     return counts, infinite
 
@@ -608,7 +698,7 @@ def theorem1_lower_bound_check(
         if not targets <= search(graph, (origin,), config, avoid=outside)[0]:
             return None
         cluster, touched = search(graph, (origin,), config, stop_at_horizon=True)
-        return not touched and exposed_boundary(graph, cluster) == cutset.edge_ids
+        return not touched and exposed_boundary_by_search(graph, cluster) == cutset.edge_ids
 
     profiles = event_popcount_profile(graph, implied)
     failures = int(profiles[False].sum())
@@ -872,7 +962,7 @@ def census_by_walks(sd: SubdivisionMap, origin: int, walks: int, seed: int):
     for rng in _util.trial_generators(seed, 0, walks):
         c = walk_by_steps(sd.derived, start, rng, _util.MAX_STEPS)[3]
         ranges.append(c)
-        outcome, cutset = _decode(sd, origin, c, exposed_boundary(sd.derived, c))
+        outcome, cutset = _decode(sd, origin, c, exposed_boundary_by_search(sd.derived, c))
         outcomes[outcome] += 1
         if cutset is not None:
             hits[cutset] = hits.get(cutset, 0) + 1
@@ -1003,7 +1093,7 @@ def section8_by_samples(base: Graph, cutset: Cutset, trials: int, seed: int) -> 
                 e_count += 1
             hit = False
             if cluster and all(x in cluster or y in cluster for x, y in pairs):
-                hit = exposed_boundary(derived, cluster) == mids
+                hit = exposed_boundary_by_search(derived, cluster) == mids
             if hit:
                 boundary_count += 1
             if f_mask[t] and e_hit:

@@ -21,7 +21,7 @@ from percut.graph_core import connected_subsets_containing, cycle_graph
 from corpus import CORPUS, cutsets_for, table_for
 from oracles import (
     enumerate_minimal_cutsets_by_components, enumerate_minimal_cutsets_by_subsets,
-    karger_by_trials,
+    is_minimal_cutset_by_edges, karger_by_trials,
 )
 
 
@@ -29,7 +29,12 @@ from oracles import (
 
 
 def test_exposed_boundary_p5_singleton():
-    assert exposed_boundary(path_graph(5), {2}) == (1, 2)
+    p5 = path_graph(5)
+    assert exposed_boundary(p5, {2}) == (1, 2)
+    # Ids that are not vertices have no edges; a horizon vertex is refused.
+    assert exposed_boundary(p5, {-1, 2, 5}) == (1, 2)
+    with pytest.raises(PreconditionError):
+        exposed_boundary(p5, {0, 2})
 
 
 def test_exposed_boundary_p5_interval():
@@ -65,7 +70,7 @@ def test_is_minimal_cutset_p5():
 
 
 def test_is_minimal_cutset_agrees_with_the_sweep():
-    """``is_minimal_cutset`` says yes exactly to the subsets the bit-parallel sweep lists."""
+    """The one-search-per-edge test says yes exactly to the subsets the sweep lists."""
     rng = np.random.default_rng(11)
     for name, g in CORPUS.items():
         for v in g.interior:
@@ -76,6 +81,7 @@ def test_is_minimal_cutset_agrees_with_the_sweep():
                 for _ in range(40)
             ]
             for ids in sorted(listed) + randoms:
+                assert is_minimal_cutset_by_edges(g, ids, v) == (ids in listed), (name, v, ids)
                 assert is_minimal_cutset(g, ids, v) == (ids in listed), (name, v, ids)
 
 

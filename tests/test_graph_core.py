@@ -22,7 +22,6 @@ from percut.graph_core import (
     grid_graph,
     load_graph,
     path_graph,
-    search,
     set_weight,
     star_graph,
     subdivide,
@@ -31,7 +30,7 @@ from percut.graph_core import (
 from corpus import CORPUS
 from oracles import (
     Multigraph, contract_subdivision, dump_graph, euler_circuit_edges, eulerian_from_two_trees,
-    iso_profile,
+    exposed_boundary_by_search, iso_profile, search,
 )
 
 
@@ -114,7 +113,7 @@ def test_dump_round_trip_on_corpus():
         assert load_graph(dump_graph(g)) == g
 
 
-# ---- the traversal kernel ----
+# ---- the traversal kernel and its one-search reference ----
 
 
 def test_search_p5_cases():
@@ -191,7 +190,7 @@ def test_exposed_bits_is_exposed_boundary_in_every_trial(name):
     exposed = exposed_bits(g, inside, (1 << len(sets)) - 1)
     for t, s in enumerate(sets):
         got = tuple(eid for eid, bits in enumerate(exposed) if bits >> t & 1)
-        assert got == exposed_boundary(g, s), (t, s)
+        assert got == exposed_boundary_by_search(g, s) == exposed_boundary(g, s), (t, s)
 
 
 def test_exposed_bits_refuses_a_set_on_the_horizon():

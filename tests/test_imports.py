@@ -148,6 +148,51 @@ def test_exact_chain_build_loads_only_the_chain_and_graph_modules(tmp_path):
         assert f"percut.{module}" not in loaded, module
 
 
+# ---- the benchmark's traced pass ----
+
+# One small job per command family, both chain routes among them.
+_TRACED_JOBS = [
+    "cutsets enum --graph grid:3,3 --vertex 4 --nmax 6 --algo brute",
+    "perc census --graph grid:3,3 --vertex 4 --p 0.5 --exact",
+    "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,4,5 --setB 1,2,4,5 --origin 1"
+    " --p 0.3 --exact",
+    "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,4,5 --setB 1,2,4,5 --origin 1"
+    " --p 0.3 --trials 200 --seed 1",
+    "cover exact --matrix m.txt",
+    "rw census --graph grid:4,4 --origin 5 --trials 200 --seed 1",
+    "gff pipeline --graph path:5 --origin 2 --cutset 1,2 --trials 500 --seed 1",
+]
+
+
+def test_traced_jobs_run_under_the_benchmark_worker(tmp_path, monkeypatch):
+    """perfbench's worker runs each job with its tracer installed and its observers reading.
+
+    The tracer wraps the package's modules in place, so the worker runs in
+    its own interpreter.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(percut.__file__).resolve().parents[1])
+    (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
+    jobs = [
+        {"id": f"job{i}", "argv": argv.split(), "out": f"out{i}"}
+        for i, argv in enumerate(_TRACED_JOBS)
+    ]
+    (tmp_path / "jobs.json").write_text(json.dumps(jobs))
+    proc = subprocess.run(
+        [sys.executable, str(perfbench / "worker.py"), "jobs.json", "result.json", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, str(perfbench)))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert [job["rc"] for job in record["jobs"]] == [0] * len(jobs)
+    monkeypatch.syspath_prepend(str(perfbench))
+    assert import_module("layers").check_tree(record["nodes"]) == []
+    assert record["counters"]["fkg_chain.oracle_configs"] > 0
+
+
 # ---- the package is what its commands run ----
 
 

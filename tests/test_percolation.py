@@ -15,7 +15,6 @@ from percut.cutsets import (
 from percut.errors import CapExceededError, PreconditionError
 from percut.frontier import count_minimal_cutsets
 from percut.fkg_chain import ConnectivityOracle
-from percut.graph_core import search
 from percut.percolation import (
     _config_blocks,
     boundary_census_exact,
@@ -29,7 +28,7 @@ from percut.percolation import (
 from corpus import CORPUS, broom, cutsets_for, table_for
 from oracles import (
     _connects, boundary_hit_probability, census_by_sweep, config_from_mask, event_popcount_profile,
-    exact_prob, fkg_spot_check, strong_percolation_experiment, theorem1_lower_bound_check,
+    exact_prob, fkg_spot_check, search, strong_percolation_experiment, theorem1_lower_bound_check,
     verify_full_connectivity,
 )
 
