@@ -1,11 +1,15 @@
-"""Shared helpers: seeds, trial bits, Wilson intervals, event probabilities, checked solves, caps."""
+"""Shared helpers: seeds, trial bits, Wilson intervals, event probabilities, checked solves, caps.
+
+Both sources of edge configurations, as trial bits, live here: ``_open_bits``
+(the 2^m sweep) and ``_config_blocks`` (the seeded sampler).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CapExceededError, NumericalError, PreconditionError
 
@@ -38,6 +42,61 @@ def check_sweep(m: int) -> None:
     """Refuse a 2^m sweep over more than ``SWEEP_EDGES`` edges."""
     if m > SWEEP_EDGES:
         raise CapExceededError(f"{m} edges exceed the {SWEEP_EDGES}-edge sweep cap")
+
+
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError(f"p={p} outside [0, 1]")
+
+
+def _open_bits(eid: int, m: int) -> int:
+    """The subsets x of m edges that keep edge ``eid``: bit eid of x clear.
+
+    A periodic pattern of period 2^(eid+1) whose low half is set.
+    """
+    period = 2 << eid
+    bits = (1 << (period >> 1)) - 1
+    while period < 1 << m:
+        bits |= bits << period
+        period <<= 1
+    return bits
+
+
+def _config_blocks(
+    n_edges: int, p: float, trials: int, seed: int
+) -> Iterator[tuple[int, list[int]]]:
+    """``trials`` configurations from one ``PCG64(seed)`` stream, as blocks of trial bits.
+
+    A block is (count, bits) with ``bits[eid]`` a Python int whose bit t is
+    set when edge eid is open in the block's trial t; trial i of the joined
+    blocks is configuration i.  A block holds at most ``_BLOCK_CELLS``
+    bytes of bits, drawn at most ``_BLOCK_CELLS // 8`` doubles (as many
+    bytes as the block) at a time in multiples of 8 trials (at least 8).
+    ``Generator.random`` yields the same doubles however a draw is split,
+    so the sizes never change a result.
+    Arguments are checked at the call, draws made lazily.
+    """
+    import numpy as np
+
+    _check_p(p)
+    if trials < 1:
+        raise PreconditionError("trials must be positive")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = max(8, _BLOCK_CELLS // 8 // max(n_edges, 1) & -8)
+    size = max(1, 8 * _BLOCK_CELLS // max(n_edges, 1) // rows) * rows
+
+    def draw(count: int) -> tuple[int, list[int]]:
+        packed = np.empty((n_edges, count + 7 >> 3), dtype=np.uint8)
+        for done in range(0, count, rows):
+            block = rng.random((min(rows, count - done), n_edges)) < p
+            # Packing along a contiguous last axis is about 3x faster.
+            packed[:, done >> 3 : done + rows >> 3] = np.packbits(
+                np.ascontiguousarray(block.T), axis=1, bitorder="little"
+            )
+            del block  # before the next draw
+        return count, [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    return (draw(min(size, trials - done)) for done in range(0, trials, size))
 
 
 def _bit_rows(values: list[int], count: int) -> np.ndarray:

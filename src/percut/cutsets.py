@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from . import _util
-from ._util import _bit_rows, _row_ints, check_sweep
+from ._util import _bit_rows, _open_bits, _row_ints, check_sweep
 from .errors import PreconditionError, TheoremViolationError
 from .graph_core import Graph, boundary_edges, exposed_bits, flood
 
@@ -216,19 +216,6 @@ def enumerate_minimal_cutsets_bruteforce(graph: Graph, v: int, n_max: int) -> Qn
                     ids = tuple(eid for eid in range(m) if x >> eid & 1)
                     found.setdefault(size, []).append(Cutset(ids, v))
     return _pack_table(v, found)
-
-
-def _open_bits(eid: int, m: int) -> int:
-    """The subsets x of m edges that keep edge ``eid``: bit eid of x clear.
-
-    A periodic pattern of period 2^(eid+1) whose low half is set.
-    """
-    period = 2 << eid
-    bits = (1 << (period >> 1)) - 1
-    while period < 1 << m:
-        bits |= bits << period
-        period <<= 1
-    return bits
 
 
 # ---- randomized global minimum cuts ----

@@ -11,14 +11,15 @@ they query.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from ._util import Z99, _bit_rows, check_sweep
+from ._util import Z99, _bit_rows, _check_p, _config_blocks, _open_bits, check_sweep
 from .errors import PreconditionError, TheoremViolationError
-from .graph_core import Graph, component_labels
+from .graph_core import Graph, UnionFind, flood
 
 
 class ConnectivityOracle:
@@ -27,7 +28,9 @@ class ConnectivityOracle:
     Without a seed it sweeps all configurations of the induced edges
     once and caches per-configuration component labels, so each query is
     a vectorized scan.  With a seed it does the same over ``trials``
-    sampled configurations and reports a noise half-width.
+    sampled configurations and reports a noise half-width.  Either way the
+    configurations are one block of trial bits per induced edge, and
+    ``flood`` labels their components.
     """
 
     def __init__(
@@ -38,8 +41,7 @@ class ConnectivityOracle:
         trials: int = 20_000,
         seed: int | None = None,
     ):
-        if not 0.0 <= p <= 1.0:
-            raise PreconditionError(f"p={p} outside [0, 1]")
+        _check_p(p)
         self.graph = graph
         self.region = tuple(sorted(set(region)))
         self.p = p
@@ -49,7 +51,6 @@ class ConnectivityOracle:
             for eid, (u, v) in enumerate(graph.edges)
             if u in self._index and v in self._index
         )
-        k = len(self.region)
         m = len(self.induced_edges)
         self._ends = [
             (self._index[graph.edges[eid][0]], self._index[graph.edges[eid][1]])
@@ -57,24 +58,47 @@ class ConnectivityOracle:
         ]
         if seed is None:
             check_sweep(m)
-            # Row i holds bit i of every configuration: set in the upper half
-            # of each period of 2^(i+1).  Edge-major rows make the
-            # labeller's transpose free.
-            bits = np.zeros((m, 1 << m), dtype=bool)
-            for i in range(m):
-                bits[i].reshape(-1, 2 << i)[:, 1 << i :] = True
-            pop = bits.sum(axis=0)
+            count = 1 << m
+            # Configuration x opens induced edge i when bit i of x is set.
+            full = (1 << count) - 1
+            bits = [full ^ _open_bits(i, m) for i in range(m)]
+            pop = np.bitwise_count(np.arange(count, dtype=np.uint64))
             self._weights = p**pop * (1.0 - p) ** (m - pop)
-            bits = bits.T
             self.noise = 0.0
         else:
-            from .percolation import _config_blocks
-
-            blocks = _config_blocks(m, p, trials, seed)
-            bits = np.concatenate([_bit_rows(b, count) for count, b in blocks], axis=1).T
+            count, bits = 0, [0] * m
+            for size, block in _config_blocks(m, p, trials, seed):
+                bits = [b | x << count for b, x in zip(bits, block)]
+                count += size
             self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
-        self._labels = component_labels(k, self._ends, bits)
+        self._labels = self._flood_labels(bits, count)
+
+    def _flood_labels(self, bits: list[int], count: int) -> np.ndarray:
+        """Entry (t, x): the smallest region index in x's component in configuration t.
+
+        ``bits[i]`` holds the configurations that open induced edge i.  On a
+        horizon-free copy with every other edge closed, region vertex i
+        labels what it reaches in the configurations where no smaller one
+        reached it.  Region ids that are not vertices sort to either end and
+        stay alone.  The (k, count) array is returned transposed, so a
+        query's column gathers are contiguous.
+        """
+        graph, region = self.graph, self.region
+        induced = dict(zip(self.induced_edges, bits))
+        open_bits = [induced.get(eid, 0) for eid in range(graph.n_edges)]
+        free = Graph(graph.n_vertices, graph.edges)
+        labels = np.repeat(np.arange(len(region), dtype=np.int16)[:, None], count, axis=1)
+        left = [(1 << count) - 1] * len(region)
+        lo, hi = bisect_left(region, 0), bisect_left(region, graph.n_vertices)
+        for i in range(lo, hi):
+            if left[i]:
+                reach, _ = flood(free, (region[i],), open_bits, left[i])
+                got = [reach[v] for v in region[i + 1 : hi]]
+                np.copyto(labels[i + 1 : hi], i, where=_bit_rows(got, count).view(bool))
+                for j, gained in enumerate(got, i + 1):
+                    left[j] &= ~gained
+        return labels.T
 
     def _idx(self, v: int) -> int:
         try:
@@ -107,9 +131,10 @@ class ConnectivityOracle:
 
     def region_connected(self) -> bool:
         """Is the induced region connected when every edge is open?"""
-        all_open = np.ones((1, len(self._ends)), dtype=bool)
-        labels = component_labels(len(self.region), self._ends, all_open)[0]
-        return len(set(labels.tolist())) == 1
+        sets = UnionFind(len(self.region))
+        for a, b in self._ends:
+            sets.union(a, b)
+        return sets.components == 1
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ goes through one kernel here: ``flood`` (the vertices reached over open
 edges from a seed set, the horizon absorbing, in many trials at once, one
 bit per trial), with ``exposed_bits`` (the exposed boundaries of many
 vertex sets at once, by one flood from the horizon) on top of it, plus
-``UnionFind`` and ``component_labels`` (labels under many edge
-configurations at once).  Every sampled, swept or single cluster is a
-block of trial bits: bit t of each per-vertex or per-edge int belongs to
-trial t, and a single question is a block of one trial.
+``UnionFind``.  Every sampled, swept or single cluster is a block of
+trial bits: bit t of each per-vertex or per-edge int belongs to trial t,
+and a single question is a block of one trial.
 Graph parsing, the built-in families, edge subdivisions and connected
-vertex sets live here as well.
+vertex sets live here as well.  The module loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -29,9 +28,6 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -190,35 +186,6 @@ class UnionFind:
         self.parent[ra] = rb
         self.components -= 1
         return True
-
-
-def component_labels(
-    k: int, ends: Sequence[tuple[int, int]], open_rows: np.ndarray
-) -> np.ndarray:
-    """Component labels of vertices 0..k-1 under many edge configurations.
-
-    ``ends[i]`` holds the endpoints of edge i, and row r of the bool
-    matrix ``open_rows`` marks the edges open in configuration r.  Entry
-    (r, x) of the result is the smallest vertex in x's open component,
-    found for all rows at once by passing minimum labels along open
-    edges until no edge changes one.
-    """
-    import numpy as np
-
-    open_cols = np.ascontiguousarray(np.asarray(open_rows, dtype=bool).T)
-    labels = np.repeat(np.arange(k, dtype=np.int16)[:, None], open_cols.shape[1], axis=1)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), is_open in zip(ends, open_cols):
-            la, lb = labels[a], labels[b]
-            stale = is_open & (la != lb)
-            if stale.any():
-                low = np.minimum(la, lb)
-                np.copyto(la, low, where=stale)
-                np.copyto(lb, low, where=stale)
-                changed = True
-    return labels.T
 
 
 # ---- text format ----
@@ -393,7 +360,7 @@ def set_weight(graph: Graph, s: Iterable[int]) -> int:
 # ---- built-in families ----
 
 
-def _resolve_horizon(spec, n: int, boundary: Iterable[int]) -> frozenset[int]:
+def _resolve_horizon(spec, boundary: Iterable[int]) -> frozenset[int]:
     if spec == "boundary":
         return frozenset(boundary)
     if spec is None:
@@ -406,7 +373,7 @@ def path_graph(length: int, horizon="boundary") -> Graph:
     if length < 2:
         raise PreconditionError("path needs at least 2 vertices")
     edges = tuple((i, i + 1) for i in range(length - 1))
-    return Graph(length, edges, _resolve_horizon(horizon, length, (0, length - 1)))
+    return Graph(length, edges, _resolve_horizon(horizon, (0, length - 1)))
 
 
 def cycle_graph(length: int, horizon=None) -> Graph:
@@ -415,7 +382,7 @@ def cycle_graph(length: int, horizon=None) -> Graph:
         raise PreconditionError("cycle needs at least 3 vertices")
     edges = tuple((i, (i + 1) % length) for i in range(length))
     boundary: tuple[int, ...] = ()
-    return Graph(length, edges, _resolve_horizon(horizon, length, boundary))
+    return Graph(length, edges, _resolve_horizon(horizon, boundary))
 
 
 def grid_graph(width: int, height: int, torus: bool = False, horizon="boundary") -> Graph:
@@ -442,7 +409,7 @@ def grid_graph(width: int, height: int, torus: bool = False, horizon="boundary")
         for x in range(width)
         if x in (0, width - 1) or y in (0, height - 1)
     )
-    return Graph(width * height, tuple(edges), _resolve_horizon(horizon, width * height, boundary))
+    return Graph(width * height, tuple(edges), _resolve_horizon(horizon, boundary))
 
 
 def box3d_graph(width: int, height: int, depth: int, horizon="boundary") -> Graph:
@@ -471,7 +438,7 @@ def box3d_graph(width: int, height: int, depth: int, horizon="boundary") -> Grap
         if x in (0, width - 1) or y in (0, height - 1) or z in (0, depth - 1)
     )
     n = width * height * depth
-    return Graph(n, tuple(edges), _resolve_horizon(horizon, n, boundary))
+    return Graph(n, tuple(edges), _resolve_horizon(horizon, boundary))
 
 
 def star_graph(leaves: int, horizon="boundary") -> Graph:
@@ -479,7 +446,7 @@ def star_graph(leaves: int, horizon="boundary") -> Graph:
     if leaves < 1:
         raise PreconditionError("star needs at least one leaf")
     edges = tuple((0, i) for i in range(1, leaves + 1))
-    return Graph(leaves + 1, edges, _resolve_horizon(horizon, leaves + 1, range(1, leaves + 1)))
+    return Graph(leaves + 1, edges, _resolve_horizon(horizon, range(1, leaves + 1)))
 
 
 FAMILY_BUILDERS = {

@@ -4,11 +4,11 @@ Exact probabilities are counts of edge configurations grouped by
 open-edge count, so one profile prices every p.  The source cluster's
 law (theta, boundary censuses) is summed over the connected sets the
 cluster can be.  Every sampled estimate draws its configurations from
-one ``PCG64(seed)`` stream and carries a Wilson 99% interval.  Sampled
-configurations come in blocks of trial bits, one Python int per edge, and
-one ``flood`` per block searches all of its trials at once; one
-``exposed_bits`` pass then gives the boundaries of the block's distinct
-clusters.
+one ``PCG64(seed)`` stream (``_util._config_blocks``) and carries a
+Wilson 99% interval.  Sampled configurations come in blocks of trial
+bits, one Python int per edge, and one ``flood`` per block searches all
+of its trials at once; one ``exposed_bits`` pass then gives the
+boundaries of the block's distinct clusters.
 Horizon vertices absorb: open paths may end on them but never pass
 through.
 """
@@ -16,10 +16,9 @@ through.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from . import _util
-from ._util import EventProbability, _bit_rows
+from ._util import EventProbability, _bit_rows, _check_p, _config_blocks
 from .errors import CapExceededError, PreconditionError
 from .cutsets import QnTable, _exposed_boundaries, exposed_boundary
 from .graph_core import Graph, connected_subsets_containing, flood, set_weight
@@ -28,48 +27,6 @@ from .graph_core import Graph, connected_subsets_containing, flood, set_weight
 EXACT_SET_BUDGET = 200_000
 # Edges of the exact cluster law: its coefficients reach 2^m, priced as floats.
 EXACT_EDGE_CAP = 1000
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError(f"p={p} outside [0, 1]")
-
-
-def _config_blocks(
-    n_edges: int, p: float, trials: int, seed: int
-) -> Iterator[tuple[int, list[int]]]:
-    """``trials`` configurations from one ``PCG64(seed)`` stream, as blocks of trial bits.
-
-    A block is (count, bits) with ``bits[eid]`` a Python int whose bit t is
-    set when edge eid is open in the block's trial t; trial i of the joined
-    blocks is configuration i.  A block holds at most ``_util._BLOCK_CELLS``
-    bytes of bits, drawn at most ``_util._BLOCK_CELLS // 8`` doubles (as
-    many bytes as the block) at a time in multiples of 8 trials (at least
-    8).  ``Generator.random`` yields the same doubles however a draw is
-    split, so the sizes never change a result.
-    Arguments are checked at the call, draws made lazily.
-    """
-    import numpy as np
-
-    _check_p(p)
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rows = max(8, _util._BLOCK_CELLS // 8 // max(n_edges, 1) & -8)
-    size = max(1, 8 * _util._BLOCK_CELLS // max(n_edges, 1) // rows) * rows
-
-    def draw(count: int) -> tuple[int, list[int]]:
-        packed = np.empty((n_edges, count + 7 >> 3), dtype=np.uint8)
-        for done in range(0, count, rows):
-            block = rng.random((min(rows, count - done), n_edges)) < p
-            # Packing along a contiguous last axis is about 3x faster.
-            packed[:, done >> 3 : done + rows >> 3] = np.packbits(
-                np.ascontiguousarray(block.T), axis=1, bitorder="little"
-            )
-            del block  # before the next draw
-        return count, [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    return (draw(min(size, trials - done)) for done in range(0, trials, size))
 
 
 def profile_probability(profile: Sequence[int], p: float) -> float:

@@ -2,10 +2,10 @@
 
 No command reaches anything here.  Each definition is an oracle a
 command's route is checked against (the one-at-a-time search, exposed
-boundary and minimality test, the configuration sweep, the component
-walk over cutsets, the subset-at-a-time cutset and cover-lemma
-sweeps, the one-step walk, the per-sample field pipeline, the explicit
-cover-and-return enumeration), or a check of one step of the paper's
+boundary and minimality test, the min-label component labeller, the
+configuration sweep, the component walk over cutsets, the
+subset-at-a-time cutset and cover-lemma sweeps, the one-step walk, the
+per-sample field pipeline, the explicit cover-and-return enumeration), or a check of one step of the paper's
 argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
@@ -24,7 +24,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from percut import _util
-from percut._util import EventProbability, _derived_seeds, check_sweep, checked_solve
+from percut._util import EventProbability, _check_p, _derived_seeds, check_sweep, checked_solve
 from percut.cover_lemma import SubStochasticMatrix, _positive_adjacency, _reaches
 from percut.cutsets import (
     Cutset, KargerResult, QnTable, _pack_table, _require_cutset_context, decompose,
@@ -39,7 +39,7 @@ from percut.gff import (
 from percut.graph_core import (
     Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, set_weight,
 )
-from percut.percolation import _check_p, boundary_census_exact, profile_probability
+from percut.percolation import boundary_census_exact, profile_probability
 from percut.rw_cutsets import (
     ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _decode, _no_return, escape_constant,
     escape_probabilities, fundamental_matrix, origin_midpoint,
@@ -147,6 +147,34 @@ def is_minimal_cutset_by_edges(graph: Graph, edge_ids: Iterable[int], v: int) ->
         if not freed:
             return False
     return True
+
+
+def component_labels(
+    k: int, ends: Sequence[tuple[int, int]], open_rows: np.ndarray
+) -> np.ndarray:
+    """Component labels of vertices 0..k-1 under many edge configurations.
+
+    ``ends[i]`` holds the endpoints of edge i, and row r of the bool
+    matrix ``open_rows`` marks the edges open in configuration r.  Entry
+    (r, x) of the result is the smallest vertex in x's open component,
+    found for all rows at once by passing minimum labels along open
+    edges until no edge changes one: the reference that
+    ``fkg_chain.ConnectivityOracle``'s flood labels are checked against.
+    """
+    open_cols = np.ascontiguousarray(np.asarray(open_rows, dtype=bool).T)
+    labels = np.repeat(np.arange(k, dtype=np.int16)[:, None], open_cols.shape[1], axis=1)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), is_open in zip(ends, open_cols):
+            la, lb = labels[a], labels[b]
+            stale = is_open & (la != lb)
+            if stale.any():
+                low = np.minimum(la, lb)
+                np.copyto(la, low, where=stale)
+                np.copyto(lb, low, where=stale)
+                changed = True
+    return labels.T
 
 
 # ---- graphs: text, subdivisions, isoperimetry ----
@@ -489,7 +517,7 @@ def census_by_sweep(graph: Graph, v: int):
 
 
 def sampled_rows(n_edges: int, p: float, trials: int, seed: int) -> list[list[bool]]:
-    """The configurations ``percolation._config_blocks`` samples, drawn in one call."""
+    """The configurations ``_util._config_blocks`` samples, drawn in one call."""
     return (np.random.Generator(np.random.PCG64(seed)).random((trials, n_edges)) < p).tolist()
 
 

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,9 @@ from percut.errors import PreconditionError
 from percut.fkg_chain import ConnectivityOracle, build_chain, fkg_lower_bound
 
 from corpus import CORPUS, cutsets_for
-from oracles import theorem1_lower_bound_check, verify_full_connectivity
+from oracles import (
+    component_labels, sampled_rows, theorem1_lower_bound_check, verify_full_connectivity,
+)
 
 
 def spider(legs: int = 3) -> Graph:
@@ -26,7 +29,7 @@ def spider(legs: int = 3) -> Graph:
 
 
 def test_declared_numpy_bound_has_bitwise_count():
-    # ConnectivityOracle calls np.bitwise_count, added in numpy 2.0.
+    # ConnectivityOracle and covering_sum_exact call np.bitwise_count, added in numpy 2.0.
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'"numpy>=(\d+)', text)
     assert match and int(match.group(1)) >= 2
@@ -82,6 +85,40 @@ def test_oracle_mc_matches_exact():
     want = exact.all_connected_prob(2, [1, 3])
     got = mc.all_connected_prob(2, [1, 3])
     assert abs(got - want) <= 3 * mc.noise
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_oracle_labels_match_the_min_label_reference(seed):
+    # The oracle's rows: configuration x opens induced edge i when bit i of x
+    # is set, or the seeded sampler's draws, one row per trial.  Ids -1 and n
+    # are not vertices, so each is a component of its own.
+    p, trials = 0.4, 300
+    rng = np.random.default_rng(31)
+    disconnected = with_horizon = 0
+    for name, g in sorted(CORPUS.items()):
+        regions = [range(-1, g.n_vertices + 1), g.interior]
+        regions += [rng.choice(g.n_vertices, int(rng.integers(1, g.n_vertices + 1)), replace=False)
+                    for _ in range(4)]
+        for region in regions:
+            index = {v: i for i, v in enumerate(sorted({int(v) for v in region}))}
+            ends = [(index[a], index[b]) for a, b in g.edges if a in index and b in index]
+            m = len(ends)
+            if seed is None:
+                rows = np.arange(1 << m)[:, None] >> np.arange(m) & 1 == 1
+                pop = rows.sum(axis=1)
+                weights = p**pop * (1 - p) ** (m - pop)
+            else:
+                rows = np.array(sampled_rows(m, p, trials, seed), dtype=bool).reshape(trials, m)
+                weights = np.full(trials, 1 / trials)
+            oracle = ConnectivityOracle(g, region, p, trials=trials, seed=seed)
+            want = component_labels(len(index), ends, rows)
+            assert oracle._labels.dtype == np.int16, name
+            assert oracle._labels.shape == (len(rows), len(index)), name
+            assert np.array_equal(oracle._labels, want), (name, sorted(index))
+            assert np.allclose(oracle._weights, weights, rtol=1e-12, atol=0), name
+            disconnected += not oracle.region_connected()
+            with_horizon += bool(g.horizon & index.keys())
+    assert disconnected and with_horizon
 
 
 def test_oracle_connect_monotone_in_targets():

@@ -14,7 +14,6 @@ from percut.graph_core import (
     UnionFind,
     boundary_edges,
     box3d_graph,
-    component_labels,
     connected_subsets_containing,
     cycle_graph,
     exposed_bits,
@@ -29,8 +28,8 @@ from percut.graph_core import (
 
 from corpus import CORPUS
 from oracles import (
-    Multigraph, contract_subdivision, dump_graph, euler_circuit_edges, eulerian_from_two_trees,
-    exposed_boundary_by_search, iso_profile, search,
+    Multigraph, component_labels, contract_subdivision, dump_graph, euler_circuit_edges,
+    eulerian_from_two_trees, exposed_boundary_by_search, iso_profile, search,
 )
 
 

@@ -138,14 +138,16 @@ def test_walk_and_field_commands_never_load_percolation(argv, tmp_path):
 
 
 def test_exact_chain_build_loads_only_the_chain_and_graph_modules(tmp_path):
-    argv = (
-        "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,3,4,5,6,7,8,9,10,11"
-        " --setB 1,2,3,4,5,6,7,8,9,10,11 --origin 1 --p 0.3 --exact --output-file o.json"
-    )
-    loaded = _loaded(argv.split(), tmp_path)
-    assert {"percut.fkg_chain", "percut.graph_core", "numpy"} <= loaded
-    for module in ("percolation", "cutsets"):
-        assert f"percut.{module}" not in loaded, module
+    # The seeded route draws its configurations from _util, as the exact one sweeps them there.
+    for route in ("--exact", "--trials 200 --seed 1"):
+        argv = (
+            "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,3,4,5,6,7,8,9,10,11"
+            f" --setB 1,2,3,4,5,6,7,8,9,10,11 --origin 1 --p 0.3 {route} --output-file o.json"
+        )
+        loaded = _loaded(argv.split(), tmp_path)
+        assert {"percut.fkg_chain", "percut.graph_core", "numpy"} <= loaded, route
+        for module in ("percolation", "cutsets"):
+            assert f"percut.{module}" not in loaded, (route, module)
 
 
 # ---- the benchmark's traced pass ----
@@ -190,7 +192,8 @@ def test_traced_jobs_run_under_the_benchmark_worker(tmp_path, monkeypatch):
     assert [job["rc"] for job in record["jobs"]] == [0] * len(jobs)
     monkeypatch.syspath_prepend(str(perfbench))
     assert import_module("layers").check_tree(record["nodes"]) == []
-    assert record["counters"]["fkg_chain.oracle_configs"] > 0
+    # The exact chain job's 4 induced edges sweep 16 configurations; the seeded one samples 200.
+    assert record["counters"]["fkg_chain.oracle_configs"] == 16 + 200
 
 
 # ---- the package is what its commands run ----

@@ -138,7 +138,7 @@ def test_sweep_cap(entry, monkeypatch):
         raise AssertionError("swept past the cap")
 
     monkeypatch.setattr(oracles, "config_from_mask", runaway)
-    monkeypatch.setattr(fkg_chain, "component_labels", runaway)
+    monkeypatch.setattr(fkg_chain, "_open_bits", runaway)
     with pytest.raises(CapExceededError, match="sweep cap"):
         SWEEP_ENTRY_POINTS[entry](g)
 
