@@ -107,12 +107,14 @@ def resolve_graph(spec: str, horizon: str | None) -> Graph:
 
 
 def _graph(args) -> Graph:
-    """The command's graph, refusing a ``--vertex`` or ``--origin`` that is not one of its ids."""
+    """The command's graph, refusing a ``--vertex``, ``--origin``, ``--setA`` or ``--setB`` id past it."""
     graph = resolve_graph(args.graph, args.horizon)
-    for flag in ("vertex", "origin"):
-        v = getattr(args, flag, None)
-        if v is not None and not 0 <= v < graph.n_vertices:
-            raise PreconditionError(f"--{flag} {v} is not a vertex id in 0..{graph.n_vertices - 1}")
+    flags = {"vertex": "vertex", "origin": "origin", "setA": "set_a", "setB": "set_b"}
+    for flag, dest in flags.items():
+        value = getattr(args, dest, None)
+        for v in (value,) if isinstance(value, int) else _int_list(value or ""):
+            if not 0 <= v < graph.n_vertices:
+                raise PreconditionError(f"--{flag} {v} is not a vertex id in 0..{graph.n_vertices - 1}")
     return graph
 
 

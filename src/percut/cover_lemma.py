@@ -25,7 +25,7 @@ ASYMMETRY_TOL = 1e-9
 # Most states each exhaustive route accepts: the 2^n split sweep of min_cut
 # and the (state, visited-set) recursion.
 MAX_CUT_STATES = 22
-MAX_EXACT_STATES = 16
+MAX_EXACT_STATES = 20
 
 
 class SubStochasticMatrix:
@@ -172,10 +172,12 @@ def covering_sum_exact(sub: SubStochasticMatrix) -> float:
     on the completed ones.  States that cannot leak out of the current
     set contribute zero, which also keeps every solve non-singular.
 
-    The sets holding state 0 are taken a size at a time, largest first,
-    and all systems of one size are solved in one stacked call.  A
-    state that cannot leak gets an identity row and a zero right-hand
-    side, and its value is then set to exactly zero.
+    The sets holding state 0 are taken a size at a time, largest first;
+    only the size above, found by ``np.searchsorted`` on its sorted masks,
+    is kept.  Stacked solves of at most ``_util._BLOCK_CELLS`` cells (k * k
+    + n per set of k states) never change a value.  A state that cannot
+    leak gets an identity row and a zero right-hand side, and its value is
+    then set to exactly zero.
     """
     n = sub.n
     if n > MAX_EXACT_STATES:
@@ -197,9 +199,8 @@ def covering_sum_exact(sub: SubStochasticMatrix) -> float:
             x[v] = sol[i]
     g_full = p[:, 0] + p[:, others] @ x[others] if others else p[:, 0].copy()
 
-    # h[mask, u]: the weight still to come from state u with ``mask`` visited.
-    h = np.zeros((full + 1, n))
-    h[full] = g_full
+    # h_upper[j, u]: the weight still to come from state u with upper[j] visited.
+    upper, h_upper = np.array([full]), g_full[None, :]
     states = np.arange(n)
     positive = p > 0.0
     stochastic = p.sum(axis=1) >= 1.0 - 1e-12
@@ -207,29 +208,38 @@ def covering_sum_exact(sub: SubStochasticMatrix) -> float:
     sizes = np.bitwise_count(masks)
     for k in range(n - 1, 0, -1):
         level = masks[sizes == k]
-        inside = (level[:, None] >> states & 1).astype(bool)
-        members = np.nonzero(inside)[1].reshape(-1, k)
-        rows = np.arange(level.size)[:, None]
-        # Weight through each first step out of the set, to every state.
-        onward = h[level[:, None] | 1 << states, states]
-        onward[inside] = 0.0
-        rhs = (onward @ p.T)[rows, members]
-        exits = (~inside).astype(float) @ positive.T > 0.0
-        leaking = ~stochastic[members] | exits[rows, members]
-        within = positive[members[:, :, None], members[:, None, :]]
-        live = leaking
-        while True:
-            grown = live | (within & live[:, None, :]).any(axis=2)
-            if (grown == live).all():
-                break
-            live = grown
-        a = np.eye(k) - p[members[:, :, None], members[:, None, :]]
-        a[~live] = np.eye(k)[np.nonzero(~live)[1]]
-        rhs[~live] = 0.0
-        vals = checked_solve(a, rhs[:, :, None], "covering set system")[:, :, 0]
-        vals[~live] = 0.0
-        h[level[:, None], members] = vals
-    return float(h[1, 0])
+        h = np.zeros((level.size, n))
+        step = max(1, _util._BLOCK_CELLS // (k * k + n))
+        for start in range(0, level.size, step):
+            sets = level[start : start + step]
+            inside = (sets[:, None] >> states & 1).astype(bool)
+            members = np.nonzero(inside)[1].reshape(-1, k)
+            rows = np.arange(sets.size)[:, None]
+            # Weight through each first step out of the set, to every state.
+            above = np.searchsorted(upper, sets[:, None] | 1 << states)
+            above[inside] = 0  # no row above; zeroed below
+            onward = h_upper[above, states]
+            onward[inside] = 0.0
+            rhs = np.zeros((sets.size, k))
+            for s in range(n):  # in a fixed order, so no value depends on the slice
+                rhs += onward[:, s, None] * p[members, s]
+            exits = (~inside).astype(float) @ positive.T > 0.0
+            leaking = ~stochastic[members] | exits[rows, members]
+            within = positive[members[:, :, None], members[:, None, :]]
+            live = leaking
+            while True:
+                grown = live | (within & live[:, None, :]).any(axis=2)
+                if (grown == live).all():
+                    break
+                live = grown
+            a = np.eye(k) - p[members[:, :, None], members[:, None, :]]
+            a[~live] = np.eye(k)[np.nonzero(~live)[1]]
+            rhs[~live] = 0.0
+            vals = checked_solve(a, rhs[:, :, None], "covering set system")[:, :, 0]
+            vals[~live] = 0.0
+            h[start + rows, members] = vals
+        upper, h_upper = level, h
+    return float(h_upper[0, 0])
 
 
 # ---- simulation ----
@@ -254,6 +264,10 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     state no trial is ever retired and the check is skipped.  Trials still
     alive after ``_util.MAX_STEPS`` steps are counted as misses and
     reported in ``aborted``; retired trials are not.
+
+    Live trials step together in slices of ``_util._BLOCK_CELLS // 8 // n``,
+    drawing from one ``PCG64(seed)`` stream in trial order; the slice size
+    never changes a result.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -274,31 +288,34 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     visited = np.ones(trials, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)
     success = np.zeros(trials, dtype=bool)
+    chunk = max(1, _util._BLOCK_CELLS // 8 // n)
     steps = 0
     while steps < _util.MAX_STEPS:
-        idx = np.nonzero(alive)[0]
-        if retire and idx.size:
-            r = reach[state[idx]]
-            doomed = ((r & 1) == 0) | ((~visited[idx] & ~r & full) != 0)
-            alive[idx[doomed]] = False
-            idx = idx[~doomed]
-        if idx.size == 0:
+        live = np.nonzero(alive)[0]
+        if live.size == 0:
             break
         steps += 1
-        u = rng.random(idx.size)
-        rows = cum[state[idx]]
-        nxt = (u[:, None] >= rows).sum(axis=1)
-        died = nxt >= n
-        alive[idx[died]] = False
-        surv = idx[~died]
-        arrived = nxt[~died]
-        vis = visited[surv]
-        wins = (arrived == 0) & (vis == full)
-        success[surv[wins]] = True
-        alive[surv[wins]] = False
-        rest = surv[~wins]
-        state[rest] = arrived[~wins]
-        visited[rest] = vis[~wins] | np.left_shift(np.int64(1), arrived[~wins])
+        for start in range(0, live.size, chunk):
+            idx = live[start : start + chunk]
+            if retire:
+                r = reach[state[idx]]
+                doomed = ((r & 1) == 0) | ((~visited[idx] & ~r & full) != 0)
+                alive[idx[doomed]] = False
+                idx = idx[~doomed]
+            u = rng.random(idx.size)
+            rows = cum[state[idx]]
+            nxt = (u[:, None] >= rows).sum(axis=1)
+            died = nxt >= n
+            alive[idx[died]] = False
+            surv = idx[~died]
+            arrived = nxt[~died]
+            vis = visited[surv]
+            wins = (arrived == 0) & (vis == full)
+            success[surv[wins]] = True
+            alive[surv[wins]] = False
+            rest = surv[~wins]
+            state[rest] = arrived[~wins]
+            visited[rest] = vis[~wins] | np.left_shift(np.int64(1), arrived[~wins])
     aborted = int(alive.sum())
     hits = int(success.sum())
     lo, hi = wilson_interval(hits, trials)

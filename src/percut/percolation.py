@@ -20,8 +20,8 @@ from typing import Sequence
 
 from ._util import EventProbability, _bit_rows, _check_p, _config_blocks
 from .errors import CapExceededError, PreconditionError
-from .cutsets import QnTable, _exposed_boundaries, exposed_boundary
-from .graph_core import Graph, connected_subsets_containing, flood, set_weight
+from .cutsets import QnTable, _exposed_boundaries
+from .graph_core import Graph, connected_subsets_containing, exposed_bits, flood, set_weight
 
 # Connected sets the exact cluster law may walk before it refuses.
 EXACT_SET_BUDGET = 200_000
@@ -150,9 +150,17 @@ def boundary_census_exact(
         key=len,
     )
     walked = len(sets)
+    # Bit j of each vertex's int marks set j: one exposed_bits pass keys every set.
+    marks = [bytearray(b"0" * len(sets)) for _ in range(graph.n_vertices)]
+    for j, s in enumerate(sets):
+        for u in s:
+            marks[u][-1 - j] = ord("1")
+    exposed = exposed_bits(graph, [int(row, 2) for row in marks], (1 << len(sets)) - 1)
+    rows = [format(bits, f"0{len(sets)}b")[::-1] for bits in exposed]
+    keys = [tuple(eid for eid, row in enumerate(rows) if row[j] == "1") for j in range(len(sets))]
     spanning: dict[frozenset[int], int] = {}
     packed: dict[tuple[int, ...], int] = {}
-    for s in sets:
+    for s, key in zip(sets, keys):
         e_s = _inner_edge_count(graph, s)
         c = x1**e_s
         for t in connected_subsets_containing(graph, v, s):
@@ -165,7 +173,6 @@ def boundary_census_exact(
                 c -= spanning[t] * x1 ** _inner_edge_count(graph, s - t)
         spanning[s] = c
         leaving = set_weight(graph, s) - 2 * e_s
-        key = exposed_boundary(graph, s)
         packed[key] = packed.get(key, 0) + c * x1 ** (m - e_s - leaving)
 
     slot = (1 << w) - 1

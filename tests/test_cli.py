@@ -264,20 +264,20 @@ def test_cover_exact_and_verify(capsys, tmp_path):
     assert row["epsilon"] == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("n", [20, 21])
 def test_cover_exact_state_cap(capsys, tmp_path, n):
-    # Uniform rows of total 0.9: the exact route runs up to the 16-state cap.
+    # Uniform rows of total 0.9: the exact route runs up to the 20-state cap.
     path = tmp_path / "m.txt"
     path.write_text(f"{n}\n" + f"{' '.join([repr(0.9 / n)] * n)}\n" * n)
     code, out, err = run_cli(capsys, ["cover", "exact", "--matrix", str(path)])
-    if n == 16:
+    if n == 20:
         assert code == 0
         row = json.loads(out)["rows"][0]
-        assert row["epsilon"] == pytest.approx(0.9 * 15 / 16, abs=1e-14)
-        assert 0.0 < row["sum"] < 1.0
+        assert row["epsilon"] == pytest.approx(0.9 * 19 / 20, abs=1e-14)
+        assert row["delta_n"] <= row["sum"] < 1.0
     else:
         assert code == 1
-        assert "17 states exceed the exact covering cap 16" in err
+        assert "21 states exceed the exact covering cap 20" in err
         with pytest.raises(CapExceededError):
             covering_sum_exact(load_matrix_file(path.read_text()))
 
@@ -650,6 +650,22 @@ def test_vertex_ids_out_of_range_are_usage_errors(capsys, argv, vertex):
     code, out, err = run_cli(capsys, [*argv, vertex])
     assert code == 1
     assert err.startswith("error:") and f" {vertex} is not a vertex id in 0..15" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("vertex", ["9", "-1"])
+@pytest.mark.parametrize("flag", ["--setA", "--setB"])
+def test_chain_build_set_ids_out_of_range_are_usage_errors(capsys, flag, vertex):
+    sets = {"--setA": "1,2", "--setB": "1,2"}
+    sets[flag] += f",{vertex}"
+    code, out, err = run_cli(
+        capsys,
+        ["chain", "build", "--graph", "path:5", "--setA", sets["--setA"], "--setB", sets["--setB"],
+         "--origin", "1", "--p", "0.5", "--exact"],
+    )
+    assert code == 1
+    assert err.startswith("error:") and f"{flag} {vertex} is not a vertex id in 0..4" in err
     assert "Traceback" not in err
     assert out == ""
 

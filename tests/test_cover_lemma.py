@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,30 @@ def test_bruteforce_partial_value():
     )
 
 
+def test_covering_sum_exact_does_not_depend_on_the_slice(monkeypatch):
+    subs = [m for n in range(1, 13) for m in seeded_matrices(n).values()]
+    want = [covering_sum_exact(sub) for sub in subs]
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", 1)
+    assert [covering_sum_exact(sub) for sub in subs] == want
+
+
+def positive_matrix(n: int, seed: int, top: float) -> SubStochasticMatrix:
+    """Every entry off the diagonal positive, the largest row sum ``top``."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.random((n, n)) + 0.2, 1)
+    w = w + w.T
+    return SubStochasticMatrix(w * (top / w.sum(axis=1).max()))
+
+
+def test_covering_sum_exact_at_18_states_meets_the_chain_and_the_floor():
+    sub = positive_matrix(18, 1, 0.99)
+    exact = covering_sum_exact(sub)
+    assert exact >= delta_bound(min_cut(sub), sub.n)
+    est = covering_sum_mc(sub, 100_000, seed=5)
+    assert est.value * est.trials >= 20
+    assert est.ci_low <= exact <= est.ci_high
+
+
 # ---- sampled covering sum ----
 
 
@@ -263,6 +288,30 @@ def test_covering_sum_mc_retires_chains_that_cannot_cover(monkeypatch, rows):
     est = covering_sum_mc(sub, 10, seed=1)
     assert (est.value, est.trials, est.aborted) == (0.0, 10, 0)
     assert covering_sum_exact(sub) == 0.0
+
+
+def test_covering_sum_mc_does_not_depend_on_the_slice(monkeypatch):
+    subs = [m for n in (2, 5, 8) for m in seeded_matrices(n).values()]
+    subs += [SubStochasticMatrix([[1.0, 0.0], [0.0, 1.0]]), SubStochasticMatrix(
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])]
+    want = [covering_sum_mc(sub, 2_000, seed=11) for sub in subs]
+    for sub, est in zip(subs, want):
+        # Slices of three trials.
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", 8 * 3 * sub.n)
+        assert covering_sum_mc(sub, 2_000, seed=11) == est
+
+
+def test_covering_sum_mc_memory_does_not_grow_with_trials_times_states():
+    sub = positive_matrix(10, 7, 0.97)
+    tracemalloc.start()
+    try:
+        covering_sum_mc(sub, 200_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Five int64 or bool per-trial arrays take 4.4 MB; a (trials, n) float
+    # matrix alone would take 16 MB.
+    assert peak < 12e6
 
 
 def test_covering_sum_mc_rejects():
