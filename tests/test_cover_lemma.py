@@ -309,8 +309,8 @@ def test_covering_sum_mc_memory_does_not_grow_with_trials_times_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Five int64 or bool per-trial arrays take 4.4 MB; a (trials, n) float
-    # matrix alone would take 16 MB.
+    # The per-trial arrays (three int64, two bool) take 5.2 MB; one (trials,
+    # n) float matrix would take 16 MB.
     assert peak < 12e6
 
 
