@@ -109,9 +109,8 @@ def resolve_graph(spec: str, horizon: str | None) -> Graph:
 def _graph(args) -> Graph:
     """The command's graph, refusing a ``--vertex``, ``--origin``, ``--setA`` or ``--setB`` id past it."""
     graph = resolve_graph(args.graph, args.horizon)
-    flags = {"vertex": "vertex", "origin": "origin", "setA": "set_a", "setB": "set_b"}
-    for flag, dest in flags.items():
-        value = getattr(args, dest, None)
+    for flag in ("vertex", "origin", "setA", "setB"):
+        value = getattr(args, _FLAGS[flag].get("dest", flag), None)
         for v in (value,) if isinstance(value, int) else _int_list(value or ""):
             if not 0 <= v < graph.n_vertices:
                 raise PreconditionError(f"--{flag} {v} is not a vertex id in 0..{graph.n_vertices - 1}")
@@ -299,12 +298,10 @@ def _cutset_table(args) -> QnTable:
 def _run_cutsets_enum(args) -> list[dict]:
     table = _cutset_table(args)
     kappa = table.kappa_estimate
-    rows = []
-    for n, count in sorted(table.counts.get(args.vertex, {}).items()):
-        rows.append(
-            {"vertex": args.vertex, "n": n, "count": count, "kappa_estimate": kappa}
-        )
-    return rows
+    return [
+        {"vertex": args.vertex, "n": n, "count": count, "kappa_estimate": kappa}
+        for n, count in sorted(table.counts.get(args.vertex, {}).items())
+    ]
 
 
 def _run_cutsets_karger(args) -> list[dict]:
@@ -356,48 +353,25 @@ def _run_perc_census(args) -> list[dict]:
     from .percolation import boundary_census_exact, boundary_census_mc, profile_probability
 
     graph = _graph(args)
-    rows: list[dict] = []
     trials, seed = _route(args)
+    # Either route maps each cutset, and the infinite cluster, to its value
+    # columns: an exact profile priced at p, or a sampled count.
     if seed is None:
-        profiles, infinite = boundary_census_exact(graph, args.vertex)
-        for ids in sorted(profiles, key=lambda t: (len(t), t)):
-            rows.append(
-                {
-                    "kind": "cutset",
-                    "edge_ids": list(ids),
-                    "n": len(ids),
-                    "probability": profile_probability(profiles[ids], args.p),
-                }
-            )
-        rows.append(
-            {
-                "kind": "infinite",
-                "edge_ids": None,
-                "n": None,
-                "probability": profile_probability(infinite, args.p),
-            }
-        )
-        return rows
-    counts, infinite_count = boundary_census_mc(graph, args.vertex, args.p, trials, seed)
-    for ids in sorted(counts, key=lambda t: (len(t), t)):
-        rows.append(
-            {
-                "kind": "cutset",
-                "edge_ids": list(ids),
-                "n": len(ids),
-                "count": counts[ids],
-                "frequency": counts[ids] / trials,
-            }
-        )
-    rows.append(
-        {
-            "kind": "infinite",
-            "edge_ids": None,
-            "n": None,
-            "count": infinite_count,
-            "frequency": infinite_count / trials,
-        }
-    )
+        found, infinite = boundary_census_exact(graph, args.vertex)
+
+        def values(profile) -> dict:
+            return {"probability": profile_probability(profile, args.p)}
+    else:
+        found, infinite = boundary_census_mc(graph, args.vertex, args.p, trials, seed)
+
+        def values(count) -> dict:
+            return {"count": count, "frequency": count / trials}
+
+    rows = [
+        {"kind": "cutset", "edge_ids": list(ids), "n": len(ids), **values(found[ids])}
+        for ids in sorted(found, key=lambda t: (len(t), t))
+    ]
+    rows.append({"kind": "infinite", "edge_ids": None, "n": None, **values(infinite)})
     return rows
 
 
@@ -434,22 +408,21 @@ def _cover_common(args, sampled: bool = False) -> tuple:
     return sub, eps, delta
 
 
-def _run_cover_exact(args) -> list[dict]:
+def _cover_exact_row(args) -> dict:
+    """The exact covering sum, refused when it falls below its delta_n certificate."""
     from .cover_lemma import covering_sum_exact
 
     sub, eps, delta = _cover_common(args)
     value = covering_sum_exact(sub)
-    return [
-        {
-            "n": sub.n,
-            "epsilon": eps,
-            "delta_n": delta,
-            "sum": value,
-            "method": "exact",
-            "ci_low": None,
-            "ci_high": None,
-        }
-    ]
+    if delta is not None and value < delta - 1e-15:
+        raise TheoremViolationError(
+            f"cover sum {_fmt12(value)} below the guarantee {_fmt12(delta)}"
+        )
+    return {"n": sub.n, "epsilon": eps, "delta_n": delta, "sum": value, "method": "exact"}
+
+
+def _run_cover_exact(args) -> list[dict]:
+    return [{**_cover_exact_row(args), "ci_low": None, "ci_high": None}]
 
 
 def _run_cover_mc(args) -> list[dict]:
@@ -475,24 +448,7 @@ def _run_cover_mc(args) -> list[dict]:
 
 
 def _run_cover_verify(args) -> list[dict]:
-    from .cover_lemma import covering_sum_exact
-
-    sub, eps, delta = _cover_common(args)
-    value = covering_sum_exact(sub)
-    if delta is not None and value < delta - 1e-15:
-        raise TheoremViolationError(
-            f"cover sum {_fmt12(value)} below the guarantee {_fmt12(delta)}"
-        )
-    return [
-        {
-            "n": sub.n,
-            "epsilon": eps,
-            "delta_n": delta,
-            "sum": value,
-            "method": "exact",
-            "ok": True,
-        }
-    ]
+    return [{**_cover_exact_row(args), "ok": True}]
 
 
 def _run_rw_escape(args) -> list[dict]:
@@ -541,32 +497,19 @@ def _run_rw_census(args) -> list[dict]:
     seed = _require_seed(args)
     sd = subdivide(graph, 2)
     census = qn_census_rw(sd, args.origin, args.trials, seed)
-    rows: list[dict] = []
-    for label in sorted(census.outcome_counts):
-        count = census.outcome_counts[label]
-        rows.append(
-            {
-                "kind": "outcome",
-                "label": label,
-                "edge_ids": None,
-                "n": None,
-                "count": count,
-                "frequency": count / census.trials,
-            }
-        )
-    for cs in sorted(census.hits, key=lambda c: (c.size, c.edge_ids)):
-        count = census.hits[cs]
-        rows.append(
-            {
-                "kind": "cutset",
-                "label": None,
-                "edge_ids": list(cs.edge_ids),
-                "n": cs.size,
-                "count": count,
-                "frequency": count / census.trials,
-            }
-        )
-    return rows
+    found = [
+        ("outcome", label, None, None, census.outcome_counts[label])
+        for label in sorted(census.outcome_counts)
+    ]
+    found += [
+        ("cutset", None, list(cs.edge_ids), cs.size, census.hits[cs])
+        for cs in sorted(census.hits, key=lambda c: (c.size, c.edge_ids))
+    ]
+    return [
+        {"kind": kind, "label": label, "edge_ids": ids, "n": n, "count": count,
+         "frequency": count / census.trials}
+        for kind, label, ids, n, count in found
+    ]
 
 
 def _run_rw_crossing(args) -> list[dict]:
@@ -599,6 +542,7 @@ def _run_gff_green(args) -> list[dict]:
 
 
 def _run_gff_pipeline(args) -> list[dict]:
+    from ._util import EventProbability
     from .cutsets import verified_cutset
     from .gff import section8_pipeline
 
@@ -607,17 +551,18 @@ def _run_gff_pipeline(args) -> list[dict]:
     cs = verified_cutset(graph, _int_list(args.cutset), args.origin)
     report = section8_pipeline(graph, cs, args.trials, seed)
     rows = []
-    for label, prob in (
-        ("clamp", report.f_prob),
-        ("connect", report.e_prob),
-        ("clamp_and_connect", report.fe_prob),
-        ("boundary_match", report.boundary_prob),
+    for label, count in (
+        ("clamp", report.f_count),
+        ("connect", report.e_count),
+        ("clamp_and_connect", report.fe_count),
+        ("boundary_match", report.boundary_count),
     ):
+        prob = EventProbability.sampled(count, report.trials)
         rows.append(
             {
                 "event": label,
                 "trials": report.trials,
-                "count": round(prob.value * report.trials),
+                "count": count,
                 "frequency": prob.value,
                 "ci_low": prob.ci_low,
                 "ci_high": prob.ci_high,
@@ -628,128 +573,76 @@ def _run_gff_pipeline(args) -> list[dict]:
 
 # ---- parser wiring ----
 
+# Each flag's add_argument keywords, declared once; a command row below may
+# override them.
+_FLAGS: dict[str, dict] = {
+    "graph": {"required": True},
+    "horizon": {"default": None, "help": "'boundary' or comma ids"},
+    "matrix": {"required": True},
+    "setA": {"dest": "set_a", "required": True, "help": "region vertex ids"},
+    "setB": {"dest": "set_b", "required": True, "help": "target vertex ids"},
+    "cutset": {"required": True, "help": "base edge ids"},
+    "p": {"type": float, "required": True},
+    "theta": {"type": float, "default": None},
+    "vertex": {"type": int, "required": True},
+    "origin": {"type": int, "required": True},
+    "nmax": {"type": int, "required": True},
+    "algo": {"choices": ("brute", "frontier"), "default": "frontier"},
+    "exact": {"action": "store_true"},
+    "trials": {"type": int, "default": None},
+    "seed": {"type": int, "default": None},
+    "out": {"dest": "fmt", "choices": ("csv", "json")},
+    "output-file": {"default": None},
+    "config": {"default": None, "help": "JSON file mirroring the flags"},
+}
 
-def _add_common(ap: argparse.ArgumentParser, fmt_default: str) -> None:
-    ap.add_argument("--out", dest="fmt", choices=("csv", "json"), default=fmt_default)
-    ap.add_argument("--output-file", default=None)
-    ap.add_argument("--config", default=None, help="JSON file mirroring the flags")
+_GRAPH = ("graph", "horizon")
+# The flags of a command with an exact and a sampled route (module docstring).
+_ROUTES = ("exact", "trials", "seed")
+_TRIALS_REQUIRED = ("trials", {"required": True})
 
-
-def _add_graph(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--graph", required=True)
-    ap.add_argument("--horizon", default=None, help="'boundary' or comma ids")
-
-
-def _add_sampling(
-    ap: argparse.ArgumentParser, exact: bool = False, trials_required: bool = False
-) -> None:
-    """--trials and --seed, plus --exact on commands that also have an exact route."""
-    if exact:
-        ap.add_argument("--exact", action="store_true")
-    ap.add_argument("--trials", type=int, required=trials_required, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+# (group, action) -> default --out and the flags in --help order; the
+# handler is ``_run_<group>_<action>``.
+_COMMANDS: dict[tuple[str, str], tuple[str, tuple]] = {
+    ("cutsets", "enum"): ("csv", (*_GRAPH, "vertex", "nmax", "algo")),
+    ("cutsets", "karger"): ("json", (*_GRAPH, "trials", "seed")),
+    ("perc", "theta"): ("csv", (*_GRAPH, "p", "vertex", *_ROUTES)),
+    ("perc", "peierls"): ("csv", (*_GRAPH, "p", "vertex", "nmax", "algo")),
+    ("perc", "census"): ("csv", (*_GRAPH, "p", "vertex", *_ROUTES)),
+    ("chain", "build"): (
+        "json",
+        (*_GRAPH, "setA", "setB", "origin", ("p", {"required": False, "default": 0.5}), "theta", *_ROUTES),
+    ),
+    ("cover", "exact"): ("json", ("matrix",)),
+    ("cover", "mc"): ("json", ("matrix", "trials", "seed")),
+    ("cover", "verify"): ("json", ("matrix",)),
+    ("rw", "escape"): ("csv", (*_GRAPH, ("vertex", {"required": False}), *_ROUTES)),
+    ("rw", "census"): ("csv", (*_GRAPH, "origin", _TRIALS_REQUIRED, "seed")),
+    ("rw", "crossing"): ("json", (*_GRAPH, "cutset", "origin")),
+    ("gff", "green"): ("json", _GRAPH),
+    ("gff", "pipeline"): ("csv", (*_GRAPH, "origin", "cutset", _TRIALS_REQUIRED, "seed")),
+}
 
 
 def build_parser() -> _Parser:
+    """The parser of ``_COMMANDS``.
+
+    Handlers are looked up by name when this runs, so a wrapper bound to a
+    ``_run_*`` name after import (as perfbench's tracer does) is the one called.
+    """
     top = _Parser(prog="percut", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    cut = groups.add_parser("cutsets").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ap = cut.add_parser("enum")
-    _add_graph(ap)
-    ap.add_argument("--vertex", type=int, required=True)
-    ap.add_argument("--nmax", type=int, required=True)
-    ap.add_argument("--algo", choices=("brute", "frontier"), default="frontier")
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_cutsets_enum)
-    ap = cut.add_parser("karger")
-    _add_graph(ap)
-    _add_sampling(ap)
-    _add_common(ap, "json")
-    ap.set_defaults(func=_run_cutsets_karger)
-
-    perc = groups.add_parser("perc").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ap = perc.add_parser("theta")
-    _add_graph(ap)
-    ap.add_argument("--p", type=float, required=True)
-    ap.add_argument("--vertex", type=int, required=True)
-    _add_sampling(ap, exact=True)
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_perc_theta)
-    ap = perc.add_parser("peierls")
-    _add_graph(ap)
-    ap.add_argument("--p", type=float, required=True)
-    ap.add_argument("--vertex", type=int, required=True)
-    ap.add_argument("--nmax", type=int, required=True)
-    ap.add_argument("--algo", choices=("brute", "frontier"), default="frontier")
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_perc_peierls)
-    ap = perc.add_parser("census")
-    _add_graph(ap)
-    ap.add_argument("--p", type=float, required=True)
-    ap.add_argument("--vertex", type=int, required=True)
-    _add_sampling(ap, exact=True)
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_perc_census)
-
-    chain = groups.add_parser("chain").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ap = chain.add_parser("build")
-    _add_graph(ap)
-    ap.add_argument("--setA", dest="set_a", required=True, help="region vertex ids")
-    ap.add_argument("--setB", dest="set_b", required=True, help="target vertex ids")
-    ap.add_argument("--origin", type=int, required=True)
-    ap.add_argument("--p", type=float, default=0.5)
-    ap.add_argument("--theta", type=float, default=None)
-    _add_sampling(ap, exact=True)
-    _add_common(ap, "json")
-    ap.set_defaults(func=_run_chain_build)
-
-    cover = groups.add_parser("cover").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    for action, func, needs_trials in (
-        ("exact", _run_cover_exact, False),
-        ("mc", _run_cover_mc, True),
-        ("verify", _run_cover_verify, False),
-    ):
-        ap = cover.add_parser(action)
-        ap.add_argument("--matrix", required=True)
-        if needs_trials:
-            _add_sampling(ap)
-        _add_common(ap, "json")
-        ap.set_defaults(func=func)
-
-    rw = groups.add_parser("rw").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ap = rw.add_parser("escape")
-    _add_graph(ap)
-    ap.add_argument("--vertex", type=int, default=None)
-    _add_sampling(ap, exact=True)
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_rw_escape)
-    ap = rw.add_parser("census")
-    _add_graph(ap)
-    ap.add_argument("--origin", type=int, required=True)
-    _add_sampling(ap, trials_required=True)
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_rw_census)
-    ap = rw.add_parser("crossing")
-    _add_graph(ap)
-    ap.add_argument("--cutset", required=True, help="base edge ids")
-    ap.add_argument("--origin", type=int, required=True)
-    _add_common(ap, "json")
-    ap.set_defaults(func=_run_rw_crossing)
-
-    gff = groups.add_parser("gff").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ap = gff.add_parser("green")
-    _add_graph(ap)
-    _add_common(ap, "json")
-    ap.set_defaults(func=_run_gff_green)
-    ap = gff.add_parser("pipeline")
-    _add_graph(ap)
-    ap.add_argument("--origin", type=int, required=True)
-    ap.add_argument("--cutset", required=True, help="base edge ids")
-    _add_sampling(ap, trials_required=True)
-    _add_common(ap, "csv")
-    ap.set_defaults(func=_run_gff_pipeline)
-
+    actions: dict[str, argparse._SubParsersAction] = {}
+    for (group, action), (fmt, flags) in _COMMANDS.items():
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(
+                dest="action", required=True, parser_class=_Parser
+            )
+        ap = actions[group].add_parser(action)
+        for flag in (*flags, ("out", {"default": fmt}), "output-file", "config"):
+            name, override = flag if isinstance(flag, tuple) else (flag, {})
+            ap.add_argument("--" + name, **{**_FLAGS[name], **override})
+        ap.set_defaults(func=globals()[f"_run_{group}_{action}"])
     return top
 
 

@@ -284,7 +284,7 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
         dtype=np.int64,
     )
     retire = bool((reach != full).any())
-    state = np.zeros(trials, dtype=np.int64)
+    state = np.zeros(trials, dtype=np.int8)  # n <= 62
     visited = np.ones(trials, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)
     success = np.zeros(trials, dtype=bool)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EventProbability, _row_ints, trial_generators
+from ._util import _row_ints, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, subdivide
@@ -165,22 +165,6 @@ class Section8Report:
     e_count: int
     fe_count: int
     boundary_count: int
-
-    @property
-    def f_prob(self) -> EventProbability:
-        return EventProbability.sampled(self.f_count, self.trials)
-
-    @property
-    def e_prob(self) -> EventProbability:
-        return EventProbability.sampled(self.e_count, self.trials)
-
-    @property
-    def fe_prob(self) -> EventProbability:
-        return EventProbability.sampled(self.fe_count, self.trials)
-
-    @property
-    def boundary_prob(self) -> EventProbability:
-        return EventProbability.sampled(self.boundary_count, self.trials)
 
 
 def _field_blocks(gm: GreenMatrix, seed: int, trials: int):

@@ -562,6 +562,34 @@ def test_config_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # One argv per command, other flags at their defaults; the two
+        # cutsets enum rows are the records README.md publishes.
+        ("cutsets enum --graph path:5 --vertex 2 --nmax 4 --out csv", "901b0e4309319fa99e9bbc1aa7968b85db81fba1863b2a969528799af1c22657"),
+        ("cutsets enum --graph grid:7,7 --vertex 24 --nmax 12", "9be2ba1823ad0ac9aa983ea9e6cd24de6d0a976d4a2d69656bc13aae329d0721"),
+        ("cutsets karger --graph cycle:4 --trials 50 --seed 3", "727fa6f0570902e5bd70844f18af7a5ed01cfde3f98342f581c7b35745689aff"),
+        ("perc theta --graph grid:4,4 --p 0.6 --vertex 5", "6352209f8d8dd04a07b88f19e3b8bdcf5cf03af3f8b1fce9a47587c6415d6831"),
+        ("perc peierls --graph path:5 --p 0.3 --vertex 2 --nmax 4", "5f2627cc83b961afffa713bf4b076c94a59ba2a4748bed92c96aad66f57c2362"),
+        ("perc census --graph path:5 --p 0.5 --vertex 2", "9bbd542175bd4ee3d95788f62498f3e407bb78febe5d098027e7d005d1c61179"),
+        ("chain build --graph path:5 --setA 1,2 --setB 1,2 --origin 1", "a7adc1b497ccb2af4aa9f9d921abf7ae9faec3404b3a243d1be5f814ae45f224"),
+        ("cover exact --matrix m.txt", "be7029b36b2b3aae65694f650847bac0ead270d896b04121a607c9907537a650"),
+        ("cover mc --matrix m.txt --trials 5 --seed 2", "ab1abe0c6bb2b0449c35c497ec2ebf1148f67cea5e4736be2e98ed65f7db3af5"),
+        ("cover verify --matrix m.txt", "384ae4b12bcadf5a965fb95ad94d07a4c63cf42e839aebc84d0b2f54eb3e43e3"),
+        ("rw escape --graph path:5", "bfbff7dfce33b4e73ab0d8c1bd59c9b5bf332303fa4f4172682c3c44eef04563"),
+        ("rw census --graph path:5 --origin 2 --trials 10", "fd6830d72dca852320f9e2f63978ce56d4ba88b00104b66ba3ce316587acdf70"),
+        ("rw crossing --graph path:5 --cutset 1 --origin 2", "77f4b27d0911e1ffcffb85be415beb2275e028051f2369324c28631cd4e858c1"),
+        ("gff green --graph path:5", "97eb21acf365e13d42dae35b80bcebc9cb8e611a96f437ff580ecd058d1e8b08"),
+        ("gff pipeline --graph path:5 --origin 2 --cutset 1 --trials 10", "966bce7bceeade7d17a427c4a04884b1ca4ec8980ae9a154cb6a7999f11a9e0c"),
+    ],
+)
+def test_config_hash_is_pinned(argv, digest):
+    # A changed flag default or dest changes the hash of records already written.
+    args = cli.build_parser().parse_args(argv.split())
+    assert cli._config_hash(args) == digest
+
+
 # ---- failure modes ----
 
 
@@ -749,6 +777,19 @@ def test_theorem_violation_exits_two(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, ["cover", "exact", "--matrix", str(path)])
     assert code == 2
     assert "invariant" in err
+
+
+@pytest.mark.parametrize("action", ["exact", "verify"])
+def test_cover_sum_below_the_certificate_exits_two(capsys, monkeypatch, tmp_path, action):
+    import percut.cover_lemma
+
+    path = tmp_path / "m.txt"
+    path.write_text(QUARTER)
+    monkeypatch.setattr(percut.cover_lemma, "covering_sum_exact", lambda sub: 0.0)
+    code, out, err = run_cli(capsys, ["cover", action, "--matrix", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "below the guarantee" in err
 
 
 def test_numerical_error_exits_two(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from percut import grid_graph, path_graph
+from percut._util import EventProbability
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError, TheoremViolationError
 from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
@@ -232,7 +233,8 @@ def test_pipeline_pendant():
     assert report.fe_count <= report.f_count
     assert report.fe_count <= report.e_count
     assert report.boundary_count >= report.fe_count
-    assert report.f_prob.ci_low <= report.f_prob.value <= report.f_prob.ci_high
+    f_prob = EventProbability.sampled(report.f_count, report.trials)
+    assert f_prob.ci_low <= f_prob.value <= f_prob.ci_high
 
 
 def test_pipeline_reproducible():
