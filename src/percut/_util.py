@@ -31,8 +31,9 @@ SWEEP_EDGES = 20
 MAX_STEPS = 10_000_000
 
 # Cells per block: random doubles drawn for sampled percolation, a walk's
-# row, buffer and generator in rw_cutsets.  It bounds memory and never
-# changes a result.
+# row, buffer and generator in rw_cutsets; bytes per block of a dense
+# matrix pass (solve residuals, the Green matrix's symmetry) and of a
+# streamed CSV matrix cell.  It bounds memory and never changes a result.
 _BLOCK_CELLS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -285,4 +286,34 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> 
     if refused.any():
         worst = float(residual[refused].max())
         raise NumericalError(f"{what}: solve residual {worst:.3e} above refusal threshold")
+    return x
+
+
+def checked_inverse(a: np.ndarray, what: str = "linear system") -> np.ndarray:
+    """``checked_solve(a, I)``, bit for bit, without holding I or the full residual.
+
+    ``np.linalg.inv`` solves a x = I by the LAPACK routine ``np.linalg.solve``
+    calls, so the answers agree bit for bit.  The residual a x - I is held to
+    the same rule (the scale max(1, |I|) is 1), one block of rows of at most
+    ``_BLOCK_CELLS`` bytes at a time.  ``a`` is left as it was.
+    """
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: singular matrix ({exc})") from exc
+    k = len(a)
+    rows = max(1, _BLOCK_CELLS // 8 // max(k, 1))
+    block_max = [0.0]
+    for lo in range(0, k, rows):
+        r = a[lo : lo + rows] @ x
+        diag = np.arange(len(r))
+        r[diag, lo + diag] -= 1.0
+        block_max.append(np.abs(r, out=r).max())
+    # np.max, not max: a NaN residual passes here as it passes checked_solve.
+    residual = float(np.max(block_max))
+    if residual > SOLVE_RESIDUAL_REFUSE:
+        raise NumericalError(f"{what}: solve residual {residual:.3e} above refusal threshold")
     return x

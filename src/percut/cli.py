@@ -220,18 +220,69 @@ def _json_chunks(v, level: int = 0):
     yield "\n" + "  " * level + brackets[1]
 
 
+def _is_float_array(v) -> bool:
+    """Whether ``v`` is a non-empty float array: a CSV cell ``_write_floats`` streams."""
+    return isinstance(v, _numpy_type("ndarray")) and v.dtype.kind == "f" and v.size > 0
+
+
+def _write_floats(stream, v: np.ndarray) -> None:
+    """A float array's CSV cell: its entries in ``%.12g``, joined by ``;``.
+
+    The text is written a slice of at most ``_util._BLOCK_CELLS // 64``
+    entries at a time, as a slice's Python floats, their list and tuple and
+    its text take about 64 bytes an entry.  No character of it needs quoting.
+    """
+    from . import _util
+
+    flat = v.ravel()
+    step = max(1, _util._BLOCK_CELLS // 64)
+    for lo in range(0, flat.size, step):
+        if lo:
+            stream.write(";")
+        stream.write(_fmt12_join(flat[lo : lo + step].tolist(), ";"))
+
+
 def _csv_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
         return _fmt12(v)
     if isinstance(v, _numpy_type("ndarray")):
-        if v.dtype.kind == "f" and v.size:
-            return _fmt12_join(v.ravel().tolist(), ";")
-        v = v.tolist()
+        return _csv_value(v.tolist())
     if isinstance(v, (list, tuple)):
         return ";".join(_csv_value(x) for x in v)
     return str(v)
+
+
+def _csv_quote(text: str) -> str:
+    """A cell of a row of several as ``csv.writer`` with ``\\n`` line ends quotes it."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv_rows(stream, rows: list[dict]) -> None:
+    """The header and rows, as ``csv.writer`` writes them.
+
+    A row with a float array cell is written cell by cell, so the array's
+    text is streamed (``_write_floats``) rather than built whole.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    header = list(rows[0])
+    writer.writerow(header)
+    for row in rows:
+        cells = [row.get(k) for k in header]
+        if not any(_is_float_array(v) for v in cells):
+            writer.writerow([_csv_value(v) for v in cells])
+            continue
+        for i, v in enumerate(cells):
+            if i:
+                stream.write(",")
+            if _is_float_array(v):
+                _write_floats(stream, v)
+            else:
+                stream.write(_csv_quote(_csv_value(v)))
+        stream.write("\n")
 
 
 def _emit(args, echo: str, cfg_hash: str, wall: float, rows: list[dict]) -> None:
@@ -257,11 +308,7 @@ def _emit(args, echo: str, cfg_hash: str, wall: float, rows: list[dict]) -> None
             stream.write(f"# config_hash={cfg_hash}\n")
             stream.write(f"# wall_time_s={wall:.6f}\n")
             if rows:
-                writer = csv.writer(stream, lineterminator="\n")
-                header = list(rows[0])
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_csv_value(row.get(k)) for k in header])
+                _write_csv_rows(stream, rows)
     finally:
         if close:
             stream.close()

@@ -279,13 +279,15 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     full = (1 << n) - 1
     adj = _positive_adjacency(sub.p)
     everything = list(range(n))
+    # The narrowest signed integers that hold an n-bit set of states.
+    bits = np.int16 if n <= 15 else np.int32 if n <= 31 else np.int64
     reach = np.array(
         [sum(1 << v for v in _reaches(adj, everything, adj[u])) for u in everything],
-        dtype=np.int64,
+        dtype=bits,
     )
     retire = bool((reach != full).any())
     state = np.zeros(trials, dtype=np.int8)  # n <= 62
-    visited = np.ones(trials, dtype=np.int64)
+    visited = np.ones(trials, dtype=bits)
     alive = np.ones(trials, dtype=bool)
     success = np.zeros(trials, dtype=bool)
     chunk = max(1, _util._BLOCK_CELLS // 8 // n)
@@ -315,7 +317,7 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
             alive[surv[wins]] = False
             rest = surv[~wins]
             state[rest] = arrived[~wins]
-            visited[rest] = vis[~wins] | np.left_shift(np.int64(1), arrived[~wins])
+            visited[rest] = vis[~wins] | np.left_shift(bits(1), arrived[~wins], dtype=bits)
     aborted = int(alive.sum())
     hits = int(success.sum())
     lo, hi = wilson_interval(hits, trials)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import _row_ints, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
@@ -33,26 +34,39 @@ class GreenMatrix:
     Symmetric within 1e-9 (then symmetrized), positive definite, and on
     the diagonal the reciprocal of degree times no-return probability.
     The Cholesky factor is computed once; a single 1e-12 diagonal jitter
-    is attempted before giving up.
+    is attempted before giving up.  The constructor works on a copy of
+    ``g``, so the caller's array is left as it was.
     """
 
     def __init__(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray):
-        g = np.asarray(g, dtype=float)
-        if g.shape != (len(interior), len(interior)):
+        self._build(graph, interior, np.array(g, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, graph: Graph, interior: tuple[int, ...], g: np.ndarray) -> GreenMatrix:
+        """The matrix built on ``g`` itself, a float array no one else holds, without a copy."""
+        gm = cls.__new__(cls)
+        gm._build(graph, interior, g)
+        return gm
+
+    def _build(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray) -> None:
+        k = len(interior)
+        if g.shape != (k, k):
             raise PreconditionError("matrix shape does not match the interior")
-        gap = float(np.max(np.abs(g - g.T))) if g.size else 0.0
+        gap = _symmetrize(g)
         if gap > 1e-9:
             raise TheoremViolationError(f"green matrix asymmetry {gap:.3e}")
         self.graph = graph
         self.interior = interior
-        self.g = (g + g.T) / 2.0
+        self.g = g
         self._index = {v: i for i, v in enumerate(interior)}
         self.jitter_used = False
         try:
-            self.factor = np.linalg.cholesky(self.g)
+            self.factor = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             try:
-                bumped = self.g + 1e-12 * np.eye(len(interior))
+                # g + 1e-12 I entry by entry: + 0.0 turns a -0.0 to 0.0 as it does.
+                bumped = g + 0.0
+                bumped.reshape(-1)[:: k + 1] += 1e-12
                 self.factor = np.linalg.cholesky(bumped)
                 self.jitter_used = True
             except np.linalg.LinAlgError as exc:
@@ -68,20 +82,51 @@ class GreenMatrix:
         return z @ self.factor.T
 
 
+def _symmetrize(g: np.ndarray) -> float:
+    """Replace square ``g`` by (g + g.T) / 2 in place; return max |g - g.T| before.
+
+    Row strip i of the upper triangle and column strip i of the lower are
+    averaged together, a strip of at most ``_util._BLOCK_CELLS`` bytes at a
+    time, with the same operations as the whole-matrix expressions, so every
+    entry and the gap come out bit for bit as they would.
+    """
+    k = len(g)
+    rows = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
+    gaps = [0.0]
+    for lo in range(0, k, rows):
+        upper = g[lo : lo + rows, lo:]
+        lower = g[lo:, lo : lo + rows].T
+        diff = upper - lower
+        gaps.append(np.abs(diff, out=diff).max())
+        del diff
+        mean = upper + lower
+        mean /= 2.0
+        upper[...] = mean
+        lower[...] = mean
+    # np.max keeps a NaN gap, which passes the guard as the whole-matrix max does.
+    return float(np.max(gaps))
+
+
 def green(graph: Graph) -> GreenMatrix:
     """Covariance matrix of the field absorbed at the horizon.
 
-    One interior solve gives the visit counts N.  Up to 64 interior
-    vertices the diagonal is cross-checked against escape probabilities
-    from the independent absorbing route.  Above that, where the route
-    would dwarf the assembly, N must satisfy the absorption identity
-    N b = 1, with b[v] the share of v's neighbours on the horizon: the
-    killed walk is absorbed with certainty.
+    One interior solve gives the visit counts N, which are divided by the
+    target degrees in place.  Up to 64 interior vertices the diagonal is
+    cross-checked against escape probabilities from the independent
+    absorbing route.  Above that, where the route would dwarf the assembly,
+    N must satisfy the absorption identity N b = 1, with b[v] the share of
+    v's neighbours on the horizon: the killed walk is absorbed with
+    certainty.  N b is taken before the division.
     """
     interior, n = fundamental_matrix(graph)
     degrees = np.array([graph.degree(v) for v in interior], dtype=float)
-    gm = GreenMatrix(graph, interior, n / degrees[None, :])
-    if len(interior) <= 64:
+    small = len(interior) <= 64
+    if not small:
+        on_horizon = [sum(w in graph.horizon for w in graph.neighbors(v)) for v in interior]
+        absorbed = n @ (np.array(on_horizon) / degrees)
+    n /= degrees
+    gm = GreenMatrix._adopt(graph, interior, n)
+    if small:
         escape = escape_probabilities(graph, "absorbing")
         for i, v in enumerate(interior):
             product = gm.g[i, i] * graph.degree(v) * escape[v]
@@ -90,8 +135,6 @@ def green(graph: Graph) -> GreenMatrix:
                     f"diagonal identity off at vertex {v}: {product}"
                 )
         return gm
-    on_horizon = [sum(w in graph.horizon for w in graph.neighbors(v)) for v in interior]
-    absorbed = n @ (np.array(on_horizon) / degrees)
     worst = int(np.argmax(np.abs(absorbed - 1.0)))
     if abs(absorbed[worst] - 1.0) > 1e-9:
         raise TheoremViolationError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import EventProbability, checked_solve, trial_generators
+from ._util import EventProbability, checked_inverse, checked_solve, trial_generators
 from .errors import CapExceededError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, _exposed_boundaries, decompose, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap
@@ -39,26 +39,33 @@ ABORTED = "aborted"
 def _killed_system(
     graph: Graph, inside: tuple[int, ...], target: frozenset[int]
 ) -> tuple[dict[int, int], np.ndarray, np.ndarray]:
-    """The walk killed off ``inside``: index, steps q within it, one-step mass b into ``target``."""
+    """The walk killed off ``inside``: index, I - Q, one-step mass b into ``target``.
+
+    Q holds the steps within ``inside``.  I - Q is built in place: each
+    step's 1/degree is taken off a zero matrix, then 1 is added on the
+    diagonal, so every entry, down to the sign of a zero, is that of
+    ``np.eye(k) - q`` with q summed step by step.
+    """
     index = {x: i for i, x in enumerate(inside)}
     k = len(inside)
-    q = np.zeros((k, k))
+    a = np.zeros((k, k))
     b = np.zeros(k)
     for x in inside:
         for w, _ in graph.adjacency[x]:
             if w in index:
-                q[index[x], index[w]] += 1.0 / graph.degree(x)
+                a[index[x], index[w]] -= 1.0 / graph.degree(x)
             elif w in target:
                 b[index[x]] += 1.0 / graph.degree(x)
-    return index, q, b
+    a.reshape(-1)[:: k + 1] += 1.0
+    return index, a, b
 
 
 def _hit_probability(
     graph: Graph, start: int, inside: tuple[int, ...], target: frozenset[int], what: str
 ) -> float:
     """P(walk from ``start`` hits ``target`` inside ``inside``): one solve, then one first step."""
-    index, q, b = _killed_system(graph, inside, target)
-    h = checked_solve(np.eye(len(inside)) - q, b, what) if inside else b
+    index, a, b = _killed_system(graph, inside, target)
+    h = checked_solve(a, b, what) if inside else b
     total = 0.0
     for w, _ in graph.adjacency[start]:
         if w in target:
@@ -76,10 +83,8 @@ def fundamental_matrix(graph: Graph) -> tuple[tuple[int, ...], np.ndarray]:
     if not graph.horizon:
         raise PreconditionError("walks need a horizon to be absorbed at")
     interior = graph.interior
-    _, q, _ = _killed_system(graph, interior, frozenset())
-    k = len(interior)
-    n = checked_solve(np.eye(k) - q, np.eye(k), "fundamental matrix")
-    return interior, n
+    _, a, _ = _killed_system(graph, interior, frozenset())
+    return interior, checked_inverse(a, "fundamental matrix")
 
 
 def _no_return(interior: tuple[int, ...], n: np.ndarray) -> dict[int, float]:

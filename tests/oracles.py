@@ -5,8 +5,9 @@ command's route is checked against (the one-at-a-time search, exposed
 boundary and minimality test, the min-label component labeller, the
 configuration sweep, the component walk over cutsets, the
 subset-at-a-time cutset and cover-lemma sweeps, the one-step walk, the
-per-sample field pipeline, the explicit cover-and-return enumeration), or a check of one step of the paper's
-argument (the closed-ring and strong percolation bounds, the two-tree
+per-sample field pipeline, the explicit cover-and-return enumeration, the
+whole-matrix solve, Green matrix and CSV writer), or a check of one step
+of the paper's argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
 ``event_popcount_profile`` under ``_util.SWEEP_EDGES``.
@@ -14,6 +15,7 @@ endpoints).  Every 2^m configuration sweep goes through
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from collections import defaultdict
@@ -24,6 +26,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from percut import _util
+from percut.cli import _csv_value
 from percut._util import EventProbability, _check_p, _derived_seeds, check_sweep, checked_solve
 from percut.cover_lemma import SubStochasticMatrix, _positive_adjacency, _reaches
 from percut.cutsets import (
@@ -1047,6 +1050,42 @@ def subdivision_escape_check(sd: SubdivisionMap) -> SubdivisionEscapeReport:
                 f"derived vertex {v}: weighted escape {value} below floor {floor}"
             )
     return SubdivisionEscapeReport(eps, floor_all, weighted, mins_mid, mins_orig, worst)
+
+
+# ---- whole-matrix solves and records ----
+
+
+def fundamental_matrix_by_solve(graph: Graph) -> np.ndarray:
+    """N = (I - Q)^-1 by ``np.linalg.solve`` against a built identity.
+
+    Q is summed step by step and I - Q formed as a new matrix: the route
+    ``rw_cutsets.fundamental_matrix`` must match bit for bit.
+    """
+    interior = graph.interior
+    index = {x: i for i, x in enumerate(interior)}
+    k = len(interior)
+    q = np.zeros((k, k))
+    for x in interior:
+        for w, _ in graph.adjacency[x]:
+            if w in index:
+                q[index[x], index[w]] += 1.0 / graph.degree(x)
+    return np.linalg.solve(np.eye(k) - q, np.eye(k))
+
+
+def green_by_whole_matrices(graph: Graph) -> np.ndarray:
+    """The Green matrix (g + g.T) / 2 of g = N / target degree, each step a new matrix."""
+    degrees = np.array([graph.degree(v) for v in graph.interior], dtype=float)
+    g = fundamental_matrix_by_solve(graph) / degrees[None, :]
+    return (g + g.T) / 2.0
+
+
+def csv_rows_by_writer(stream, rows: list[dict]) -> None:
+    """A record's CSV header and rows through ``csv.writer``, each cell's text built whole."""
+    writer = csv.writer(stream, lineterminator="\n")
+    header = list(rows[0])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_value(row.get(k)) for k in header])
 
 
 # ---- free fields ----

@@ -5,20 +5,24 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import percut
-from percut import cli
+from percut import _util, cli
 from percut.cli import _fmt12 as fmt12, main, resolve_graph
 from percut.cover_lemma import covering_sum_exact, load_matrix_file
 from percut.errors import CapExceededError, NumericalError, TheoremViolationError
 from percut.gff import green
 
 from corpus import CORPUS, broom
-from oracles import dump_graph
+from oracles import csv_rows_by_writer, dump_graph
 
 
 def run_cli(capsys, argv):
@@ -515,6 +519,80 @@ def test_csv_cells_equal_per_element_formatting():
     ]
     for cell in cells:
         assert cli._csv_value(cell) == _reference_csv_value(cell)
+
+
+_CSV_TEXT = st.text(st.sampled_from('ab,"\n\r ;\u00e9'), max_size=5)
+_CSV_CELLS = st.one_of(
+    _CSV_TEXT,
+    st.none(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.lists(st.integers(0, 9), max_size=3),
+    arrays(
+        np.float64,
+        st.one_of(st.integers(0, 30), st.tuples(st.integers(1, 4), st.integers(1, 9))),
+        elements=st.floats(),
+    ),
+)
+
+
+def _csv_text(write, rows: list[dict]) -> str:
+    out = io.StringIO()
+    write(out, rows)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda c: st.tuples(
+            st.lists(_CSV_TEXT, min_size=c, max_size=c, unique=True),
+            st.lists(st.lists(_CSV_CELLS, min_size=c, max_size=c), min_size=1, max_size=4),
+        )
+    )
+)
+def test_csv_rows_equal_the_csv_writer_path(table):
+    """Streamed array cells and hand-quoted cells write what csv.writer writes."""
+    header, cells = table
+    rows = [dict(zip(header, row)) for row in cells]
+    # Slices of 4 entries, so arrays span several.
+    with patch.object(_util, "_BLOCK_CELLS", 64 * 4):
+        assert _csv_text(cli._write_csv_rows, rows) == _csv_text(csv_rows_by_writer, rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"": ""}],
+        [{"a": ""}, {"a": None}],
+        [
+            {
+                "interior": list(range(3)),
+                "matrix": _random_floats(40_000).reshape(200, 200),
+                "text": 'a,"b"\n',
+                "tail": np.array(NON_FINITE),
+            }
+        ],
+    ],
+    ids=["one_empty_cell", "empty_cells", "large_matrix"],
+)
+def test_csv_rows_equal_the_csv_writer_path_on_fixed_rows(rows):
+    assert _csv_text(cli._write_csv_rows, rows) == _csv_text(csv_rows_by_writer, rows)
+
+
+def test_csv_green_record_peaks_below_four_matrices(tmp_path):
+    """The grid:24,24 Green matrix record is written without building its text whole."""
+    argv = ["gff", "green", "--graph", "grid:24,24", "--out", "csv"]
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--graph", "grid:4,4", "--output-file", str(out)]) == 0  # lazy imports
+    matrix_bytes = 22 * 22 * 22 * 22 * 8
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--output-file", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * matrix_bytes
 
 
 # ---- config files ----

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from percut import grid_graph, path_graph
+import tracemalloc
+
+from percut import _util, grid_graph, path_graph
 from percut._util import EventProbability
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError, TheoremViolationError
 from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
-from percut.rw_cutsets import escape_probabilities
+from percut.rw_cutsets import escape_probabilities, fundamental_matrix
 
 from corpus import CORPUS
 import oracles
 from oracles import (
-    GaussianField, domination_endpoint_check, excursion_cluster, markov_check, sample_field,
+    GaussianField, domination_endpoint_check, excursion_cluster, green_by_whole_matrices,
+    markov_check, sample_field,
     section8_by_samples, sign_bound_check,
 )
 
@@ -72,6 +75,32 @@ def test_green_check_fires_above_64_interior_vertices(monkeypatch):
         green(g)
 
 
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
+def test_green_is_the_whole_matrix_route_bit_for_bit(monkeypatch, block_cells):
+    """Dividing in place and symmetrizing by strips change no entry, whatever the strips."""
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    graphs = {**CORPUS, "grid12x12": grid_graph(12, 12)}
+    for name, g in graphs.items():
+        got, want = green(g).g, green_by_whole_matrices(g)
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("route", [green, escape_probabilities])
+def test_dense_routes_hold_at_most_three_matrices(route):
+    """green and escape_probabilities on grid:30,30 trace at most 3 k x k float matrices."""
+    g = grid_graph(30, 30)
+    k = len(g.interior)
+    route(grid_graph(4, 4))  # lazy imports before tracing
+    tracemalloc.start()
+    try:
+        route(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * k * k * 8
+
+
 def test_green_index_rejects_horizon():
     gm = green(path_graph(5))
     with pytest.raises(PreconditionError):
@@ -84,6 +113,24 @@ def test_green_matrix_asymmetry_guard():
     bad[0, 2] += 1e-6
     with pytest.raises(TheoremViolationError):
         GreenMatrix(g5, (1, 2, 3), bad)
+
+
+def test_green_matrix_leaves_the_callers_array_alone():
+    off = P5_GREEN.copy()
+    off[0, 2] += 1e-12
+    kept = off.copy()
+    gm = GreenMatrix(path_graph(5), (1, 2, 3), off)
+    assert np.array_equal(off, kept)
+    assert np.array_equal(gm.g, (kept + kept.T) / 2.0)
+
+
+def test_green_matrix_jitters_a_copy_of_the_diagonal():
+    """A singular PSD matrix factors once 1e-12 is on its diagonal; g itself keeps no jitter."""
+    g = np.ones((2, 2))
+    gm = GreenMatrix(path_graph(4), (1, 2), g)
+    assert gm.jitter_used
+    assert np.array_equal(gm.g, np.ones((2, 2)))
+    assert np.array_equal(gm.factor, np.linalg.cholesky(np.ones((2, 2)) + 1e-12 * np.eye(2)))
 
 
 def test_green_matrix_rejects_indefinite():

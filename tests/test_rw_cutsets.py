@@ -23,7 +23,9 @@ from percut.rw_cutsets import (
 )
 
 from corpus import CORPUS, cutsets_for
-from oracles import census_by_walks, subdivision_escape_check, walk_by_steps
+from oracles import (
+    census_by_walks, fundamental_matrix_by_solve, subdivision_escape_check, walk_by_steps,
+)
 
 
 # ---- escape probabilities ----
@@ -62,6 +64,19 @@ def test_fundamental_matrix_p5():
     # Expected visits to the start itself: 1 / escape.
     assert n_mat[0, 0] == pytest.approx(3 / 2, abs=1e-12)
     assert n_mat[1, 1] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])
+def test_fundamental_matrix_is_the_whole_solve_bit_for_bit(monkeypatch, block_cells):
+    """The in-place I - Q and the checked inverse change no entry, whatever the row blocks."""
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    graphs = {**CORPUS, "grid12x12": grid_graph(12, 12)}
+    for name, g in graphs.items():
+        interior, n = fundamental_matrix(g)
+        assert interior == g.interior, name
+        want = fundamental_matrix_by_solve(g)
+        assert np.array_equal(n, want), name
+        assert np.array_equal(np.signbit(n), np.signbit(want)), name
 
 
 def test_escape_mc_p5():

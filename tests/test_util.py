@@ -3,7 +3,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from percut._util import _seed_words, checked_solve, trial_generators, wilson_interval
+from percut import _util
+from percut._util import (
+    _seed_words, checked_inverse, checked_solve, trial_generators, wilson_interval,
+)
 from percut.cli import _fmt12 as fmt12
 from percut.errors import NumericalError
 
@@ -133,6 +136,39 @@ def test_checked_solve_holds_each_system_to_its_own_rhs(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", off_in_the_second)
     with pytest.raises(NumericalError, match="residual 1.000e-03"):
         checked_solve(a, b)
+
+
+def test_checked_inverse_is_the_solve_against_the_identity():
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 5, 40):
+        a = np.eye(k) * k + rng.random((k, k))
+        kept = a.copy()
+        x = checked_inverse(a)
+        assert np.array_equal(x, np.linalg.solve(a, np.eye(k)))
+        assert np.array_equal(a, kept)
+
+
+def test_checked_inverse_refuses_singular():
+    with pytest.raises(NumericalError, match="singular"):
+        checked_inverse(np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 6])
+def test_checked_inverse_refuses_a_residual_in_any_row_block(monkeypatch, block_cells):
+    """A residual above the threshold in the last row only is refused, whatever the row blocks."""
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    a = 2.0 * np.eye(6)
+    assert np.array_equal(checked_inverse(a), 0.5 * np.eye(6))
+    inv = np.linalg.inv
+
+    def off_in_the_last_row(a):
+        x = inv(a)
+        x[-1, 0] += 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "inv", off_in_the_last_row)
+    with pytest.raises(NumericalError, match="residual 2.000e-06"):
+        checked_inverse(a)
 
 
 def test_fmt12():
