@@ -1,23 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-
-import tracemalloc
 
 from percut import _util, grid_graph, path_graph
 from percut._util import EventProbability
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError, TheoremViolationError
 from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
-from percut.rw_cutsets import escape_probabilities, fundamental_matrix
+from percut.rw_cutsets import escape_probabilities
 
 from corpus import CORPUS
 import oracles
 from oracles import (
     GaussianField, domination_endpoint_check, excursion_cluster, green_by_whole_matrices,
-    markov_check, sample_field,
-    section8_by_samples, sign_bound_check,
+    markov_check, sample_field, section8_by_samples, sign_bound_check,
 )
 
 
