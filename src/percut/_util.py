@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 Z99 = 2.5758293035489004
 
 # Largest max-norm residual of a linear solve, relative to max(1, |b|), that
-# checked_solve accepts; anything above it is refused.
+# checked_solve accepts; anything above it, or not finite, is refused.
 SOLVE_RESIDUAL_REFUSE = 1e-6
 
 # Most edges a route may sweep; a sweep visits all 2^m edge configurations
@@ -34,6 +34,8 @@ MAX_STEPS = 10_000_000
 # row, buffer and generator in rw_cutsets; bytes per block of a dense
 # matrix pass (solve residuals, the Green matrix's symmetry) and of a
 # streamed CSV matrix cell.  It bounds memory and never changes a result.
+# One block is alive at a time: every blocked loop releases block i before
+# it draws block i + 1.
 _BLOCK_CELLS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -282,7 +284,8 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> 
     per_system = tuple(range(a.ndim - 2, b.ndim))
     residual = np.abs(a @ x - b).max(axis=per_system, initial=0.0)
     scale = np.maximum(1.0, np.abs(b).max(axis=per_system, initial=0.0))
-    refused = residual > SOLVE_RESIDUAL_REFUSE * scale
+    # Not <=, so a NaN residual (from a NaN or inf entry) is refused too.
+    refused = ~(residual <= SOLVE_RESIDUAL_REFUSE * scale)
     if refused.any():
         worst = float(residual[refused].max())
         raise NumericalError(f"{what}: solve residual {worst:.3e} above refusal threshold")
@@ -312,8 +315,8 @@ def checked_inverse(a: np.ndarray, what: str = "linear system") -> np.ndarray:
         diag = np.arange(len(r))
         r[diag, lo + diag] -= 1.0
         block_max.append(np.abs(r, out=r).max())
-    # np.max, not max: a NaN residual passes here as it passes checked_solve.
+    # np.max, not max, keeps a NaN block residual, and not <= refuses it.
     residual = float(np.max(block_max))
-    if residual > SOLVE_RESIDUAL_REFUSE:
+    if not residual <= SOLVE_RESIDUAL_REFUSE:
         raise NumericalError(f"{what}: solve residual {residual:.3e} above refusal threshold")
     return x

@@ -248,11 +248,12 @@ def karger_count_min_cuts(
     uniformly random order until two super-vertices remain, which is
     equivalent to contracting a uniform surviving edge at every step.
     Trial t's order is the t-th ``rng.permutation(m)``.  Trials run in
-    lockstep blocks whose label and order matrices hold at most
-    ``_util._BLOCK_CELLS`` cells each.  A label is the smallest vertex of
-    a super-vertex; step j contracts the j-th edge of each trial's order
-    while the trial has more than two super-vertices, relabelling the
-    higher label to the lower one.  The block size never changes a result.
+    lockstep blocks (``_karger_tile``, one alive at a time) whose label and
+    order matrices hold at most ``_util._BLOCK_CELLS`` cells each.  A label
+    is the smallest vertex of a super-vertex; step j contracts the j-th
+    edge of each trial's order while the trial has more than two
+    super-vertices, relabelling the higher label to the lower one.  The
+    block size never changes a result.
     """
     import numpy as np
 
@@ -269,35 +270,49 @@ def karger_count_min_cuts(
     best: int | None = None
     keys: set[bytes] = set()  # the best cuts seen, as packed cut rows
     for done in range(0, trials, block):
-        rows = min(block, trials - done)
-        # Row r shuffled in place draws what the r-th ``rng.permutation(m)``
-        # would; the narrowest dtypes keep a block's matrices small.
-        order = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (rows, 1))
-        rng.permuted(order, axis=1, out=order)
-        labels = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, 1))
-        parts = np.full(rows, n)
-        for step in order.T:
-            live = np.flatnonzero(parts > 2)
-            if not live.size:
-                break
-            e = step[live]
-            a, b = labels[live, ends[0, e]], labels[live, ends[1, e]]
-            join = a != b
-            live, low, high = live[join], np.minimum(a, b)[join], np.maximum(a, b)[join]
-            sub = labels[live]
-            labels[live] = np.where(sub == high[:, None], low[:, None], sub)
-            parts[live] -= 1
-        cut = labels[:, ends[0]] != labels[:, ends[1]]
-        sizes = cut.sum(axis=1)
-        size = int(sizes.min())
+        # Each tile's matrices die in _karger_tile, before the next is built.
+        size, tile_keys = _karger_tile(rng, min(block, trials - done), n, ends)
         if best is None or size < best:
-            best = size
-            keys = set()
-        if size == best:
-            keys.update(row.tobytes() for row in np.packbits(cut[sizes == size], axis=1))
+            best, keys = size, tile_keys
+        elif size == best:
+            keys |= tile_keys
     assert best is not None
     cuts = frozenset(
         frozenset(np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8), count=m)).tolist())
         for key in keys
     )
     return KargerResult(best, cuts, trials)
+
+
+def _karger_tile(
+    rng: np.random.Generator, rows: int, n: int, ends: np.ndarray
+) -> tuple[int, set[bytes]]:
+    """The next ``rows`` trials of ``karger_count_min_cuts`` in lockstep.
+
+    Returns the tile's smallest cut size and its cuts of that size, as
+    packed cut rows.
+    """
+    import numpy as np
+
+    m = ends.shape[1]
+    # Row r shuffled in place draws what the r-th ``rng.permutation(m)``
+    # would; the narrowest dtypes keep a tile's matrices small.
+    order = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (rows, 1))
+    rng.permuted(order, axis=1, out=order)
+    labels = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (rows, 1))
+    parts = np.full(rows, n)
+    for step in order.T:
+        live = np.flatnonzero(parts > 2)
+        if not live.size:
+            break
+        e = step[live]
+        a, b = labels[live, ends[0, e]], labels[live, ends[1, e]]
+        join = a != b
+        live, low, high = live[join], np.minimum(a, b)[join], np.maximum(a, b)[join]
+        sub = labels[live]
+        labels[live] = np.where(sub == high[:, None], low[:, None], sub)
+        parts[live] -= 1
+    cut = labels[:, ends[0]] != labels[:, ends[1]]
+    sizes = cut.sum(axis=1)
+    size = int(sizes.min())
+    return size, {row.tobytes() for row in np.packbits(cut[sizes == size], axis=1)}

@@ -289,6 +289,8 @@ def section8_pipeline(
         e_count += e_bits.bit_count()
         fe_count += fe_bits.bit_count()
         boundary_count += match.bit_count()
+        # One block alive: this one goes before the next is drawn.
+        del block, fx, fy, f_mask, up, open_bits, comp_a, cluster, exposed
     return Section8Report(
         cutset, mids, trials, f_count, e_count, fe_count, boundary_count
     )

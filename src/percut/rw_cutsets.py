@@ -143,6 +143,7 @@ def escape_probability_mc(graph: Graph, v: int, trials: int, seed: int) -> Event
         if (end < 0).any():
             raise CapExceededError("walk exceeded the step cap")
         hits += int(np.count_nonzero(end != v))
+        del _, end  # before the next block is walked
     return EventProbability.sampled(hits, trials)
 
 
@@ -287,14 +288,19 @@ def _walk_blocks(
     """``_walk_block`` over trials ``0 .. trials - 1``, in ``_util._BLOCK_CELLS`` blocks.
 
     Trial t walks on its own ``trial_generators`` stream for at most
-    ``_util.MAX_STEPS`` steps, so results do not depend on the block size.  A walk holds a first-visit row, a 64-double
-    buffer and a generator, whose objects take about 1.5 KB, the room of 192
-    doubles.
+    ``_util.MAX_STEPS`` steps, so results do not depend on the block size.
+    A walk holds a first-visit row, a 64-double buffer and a generator,
+    whose objects trace at about 0.78 KB; the block allows it the room of
+    192 doubles.  A block's generators go before it is yielded, and callers
+    release a block before they ask for the next, so one block is alive at
+    a time.
     """
     block = max(1, _util._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
     for lo in range(0, trials, block):
-        rngs = trial_generators(seed, lo, min(trials, lo + block))
-        yield _walk_block(graph, start, rngs, _util.MAX_STEPS)
+        # The spent generators go with the call, before the block is yielded.
+        yield _walk_block(
+            graph, start, trial_generators(seed, lo, min(trials, lo + block)), _util.MAX_STEPS
+        )
 
 
 def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
@@ -364,9 +370,11 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
             rows = ranges[list(fresh.values())]
             for key, row, boundary in zip(fresh, rows, _exposed_boundaries(sd.derived, rows)):
                 decoded[key] = _decode(sd, origin, frozenset(np.flatnonzero(row).tolist()), boundary)
+            del rows, row
         for key in keys:
             outcome, cutset = decoded[key]
             outcomes[outcome] += 1
             if cutset is not None:
                 hits[cutset] = hits.get(cutset, 0) + 1
+        del tau, _, end, first, absorbed, ranges, keys  # before the next block is walked
     return RwCensus(origin, trials, outcomes, hits)

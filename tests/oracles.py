@@ -6,8 +6,8 @@ boundary and minimality test, the min-label component labeller, the
 configuration sweep, the component walk over cutsets, the
 subset-at-a-time cutset and cover-lemma sweeps, the one-step walk, the
 per-sample field pipeline, the explicit cover-and-return enumeration, the
-whole-matrix solve, Green matrix and CSV writer), or a check of one step
-of the paper's argument (the closed-ring and strong percolation bounds, the two-tree
+whole-matrix solve, Green matrix and CSV writer), a traced memory peak,
+or a check of one step of the paper's argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
 ``event_popcount_profile`` under ``_util.SWEEP_EDGES``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -1325,3 +1326,28 @@ def domination_endpoint_check(
     return DominationReport(
         report.f_count, report.fe_count, conditional, killed, False
     )
+
+
+# ---- memory ----
+
+
+def traced_peak(run: Callable[[], object]) -> int:
+    """Bytes at the tracemalloc peak of one ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def blocks_over_one(run: Callable[[int], object], block: int) -> float:
+    """Traced peak of ``run(5 * block)`` over that of ``run(block)``.
+
+    ``run(trials)`` samples in blocks of ``block`` trials, so the ratio is
+    what four more blocks cost on top of one: 1.0 when a spent block is
+    gone before the next is drawn.  A warm-up ``run(1)`` keeps lazy imports
+    and caches out of both peaks.
+    """
+    run(1)
+    return traced_peak(lambda: run(5 * block)) / traced_peak(lambda: run(block))

@@ -99,6 +99,20 @@ def test_dense_routes_hold_at_most_three_matrices(route):
     assert peak <= 3 * k * k * 8
 
 
+def test_pipeline_holds_one_field_block_at_a_time():
+    """Three blocks on the benchmark cutset trace below 2.5 field blocks.
+
+    Drawing a block holds its normals z and z @ factor.T, two blocks; the
+    spent block still held besides took the peak to 3.4.
+    """
+    g = grid_graph(6, 6)
+    cutset = verified_cutset(g, (27, 35, 37, 38), 20)
+    section8_pipeline(g, cutset, 1, seed=5)  # lazy imports before tracing
+    k = len(green(cutset_frame(g, cutset).sd.derived).interior)
+    peak = oracles.traced_peak(lambda: section8_pipeline(g, cutset, 3 * 4096, seed=5))
+    assert peak <= 2.5 * 4096 * k * 8
+
+
 def test_green_index_rejects_horizon():
     gm = green(path_graph(5))
     with pytest.raises(PreconditionError):

@@ -24,7 +24,8 @@ from percut.rw_cutsets import (
 
 from corpus import CORPUS, cutsets_for
 from oracles import (
-    census_by_walks, fundamental_matrix_by_solve, subdivision_escape_check, walk_by_steps,
+    blocks_over_one, census_by_walks, fundamental_matrix_by_solve, subdivision_escape_check,
+    walk_by_steps,
 )
 
 
@@ -251,6 +252,28 @@ def test_census_matches_per_walk_samples_at_any_block_size(name, base, origin, w
     for census in (one_block, small_blocks):
         assert census.outcome_counts == want_outcomes
         assert list(census.hits.items()) == list(want_hits.items())
+
+
+@pytest.mark.parametrize("route", ["census", "escape"])
+def test_walk_blocks_are_alive_one_at_a_time(monkeypatch, route):
+    """Five blocks of walks peak within 10% of one block's traced peak.
+
+    The bound is tighter than the 1.25 that would do: with the spent block
+    still held while the next one walked, the census read 1.33 and escape
+    1.19 here.
+    """
+    sd, g9 = subdivide(grid_graph(5, 5), 2), grid_graph(9, 9)
+    graph = sd.derived if route == "census" else g9
+
+    def run(trials):
+        if route == "census":
+            return qn_census_rw(sd, 12, trials, seed=3)
+        return escape_probability_mc(g9, 40, trials, seed=3)
+
+    block = 1000
+    # _walk_blocks gives each walk n + 64 + 192 cells.
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block * (graph.n_vertices + 256))
+    assert blocks_over_one(run, block) <= 1.1
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -138,6 +138,31 @@ def test_checked_solve_holds_each_system_to_its_own_rhs(monkeypatch):
         checked_solve(a, b)
 
 
+NOT_FINITE = [
+    # LAPACK answers [nan, 0] and [0, 0.5] here, and a @ x - b is NaN.
+    np.array([[np.nan, 1.0], [1.0, 2.0]]),
+    np.array([[np.inf, 1.0], [1.0, 2.0]]),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("a", NOT_FINITE, ids=["nan", "inf"])
+def test_checked_solve_refuses_a_residual_that_is_not_finite(a):
+    with pytest.raises(NumericalError, match="residual nan"):
+        checked_solve(a, np.ones(2))
+    with pytest.raises(NumericalError, match="residual nan"):
+        checked_solve(a[None], np.ones((1, 2, 1)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 2])
+@pytest.mark.parametrize("a", NOT_FINITE, ids=["nan", "inf"])
+def test_checked_inverse_refuses_a_residual_that_is_not_finite(monkeypatch, a, block_cells):
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    with pytest.raises(NumericalError, match="residual nan"):
+        checked_inverse(a)
+
+
 def test_checked_inverse_is_the_solve_against_the_identity():
     rng = np.random.default_rng(3)
     for k in (0, 1, 5, 40):
