@@ -18,8 +18,8 @@ mathematical invariant (so batch pipelines can tell bugs from typos).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -262,26 +262,22 @@ def _csv_quote(text: str) -> str:
 
 
 def _write_csv_rows(stream, rows: list[dict]) -> None:
-    """The header and rows, as ``csv.writer`` writes them.
+    """The header and rows, quoted as ``csv.writer`` with ``\\n`` line ends quotes them.
 
-    A row with a float array cell is written cell by cell, so the array's
-    text is streamed (``_write_floats``) rather than built whole.
+    Every line is written cell by cell, so a float array's text is streamed
+    (``_write_floats``) rather than built whole.
     """
-    writer = csv.writer(stream, lineterminator="\n")
     header = list(rows[0])
-    writer.writerow(header)
-    for row in rows:
-        cells = [row.get(k) for k in header]
-        if not any(_is_float_array(v) for v in cells):
-            writer.writerow([_csv_value(v) for v in cells])
-            continue
+    for cells in itertools.chain([header], ([row.get(k) for k in header] for row in rows)):
         for i, v in enumerate(cells):
             if i:
                 stream.write(",")
             if _is_float_array(v):
                 _write_floats(stream, v)
-            else:
-                stream.write(_csv_quote(_csv_value(v)))
+                continue
+            text = _csv_value(v)
+            # A lone empty cell is quoted, so its line is not blank.
+            stream.write(_csv_quote(text) if text or len(cells) > 1 else '""')
         stream.write("\n")
 
 

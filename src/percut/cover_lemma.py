@@ -31,14 +31,18 @@ MAX_EXACT_STATES = 20
 class SubStochasticMatrix:
     """Symmetric non-negative matrix with row sums at most one.
 
-    Input asymmetry up to ``ASYMMETRY_TOL`` is averaged away; anything
-    larger is refused.  Entries are clipped to zero from tiny negatives.
+    Entries must be finite.  Input asymmetry up to ``ASYMMETRY_TOL`` is
+    averaged away; anything larger is refused.  Entries are clipped to zero
+    from tiny negatives.
     """
 
     def __init__(self, matrix):
         p = np.asarray(matrix, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise PreconditionError("matrix must be square and non-empty")
+        # NaN fails every comparison below, so it is refused here.
+        if not np.isfinite(p).all():
+            raise PreconditionError("matrix entries must be finite")
         gap = float(np.max(np.abs(p - p.T))) if p.size else 0.0
         if gap > ASYMMETRY_TOL:
             raise PreconditionError(f"asymmetry {gap:.3e} above tolerance {ASYMMETRY_TOL:.1e}")

@@ -34,26 +34,19 @@ class GreenMatrix:
     Symmetric within 1e-9 (then symmetrized), positive definite, and on
     the diagonal the reciprocal of degree times no-return probability.
     The Cholesky factor is computed once; a single 1e-12 diagonal jitter
-    is attempted before giving up.  The constructor works on a copy of
-    ``g``, so the caller's array is left as it was.
+    is attempted before giving up.  The matrix owns ``np.asarray(g,
+    dtype=float)``: a float array is symmetrized in place and kept, not
+    copied, so the caller hands over an array no one else changes.
     """
 
     def __init__(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray):
-        self._build(graph, interior, np.array(g, dtype=float, order="C"))
-
-    @classmethod
-    def _adopt(cls, graph: Graph, interior: tuple[int, ...], g: np.ndarray) -> GreenMatrix:
-        """The matrix built on ``g`` itself, a float array no one else holds, without a copy."""
-        gm = cls.__new__(cls)
-        gm._build(graph, interior, g)
-        return gm
-
-    def _build(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray) -> None:
+        g = np.asarray(g, dtype=float)
         k = len(interior)
         if g.shape != (k, k):
             raise PreconditionError("matrix shape does not match the interior")
         gap = _symmetrize(g)
-        if gap > 1e-9:
+        # A non-finite entry leaves a NaN or infinite gap; `not <=` refuses both.
+        if not gap <= 1e-9:
             raise TheoremViolationError(f"green matrix asymmetry {gap:.3e}")
         self.graph = graph
         self.interior = interior
@@ -65,8 +58,9 @@ class GreenMatrix:
         except np.linalg.LinAlgError:
             try:
                 # g + 1e-12 I entry by entry: + 0.0 turns a -0.0 to 0.0 as it does.
+                # The diagonal is indexed, not reshaped, so g of any layout takes the bump.
                 bumped = g + 0.0
-                bumped.reshape(-1)[:: k + 1] += 1e-12
+                bumped[np.diag_indices(k)] += 1e-12
                 self.factor = np.linalg.cholesky(bumped)
                 self.jitter_used = True
             except np.linalg.LinAlgError as exc:
@@ -103,7 +97,7 @@ def _symmetrize(g: np.ndarray) -> float:
         mean /= 2.0
         upper[...] = mean
         lower[...] = mean
-    # np.max keeps a NaN gap, which passes the guard as the whole-matrix max does.
+    # np.max keeps a NaN gap, as the whole-matrix max does, for the guard to refuse.
     return float(np.max(gaps))
 
 
@@ -125,7 +119,7 @@ def green(graph: Graph) -> GreenMatrix:
         on_horizon = [sum(w in graph.horizon for w in graph.neighbors(v)) for v in interior]
         absorbed = n @ (np.array(on_horizon) / degrees)
     n /= degrees
-    gm = GreenMatrix._adopt(graph, interior, n)
+    gm = GreenMatrix(graph, interior, n)
     if small:
         escape = escape_probabilities(graph, "absorbing")
         for i, v in enumerate(interior):

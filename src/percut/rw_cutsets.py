@@ -139,7 +139,7 @@ def escape_probability_mc(graph: Graph, v: int, trials: int, seed: int) -> Event
         raise PreconditionError("escape is defined for interior vertices")
     killed = Graph(graph.n_vertices, graph.edges, graph.horizon | {v})
     hits = 0
-    for _, _, end, _ in _walk_blocks(killed, v, trials, seed):
+    for _, end, _ in _walk_blocks(killed, v, trials, seed):
         if (end < 0).any():
             raise CapExceededError("walk exceeded the step cap")
         hits += int(np.count_nonzero(end != v))
@@ -228,19 +228,19 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
 
 
 def _walk_block(
-    graph: Graph, start: int, rngs: list[np.random.Generator], max_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    graph: Graph, start: int, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One simple random walk from ``start`` per generator, advanced in lockstep.
 
     Every walk draws from its own generator 64 doubles at a time and steps
     to entry ``int(u * degree)`` of its vertex's adjacency list, so each walk,
     and the state its generator is left in, match a scalar walk's bit for
     bit.  Walks leave the active set when they land on the horizon.  Returns
-    per walk: tau (the last step at the start), the absorbing step, the
-    horizon vertex reached (-1 for a walk still out after ``max_steps``
-    steps) and every vertex's first visit time (``max_steps + 1`` when never
-    visited, as int32 to halve the walks x vertices matrix), so the range up
-    to tau is ``first <= tau``.
+    per walk: tau (the last step at the start), the horizon vertex reached
+    (-1 for a walk still out after ``_util.MAX_STEPS`` steps) and every
+    vertex's first visit time (``_util.MAX_STEPS + 1`` when never visited,
+    as int32 to halve the walks x vertices matrix), so the range up to tau
+    is ``first <= tau``.
     """
     n = graph.n_vertices
     deg = np.array([len(adj) for adj in graph.adjacency], dtype=np.int64)
@@ -251,17 +251,16 @@ def _walk_block(
     absorbing[list(graph.horizon)] = True
 
     w = len(rngs)
-    first = np.full((w, n), max_steps + 1, dtype=np.int32)
+    first = np.full((w, n), _util.MAX_STEPS + 1, dtype=np.int32)
     first[:, start] = 0
     visits = first.reshape(-1)
     tau = np.zeros(w, dtype=np.int64)
-    steps = np.zeros(w, dtype=np.int64)
     end = np.full(w, -1, dtype=np.int64)
     draws = np.empty((w, 64))
     live = np.arange(w)
     cells = live * n
     x = np.full(w, start, dtype=np.int64)
-    for step in range(1, max_steps + 1):
+    for step in range(1, _util.MAX_STEPS + 1):
         col = (step - 1) % 64
         if col == 0:
             for k in live.tolist():
@@ -274,17 +273,16 @@ def _walk_block(
         if out.any():
             done = live[out]
             end[done] = x[out]
-            steps[done] = step
             keep = ~out
             live, cells, x = live[keep], cells[keep], x[keep]
             if not live.size:
                 break
-    return tau, steps, end, first
+    return tau, end, first
 
 
 def _walk_blocks(
     graph: Graph, start: int, trials: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_walk_block`` over trials ``0 .. trials - 1``, in ``_util._BLOCK_CELLS`` blocks.
 
     Trial t walks on its own ``trial_generators`` stream for at most
@@ -298,9 +296,7 @@ def _walk_blocks(
     block = max(1, _util._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
     for lo in range(0, trials, block):
         # The spent generators go with the call, before the block is yielded.
-        yield _walk_block(
-            graph, start, trial_generators(seed, lo, min(trials, lo + block)), _util.MAX_STEPS
-        )
+        yield _walk_block(graph, start, trial_generators(seed, lo, min(trials, lo + block)))
 
 
 def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
@@ -360,7 +356,7 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
     outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     hits: dict[Cutset, int] = {}
     decoded: dict[bytes, tuple[str, Cutset | None]] = {}
-    for tau, _, end, first in _walk_blocks(sd.derived, start, trials, seed):
+    for tau, end, first in _walk_blocks(sd.derived, start, trials, seed):
         absorbed = end >= 0
         outcomes[ABORTED] += int(np.count_nonzero(~absorbed))
         ranges = (first <= tau[:, None])[absorbed]
@@ -376,5 +372,5 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
             outcomes[outcome] += 1
             if cutset is not None:
                 hits[cutset] = hits.get(cutset, 0) + 1
-        del tau, _, end, first, absorbed, ranges, keys  # before the next block is walked
+        del tau, end, first, absorbed, ranges, keys  # before the next block is walked
     return RwCensus(origin, trials, outcomes, hits)

@@ -833,6 +833,20 @@ def test_bad_matrix_file(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["1\nnan\n", "2\nnan 0.1\n0.1 0.2\n"], ids=["1x1", "2x2"])
+@pytest.mark.parametrize(
+    "command",
+    [["exact"], ["verify"], ["mc", "--trials", "100", "--seed", "1"]],
+    ids=["exact", "verify", "mc"],
+)
+def test_non_finite_matrix_file_is_an_input_error(capsys, tmp_path, text, command):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, ["cover", *command, "--matrix", str(path)])
+    assert code == 1
+    assert "matrix entries must be finite" in err
+
+
 def test_nonminimal_cutset_rejected(capsys):
     code, _, _ = run_cli(
         capsys,

@@ -56,6 +56,11 @@ def test_matrix_rejects():
         SubStochasticMatrix([[-0.2]])
     with pytest.raises(PreconditionError):
         SubStochasticMatrix([[0.1, 0.2]])
+    # NaN passes every comparison guard, so it is refused as non-finite.
+    with pytest.raises(PreconditionError, match="finite"):
+        SubStochasticMatrix([[math.nan]])
+    with pytest.raises(PreconditionError, match="finite"):
+        SubStochasticMatrix([[math.nan, 0.1], [0.1, 0.2]])
 
 
 # ---- matrix files ----

@@ -127,22 +127,35 @@ def test_green_matrix_asymmetry_guard():
         GreenMatrix(g5, (1, 2, 3), bad)
 
 
-def test_green_matrix_leaves_the_callers_array_alone():
+@pytest.mark.parametrize(
+    "g",
+    [np.array([[np.nan]]), np.array([[np.inf]]), np.array([[2.0, np.nan], [np.nan, 2.0]])],
+    ids=["nan", "inf", "nan_off_diagonal"],
+)
+def test_green_matrix_refuses_a_non_finite_asymmetry_gap(g):
+    with pytest.raises(TheoremViolationError, match="asymmetry nan"):
+        GreenMatrix(path_graph(2 + len(g)), tuple(range(1, 1 + len(g))), g)
+
+
+def test_green_matrix_owns_and_symmetrizes_its_array():
     off = P5_GREEN.copy()
     off[0, 2] += 1e-12
     kept = off.copy()
     gm = GreenMatrix(path_graph(5), (1, 2, 3), off)
-    assert np.array_equal(off, kept)
-    assert np.array_equal(gm.g, (kept + kept.T) / 2.0)
+    assert gm.g is off
+    assert np.array_equal(off, (kept + kept.T) / 2.0)
 
 
 def test_green_matrix_jitters_a_copy_of_the_diagonal():
-    """A singular PSD matrix factors once 1e-12 is on its diagonal; g itself keeps no jitter."""
-    g = np.ones((2, 2))
-    gm = GreenMatrix(path_graph(4), (1, 2), g)
-    assert gm.jitter_used
-    assert np.array_equal(gm.g, np.ones((2, 2)))
-    assert np.array_equal(gm.factor, np.linalg.cholesky(np.ones((2, 2)) + 1e-12 * np.eye(2)))
+    """A singular PSD matrix factors once 1e-12 is on its diagonal; g itself keeps no jitter.
+
+    The matrix keeps the array it is given, so the bump must land in either layout.
+    """
+    for order in "CF":
+        gm = GreenMatrix(path_graph(4), (1, 2), np.ones((2, 2), order=order))
+        assert gm.jitter_used
+        assert np.array_equal(gm.g, np.ones((2, 2)))
+        assert np.array_equal(gm.factor, np.linalg.cholesky(np.ones((2, 2)) + 1e-12 * np.eye(2)))
 
 
 def test_green_matrix_rejects_indefinite():

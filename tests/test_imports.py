@@ -192,6 +192,12 @@ def test_traced_jobs_run_under_the_benchmark_worker(tmp_path, monkeypatch):
     assert [job["rc"] for job in record["jobs"]] == [0] * len(jobs)
     monkeypatch.syspath_prepend(str(perfbench))
     assert import_module("layers").check_tree(record["nodes"]) == []
+    # gff.factor_s times the factor as the GreenMatrix.__init__ span.
+    pipeline = next(job["id"] for job in jobs if job["argv"][:2] == ["gff", "pipeline"])
+    assert any(
+        node["name"] == "gff.GreenMatrix.__init__" and node["job"] == pipeline
+        for node in record["nodes"]
+    )
     # The exact chain job's 4 induced edges sweep 16 configurations; the seeded one samples 200.
     assert record["counters"]["fkg_chain.oracle_configs"] == 16 + 200
 
