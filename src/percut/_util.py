@@ -290,33 +290,3 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str = "linear system") -> 
         worst = float(residual[refused].max())
         raise NumericalError(f"{what}: solve residual {worst:.3e} above refusal threshold")
     return x
-
-
-def checked_inverse(a: np.ndarray, what: str = "linear system") -> np.ndarray:
-    """``checked_solve(a, I)``, bit for bit, without holding I or the full residual.
-
-    ``np.linalg.inv`` solves a x = I by the LAPACK routine ``np.linalg.solve``
-    calls, so the answers agree bit for bit.  The residual a x - I is held to
-    the same rule (the scale max(1, |I|) is 1), one block of rows of at most
-    ``_BLOCK_CELLS`` bytes at a time.  ``a`` is left as it was.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what}: singular matrix ({exc})") from exc
-    k = len(a)
-    rows = max(1, _BLOCK_CELLS // 8 // max(k, 1))
-    block_max = [0.0]
-    for lo in range(0, k, rows):
-        r = a[lo : lo + rows] @ x
-        diag = np.arange(len(r))
-        r[diag, lo + diag] -= 1.0
-        block_max.append(np.abs(r, out=r).max())
-    # np.max, not max, keeps a NaN block residual, and not <= refuses it.
-    residual = float(np.max(block_max))
-    if not residual <= SOLVE_RESIDUAL_REFUSE:
-        raise NumericalError(f"{what}: solve residual {residual:.3e} above refusal threshold")
-    return x

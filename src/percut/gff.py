@@ -15,6 +15,7 @@ standing for sample t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from ._util import _row_ints, trial_generators
 from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, subdivide
-from .rw_cutsets import escape_probabilities, fundamental_matrix
+from .rw_cutsets import (
+    _band_factor, _band_inverse, _check_ones, _horizon_counts, escape_probabilities,
+)
 
 _BLOCK = 4096
 
@@ -33,10 +36,9 @@ class GreenMatrix:
 
     Symmetric within 1e-9 (then symmetrized), positive definite, and on
     the diagonal the reciprocal of degree times no-return probability.
-    The Cholesky factor is computed once; a single 1e-12 diagonal jitter
-    is attempted before giving up.  The matrix owns ``np.asarray(g,
-    dtype=float)``: a float array is symmetrized in place and kept, not
-    copied, so the caller hands over an array no one else changes.
+    The matrix owns ``np.asarray(g, dtype=float)``: a float array is
+    symmetrized in place and kept, not copied, so the caller hands over an
+    array no one else changes.  The Cholesky factor is formed on first use.
     """
 
     def __init__(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray):
@@ -53,18 +55,27 @@ class GreenMatrix:
         self.g = g
         self._index = {v: i for i, v in enumerate(interior)}
         self.jitter_used = False
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Cholesky factor of g, formed on first use.
+
+        A single 1e-12 diagonal jitter, on a copy, is attempted before
+        giving up; ``jitter_used`` says whether it was needed.
+        """
         try:
-            self.factor = np.linalg.cholesky(g)
+            return np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
             try:
                 # g + 1e-12 I entry by entry: + 0.0 turns a -0.0 to 0.0 as it does.
                 # The diagonal is indexed, not reshaped, so g of any layout takes the bump.
-                bumped = g + 0.0
-                bumped[np.diag_indices(k)] += 1e-12
-                self.factor = np.linalg.cholesky(bumped)
-                self.jitter_used = True
+                bumped = self.g + 0.0
+                bumped[np.diag_indices(len(bumped))] += 1e-12
+                factor = np.linalg.cholesky(bumped)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("covariance is not positive definite") from exc
+        self.jitter_used = True
+        return factor
 
     def index(self, v: int) -> int:
         if v not in self._index:
@@ -82,45 +93,78 @@ def _symmetrize(g: np.ndarray) -> float:
     Row strip i of the upper triangle and column strip i of the lower are
     averaged together, a strip of at most ``_util._BLOCK_CELLS`` bytes at a
     time, with the same operations as the whole-matrix expressions, so every
-    entry and the gap come out bit for bit as they would.
+    entry and the gap come out bit for bit as they would.  An infinite entry
+    gives a NaN gap, quietly: the caller refuses it.
     """
     k = len(g)
     rows = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
     gaps = [0.0]
-    for lo in range(0, k, rows):
-        upper = g[lo : lo + rows, lo:]
-        lower = g[lo:, lo : lo + rows].T
-        diff = upper - lower
-        gaps.append(np.abs(diff, out=diff).max())
-        del diff
-        mean = upper + lower
-        mean /= 2.0
-        upper[...] = mean
-        lower[...] = mean
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, k, rows):
+            upper = g[lo : lo + rows, lo:]
+            lower = g[lo:, lo : lo + rows].T
+            diff = upper - lower
+            gaps.append(np.abs(diff, out=diff).max())
+            del diff
+            mean = upper + lower
+            mean /= 2.0
+            upper[...] = mean
+            lower[...] = mean
     # np.max keeps a NaN gap, as the whole-matrix max does, for the guard to refuse.
     return float(np.max(gaps))
 
 
-def green(graph: Graph) -> GreenMatrix:
-    """Covariance matrix of the field absorbed at the horizon.
+def _check_green(graph: Graph, g: np.ndarray) -> None:
+    """Refuse a Green matrix g (``graph.interior`` order) that is not P^-1.
 
-    One interior solve gives the visit counts N, which are divided by the
-    target degrees in place.  Up to 64 interior vertices the diagonal is
-    cross-checked against escape probabilities from the independent
-    absorbing route.  Above that, where the route would dwarf the assembly,
-    N must satisfy the absorption identity N b = 1, with b[v] the share of
-    v's neighbours on the horizon: the killed walk is absorbed with
-    certainty.  N b is taken before the division.
+    In row blocks of at most ``_util._BLOCK_CELLS`` bytes, with no k x k
+    temporary: the residual P g - I against ``SOLVE_RESIDUAL_REFUSE``
+    (NumericalError), and the absorption identity g h = 1 within 1e-9,
+    h holding each vertex's horizon neighbours (TheoremViolationError).
+    A NaN is refused by both.
     """
-    interior, n = fundamental_matrix(graph)
+    interior = graph.interior
+    k = len(interior)
+    index = {v: i for i, v in enumerate(interior)}
     degrees = np.array([graph.degree(v) for v in interior], dtype=float)
-    small = len(interior) <= 64
-    if not small:
-        on_horizon = [sum(w in graph.horizon for w in graph.neighbors(v)) for v in interior]
-        absorbed = n @ (np.array(on_horizon) / degrees)
-    n /= degrees
-    gm = GreenMatrix(graph, interior, n)
-    if small:
+    inner = [[index[w] for w in graph.neighbors(v) if w in index] for v in interior]
+    slots = np.full((k, max(map(len, inner), default=0)), -1, dtype=np.int64)
+    for i, nbrs in enumerate(inner):
+        slots[i, : len(nbrs)] = nbrs
+    h = _horizon_counts(graph, interior)
+    rows = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
+    residual = [0.0]
+    for lo in range(0, k, rows):
+        block = g[lo : lo + rows]
+        _check_ones(interior[lo:], (block * h).sum(axis=1), "absorption identity")
+        r = block * degrees[lo : lo + rows, None]
+        for nbr in slots[lo : lo + rows].T:
+            has = np.flatnonzero(nbr >= 0)
+            r[has] -= g[nbr[has]]
+        r[np.arange(len(r)), lo + np.arange(len(r))] -= 1.0
+        residual.append(np.abs(r, out=r).max())
+        del block, r
+    worst = float(np.max(residual))
+    if not worst <= _util.SOLVE_RESIDUAL_REFUSE:
+        raise NumericalError(f"green matrix: residual {worst:.3e} above refusal threshold")
+
+
+def green(graph: Graph) -> GreenMatrix:
+    """Covariance matrix of the field absorbed at the horizon: G = P^-1, P = D - A.
+
+    G comes from the band factor of the interior precision
+    (``rw_cutsets._band_inverse``), exactly symmetric, with no dense
+    inverse; positive pivots certify it positive definite.  The residual
+    P G - I and the absorption identity G h = 1 are checked in row blocks
+    (``_check_green``).  Up to 64 interior vertices the diagonal is also
+    cross-checked against escape probabilities from the independent
+    absorbing route.
+    """
+    interior = graph.interior
+    g = _band_inverse(_band_factor(graph), interior)
+    _check_green(graph, g)
+    gm = GreenMatrix(graph, interior, g)
+    if len(interior) <= 64:
         escape = escape_probabilities(graph, "absorbing")
         for i, v in enumerate(interior):
             product = gm.g[i, i] * graph.degree(v) * escape[v]
@@ -128,12 +172,6 @@ def green(graph: Graph) -> GreenMatrix:
                 raise TheoremViolationError(
                     f"diagonal identity off at vertex {v}: {product}"
                 )
-        return gm
-    worst = int(np.argmax(np.abs(absorbed - 1.0)))
-    if abs(absorbed[worst] - 1.0) > 1e-9:
-        raise TheoremViolationError(
-            f"absorption identity off at vertex {interior[worst]}: {absorbed[worst]}"
-        )
     return gm
 
 

@@ -357,6 +357,57 @@ def set_weight(graph: Graph, s: Iterable[int]) -> int:
     return sum(graph.degree(v) for v in s)
 
 
+# ---- vertex orders ----
+
+
+def bandwidth(graph: Graph, order: Sequence[int]) -> int:
+    """Largest distance in ``order`` between the ends of an edge with both ends in it."""
+    pos = {v: i for i, v in enumerate(order)}
+    return max(
+        (abs(pos[u] - pos[v]) for u, v in graph.edges if u in pos and v in pos), default=0
+    )
+
+
+def reverse_cuthill_mckee(graph: Graph, vertices: Sequence[int]) -> tuple[int, ...]:
+    """``vertices`` in reverse Cuthill-McKee order of the subgraph they induce.
+
+    Each component is searched breadth first from a pseudo-peripheral vertex
+    (George & Liu): from its lowest-degree vertex, restart at the
+    lowest-degree vertex of the last level while that deepens the levels.
+    The search visits neighbours by increasing degree, ties going to the
+    lower id, so the order depends on the graph alone.
+    """
+    inside = set(vertices)
+    nbrs = {v: [w for w in graph.neighbors(v) if w in inside] for v in vertices}
+    rank = {v: (len(nbrs[v]), v) for v in vertices}
+    for adj in nbrs.values():
+        adj.sort(key=rank.__getitem__)
+
+    def levels(root: int) -> list[list[int]]:
+        seen, layers = {root}, [[root]]
+        while True:
+            nxt = [w for v in layers[-1] for w in nbrs[v] if w not in seen and not seen.add(w)]
+            if not nxt:
+                return layers
+            layers.append(nxt)
+
+    order: list[int] = []
+    placed: set[int] = set()
+    for v in sorted(vertices, key=rank.__getitem__):
+        if v in placed:
+            continue
+        layers = levels(v)
+        while True:
+            deeper = levels(min(layers[-1], key=rank.__getitem__))
+            if len(deeper) <= len(layers):
+                break
+            layers = deeper
+        for layer in layers:
+            order += layer
+            placed.update(layer)
+    return tuple(reversed(order))
+
+
 # ---- built-in families ----
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import EventProbability, checked_inverse, checked_solve, trial_generators
-from .errors import CapExceededError, PreconditionError, TheoremViolationError
+from ._util import EventProbability, checked_solve, trial_generators
+from .errors import CapExceededError, NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, _exposed_boundaries, decompose, is_minimal_cutset
-from .graph_core import Graph, SubdivisionMap
+from .graph_core import Graph, SubdivisionMap, bandwidth, reverse_cuthill_mckee
 
 DECODED = "decoded"
 NON_MIDPOINT = "non_midpoint"
@@ -75,33 +75,176 @@ def _hit_probability(
     return total / graph.degree(start)
 
 
-# ---- escape probabilities ----
+# ---- the interior precision's band ----
 
 
-def fundamental_matrix(graph: Graph) -> tuple[tuple[int, ...], np.ndarray]:
-    """Expected visit counts between interior vertices before absorption."""
+@dataclass(frozen=True)
+class _BandFactor:
+    """P = L diag(d) L^T for the interior precision P = D - A of the killed walk.
+
+    ``order`` is the interior in elimination order: id order, or reverse
+    Cuthill-McKee when that narrows the band.  With b the bandwidth in that
+    order, row j of ``band`` holds P[j, j : j + b + 1] and row j of ``lower``
+    holds L[j + 1 : j + b + 1, j], both 0 past the last row; ``band`` keeps
+    b + 1 zero rows below the matrix so that every window of it exists.
+    """
+
+    order: tuple[int, ...]
+    band: np.ndarray
+    d: np.ndarray
+    lower: np.ndarray
+
+
+def _band_factor(graph: Graph) -> _BandFactor:
+    """LDL^T of the interior precision over its band; a pivot not > 0 is refused.
+
+    A window of rows j .. j + b is eliminated one column at a time, and the
+    row entering below it has not been touched by any earlier column.  The
+    kernels on the factor run elementwise numpy only, in a fixed order, so
+    no value depends on BLAS or its thread count.  Positive pivots certify
+    that P, and so its inverse, is positive definite.
+    """
     if not graph.horizon:
         raise PreconditionError("walks need a horizon to be absorbed at")
-    interior = graph.interior
-    _, a, _ = _killed_system(graph, interior, frozenset())
-    return interior, checked_inverse(a, "fundamental matrix")
+    order, b = graph.interior, bandwidth(graph, graph.interior)
+    rcm = reverse_cuthill_mckee(graph, order)
+    narrower = bandwidth(graph, rcm)
+    if narrower < b:
+        order, b = rcm, narrower
+    k = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    band = np.zeros((k + b + 1, b + 1))
+    for i, v in enumerate(order):
+        band[i, 0] = graph.degree(v)
+        for w in graph.neighbors(v):
+            if pos.get(w, -1) > i:
+                band[i, pos[w] - i] = -1.0
+    c = np.arange(b + 1)
+    window = band[np.minimum.outer(c, c), np.abs(np.subtract.outer(c, c))]
+    spare = np.empty_like(window)
+    d, lower = np.empty(k), np.zeros((k, b))
+    for j in range(k):
+        pivot, col = window[0, 0], window[1:, 0]
+        if not pivot > 0.0:
+            raise NumericalError(f"precision pivot {pivot} at vertex {order[j]} is not positive")
+        d[j] = pivot
+        lower[j] = col / pivot
+        spare[:b, :b] = window[1:, 1:] - np.multiply.outer(lower[j], col)
+        # Row j + 1 + b of P from column j + 1 on: P[j + 1 + c, j + 1 + b] by symmetry.
+        spare[b, :] = spare[:, b] = band[j + 1 + c, b - c]
+        window, spare = spare, window
+    return _BandFactor(order, band, d, lower)
 
 
-def _no_return(interior: tuple[int, ...], n: np.ndarray) -> dict[int, float]:
-    """Escape probabilities 1 / (expected visits to the start) from one N."""
-    return {v: 1.0 / float(n[i, i]) for i, v in enumerate(interior)}
+def _band_solve(f: _BandFactor, h: np.ndarray) -> np.ndarray:
+    """x with P x = h (elimination order), by substitution over the band."""
+    k, b = f.lower.shape
+    y = np.zeros(k + b)
+    y[:k] = h
+    for j in range(k):
+        y[j + 1 : j + 1 + b] -= f.lower[j] * y[j]
+    y[:k] /= f.d
+    for j in reversed(range(k)):
+        y[j] -= (f.lower[j] * y[j + 1 : j + 1 + b]).sum()
+    return y[:k]
+
+
+def _check_ones(vertices: tuple[int, ...], values: np.ndarray, what: str) -> None:
+    """Refuse, as a broken identity, any value not within 1e-9 of 1 (NaN included)."""
+    off = np.abs(values - 1.0)
+    if off.size and not off.max() <= 1e-9:
+        worst = int(np.argmax(off))  # the first NaN, if any
+        raise TheoremViolationError(f"{what} off at vertex {vertices[worst]}: {values[worst]}")
+
+
+def _horizon_counts(graph: Graph, vertices: tuple[int, ...]) -> np.ndarray:
+    """Each vertex's neighbours on the horizon: P 1, so P^-1 of it is all ones."""
+    return np.array([sum(w in graph.horizon for w in graph.neighbors(v)) for v in vertices], float)
+
+
+def _band_diagonal(f: _BandFactor, graph: Graph) -> np.ndarray:
+    """diag(P^-1) in elimination order, by the Takahashi recurrence over the band.
+
+    From the last row up, Z[j, i] = [i == j] / d[j] - sum_a L[j + 1 + a, j] Z[j + 1 + a, i]
+    for i >= j, read off a window of Z's rows j + 1 .. j + b: O(k b^2) time
+    and O(k b) memory.  Certificates, each refused beyond 1e-9: diag(P Z) = 1
+    from the band entries of Z, and the absorption identity P^-1 h = 1 by
+    one band solve.
+    """
+    k, b = f.lower.shape
+    zband = np.empty((k, b + 1))  # row j: Z[j, j : j + b + 1], 0 past the last row
+    window, spare = np.zeros((b + 1, b + 1)), np.empty((b + 1, b + 1))
+    for j in reversed(range(k)):
+        l = f.lower[j]
+        row = 0.0 - (l[:, None] * window[:b, :b]).sum(axis=0)
+        zband[j, 0] = 1.0 / f.d[j] - (l * row).sum()
+        zband[j, 1:] = row
+        spare[0, :] = spare[:, 0] = zband[j]
+        spare[1:, 1:] = window[:b, :b]
+        window, spare = spare, window
+    # (P Z)[j, j] = sum_a P[j, j + a] Z[j, j + a] + sum_{a > 0} P[j - a, j] Z[j - a, j]
+    terms = f.band[:k] * zband
+    diag = terms.sum(axis=1)
+    for a in range(1, b + 1):
+        diag[a:] += terms[: k - a, a]
+    _check_ones(f.order, diag, "selected inverse")
+    _check_ones(f.order, _band_solve(f, _horizon_counts(graph, f.order)), "absorption identity")
+    return zband[:, 0]
+
+
+def _band_inverse(f: _BandFactor, interior: tuple[int, ...]) -> np.ndarray:
+    """P^-1 indexed by ``interior``, by the Takahashi recurrence over whole rows.
+
+    Row j of Z is formed from the last row up over every column after j and
+    mirrored into column j, so Z is exactly symmetric and the only k x k
+    array; an entry with no path between its ends is +0.0.  Rows, then
+    columns, are then moved from elimination order to ``interior`` order in
+    place.
+    """
+    k = len(f.order)
+    g = np.empty((k, k))
+    for j in reversed(range(k)):
+        l = f.lower[j, : k - 1 - j]
+        row = 0.0 - (l[:, None] * g[j + 1 : j + 1 + len(l), j + 1 :]).sum(axis=0)
+        g[j, j + 1 :] = g[j + 1 :, j] = row
+        g[j, j] = 1.0 / f.d[j] - (l * row[: len(l)]).sum()
+    if f.order != interior:
+        index = {v: i for i, v in enumerate(interior)}
+        dest = [index[v] for v in f.order]
+        for m in (g, g.T):
+            _scatter_rows(m, dest)
+    return g
+
+
+def _scatter_rows(m: np.ndarray, dest: list[int]) -> None:
+    """Move row p of ``m`` to row dest[p] for every p, in place, cycle by cycle."""
+    moved = [False] * len(dest)
+    for start in range(len(dest)):
+        if moved[start]:
+            continue
+        held, p = m[start].copy(), start
+        while not moved[start]:
+            p = dest[p]
+            moved[p] = True
+            held, m[p] = m[p].copy(), held
+
+
+# ---- escape probabilities ----
 
 
 def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int, float]:
     """P_v(never return to v before absorption), for every interior vertex.
 
-    The fundamental route inverts one interior system and uses
-    1 / (expected visits to the start).  The absorbing route solves, per
-    vertex, for the probability of reaching the horizon before the
+    The fundamental route reads G = P^-1's diagonal off the band factor of
+    the interior precision (``_band_diagonal``) and uses 1 / (expected
+    visits to the start) = 1 / (degree G_vv).  The absorbing route solves,
+    per vertex, for the probability of reaching the horizon before the
     vertex; the two must agree to solver precision.
     """
     if method == "fundamental":
-        return _no_return(*fundamental_matrix(graph))
+        f = _band_factor(graph)
+        z = dict(zip(f.order, _band_diagonal(f, graph).tolist()))
+        return {v: 1.0 / (graph.degree(v) * z[v]) for v in graph.interior}
     if method != "absorbing":
         raise PreconditionError(f"unknown method {method!r}")
     if not graph.horizon:

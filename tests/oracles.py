@@ -16,6 +16,7 @@ endpoints).  Every 2^m configuration sweep goes through
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -45,8 +46,8 @@ from percut.graph_core import (
 )
 from percut.percolation import boundary_census_exact, profile_probability
 from percut.rw_cutsets import (
-    ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _decode, _no_return, escape_constant,
-    escape_probabilities, fundamental_matrix, origin_midpoint,
+    ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _decode, escape_constant,
+    escape_probabilities, origin_midpoint,
 )
 
 # Most connected sets the component walk may visit before it gives up.
@@ -1025,8 +1026,9 @@ def subdivision_escape_check(sd: SubdivisionMap) -> SubdivisionEscapeReport:
     eps = escape_constant(sd.base, escape_probabilities(sd.base))
     floor_all = 2.0 * eps / (4.0 + eps)
     floor_orig = eps / 2.0
-    interior, n = fundamental_matrix(sd.derived)
-    weighted = {v: sd.derived.degree(v) * p for v, p in _no_return(interior, n).items()}
+    interior = sd.derived.interior
+    n = fundamental_matrix_by_solve(sd.derived)
+    weighted = {v: sd.derived.degree(v) / float(n[i, i]) for i, v in enumerate(interior)}
     index = {v: i for i, v in enumerate(interior)}
     worst = 0.0
     for eid in range(sd.base.n_edges):
@@ -1057,10 +1059,11 @@ def subdivision_escape_check(sd: SubdivisionMap) -> SubdivisionEscapeReport:
 
 
 def fundamental_matrix_by_solve(graph: Graph) -> np.ndarray:
-    """N = (I - Q)^-1 by ``np.linalg.solve`` against a built identity.
+    """Expected visits N = (I - Q)^-1 between interior vertices, by a dense solve.
 
-    Q is summed step by step and I - Q formed as a new matrix: the route
-    ``rw_cutsets.fundamental_matrix`` must match bit for bit.
+    ``np.linalg.solve`` against a built identity, Q summed step by step:
+    the dense route that the band routes of ``escape_probabilities`` and
+    ``green`` must agree with.
     """
     interior = graph.interior
     index = {x: i for i, x in enumerate(interior)}
@@ -1078,6 +1081,19 @@ def green_by_whole_matrices(graph: Graph) -> np.ndarray:
     degrees = np.array([graph.degree(v) for v in graph.interior], dtype=float)
     g = fundamental_matrix_by_solve(graph) / degrees[None, :]
     return (g + g.T) / 2.0
+
+
+def scaled_by_a_millionth(module, name: str, field: str | None = None):
+    """``module.name`` with its result, or that field of it, scaled by 1 + 1e-6."""
+    exact = getattr(module, name)
+
+    def patched(*args):
+        out = exact(*args)
+        if field is None:
+            return out * (1.0 + 1e-6)
+        return dataclasses.replace(out, **{field: getattr(out, field) * (1.0 + 1e-6)})
+
+    return patched
 
 
 def csv_rows_by_writer(stream, rows: list[dict]) -> None:

@@ -911,6 +911,28 @@ def _run_module(module):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rw", "escape", "--graph", "grid:30,30"], ["gff", "green", "--graph", "grid:30,30", "--out", "csv"]],
+    ids=["rw-escape", "gff-green"],
+)
+def test_records_do_not_depend_on_the_blas_thread_count(argv):
+    """The band routes call no BLAS, so 1 and 2 threads write the same record body."""
+    src = str(Path(percut.__file__).resolve().parents[1])
+    bodies = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "percut", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        bodies.append([line for line in proc.stdout.split(b"\n") if not line.startswith(b"#")])
+    assert sum(map(len, bodies[0])) > 10_000
+    assert bodies[0] == bodies[1]
+
+
 def test_console_script_runs():
     proc = _run_module("percut.cli")
     assert proc.returncode == 0

@@ -4,18 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percut import _util, grid_graph, path_graph
+import percut.gff
+from percut import _util, box3d_graph, grid_graph, path_graph
 from percut._util import EventProbability
 from percut.cutsets import verified_cutset
-from percut.errors import PreconditionError, TheoremViolationError
+from percut.errors import NumericalError, PreconditionError, TheoremViolationError
 from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
+from percut.graph_core import subdivide
 from percut.rw_cutsets import escape_probabilities
 
 from corpus import CORPUS
 import oracles
 from oracles import (
     GaussianField, domination_endpoint_check, excursion_cluster, green_by_whole_matrices,
-    markov_check, sample_field, section8_by_samples, sign_bound_check,
+    markov_check, sample_field, scaled_by_a_millionth, section8_by_samples, sign_bound_check,
 )
 
 
@@ -55,38 +57,83 @@ def test_green_diagonal_identity_on_corpus():
 
 
 def test_green_check_fires_above_64_interior_vertices(monkeypatch):
+    """Band pivots scaled by 1 + 1e-6 pass the residual check but not the absorption identity."""
     # grid:11,11 has 81 interior vertices, past the independent escape route.
-    import percut.gff
-    import percut.rw_cutsets
-
-    exact = percut.rw_cutsets.fundamental_matrix
-
-    def scaled(graph):
-        interior, n = exact(graph)
-        return interior, n * (1.0 + 1e-6)
-
     g = grid_graph(11, 11)
     assert len(green(g).interior) == 81
-    monkeypatch.setattr(percut.gff, "fundamental_matrix", scaled)
-    monkeypatch.setattr(percut.rw_cutsets, "fundamental_matrix", scaled)
-    with pytest.raises(TheoremViolationError):
+    monkeypatch.setattr(percut.gff, "_band_factor", scaled_by_a_millionth(percut.gff, "_band_factor", "d"))
+    with pytest.raises(TheoremViolationError, match="absorption identity"):
         green(g)
 
 
+# The dense route's checks: the corpus, grids, a cube, the pipeline's order-3
+# frame (reverse Cuthill-McKee order) and the edge cases of the band.
+DENSE_CASES = {
+    **CORPUS,
+    "grid12x12": grid_graph(12, 12),
+    "grid30x30": grid_graph(30, 30),
+    "box12": box3d_graph(12, 12, 12),
+    "pipeline_frame": subdivide(grid_graph(6, 6), 3).derived,
+    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
+    "one_interior_vertex": grid_graph(3, 3),
+}
+
+
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
-def test_green_is_the_whole_matrix_route_bit_for_bit(monkeypatch, block_cells):
-    """Dividing in place and symmetrizing by strips change no entry, whatever the strips."""
+def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
+    """Entries within 1e-12 relative of the dense solve, exactly symmetric, whatever the row blocks."""
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
-    graphs = {**CORPUS, "grid12x12": grid_graph(12, 12)}
-    for name, g in graphs.items():
+    for name, g in DENSE_CASES.items():
+        if block_cells < 1 << 20 and len(g.interior) > 200:
+            continue  # a 5-cell block checks one row at a time; the small graphs show it
         got, want = green(g).g, green_by_whole_matrices(g)
-        assert np.array_equal(got, want), name
-        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+        assert np.array_equal(got, got.T), name
+        assert not np.signbit(got).any(), name
+
+
+def test_green_forms_no_factor():
+    """The Cholesky factor waits for the first draw; green's positive pivots certify the matrix."""
+    gm = green(grid_graph(6, 6))
+    assert "factor" not in vars(gm) and not gm.jitter_used
+    gm.sample_block(np.random.default_rng(1), 2)
+    assert np.array_equal(gm.factor, np.linalg.cholesky(gm.g))
+    assert not gm.jitter_used
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_green_certificates_refuse_a_non_finite_entry(monkeypatch, block_cells, bad):
+    """A NaN or inf in any row block fails the absorption identity or the residual."""
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    g = grid_graph(6, 6)
+    for row in (0, 7, 15):
+        m = green(g).g.copy()
+        m[row, 3] = bad
+        with pytest.raises((TheoremViolationError, NumericalError)):
+            percut.gff._check_green(g, m)
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 6 * 16])
+def test_green_residual_is_refused_in_any_row_block(monkeypatch, block_cells):
+    """1e-6 off in the last row, in a column h does not weigh, fails P G - I only."""
+    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+    g = grid_graph(6, 6)
+    m = green(g).g.copy()
+    percut.gff._check_green(g, m)
+    m[-1, g.interior.index(14)] += 1e-6  # vertex 14 has no horizon neighbour
+    with pytest.raises(NumericalError, match="residual 4.000e-06"):
+        percut.gff._check_green(g, m)
 
 
 @pytest.mark.parametrize("route", [green, escape_probabilities])
 def test_dense_routes_hold_at_most_three_matrices(route):
-    """green and escape_probabilities on grid:30,30 trace at most 3 k x k float matrices."""
+    """On grid:30,30, green traces at most 2 k x k float matrices and escape a quarter of one.
+
+    The band routes hold G alone (green) or the O(k b) band (escape); the
+    dense inverse they replaced held four.
+    """
+    bound = {green: 2.0, escape_probabilities: 0.25}[route]
     g = grid_graph(30, 30)
     k = len(g.interior)
     route(grid_graph(4, 4))  # lazy imports before tracing
@@ -96,7 +143,7 @@ def test_dense_routes_hold_at_most_three_matrices(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * k * k * 8
+    assert peak <= bound * k * k * 8
 
 
 def test_pipeline_holds_one_field_block_at_a_time():
@@ -132,6 +179,7 @@ def test_green_matrix_asymmetry_guard():
     [np.array([[np.nan]]), np.array([[np.inf]]), np.array([[2.0, np.nan], [np.nan, 2.0]])],
     ids=["nan", "inf", "nan_off_diagonal"],
 )
+@pytest.mark.filterwarnings("error")
 def test_green_matrix_refuses_a_non_finite_asymmetry_gap(g):
     with pytest.raises(TheoremViolationError, match="asymmetry nan"):
         GreenMatrix(path_graph(2 + len(g)), tuple(range(1, 1 + len(g))), g)
@@ -153,16 +201,18 @@ def test_green_matrix_jitters_a_copy_of_the_diagonal():
     """
     for order in "CF":
         gm = GreenMatrix(path_graph(4), (1, 2), np.ones((2, 2), order=order))
+        assert not gm.jitter_used
+        assert np.array_equal(gm.factor, np.linalg.cholesky(np.ones((2, 2)) + 1e-12 * np.eye(2)))
         assert gm.jitter_used
         assert np.array_equal(gm.g, np.ones((2, 2)))
-        assert np.array_equal(gm.factor, np.linalg.cholesky(np.ones((2, 2)) + 1e-12 * np.eye(2)))
 
 
 def test_green_matrix_rejects_indefinite():
-    from percut.errors import NumericalError
-
+    """The refusal comes at the factor's first use, by ``factor`` or by the first draw."""
     with pytest.raises(NumericalError):
-        GreenMatrix(path_graph(3), (1,), np.array([[-1.0]]))
+        GreenMatrix(path_graph(3), (1,), np.array([[-1.0]])).factor
+    with pytest.raises(NumericalError):
+        GreenMatrix(path_graph(3), (1,), np.array([[-1.0]])).sample_block(np.random.default_rng(0), 1)
 
 
 # ---- sampling ----

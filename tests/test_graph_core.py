@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import reverse_cuthill_mckee as scipy_rcm
 
 from percut import Graph, _util
 from percut.cutsets import exposed_boundary
 from percut.errors import CapExceededError, GraphStructureError, ParseError, PreconditionError
 from percut.graph_core import (
     UnionFind,
+    bandwidth,
     boundary_edges,
     box3d_graph,
     connected_subsets_containing,
@@ -21,6 +23,7 @@ from percut.graph_core import (
     grid_graph,
     load_graph,
     path_graph,
+    reverse_cuthill_mckee,
     set_weight,
     star_graph,
     subdivide,
@@ -552,3 +555,47 @@ def test_random_connected_subsets_have_connected_members(seed, n):
     nx_g = _nx_graph(g)
     for s in subsets:
         assert nx.is_connected(nx_g.subgraph(s))
+
+
+# ---- vertex orders ----
+
+
+ORDER_CASES = {
+    **CORPUS,
+    "grid13x7": grid_graph(13, 7),
+    "box8": box3d_graph(8, 8, 8),
+    "pipeline_frame": subdivide(grid_graph(6, 6), 3).derived,
+    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_CASES))
+def test_reverse_cuthill_mckee_is_a_breadth_first_order(name):
+    """A permutation in which every vertex but a component's last has a later neighbour.
+
+    Read backwards it is a breadth-first order, so each vertex's parent comes
+    after it; its bandwidth is no wider than scipy's reverse Cuthill-McKee.
+    """
+    g = ORDER_CASES[name]
+    order = reverse_cuthill_mckee(g, g.interior)
+    assert sorted(order) == list(g.interior)
+    assert order == reverse_cuthill_mckee(g, g.interior)
+    pos = {v: i for i, v in enumerate(order)}
+    inner = {v: [w for w in g.neighbors(v) if w in pos] for v in order}
+    roots = [v for v in order if not any(pos[w] > pos[v] for w in inner[v])]
+    index = {v: i for i, v in enumerate(g.interior)}
+    rows = [index[v] for v in g.interior for _ in inner[v]]
+    cols = [index[w] for v in g.interior for w in inner[v]]
+    m = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index), len(index)))
+    n_parts = connected_components(m, directed=False)[0]
+    assert len(roots) == n_parts
+    theirs = [g.interior[i] for i in scipy_rcm(m, symmetric_mode=True)]
+    assert bandwidth(g, order) <= bandwidth(g, theirs)
+
+
+def test_bandwidth_counts_only_edges_inside_the_order():
+    g = path_graph(5)
+    assert bandwidth(g, (1, 2, 3)) == 1
+    assert bandwidth(g, (2, 1, 3)) == 2
+    assert bandwidth(g, (1, 3)) == 0
+    assert bandwidth(grid_graph(30, 30), grid_graph(30, 30).interior) == 28

@@ -1,12 +1,19 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import _util, path_graph
+from percut import Graph, _util, path_graph, rw_cutsets
 from percut._util import EventProbability, trial_generators
 from percut.cutsets import verified_cutset
-from percut.errors import CapExceededError, PreconditionError
-from percut.graph_core import grid_graph, subdivide
+from percut.errors import (
+    CapExceededError, NumericalError, PreconditionError, TheoremViolationError,
+)
+from percut.gff import green
+from percut.graph_core import bandwidth, box3d_graph, grid_graph, subdivide
 from percut.rw_cutsets import (
     ABORTED,
     DECODED,
@@ -17,15 +24,14 @@ from percut.rw_cutsets import (
     escape_constant,
     escape_probabilities,
     escape_probability_mc,
-    fundamental_matrix,
     origin_midpoint,
     qn_census_rw,
 )
 
 from corpus import CORPUS, cutsets_for
 from oracles import (
-    blocks_over_one, census_by_walks, fundamental_matrix_by_solve, subdivision_escape_check,
-    walk_by_steps,
+    blocks_over_one, census_by_walks, fundamental_matrix_by_solve, scaled_by_a_millionth,
+    subdivision_escape_check, walk_by_steps,
 )
 
 
@@ -59,25 +65,78 @@ def test_escape_unknown_method():
         escape_probabilities(path_graph(5), method="bogus")
 
 
-def test_fundamental_matrix_p5():
-    interior, n_mat = fundamental_matrix(path_graph(5))
-    assert interior == (1, 2, 3)
-    # Expected visits to the start itself: 1 / escape.
-    assert n_mat[0, 0] == pytest.approx(3 / 2, abs=1e-12)
-    assert n_mat[1, 1] == pytest.approx(2.0, abs=1e-12)
+# The dense route's checks: the corpus, grids and a cube, and the edge cases of the band.
+DENSE_CASES = {
+    **CORPUS,
+    "grid12x12": grid_graph(12, 12),
+    "grid30x30": grid_graph(30, 30),
+    "box12": box3d_graph(12, 12, 12),
+    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
+    "one_interior_vertex": grid_graph(3, 3),
+}
 
 
-@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])
-def test_fundamental_matrix_is_the_whole_solve_bit_for_bit(monkeypatch, block_cells):
-    """The in-place I - Q and the checked inverse change no entry, whatever the row blocks."""
-    monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
-    graphs = {**CORPUS, "grid12x12": grid_graph(12, 12)}
-    for name, g in graphs.items():
-        interior, n = fundamental_matrix(g)
-        assert interior == g.interior, name
-        want = fundamental_matrix_by_solve(g)
-        assert np.array_equal(n, want), name
-        assert np.array_equal(np.signbit(n), np.signbit(want)), name
+def test_escape_agrees_with_the_dense_route():
+    """The band route's escape probabilities are 1 / N_vv of the dense solve, within 1e-12."""
+    for name, g in DENSE_CASES.items():
+        n = fundamental_matrix_by_solve(g)
+        got = escape_probabilities(g)
+        assert list(got) == list(g.interior), name
+        for i, v in enumerate(g.interior):
+            want = 1.0 / n[i, i]
+            assert abs(got[v] - want) <= 1e-12 * want, (name, v)
+
+
+@pytest.mark.parametrize(
+    "name, field, match",
+    [
+        ("_band_factor", "d", "selected inverse"),
+        ("_band_factor", "band", "selected inverse"),
+        ("_horizon_counts", None, "absorption identity"),
+    ],
+    ids=["pivots", "band", "horizon_counts"],
+)
+def test_escape_certificates_refuse_a_perturbed_factor(monkeypatch, name, field, match):
+    """A 1e-6 relative change to the pivots, to P's band or to h is refused, not returned."""
+    g = grid_graph(11, 11)
+    escape_probabilities(g)
+    monkeypatch.setattr(rw_cutsets, name, scaled_by_a_millionth(rw_cutsets, name, field))
+    with pytest.raises(TheoremViolationError, match=match):
+        escape_probabilities(g)
+
+
+def test_band_factor_refuses_a_pivot_that_is_not_positive(monkeypatch):
+    """With every degree one short, D - A is indefinite and elimination meets a pivot <= 0."""
+    g = grid_graph(6, 6)
+    monkeypatch.setattr(Graph, "degree", lambda self, v: len(self.adjacency[v]) - 1)
+    with pytest.raises(NumericalError, match="pivot"):
+        escape_probabilities(g)
+
+
+def test_band_routes_take_an_empty_interior():
+    g = path_graph(2)
+    assert escape_probabilities(g) == {}
+    assert green(g).g.shape == (0, 0)
+
+
+def test_band_kernel_calls_no_blas():
+    """The band kernels use elementwise numpy only: no np.linalg and no matrix product."""
+    for fn in (rw_cutsets._band_factor, rw_cutsets._band_solve, rw_cutsets._band_diagonal,
+               rw_cutsets._band_inverse, rw_cutsets._scatter_rows):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__name__
+        assert "linalg" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_band_order_is_no_wider_than_id_order():
+    """RCM is taken only when it narrows the band: on the cube and the pipeline frame it does."""
+    sd = subdivide(grid_graph(6, 6), 3)
+    for g, id_width in [(box3d_graph(12, 12, 12), 100), (sd.derived, 107), (grid_graph(30, 30), 28)]:
+        f = rw_cutsets._band_factor(g)
+        assert sorted(f.order) == list(g.interior)
+        assert bandwidth(g, g.interior) == id_width
+        assert f.lower.shape[1] == bandwidth(g, f.order) <= id_width
+    assert rw_cutsets._band_factor(grid_graph(30, 30)).order == grid_graph(30, 30).interior
 
 
 def test_escape_mc_p5():
