@@ -117,11 +117,12 @@ def _symmetrize(g: np.ndarray) -> float:
 def _check_green(graph: Graph, g: np.ndarray) -> None:
     """Refuse a Green matrix g (``graph.interior`` order) that is not P^-1.
 
-    In row blocks of at most ``_util._BLOCK_CELLS`` bytes, with no k x k
-    temporary: the residual P g - I against ``SOLVE_RESIDUAL_REFUSE``
-    (NumericalError), and the absorption identity g h = 1 within 1e-9,
-    h holding each vertex's horizon neighbours (TheoremViolationError).
-    A NaN is refused by both.
+    In row blocks, with no k x k temporary: the residual P g - I against
+    ``SOLVE_RESIDUAL_REFUSE`` (NumericalError), and the absorption identity
+    g h = 1 within 1e-9, h holding each vertex's horizon neighbours
+    (TheoremViolationError).  A NaN is refused by both.  A block of the
+    residual and the block of neighbour rows taken off it hold at most
+    ``_util._BLOCK_CELLS`` bytes together.
     """
     interior = graph.interior
     k = len(interior)
@@ -132,15 +133,14 @@ def _check_green(graph: Graph, g: np.ndarray) -> None:
     for i, nbrs in enumerate(inner):
         slots[i, : len(nbrs)] = nbrs
     h = _horizon_counts(graph, interior)
-    rows = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
+    rows = max(1, _util._BLOCK_CELLS // 16 // max(k, 1))
     residual = [0.0]
     for lo in range(0, k, rows):
         block = g[lo : lo + rows]
         _check_ones(interior[lo:], (block * h).sum(axis=1), "absorption identity")
         r = block * degrees[lo : lo + rows, None]
         for nbr in slots[lo : lo + rows].T:
-            has = np.flatnonzero(nbr >= 0)
-            r[has] -= g[nbr[has]]
+            np.subtract(r, g[np.maximum(nbr, 0)], out=r, where=(nbr >= 0)[:, None])
         r[np.arange(len(r)), lo + np.arange(len(r))] -= 1.0
         residual.append(np.abs(r, out=r).max())
         del block, r

@@ -1,7 +1,9 @@
 """Killed random walks: escape probabilities and walks that discover minimal cutsets.
 
-Exact quantities solve one killed system (``_killed_system``); sampled ones
-run on one lockstep walk kernel (``_walk_block``).  Sampled escape walks on
+Exact hitting probabilities solve one killed system (``_killed_system``);
+escape probabilities and the Green matrix come from one band factor of the
+interior precision D - A (``_band_factor``); sampled quantities run on one
+lockstep walk kernel (``_walk_block``).  Sampled escape walks on
 the graph killed also at its start.  The walk census walks on the order-2
 subdivision of a uniformly transient horizon graph from a fixed midpoint
 neighbor of the origin, keeps the range up to the last visit to the start,
