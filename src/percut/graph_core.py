@@ -11,8 +11,9 @@ vertex sets at once, by one flood from the horizon) on top of it, plus
 ``UnionFind``.  Every sampled, swept or single cluster is a block of
 trial bits: bit t of each per-vertex or per-edge int belongs to trial t,
 and a single question is a block of one trial.
-Graph parsing, the built-in families, edge subdivisions and connected
-vertex sets live here as well.  The module loads no numpy.
+Graph parsing, the built-in families, edge subdivisions, connected
+vertex sets and vertex orders (bandwidth, reverse Cuthill-McKee) live here
+as well.  The module loads no numpy.
 """
 
 from __future__ import annotations
@@ -386,7 +387,12 @@ def reverse_cuthill_mckee(graph: Graph, vertices: Sequence[int]) -> tuple[int, .
     def levels(root: int) -> list[list[int]]:
         seen, layers = {root}, [[root]]
         while True:
-            nxt = [w for v in layers[-1] for w in nbrs[v] if w not in seen and not seen.add(w)]
+            nxt = []
+            for v in layers[-1]:
+                for w in nbrs[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
             if not nxt:
                 return layers
             layers.append(nxt)
