@@ -20,6 +20,7 @@ from percut.graph_core import (
     grid_graph,
     path_graph,
     star_graph,
+    subdivide,
 )
 from percut.percolation import boundary_census_exact
 
@@ -76,6 +77,20 @@ CORPUS: dict[str, Graph] = {
 for _name, _g in CORPUS.items():
     assert _g.n_edges <= 16, _name
     assert _g.horizon and _g.interior, _name
+
+
+# The band routes' checks against the dense route: the corpus, grids, a cube,
+# the `gff pipeline` frame (reverse Cuthill-McKee narrows it from 107 to 10)
+# and the band's edge cases, no interior edge and a single interior vertex.
+BAND_CASES: dict[str, Graph] = {
+    **CORPUS,
+    "grid12x12": grid_graph(12, 12),
+    "grid30x30": grid_graph(30, 30),
+    "box12": box3d_graph(12, 12, 12),
+    "pipeline_frame": subdivide(grid_graph(6, 6), 3).derived,
+    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
+    "one_interior_vertex": grid_graph(3, 3),
+}
 
 
 def broom(k: int) -> Graph:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 import percut.gff
-from percut import _util, box3d_graph, grid_graph, path_graph
+from percut import _util, grid_graph, path_graph
 from percut._util import EventProbability
 from percut.cutsets import verified_cutset
 from percut.errors import NumericalError, PreconditionError, TheoremViolationError
 from percut.gff import GreenMatrix, cutset_frame, green, section8_pipeline
-from percut.graph_core import subdivide
 from percut.rw_cutsets import escape_probabilities
 
-from corpus import CORPUS
+from corpus import BAND_CASES, CORPUS
 import oracles
 from oracles import (
     GaussianField, domination_endpoint_check, excursion_cluster, green_by_whole_matrices,
@@ -66,24 +65,11 @@ def test_green_check_fires_above_64_interior_vertices(monkeypatch):
         green(g)
 
 
-# The dense route's checks: the corpus, grids, a cube, the pipeline's order-3
-# frame (reverse Cuthill-McKee order) and the edge cases of the band.
-DENSE_CASES = {
-    **CORPUS,
-    "grid12x12": grid_graph(12, 12),
-    "grid30x30": grid_graph(30, 30),
-    "box12": box3d_graph(12, 12, 12),
-    "pipeline_frame": subdivide(grid_graph(6, 6), 3).derived,
-    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
-    "one_interior_vertex": grid_graph(3, 3),
-}
-
-
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
 def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
     """Entries within 1e-12 relative of the dense solve, exactly symmetric, whatever the row blocks."""
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
-    for name, g in DENSE_CASES.items():
+    for name, g in BAND_CASES.items():
         if block_cells < 1 << 20 and len(g.interior) > 200:
             continue  # a 5-cell block checks one row at a time; the small graphs show it
         got, want = green(g).g, green_by_whole_matrices(g)

@@ -29,7 +29,7 @@ from percut.graph_core import (
     subdivide,
 )
 
-from corpus import CORPUS
+from corpus import BAND_CASES, CORPUS
 from oracles import (
     Multigraph, component_labels, contract_subdivision, dump_graph, euler_circuit_edges,
     eulerian_from_two_trees, exposed_boundary_by_search, iso_profile, search,
@@ -560,23 +560,14 @@ def test_random_connected_subsets_have_connected_members(seed, n):
 # ---- vertex orders ----
 
 
-ORDER_CASES = {
-    **CORPUS,
-    "grid13x7": grid_graph(13, 7),
-    "box8": box3d_graph(8, 8, 8),
-    "pipeline_frame": subdivide(grid_graph(6, 6), 3).derived,
-    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
-}
-
-
-@pytest.mark.parametrize("name", list(ORDER_CASES))
+@pytest.mark.parametrize("name", list(BAND_CASES))
 def test_reverse_cuthill_mckee_is_a_breadth_first_order(name):
     """A permutation in which every vertex but a component's last has a later neighbour.
 
     Read backwards it is a breadth-first order, so each vertex's parent comes
     after it; its bandwidth is no wider than scipy's reverse Cuthill-McKee.
     """
-    g = ORDER_CASES[name]
+    g = BAND_CASES[name]
     order = reverse_cuthill_mckee(g, g.interior)
     assert sorted(order) == list(g.interior)
     assert order == reverse_cuthill_mckee(g, g.interior)

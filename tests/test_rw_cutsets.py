@@ -28,7 +28,7 @@ from percut.rw_cutsets import (
     qn_census_rw,
 )
 
-from corpus import CORPUS, cutsets_for
+from corpus import BAND_CASES, CORPUS, cutsets_for
 from oracles import (
     blocks_over_one, census_by_walks, fundamental_matrix_by_solve, scaled_by_a_millionth,
     subdivision_escape_check, walk_by_steps,
@@ -65,20 +65,9 @@ def test_escape_unknown_method():
         escape_probabilities(path_graph(5), method="bogus")
 
 
-# The dense route's checks: the corpus, grids and a cube, and the edge cases of the band.
-DENSE_CASES = {
-    **CORPUS,
-    "grid12x12": grid_graph(12, 12),
-    "grid30x30": grid_graph(30, 30),
-    "box12": box3d_graph(12, 12, 12),
-    "no_interior_edges": path_graph(5, horizon=(0, 2, 4)),
-    "one_interior_vertex": grid_graph(3, 3),
-}
-
-
 def test_escape_agrees_with_the_dense_route():
     """The band route's escape probabilities are 1 / N_vv of the dense solve, within 1e-12."""
-    for name, g in DENSE_CASES.items():
+    for name, g in BAND_CASES.items():
         n = fundamental_matrix_by_solve(g)
         got = escape_probabilities(g)
         assert list(got) == list(g.interior), name
