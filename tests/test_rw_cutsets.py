@@ -65,9 +65,18 @@ def test_escape_unknown_method():
         escape_probabilities(path_graph(5), method="bogus")
 
 
-def test_escape_agrees_with_the_dense_route():
-    """The band route's escape probabilities are 1 / N_vv of the dense solve, within 1e-12."""
+@pytest.mark.parametrize("order", ["narrower", "id"])
+def test_escape_agrees_with_the_dense_route(monkeypatch, order):
+    """The band route's escape probabilities are 1 / N_vv of the dense solve, within 1e-12.
+
+    "narrower" lets the factor take RCM where it narrows the band; "id"
+    holds every graph to the interior id order, the wider band.
+    """
+    if order == "id":
+        monkeypatch.setattr(rw_cutsets, "reverse_cuthill_mckee", lambda graph, vertices: vertices)
     for name, g in BAND_CASES.items():
+        if order == "id":
+            assert rw_cutsets._band_factor(g).order == g.interior, name
         n = fundamental_matrix_by_solve(g)
         got = escape_probabilities(g)
         assert list(got) == list(g.interior), name
