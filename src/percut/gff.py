@@ -2,10 +2,12 @@
 
 The field's covariance is the degree-normalized visit-count matrix of
 the killed walk, so variances are reciprocal degree-weighted escape
-probabilities.  On order-3 subdivisions, clamping the two midpoints of
-every cutset edge to opposite signs and connecting the origin to the
-inner midpoints inside the excursion set forces the cluster boundary to
-be exactly the subdivided cutset; the pipeline here samples those
+probabilities.  It is the inverse of the precision D - A, and both that
+matrix and the fields come from one band factor of the precision.  On
+order-3 subdivisions, clamping the two midpoints of every cutset edge to
+opposite signs and connecting the origin to the inner midpoints inside
+the excursion set forces the cluster boundary to be exactly the
+subdivided cutset; the pipeline here samples those
 events and checks the implication on every hit.  It searches a whole
 block of field samples at once on trial bits (``graph_core.flood`` and
 ``graph_core.exposed_bits``), bit t of every per-vertex and per-edge int
@@ -14,6 +16,7 @@ standing for sample t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,57 +28,52 @@ from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, subdivide
 from .rw_cutsets import (
-    _band_factor, _band_inverse, _check_ones, _horizon_counts, escape_probabilities,
+    _band_factor, _band_inverse, _check_absorption, _check_ones, _horizon_counts,
+    escape_probabilities,
 )
 
 _BLOCK = 4096
 
 
 class GreenMatrix:
-    """Covariance of the field: expected visits over target degree.
+    """The field absorbed at the horizon, as a view of one band factor of its precision.
 
-    Symmetric within 1e-9 (then symmetrized), positive definite, and on
-    the diagonal the reciprocal of degree times no-return probability.
-    The matrix owns ``np.asarray(g, dtype=float)``: a float array is
-    symmetrized in place and kept, not copied, so the caller hands over an
-    array no one else changes.  The Cholesky factor is formed on first use.
+    The precision P = D - A is factored as L diag(d) L^T over its band
+    (``rw_cutsets._band_factor``); positive pivots certify P, and so the
+    covariance G = P^-1, positive definite, and the absorption identity
+    P^-1 h = 1 is checked on construction by one band solve.  G itself,
+    expected visits over target degree, is ``g``, formed on first use;
+    ``sample_block`` draws from the factor and never forms it.
     """
 
-    def __init__(self, graph: Graph, interior: tuple[int, ...], g: np.ndarray):
-        g = np.asarray(g, dtype=float)
-        k = len(interior)
-        if g.shape != (k, k):
-            raise PreconditionError("matrix shape does not match the interior")
-        gap = _symmetrize(g)
-        # A non-finite entry leaves a NaN or infinite gap; `not <=` refuses both.
-        if not gap <= 1e-9:
-            raise TheoremViolationError(f"green matrix asymmetry {gap:.3e}")
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.interior = interior
-        self.g = g
-        self._index = {v: i for i, v in enumerate(interior)}
-        self.jitter_used = False
+        self.interior = graph.interior
+        self._factor = _band_factor(graph)
+        _check_absorption(self._factor, graph)
+        self._index = {v: i for i, v in enumerate(self.interior)}
 
     @cached_property
-    def factor(self) -> np.ndarray:
-        """Cholesky factor of g, formed on first use.
+    def g(self) -> np.ndarray:
+        """G = P^-1 in ``interior`` order, exactly symmetric (``rw_cutsets._band_inverse``).
 
-        A single 1e-12 diagonal jitter, on a copy, is attempted before
-        giving up; ``jitter_used`` says whether it was needed.
+        The residual P G - I and the absorption identity G h = 1 are checked
+        in row blocks (``_check_green``).  Up to 64 interior vertices the
+        diagonal is also cross-checked against escape probabilities from
+        the independent absorbing route.
         """
-        try:
-            return np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError:
-            try:
-                # g + 1e-12 I entry by entry: + 0.0 turns a -0.0 to 0.0 as it does.
-                # The diagonal is indexed, not reshaped, so g of any layout takes the bump.
-                bumped = self.g + 0.0
-                bumped[np.diag_indices(len(bumped))] += 1e-12
-                factor = np.linalg.cholesky(bumped)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("covariance is not positive definite") from exc
-        self.jitter_used = True
-        return factor
+        graph, interior = self.graph, self.interior
+        g = _band_inverse(self._factor, interior)
+        _check_green(graph, g)
+        if len(interior) <= 64:
+            escape = escape_probabilities(graph, "absorbing")
+            for i, v in enumerate(interior):
+                product = g[i, i] * graph.degree(v) * escape[v]
+                if abs(product - 1.0) > 1e-9:
+                    raise TheoremViolationError(
+                        f"diagonal identity off at vertex {v}: {product}"
+                    )
+        return g
 
     def index(self, v: int) -> int:
         if v not in self._index:
@@ -83,35 +81,25 @@ class GreenMatrix:
         return self._index[v]
 
     def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, len(self.interior)))
-        return z @ self.factor.T
+        """``size`` fields (size x k, ``interior`` order): x = L^-T diag(d)^-1/2 z (Rue 2001).
 
-
-def _symmetrize(g: np.ndarray) -> float:
-    """Replace square ``g`` by (g + g.T) / 2 in place; return max |g - g.T| before.
-
-    Row strip i of the upper triangle and column strip i of the lower are
-    averaged together, a strip of at most ``_util._BLOCK_CELLS`` bytes at a
-    time, with the same operations as the whole-matrix expressions, so every
-    entry and the gap come out bit for bit as they would.  An infinite entry
-    gives a NaN gap, quietly: the caller refuses it.
-    """
-    k = len(g)
-    rows = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
-    gaps = [0.0]
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, k, rows):
-            upper = g[lo : lo + rows, lo:]
-            lower = g[lo:, lo : lo + rows].T
-            diff = upper - lower
-            gaps.append(np.abs(diff, out=diff).max())
-            del diff
-            mean = upper + lower
-            mean /= 2.0
-            upper[...] = mean
-            lower[...] = mean
-    # np.max keeps a NaN gap, as the whole-matrix max does, for the guard to refuse.
-    return float(np.max(gaps))
+        k x size normals are drawn, and row j of the elimination order is
+        scaled by d[j]^-1/2 and back-substituted in place, from the last row
+        up, one axpy per band entry of L.  Every sample column sees the
+        same operations, so a field does not depend on the block size, and
+        no BLAS call is made.  Row j is held at the interior position of
+        its vertex, so the result needs no permutation.
+        """
+        f = self._factor
+        k = len(f.order)
+        rows = [self._index[v] for v in f.order]
+        x = rng.standard_normal((k, size))
+        for j in reversed(range(k)):
+            acc = x[rows[j]]
+            acc /= math.sqrt(f.d[j])
+            for a, l in enumerate(f.lower[j, : k - 1 - j].tolist()):
+                acc -= l * x[rows[j + 1 + a]]
+        return x.T
 
 
 def _check_green(graph: Graph, g: np.ndarray) -> None:
@@ -152,26 +140,10 @@ def _check_green(graph: Graph, g: np.ndarray) -> None:
 def green(graph: Graph) -> GreenMatrix:
     """Covariance matrix of the field absorbed at the horizon: G = P^-1, P = D - A.
 
-    G comes from the band factor of the interior precision
-    (``rw_cutsets._band_inverse``), exactly symmetric, with no dense
-    inverse; positive pivots certify it positive definite.  The residual
-    P G - I and the absorption identity G h = 1 are checked in row blocks
-    (``_check_green``).  Up to 64 interior vertices the diagonal is also
-    cross-checked against escape probabilities from the independent
-    absorbing route.
+    The ``GreenMatrix`` is returned with ``g`` formed and checked.
     """
-    interior = graph.interior
-    g = _band_inverse(_band_factor(graph), interior)
-    _check_green(graph, g)
-    gm = GreenMatrix(graph, interior, g)
-    if len(interior) <= 64:
-        escape = escape_probabilities(graph, "absorbing")
-        for i, v in enumerate(interior):
-            product = gm.g[i, i] * graph.degree(v) * escape[v]
-            if abs(product - 1.0) > 1e-9:
-                raise TheoremViolationError(
-                    f"diagonal identity off at vertex {v}: {product}"
-                )
+    gm = GreenMatrix(graph)
+    gm.g  # formed here, so that its certificates run before any caller reads it
     return gm
 
 
@@ -273,7 +245,7 @@ def section8_pipeline(
         raise PreconditionError("trials must be positive")
     frame = cutset_frame(base, cutset)
     derived = frame.sd.derived
-    gm = green(derived)
+    gm = GreenMatrix(derived)
     origin = cutset.source
     x_idx = np.array([gm.index(v) for v in frame.x_vertices])
     y_idx = np.array([gm.index(v) for v in frame.y_vertices])

@@ -164,14 +164,14 @@ def _horizon_counts(graph: Graph, vertices: tuple[int, ...]) -> np.ndarray:
     return np.array([sum(w in graph.horizon for w in graph.neighbors(v)) for v in vertices], float)
 
 
-def _band_diagonal(f: _BandFactor, graph: Graph) -> np.ndarray:
+def _band_diagonal(f: _BandFactor) -> np.ndarray:
     """diag(P^-1) in elimination order, by the Takahashi recurrence over the band.
 
     From the last row up, Z[j, i] = [i == j] / d[j] - sum_a L[j + 1 + a, j] Z[j + 1 + a, i]
     for i >= j, read off a window of Z's rows j + 1 .. j + b: O(k b^2) time
-    and O(k b) memory.  Certificates, each refused beyond 1e-9: diag(P Z) = 1
-    from the band entries of Z, and the absorption identity P^-1 h = 1 by
-    one band solve.
+    and O(k b) memory.  Certificate, refused beyond 1e-9: diag(P Z) = 1 from
+    the band entries of Z, multiplied into Z's band once its diagonal is
+    copied out.
     """
     k, b = f.lower.shape
     zband = np.empty((k, b + 1))  # row j: Z[j, j : j + b + 1], 0 past the last row
@@ -184,14 +184,22 @@ def _band_diagonal(f: _BandFactor, graph: Graph) -> np.ndarray:
         spare[0, :] = spare[:, 0] = zband[j]
         spare[1:, 1:] = window[:b, :b]
         window, spare = spare, window
+    z = zband[:, 0].copy()
     # (P Z)[j, j] = sum_a P[j, j + a] Z[j, j + a] + sum_{a > 0} P[j - a, j] Z[j - a, j]
-    terms = f.band[:k] * zband
-    diag = terms.sum(axis=1)
+    zband *= f.band[:k]
+    diag = zband.sum(axis=1)
     for a in range(1, b + 1):
-        diag[a:] += terms[: k - a, a]
+        diag[a:] += zband[: k - a, a]
     _check_ones(f.order, diag, "selected inverse")
+    return z
+
+
+def _check_absorption(f: _BandFactor, graph: Graph) -> None:
+    """Refuse a factor whose P^-1 h is not all ones: the absorption identity, one band solve.
+
+    h holds each vertex's horizon neighbours, so P 1 = h.
+    """
     _check_ones(f.order, _band_solve(f, _horizon_counts(graph, f.order)), "absorption identity")
-    return zband[:, 0]
 
 
 def _band_inverse(f: _BandFactor, interior: tuple[int, ...]) -> np.ndarray:
@@ -238,14 +246,16 @@ def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int,
     """P_v(never return to v before absorption), for every interior vertex.
 
     The fundamental route reads G = P^-1's diagonal off the band factor of
-    the interior precision (``_band_diagonal``) and uses 1 / (expected
+    the interior precision (``_band_diagonal``), checks the factor by the
+    absorption identity (``_check_absorption``) and uses 1 / (expected
     visits to the start) = 1 / (degree G_vv).  The absorbing route solves,
     per vertex, for the probability of reaching the horizon before the
     vertex; the two must agree to solver precision.
     """
     if method == "fundamental":
         f = _band_factor(graph)
-        z = dict(zip(f.order, _band_diagonal(f, graph).tolist()))
+        z = dict(zip(f.order, _band_diagonal(f).tolist()))
+        _check_absorption(f, graph)
         return {v: 1.0 / (graph.degree(v) * z[v]) for v in graph.interior}
     if method != "absorbing":
         raise PreconditionError(f"unknown method {method!r}")

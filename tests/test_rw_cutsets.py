@@ -12,7 +12,7 @@ from percut.cutsets import verified_cutset
 from percut.errors import (
     CapExceededError, NumericalError, PreconditionError, TheoremViolationError,
 )
-from percut.gff import green
+from percut.gff import GreenMatrix, green
 from percut.graph_core import bandwidth, box3d_graph, grid_graph, subdivide
 from percut.rw_cutsets import (
     ABORTED,
@@ -118,9 +118,9 @@ def test_band_routes_take_an_empty_interior():
 
 
 def test_band_kernel_calls_no_blas():
-    """The band kernels use elementwise numpy only: no np.linalg and no matrix product."""
+    """The band kernels and the field draw use elementwise numpy only: no np.linalg, no matrix product."""
     for fn in (rw_cutsets._band_factor, rw_cutsets._band_solve, rw_cutsets._band_diagonal,
-               rw_cutsets._band_inverse, rw_cutsets._scatter_rows):
+               rw_cutsets._band_inverse, rw_cutsets._scatter_rows, GreenMatrix.sample_block):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__name__
         assert "linalg" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
