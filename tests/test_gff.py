@@ -65,6 +65,13 @@ def test_green_check_fires_above_64_interior_vertices(monkeypatch):
         green(g)
 
 
+def test_green_matrix_checks_the_absorption_identity_on_construction(monkeypatch):
+    """Horizon counts 1e-6 off are refused before g is formed or a field is drawn."""
+    monkeypatch.setattr(rw_cutsets, "_horizon_counts", scaled_by_a_millionth(rw_cutsets, "_horizon_counts"))
+    with pytest.raises(TheoremViolationError, match="absorption identity"):
+        GreenMatrix(grid_graph(6, 6))
+
+
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
 def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
     """Entries within 1e-12 relative of the dense solve, exactly symmetric, whatever the row blocks."""
@@ -198,7 +205,7 @@ def test_sample_block_covariance_where_the_band_order_is_not_id_order():
     """
     derived = subdivide(grid_graph(6, 6), 3).derived
     gm = green(derived)
-    assert rw_cutsets._band_factor(derived).order != gm.interior
+    assert gm._factor.order != gm.interior
     n = 20_000
     block = gm.sample_block(np.random.default_rng(12), n)
     assert block.shape == (n, len(gm.interior))
