@@ -68,11 +68,13 @@ def theta(
     Exact by the cluster law; with a seed, sampled from ``trials``
     configurations instead.
     """
+    _check_p(p)
+    if seed is not None and trials < 1:
+        raise PreconditionError("trials must be positive")
     if v in graph.horizon:
         return EventProbability(1.0, "exact")
     if seed is not None:
         return mc_prob(graph, p, v, trials, seed)
-    _check_p(p)
     _, infinite = boundary_census_exact(graph, v)
     return EventProbability(profile_probability(infinite, p), "exact")
 

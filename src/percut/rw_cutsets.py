@@ -294,7 +294,7 @@ def escape_probability_mc(graph: Graph, v: int, trials: int, seed: int) -> Event
         raise PreconditionError("escape is defined for interior vertices")
     killed = Graph(graph.n_vertices, graph.edges, graph.horizon | {v})
     hits = 0
-    for _, end, _ in _walk_blocks(killed, v, trials, seed):
+    for _, end, _ in _walk_blocks(killed, v, trials, seed, first_visits=False):
         if (end < 0).any():
             raise CapExceededError("walk exceeded the step cap")
         hits += int(np.count_nonzero(end != v))
@@ -383,8 +383,8 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
 
 
 def _walk_block(
-    graph: Graph, start: int, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    graph: Graph, start: int, rngs: list[np.random.Generator], first_visits: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One simple random walk from ``start`` per generator, advanced in lockstep.
 
     Every walk draws from its own generator 64 doubles at a time and steps
@@ -392,10 +392,10 @@ def _walk_block(
     and the state its generator is left in, match a scalar walk's bit for
     bit.  Walks leave the active set when they land on the horizon.  Returns
     per walk: tau (the last step at the start), the horizon vertex reached
-    (-1 for a walk still out after ``_util.MAX_STEPS`` steps) and every
-    vertex's first visit time (``_util.MAX_STEPS + 1`` when never visited,
-    as int32 to halve the walks x vertices matrix), so the range up to tau
-    is ``first <= tau``.
+    (-1 for a walk still out after ``_util.MAX_STEPS`` steps) and, with
+    ``first_visits``, every vertex's first visit time (``_util.MAX_STEPS + 1``
+    when never visited, as int32 to halve the walks x vertices matrix), so
+    the range up to tau is ``first <= tau``; without it, None.
     """
     n = graph.n_vertices
     deg = np.array([len(adj) for adj in graph.adjacency], dtype=np.int64)
@@ -406,9 +406,11 @@ def _walk_block(
     absorbing[list(graph.horizon)] = True
 
     w = len(rngs)
-    first = np.full((w, n), _util.MAX_STEPS + 1, dtype=np.int32)
-    first[:, start] = 0
-    visits = first.reshape(-1)
+    first = visits = None
+    if first_visits:
+        first = np.full((w, n), _util.MAX_STEPS + 1, dtype=np.int32)
+        first[:, start] = 0
+        visits = first.reshape(-1)
     tau = np.zeros(w, dtype=np.int64)
     end = np.full(w, -1, dtype=np.int64)
     draws = np.empty((w, 64))
@@ -421,8 +423,9 @@ def _walk_block(
             for k in live.tolist():
                 rngs[k].random(out=draws[k])
         x = nbr[x, (draws[live, col] * deg[x]).astype(np.int64)]
-        at = cells + x
-        visits[at] = np.minimum(visits[at], step)
+        if visits is not None:
+            at = cells + x
+            visits[at] = np.minimum(visits[at], step)
         tau[live[x == start]] = step
         out = absorbing[x]
         if out.any():
@@ -436,22 +439,24 @@ def _walk_block(
 
 
 def _walk_blocks(
-    graph: Graph, start: int, trials: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    graph: Graph, start: int, trials: int, seed: int, first_visits: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """``_walk_block`` over trials ``0 .. trials - 1``, in ``_util._BLOCK_CELLS`` blocks.
 
     Trial t walks on its own ``trial_generators`` stream for at most
     ``_util.MAX_STEPS`` steps, so results do not depend on the block size.
-    A walk holds a first-visit row, a 64-double buffer and a generator,
-    whose objects trace at about 0.78 KB; the block allows it the room of
-    192 doubles.  A block's generators go before it is yielded, and callers
-    release a block before they ask for the next, so one block is alive at
-    a time.
+    A walk holds a first-visit row (with ``first_visits``), a 64-double
+    buffer and a generator, whose objects trace at about 0.78 KB; the block
+    allows it the room of 192 doubles.  A block's generators go before it
+    is yielded, and callers release a block before they ask for the next,
+    so one block is alive at a time.
     """
     block = max(1, _util._BLOCK_CELLS // (graph.n_vertices + 64 + 192))
     for lo in range(0, trials, block):
         # The spent generators go with the call, before the block is yielded.
-        yield _walk_block(graph, start, trial_generators(seed, lo, min(trials, lo + block)))
+        yield _walk_block(
+            graph, start, trial_generators(seed, lo, min(trials, lo + block)), first_visits
+        )
 
 
 def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
@@ -511,7 +516,7 @@ def qn_census_rw(sd: SubdivisionMap, origin: int, trials: int, seed: int) -> RwC
     outcomes = {DECODED: 0, NON_MIDPOINT: 0, NOT_MINIMAL: 0, ABORTED: 0}
     hits: dict[Cutset, int] = {}
     decoded: dict[bytes, tuple[str, Cutset | None]] = {}
-    for tau, end, first in _walk_blocks(sd.derived, start, trials, seed):
+    for tau, end, first in _walk_blocks(sd.derived, start, trials, seed, first_visits=True):
         absorbed = end >= 0
         outcomes[ABORTED] += int(np.count_nonzero(~absorbed))
         ranges = (first <= tau[:, None])[absorbed]

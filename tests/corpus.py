@@ -103,6 +103,29 @@ def broom(k: int) -> Graph:
     return Graph(2 * k + 1, edges, frozenset(range(k + 1, 2 * k + 1)))
 
 
+def complete_tree(d: int, depth: int) -> Graph:
+    """The complete d-ary tree of the given depth, ids depth first from root 0.
+
+    The leaves are the horizon.  Unlike the grids it is non-amenable, and its
+    minimal cutset counts from the root have a closed form.
+    """
+    edges: list[tuple[int, int]] = []
+    leaves: list[int] = []
+
+    def grow(u: int, level: int) -> int:
+        """Add u's subtree; return the next unused id."""
+        if level == depth:
+            leaves.append(u)
+            return u + 1
+        nxt = u + 1
+        for _ in range(d):
+            edges.append((u, nxt))
+            nxt = grow(nxt, level + 1)
+        return nxt
+
+    return Graph(grow(0, 0), tuple(edges), frozenset(leaves))
+
+
 def interior_vertices(name: str) -> tuple[int, ...]:
     return CORPUS[name].interior
 

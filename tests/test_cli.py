@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -640,11 +641,9 @@ def test_config_missing_file(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        # One argv per command, other flags at their defaults; the two
-        # cutsets enum rows are the records README.md publishes.
+# One argv per command, other flags at their defaults, with its config hash;
+# the two cutsets enum rows are the records README.md publishes.
+_PINNED_HASHES = [
         ("cutsets enum --graph path:5 --vertex 2 --nmax 4 --out csv", "901b0e4309319fa99e9bbc1aa7968b85db81fba1863b2a969528799af1c22657"),
         ("cutsets enum --graph grid:7,7 --vertex 24 --nmax 12", "9be2ba1823ad0ac9aa983ea9e6cd24de6d0a976d4a2d69656bc13aae329d0721"),
         ("cutsets karger --graph cycle:4 --trials 50 --seed 3", "727fa6f0570902e5bd70844f18af7a5ed01cfde3f98342f581c7b35745689aff"),
@@ -660,12 +659,51 @@ def test_config_missing_file(capsys):
         ("rw crossing --graph path:5 --cutset 1 --origin 2", "77f4b27d0911e1ffcffb85be415beb2275e028051f2369324c28631cd4e858c1"),
         ("gff green --graph path:5", "97eb21acf365e13d42dae35b80bcebc9cb8e611a96f437ff580ecd058d1e8b08"),
         ("gff pipeline --graph path:5 --origin 2 --cutset 1 --trials 10", "966bce7bceeade7d17a427c4a04884b1ca4ec8980ae9a154cb6a7999f11a9e0c"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_HASHES)
 def test_config_hash_is_pinned(argv, digest):
     # A changed flag default or dest changes the hash of records already written.
     args = cli.build_parser().parse_args(argv.split())
     assert cli._config_hash(args) == digest
+
+
+def test_pinned_hashes_cover_every_command():
+    assert {tuple(argv.split()[:2]) for argv, _ in _PINNED_HASHES} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_HASHES)
+def test_config_hash_is_the_sha256_of_the_config_blob(argv, digest, monkeypatch):
+    blobs = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda data: blobs.append(data) or sha256(data))
+    assert cli._config_hash(cli.build_parser().parse_args(argv.split())) == digest
+    assert hashlib.sha256(blobs[0]).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "data, digest",
+    [
+        # FIPS 180-4's examples: "" and "abc" pad to one block, the 56-byte message to two.
+        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ],
+)
+def test_sha256_matches_the_standard_vectors(data, digest):
+    assert cli._sha256(data).hex() == digest
+
+
+@pytest.mark.parametrize("length", [55, 56, 63, 64, 119, 120])
+def test_sha256_pads_at_every_block_edge(length):
+    # With the 0x80 byte and the 8-byte length, up to 55 bytes pad to one
+    # block, 56 to 119 to two and 120 to three.
+    data = bytes(range(7, 7 + length))
+    assert cli._sha256(data) == hashlib.sha256(data).digest()
 
 
 # ---- failure modes ----
@@ -725,6 +763,16 @@ def test_sampled_escape_refuses_bad_trials(capsys, trials):
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and "trials must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("vertex", ["0", "4"])
+def test_theta_checks_p_on_a_horizon_vertex_as_inside(capsys, vertex):
+    # Vertex 0 of grid:3,3 is on the horizon, where theta is 1 for every p.
+    argv = ["perc", "theta", "--graph", "grid:3,3", "--p", "1.5", "--vertex", vertex]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "p=1.5 outside [0, 1]" in err
     assert out == ""
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from percut.cutsets import QnTable
 from percut.errors import CapExceededError, PreconditionError, TheoremViolationError
 from percut.frontier import count_minimal_cutsets
 
-from corpus import _random_graph
+from corpus import _random_graph, complete_tree
 from oracles import enumerate_minimal_cutsets_by_components
 
 
@@ -50,6 +52,36 @@ def test_grid9x9_center():
     counts = count_minimal_cutsets(grid_graph(9, 9), 40, 16).counts[40]
     assert counts[14] == 4144
     assert counts[16] == 22422
+
+
+def _tree_cutset_counts(d: int, depth: int, n_max: int) -> dict[int, int]:
+    """Q_depth truncated at x^n_max, where Q_R = (x + Q_(R-1))^d and Q_0 = 0.
+
+    Each of the root's d child edges is either cut (x) or passed, and then
+    the child's subtree of depth R - 1 is cut below it; a leaf child cannot
+    be passed.  Polynomials are coefficient lists.
+    """
+    q = [0] * (n_max + 1)
+    for _ in range(depth):
+        branch = q.copy()
+        branch[1] += 1
+        q = [1] + [0] * n_max
+        for _ in range(d):
+            q = [sum(q[i] * branch[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    return {n: count for n, count in enumerate(q) if count}
+
+
+@pytest.mark.parametrize("d, depth, n_max", [(2, 9, 40), (3, 6, 30)])
+def test_complete_trees_match_the_closed_form(d, depth, n_max):
+    # Binary depth 9 has 1,023 vertices, ternary depth 6 has 1,093.
+    tree = complete_tree(d, depth)
+    assert tree.n_vertices == (d ** (depth + 1) - 1) // (d - 1)
+    want = _tree_cutset_counts(d, depth, n_max)
+    assert count_minimal_cutsets(tree, 0, n_max).counts == {0: want}
+    if d == 2:
+        # From 2 to the depth, the binary counts are the Catalan numbers C_(n-1).
+        sizes = range(2, depth + 1)
+        assert [want[n] for n in sizes] == [math.comb(2 * n - 2, n - 1) // n for n in sizes]
 
 
 def test_counts_past_64_bits_stay_exact():

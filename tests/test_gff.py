@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,36 @@ def test_sample_block_does_not_depend_on_the_block_size():
     normals = _FixedNormals(z)
     sliced = np.vstack([gm.sample_block(normals, size) for size in [7] * 14 + [2]])
     assert np.array_equal(whole, sliced)
+
+
+# Draws one pipeline-frame block at seed 7 and prints the SHA-256 of the fields' bytes.
+_FIELD_DIGEST = """
+import hashlib
+import numpy as np
+from percut.gff import GreenMatrix
+from percut.graph_core import grid_graph, subdivide
+gm = GreenMatrix(subdivide(grid_graph(6, 6), 3).derived)
+fields = gm.sample_block(np.random.default_rng(7), 4096)
+print(fields.shape, hashlib.sha256(fields.tobytes()).hexdigest())
+"""
+
+
+def test_sample_block_does_not_depend_on_the_blas_thread_count():
+    """The fields' bytes, not only the counts drawn from them, match at 1 and 2 threads."""
+    src = str(Path(percut.gff.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIELD_DIGEST],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0].startswith("(4096, 136) ")
+    assert digests[0] == digests[1]
 
 
 def test_variance_bounded_by_escape_floor():

@@ -109,8 +109,28 @@ def _loaded(argv: list[str], tmp_path: Path) -> set[str]:
 )
 def test_counting_routes_never_load_numpy(argv, tmp_path):
     loaded = _loaded(argv.split(), tmp_path)
-    assert "numpy" not in loaded
+    assert "numpy" not in loaded and "_hashlib" not in loaded
     assert "percut.cli" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gff green --graph grid:3,3 --output-file o.json",
+        "rw escape --graph grid:4,4 --output-file o.csv",
+        "rw crossing --graph path:5 --cutset 1,2 --origin 2 --output-file o.json",
+        "cover exact --matrix m.txt --output-file o.json",
+        "cover verify --matrix m.txt --output-file o.json",
+        "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,3,4,5,6,7,8,9,10,11"
+        " --setB 1,2,3,4,5,6,7,8,9,10,11 --origin 1 --p 0.3 --exact --output-file o.json",
+    ],
+)
+def test_commands_that_do_not_sample_never_load_openssl(argv, tmp_path):
+    # The config hash is computed in Python; only numpy.random's seeding loads libcrypto.
+    (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
+    loaded = _loaded(argv.split(), tmp_path)
+    assert "numpy" in loaded
+    assert "_hashlib" not in loaded and "numpy.random" not in loaded
 
 
 def test_cover_exact_loads_only_the_cover_lemma(tmp_path):

@@ -96,6 +96,15 @@ def test_theta_horizon_vertex_is_one():
     assert theta(path_graph(5), 0.3, 0).value == 1.0
 
 
+@pytest.mark.parametrize(
+    "p, trials, seed, message",
+    [(-0.2, 100, 1, "outside"), (1.5, 100, None, "outside"), (0.5, 0, 1, "trials must be positive")],
+)
+def test_theta_checks_its_arguments_on_a_horizon_vertex(p, trials, seed, message):
+    with pytest.raises(PreconditionError, match=message):
+        theta(path_graph(5), p, 0, trials, seed=seed)
+
+
 def test_finite_cluster_star3():
     g = CORPUS["star3"]
     finite = exact_prob(g, 0.5, lambda c: not _connects(g, 0, None, c))

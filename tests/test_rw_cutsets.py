@@ -31,7 +31,7 @@ from percut.rw_cutsets import (
 from corpus import BAND_CASES, CORPUS, cutsets_for
 from oracles import (
     blocks_over_one, census_by_walks, fundamental_matrix_by_solve, scaled_by_a_millionth,
-    subdivision_escape_check, walk_by_steps,
+    subdivision_escape_check, traced_peak, walk_by_steps,
 )
 
 
@@ -173,6 +173,22 @@ def test_escape_mc_counts_walks_that_never_return(name, graph, v, walks):
     assert est == EventProbability.sampled(escaped, walks)
 
 
+def test_escape_block_holds_no_first_visit_matrix():
+    """Escape reads only where each walk ends.
+
+    One block of 907 walks on grid:30,30 peaks at about half of the walks x
+    vertices int32 first-visit matrix that the census keeps; holding it, the
+    block read 1.47 matrices.
+    """
+    g = grid_graph(30, 30)
+    block = _util._BLOCK_CELLS // (g.n_vertices + 256)
+    escape_probability_mc(g, 465, 1, seed=5)
+    peak = traced_peak(lambda: escape_probability_mc(g, 465, block, seed=5))
+    assert peak < block * g.n_vertices * 4
+    # The walks that kept first visits escaped as often.
+    assert escape_probability_mc(g, 465, block, seed=5) == EventProbability.sampled(351, block)
+
+
 def test_escape_mc_step_cap(monkeypatch):
     # From the middle of path:9 the horizon is 4 steps away and a return takes
     # an even number of steps, so a walk not back after 2 steps is out after 3.
@@ -278,7 +294,11 @@ def test_walks_match_scalar_oracle(name, base, origin, walks, cap, capped, monke
     sd = subdivide(base, 2)
     start = origin_midpoint(sd, origin)
     rngs = trial_generators(3, 0, walks)
-    tau, end, first = _walk_block(sd.derived, start, rngs)
+    tau, end, first = _walk_block(sd.derived, start, rngs, first_visits=True)
+    # Without first visits the walks, their ends and their taus are the same.
+    bare = _walk_block(sd.derived, start, trial_generators(3, 0, walks), first_visits=False)
+    assert bare[2] is None
+    assert np.array_equal(bare[0], tau) and np.array_equal(bare[1], end)
     aborted = 0
     for t, (rng, ref) in enumerate(zip(rngs, trial_generators(3, 0, walks))):
         try:
