@@ -24,6 +24,7 @@ import math
 import re
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -194,21 +195,23 @@ def _json_chunks(v, level: int = 0):
     """``json.dump(v, indent=2)`` in pieces, every scalar under ``_json_value``.
 
     A float matrix is one piece per row, so no nested list of it is built.
+    An iterator stands for a matrix given as row blocks (arrays of two or
+    more dimensions), read a block at a time; an array of two or more
+    dimensions is one such block.
     """
     if isinstance(v, _numpy_type("ndarray")):
         if v.ndim == 1 and v.dtype.kind == "f" and v.size:
             yield _json_float_row(v, level)
             return
-        v = list(v) if v.ndim > 1 else v.tolist()
+        v = iter((v,)) if v.ndim > 1 else v.tolist()
     if isinstance(v, dict):
-        items, brackets = [(json.dumps(k) + ": ", x) for k, x in v.items()], "{}"
+        items, brackets = ((json.dumps(k) + ": ", x) for k, x in v.items()), "{}"
+    elif isinstance(v, Iterator):
+        items, brackets = (("", row) for block in v for row in block), "[]"
     elif isinstance(v, (list, tuple)):
-        items, brackets = [("", x) for x in v], "[]"
+        items, brackets = (("", x) for x in v), "[]"
     else:
         yield json.dumps(_json_value(v))
-        return
-    if not items:
-        yield brackets
         return
     inner = "\n" + "  " * (level + 1)
     sep = brackets[0] + inner
@@ -216,29 +219,40 @@ def _json_chunks(v, level: int = 0):
         yield sep + key
         yield from _json_chunks(x, level + 1)
         sep = "," + inner
-    yield "\n" + "  " * level + brackets[1]
+    yield brackets if sep[0] == brackets[0] else "\n" + "  " * level + brackets[1]
 
 
-def _is_float_array(v) -> bool:
-    """Whether ``v`` is a non-empty float array: a CSV cell ``_write_floats`` streams."""
-    return isinstance(v, _numpy_type("ndarray")) and v.dtype.kind == "f" and v.size > 0
+def _float_blocks(v):
+    """The blocks of a CSV cell that ``_write_floats`` streams, or None.
+
+    A non-empty float array is one block; an iterator is a matrix's row
+    blocks.
+    """
+    if isinstance(v, Iterator):
+        return v
+    if isinstance(v, _numpy_type("ndarray")) and v.dtype.kind == "f" and v.size > 0:
+        return (v,)
+    return None
 
 
-def _write_floats(stream, v: np.ndarray) -> None:
-    """A float array's CSV cell: its entries in ``%.12g``, joined by ``;``.
+def _write_floats(stream, blocks: Iterable[np.ndarray]) -> None:
+    """Float arrays' CSV cell: their entries in ``%.12g``, joined by ``;``.
 
     The text is written a slice of at most ``_util._BLOCK_CELLS // 64``
-    entries at a time, as a slice's Python floats, their list and tuple and
-    its text take about 64 bytes an entry.  No character of it needs quoting.
+    entries of a block at a time, as a slice's Python floats, their list and
+    tuple and its text take about 64 bytes an entry.  No character of it
+    needs quoting.
     """
     from . import _util
 
-    flat = v.ravel()
     step = max(1, _util._BLOCK_CELLS // 64)
-    for lo in range(0, flat.size, step):
-        if lo:
-            stream.write(";")
-        stream.write(_fmt12_join(flat[lo : lo + step].tolist(), ";"))
+    sep = ""
+    for block in blocks:
+        flat = block.ravel()
+        for lo in range(0, flat.size, step):
+            stream.write(sep)
+            stream.write(_fmt12_join(flat[lo : lo + step].tolist(), ";"))
+            sep = ";"
 
 
 def _csv_value(v) -> str:
@@ -263,16 +277,17 @@ def _csv_quote(text: str) -> str:
 def _write_csv_rows(stream, rows: list[dict]) -> None:
     """The header and rows, quoted as ``csv.writer`` with ``\\n`` line ends quotes them.
 
-    Every line is written cell by cell, so a float array's text is streamed
-    (``_write_floats``) rather than built whole.
+    Every line is written cell by cell, so a float array's or a matrix's
+    row blocks' text is streamed (``_write_floats``) rather than built whole.
     """
     header = list(rows[0])
     for cells in itertools.chain([header], ([row.get(k) for k in header] for row in rows)):
         for i, v in enumerate(cells):
             if i:
                 stream.write(",")
-            if _is_float_array(v):
-                _write_floats(stream, v)
+            blocks = _float_blocks(v)
+            if blocks is not None:
+                _write_floats(stream, blocks)
                 continue
             text = _csv_value(v)
             # A lone empty cell is quoted, so its line is not blank.
@@ -624,9 +639,8 @@ def _run_rw_crossing(args) -> list[dict]:
 def _run_gff_green(args) -> list[dict]:
     from .gff import green
 
-    graph = _graph(args)
-    gm = green(graph)
-    return [{"interior": list(gm.interior), "matrix": gm.g}]
+    gm = green(_graph(args))
+    return [{"interior": list(gm.interior), "matrix": gm.row_blocks()}]
 
 
 def _run_gff_pipeline(args) -> list[dict]:

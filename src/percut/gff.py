@@ -17,6 +17,7 @@ standing for sample t.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,7 @@ from .errors import NumericalError, PreconditionError, TheoremViolationError
 from .cutsets import Cutset, decompose, is_minimal_cutset
 from .graph_core import Graph, SubdivisionMap, exposed_bits, flood, subdivide
 from .rw_cutsets import (
-    _band_factor, _band_inverse, _check_absorption, _check_ones, _horizon_counts,
+    _band_factor, _check_absorption, _check_ones, _green_rows, _horizon_counts,
     escape_probabilities,
 )
 
@@ -42,8 +43,9 @@ class GreenMatrix:
     (``rw_cutsets._band_factor``); positive pivots certify P, and so the
     covariance G = P^-1, positive definite, and the absorption identity
     P^-1 h = 1 is checked on construction by one band solve.  G itself,
-    expected visits over target degree, is ``g``, formed on first use;
-    ``sample_block`` draws from the factor and never forms it.
+    expected visits over target degree, is ``g``, formed on first use, or
+    streamed in checked row blocks by ``row_blocks``; ``sample_block`` draws
+    from the factor and never forms it.
     """
 
     def __init__(self, graph: Graph):
@@ -55,25 +57,28 @@ class GreenMatrix:
 
     @cached_property
     def g(self) -> np.ndarray:
-        """G = P^-1 in ``interior`` order, exactly symmetric (``rw_cutsets._band_inverse``).
-
-        The residual P G - I and the absorption identity G h = 1 are checked
-        in row blocks (``_check_green``).  Up to 64 interior vertices the
-        diagonal is also cross-checked against escape probabilities from
-        the independent absorbing route.
-        """
-        graph, interior = self.graph, self.interior
-        g = _band_inverse(self._factor, interior)
-        _check_green(graph, g)
-        if len(interior) <= 64:
-            escape = escape_probabilities(graph, "absorbing")
-            for i, v in enumerate(interior):
-                product = g[i, i] * graph.degree(v) * escape[v]
-                if abs(product - 1.0) > 1e-9:
-                    raise TheoremViolationError(
-                        f"diagonal identity off at vertex {v}: {product}"
-                    )
+        """G = P^-1 in ``interior`` order, exactly symmetric, assembled from ``row_blocks``."""
+        k = len(self.interior)
+        g = np.empty((k, k))
+        lo = 0
+        for block in self.row_blocks():
+            g[lo : lo + len(block)] = block
+            lo += len(block)
         return g
+
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        """G's rows in ``interior`` order, a checked block at a time (``rw_cutsets._green_rows``).
+
+        Each block holds at most ``_util._BLOCK_CELLS`` bytes and is refused,
+        before it is yielded, unless it passes ``_green_check``.  A block may
+        be overwritten by the next one: copy it to keep it.
+        """
+        check = _green_check(self.graph)
+        lo = 0
+        for block in _green_rows(self._factor, self.interior):
+            check(lo, block)
+            yield block
+            lo += len(block)
 
     def index(self, v: int) -> int:
         if v not in self._index:
@@ -102,15 +107,18 @@ class GreenMatrix:
         return x.T
 
 
-def _check_green(graph: Graph, g: np.ndarray) -> None:
-    """Refuse a Green matrix g (``graph.interior`` order) that is not P^-1.
+def _green_check(graph: Graph) -> Callable[[int, np.ndarray], None]:
+    """A check of G's rows lo .. lo + n - 1 (``graph.interior`` order) against G = P^-1.
 
-    In row blocks, with no k x k temporary: the residual P g - I against
-    ``SOLVE_RESIDUAL_REFUSE`` (NumericalError), and the absorption identity
-    g h = 1 within 1e-9, h holding each vertex's horizon neighbours
-    (TheoremViolationError).  A NaN is refused by both.  A block of the
-    residual and the block of neighbour rows taken off it hold at most
-    ``_util._BLOCK_CELLS`` bytes together.
+    ``check(lo, block)`` needs only the block's own rows.  It refuses the
+    absorption identity G h = 1 off by more than 1e-9, h holding each
+    vertex's horizon neighbours (TheoremViolationError); the residual
+    G P - I above ``SOLVE_RESIDUAL_REFUSE`` (NumericalError); and, up to 64
+    interior vertices, a diagonal entry whose product with the degree and
+    the escape probability of the independent absorbing route is more than
+    1e-9 off 1 (TheoremViolationError).  A NaN is refused by the first two.
+    The block is checked in slices whose residual and the neighbour columns
+    taken off it hold at most ``_util._BLOCK_CELLS`` bytes together.
     """
     interior = graph.interior
     k = len(interior)
@@ -121,30 +129,40 @@ def _check_green(graph: Graph, g: np.ndarray) -> None:
     for i, nbrs in enumerate(inner):
         slots[i, : len(nbrs)] = nbrs
     h = _horizon_counts(graph, interior)
-    rows = max(1, _util._BLOCK_CELLS // 16 // max(k, 1))
-    residual = [0.0]
-    for lo in range(0, k, rows):
-        block = g[lo : lo + rows]
-        _check_ones(interior[lo:], (block * h).sum(axis=1), "absorption identity")
-        r = block * degrees[lo : lo + rows, None]
-        for nbr in slots[lo : lo + rows].T:
-            np.subtract(r, g[np.maximum(nbr, 0)], out=r, where=(nbr >= 0)[:, None])
-        r[np.arange(len(r)), lo + np.arange(len(r))] -= 1.0
-        residual.append(np.abs(r, out=r).max())
-        del block, r
-    worst = float(np.max(residual))
-    if not worst <= _util.SOLVE_RESIDUAL_REFUSE:
-        raise NumericalError(f"green matrix: residual {worst:.3e} above refusal threshold")
+    escape = escape_probabilities(graph, "absorbing") if k <= 64 else None
+    step = max(1, _util._BLOCK_CELLS // 16 // max(k, 1))
+
+    def check(lo: int, block: np.ndarray) -> None:
+        for s in range(0, len(block), step):
+            rows = block[s : s + step]
+            n, first = len(rows), lo + s
+            _check_ones(interior[first:], (rows * h).sum(axis=1), "absorption identity")
+            # (G P)[i, c] = degree(c) G[i, c] - the sum of G[i, w] over c's interior neighbours w.
+            r = rows * degrees
+            for nbr in slots.T:
+                np.subtract(r, rows[:, np.maximum(nbr, 0)], out=r, where=nbr >= 0)
+            r[np.arange(n), first + np.arange(n)] -= 1.0
+            worst = float(np.abs(r, out=r).max())
+            del r
+            if not worst <= _util.SOLVE_RESIDUAL_REFUSE:
+                raise NumericalError(f"green matrix: residual {worst:.3e} above refusal threshold")
+            if escape is not None:
+                for i, v in enumerate(interior[first : first + n]):
+                    product = rows[i, first + i] * graph.degree(v) * escape[v]
+                    if abs(product - 1.0) > 1e-9:
+                        raise TheoremViolationError(f"diagonal identity off at vertex {v}: {product}")
+
+    return check
 
 
 def green(graph: Graph) -> GreenMatrix:
     """Covariance matrix of the field absorbed at the horizon: G = P^-1, P = D - A.
 
-    The ``GreenMatrix`` is returned with ``g`` formed and checked.
+    The ``GreenMatrix`` is returned with its factor checked; G is formed
+    and checked on the first read of ``g``, or streamed in checked row
+    blocks by ``row_blocks``.
     """
-    gm = GreenMatrix(graph)
-    gm.g  # formed here, so that its certificates run before any caller reads it
-    return gm
+    return GreenMatrix(graph)
 
 
 # ---- order-3 cutset frame ----

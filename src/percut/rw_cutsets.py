@@ -202,41 +202,74 @@ def _check_absorption(f: _BandFactor, graph: Graph) -> None:
     _check_ones(f.order, _band_solve(f, _horizon_counts(graph, f.order)), "absorption identity")
 
 
-def _band_inverse(f: _BandFactor, interior: tuple[int, ...]) -> np.ndarray:
-    """P^-1 indexed by ``interior``, by the Takahashi recurrence over whole rows.
+def _green_rows(f: _BandFactor, interior: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """P^-1's rows in ``interior`` order, in blocks of at most ``_util._BLOCK_CELLS`` bytes.
 
-    Row j of Z is formed from the last row up over every column after j and
-    mirrored into column j, so Z is exactly symmetric and the only k x k
-    array; an entry with no path between its ends is +0.0.  Rows, then
-    columns, are then moved from elimination order to ``interior`` order in
-    place.
+    The Takahashi recurrence runs over whole rows from the last row up:
+    Z[j, c] for c > j is 0.0 - sum_a L[j + 1 + a, j] Z[j + 1 + a, c], read
+    off a window of rows j + 1 .. j + b over the columns after j, and is
+    mirrored into column j, so Z is exactly symmetric; an entry with no path
+    between its ends is +0.0.  A block is the rows at a set S of elimination
+    positions.  Its full steps, from max(S) down to min(S), keep S's rows
+    over the columns from their own on and write each step's row into
+    column j of S's rows after j; steps below min(S) form only the columns
+    S (Z[j, S], read off S's rows transposed).  Every entry is the sum of
+    the same products in the same order as in one pass over the whole
+    matrix, so it does not depend on the block size.
+
+    The first block's pass runs every step and keeps, at each later
+    block's max(S) + 1, the window there over the columns from that row
+    on; that block resumes from it.  In reverse Cuthill-McKee order a
+    block's rows are scattered, so its full steps may span most of the
+    order.  Memory is O((b + rows) k) plus b (k - max(S)) per saved window.
+    In id order every block is a view of one buffer that the next block
+    overwrites.
     """
-    k = len(f.order)
-    g = np.empty((k, k))
-    for j in reversed(range(k)):
-        l = f.lower[j, : k - 1 - j]
-        row = 0.0 - (l[:, None] * g[j + 1 : j + 1 + len(l), j + 1 :]).sum(axis=0)
-        g[j, j + 1 :] = g[j + 1 :, j] = row
-        g[j, j] = 1.0 / f.d[j] - (l * row[: len(l)]).sum()
-    if f.order != interior:
-        index = {v: i for i, v in enumerate(interior)}
-        dest = [index[v] for v in f.order]
-        for m in (g, g.T):
-            _scatter_rows(m, dest)
-    return g
-
-
-def _scatter_rows(m: np.ndarray, dest: list[int]) -> None:
-    """Move row p of ``m`` to row dest[p] for every p, in place, cycle by cycle."""
-    moved = [False] * len(dest)
-    for start in range(len(dest)):
-        if moved[start]:
-            continue
-        held, p = m[start].copy(), start
-        while not moved[start]:
-            p = dest[p]
-            moved[p] = True
-            held, m[p] = m[p].copy(), held
+    k, b = f.lower.shape
+    size = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
+    pos = {v: p for p, v in enumerate(f.order)}
+    cols = None if f.order == interior else np.array([pos[v] for v in interior])
+    places = [np.array([pos[v] for v in interior[lo : lo + size]]) for lo in range(0, k, size)]
+    saved = dict.fromkeys({int(p.max()) + 1 for p in places[1:]} - {k})
+    win = np.empty((2 * b + 1, k))
+    # Two rows at least: numpy sums a single column's products pairwise, not in row order.
+    buf = np.zeros((max(min(size, k), 2), k))
+    for i, place in enumerate(places):
+        rows = np.sort(place)
+        n, top, stop = len(rows), k, 0
+        if i:
+            top, stop = int(rows[-1]) + 1, int(rows[0])
+        y = buf[: max(n, 2)]
+        # Before step j, rows j + 1 .. j + b are win[q : q + b], over the columns after j.
+        q = len(win) - b
+        if top < k:
+            window = saved.pop(top)
+            win[q : q + len(window), top:] = window
+        t = n
+        for j in reversed(range(stop, top)):
+            if q == 0:
+                win[len(win) - b :, j + 1 :] = win[:b, j + 1 :]
+                q = len(win) - b
+            m = min(b, k - 1 - j)
+            l = f.lower[j, :m]
+            row = 0.0 - (l[:, None] * win[q : q + m, j + 1 :]).sum(axis=0)
+            win[q : q + m, j] = row[:m]
+            q -= 1
+            win[q, j + 1 :] = row
+            win[q, j] = 1.0 / f.d[j] - (l * row[:m]).sum()
+            if j in saved:
+                saved[j] = win[q : q + min(b, k - j), j:].copy()
+            while t and rows[t - 1] > j:
+                t -= 1
+            y[t:n, j] = row[rows[t:] - (j + 1)]
+            if t and rows[t - 1] == j:
+                y[t - 1, j:] = win[q, j:]
+        # The products in C order, as in a full step: numpy sums their columns row by row.
+        for j in reversed(range(stop)):
+            m = min(b, k - 1 - j)
+            l = f.lower[j, :m]
+            y[:, j] = 0.0 - np.multiply(l[:, None], y[:, j + 1 : j + 1 + m].T, order="C").sum(axis=0)
+        yield y[:n] if cols is None else y[np.ix_(np.searchsorted(rows, place), cols)]
 
 
 # ---- escape probabilities ----

@@ -6,7 +6,8 @@ boundary and minimality test, the min-label component labeller, the
 configuration sweep, the component walk over cutsets, the
 subset-at-a-time cutset and cover-lemma sweeps, the one-step walk, the
 per-sample field pipeline, the explicit cover-and-return enumeration, the
-whole-matrix solve, Green matrix and CSV writer), a traced memory peak,
+whole-matrix solve, band recurrence, Green matrix and Green certificate,
+and the CSV writer), a traced memory peak,
 or a check of one step of the paper's argument (the closed-ring and strong percolation bounds, the two-tree
 Eulerian construction, the subdivision escape floors, the free-field
 endpoints).  Every 2^m configuration sweep goes through
@@ -39,14 +40,15 @@ from percut.errors import (
 )
 from percut.fkg_chain import ConnectivityOracle, fkg_lower_bound
 from percut.gff import (
-    GreenMatrix, Section8Report, _field_blocks, cutset_frame, green, section8_pipeline,
+    GreenMatrix, Section8Report, _field_blocks, _green_check, cutset_frame, green,
+    section8_pipeline,
 )
 from percut.graph_core import (
     Graph, SubdivisionMap, UnionFind, boundary_edges, connected_subsets_containing, set_weight,
 )
 from percut.percolation import boundary_census_exact, profile_probability
 from percut.rw_cutsets import (
-    ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _decode, escape_constant,
+    ABORTED, DECODED, NON_MIDPOINT, NOT_MINIMAL, _BandFactor, _decode, escape_constant,
     escape_probabilities, origin_midpoint,
 )
 
@@ -1081,6 +1083,50 @@ def green_by_whole_matrices(graph: Graph) -> np.ndarray:
     degrees = np.array([graph.degree(v) for v in graph.interior], dtype=float)
     g = fundamental_matrix_by_solve(graph) / degrees[None, :]
     return (g + g.T) / 2.0
+
+
+def band_inverse_by_whole_rows(f: _BandFactor, interior: tuple[int, ...]) -> np.ndarray:
+    """P^-1 indexed by ``interior``, by the Takahashi recurrence over one k x k matrix.
+
+    Row j of Z is formed from the last row up over every column after j and
+    mirrored into column j, so Z is exactly symmetric; an entry with no path
+    between its ends is +0.0.  Rows, then columns, are then moved from
+    elimination order to ``interior`` order in place.
+    """
+    k = len(f.order)
+    g = np.empty((k, k))
+    for j in reversed(range(k)):
+        l = f.lower[j, : k - 1 - j]
+        row = 0.0 - (l[:, None] * g[j + 1 : j + 1 + len(l), j + 1 :]).sum(axis=0)
+        g[j, j + 1 :] = g[j + 1 :, j] = row
+        g[j, j] = 1.0 / f.d[j] - (l * row[: len(l)]).sum()
+    if f.order != interior:
+        index = {v: i for i, v in enumerate(interior)}
+        dest = [index[v] for v in f.order]
+        for m in (g, g.T):
+            scatter_rows(m, dest)
+    return g
+
+
+def scatter_rows(m: np.ndarray, dest: list[int]) -> None:
+    """Move row p of ``m`` to row dest[p] for every p, in place, cycle by cycle."""
+    moved = [False] * len(dest)
+    for start in range(len(dest)):
+        if moved[start]:
+            continue
+        held, p = m[start].copy(), start
+        while not moved[start]:
+            p = dest[p]
+            moved[p] = True
+            held, m[p] = m[p].copy(), held
+
+
+def check_green_in_blocks(graph: Graph, g: np.ndarray) -> None:
+    """``gff._green_check`` over g's row blocks, as many rows each as ``GreenMatrix.row_blocks`` yields."""
+    check = _green_check(graph)
+    rows = max(1, _util._BLOCK_CELLS // 8 // max(len(g), 1))
+    for lo in range(0, len(g), rows):
+        check(lo, g[lo : lo + rows])
 
 
 def scaled_by_a_millionth(module, name: str, field: str | None = None):

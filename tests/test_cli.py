@@ -23,7 +23,7 @@ from percut.errors import CapExceededError, NumericalError, TheoremViolationErro
 from percut.gff import green
 
 from corpus import CORPUS, broom
-from oracles import csv_rows_by_writer, dump_graph
+from oracles import csv_rows_by_writer, dump_graph, traced_peak
 
 
 def run_cli(capsys, argv):
@@ -596,6 +596,21 @@ def test_csv_green_record_peaks_below_four_matrices(tmp_path):
     assert peak < 4 * matrix_bytes
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_green_record_peaks_below_one_matrix(tmp_path, fmt):
+    """grid:30,30's Green record is written from checked row blocks: no k x k array is held.
+
+    It traced 1.50 (JSON) and 1.45 (CSV) matrices while G was formed whole
+    for the record, and 0.83 and 0.78 from row blocks.
+    """
+    argv = ["gff", "green", "--out", fmt, "--output-file", str(tmp_path / f"o.{fmt}")]
+    assert main([*argv, "--graph", "grid:4,4"]) == 0  # lazy imports
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([*argv, "--graph", "grid:30,30"])))
+    assert codes == [0]
+    assert peak < 28**4 * 8
+
+
 # ---- config files ----
 
 
@@ -942,6 +957,18 @@ def test_numerical_error_exits_two(capsys, monkeypatch):
     )
     code, _, _ = run_cli(capsys, ["gff", "green", "--graph", "path:3"])
     assert code == 2
+
+
+def test_green_block_refused_while_the_record_is_written_exits_two(capsys, monkeypatch):
+    """Rows go out as they pass their checks: a refused block stops the record with exit 2."""
+    import percut.gff
+
+    good = green(resolve_graph("grid:6,6", None)).g
+    monkeypatch.setattr(percut.gff, "_green_rows", lambda f, interior: iter([good[:8], good[8:] * np.nan]))
+    code, out, err = run_cli(capsys, ["gff", "green", "--graph", "grid:6,6"])
+    assert code == 2
+    assert "absorption identity off" in err
+    assert out.count("\n" + " " * 10) == 8 * 16  # the first block's entries, one a line
 
 
 # ---- installed entry point ----

@@ -106,39 +106,40 @@ def test_green_certificates_refuse_a_non_finite_entry(monkeypatch, block_cells, 
         m = green(g).g.copy()
         m[row, 3] = bad
         with pytest.raises((TheoremViolationError, NumericalError)):
-            percut.gff._check_green(g, m)
+            oracles.check_green_in_blocks(g, m)
 
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 6 * 16])
 def test_green_residual_is_refused_in_any_row_block(monkeypatch, block_cells):
-    """1e-6 off in the last row, in a column h does not weigh, fails P G - I only."""
+    """1e-6 off in the last row, in a column h does not weigh, fails G P - I only."""
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     g = grid_graph(6, 6)
     m = green(g).g.copy()
-    percut.gff._check_green(g, m)
+    oracles.check_green_in_blocks(g, m)
     m[-1, g.interior.index(14)] += 1e-6  # vertex 14 has no horizon neighbour
     with pytest.raises(NumericalError, match="residual 4.000e-06"):
-        percut.gff._check_green(g, m)
+        oracles.check_green_in_blocks(g, m)
 
 
 @pytest.mark.parametrize("route", [green, escape_probabilities])
 def test_dense_routes_hold_at_most_three_matrices(route):
     """On grid:30,30, green traces at most 2 k x k float matrices and escape 0.14 of one.
 
-    The band routes hold G alone (green) or the O(k b) band (escape); the
-    dense inverse they replaced held four.  Escape holds the band, the
-    factor and Z's band, three k x (b + 1) arrays: 0.121 of a matrix, and
-    0.159 when diag(P Z) was summed from a fourth.  A first call on the
-    graph itself keeps lazy imports and the graph's cached adjacency out of
-    the peak.
+    The band routes hold G and one row block (green, G read off ``g``) or
+    the O(k b) band (escape); the dense inverse they replaced held four.
+    Escape holds the band, the factor and Z's band, three k x (b + 1)
+    arrays: 0.121 of a matrix, and 0.159 when diag(P Z) was summed from a
+    fourth.  A first call on the graph itself keeps lazy imports and the
+    graph's cached adjacency out of the peak.
     """
     bound = {green: 2.0, escape_probabilities: 0.14}[route]
+    run = {green: lambda g: green(g).g, escape_probabilities: escape_probabilities}[route]
     g = grid_graph(30, 30)
     k = len(g.interior)
-    route(g)
+    run(g)
     tracemalloc.start()
     try:
-        route(g)
+        run(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -30,8 +30,8 @@ from percut.rw_cutsets import (
 
 from corpus import BAND_CASES, CORPUS, cutsets_for
 from oracles import (
-    blocks_over_one, census_by_walks, fundamental_matrix_by_solve, scaled_by_a_millionth,
-    subdivision_escape_check, traced_peak, walk_by_steps,
+    band_inverse_by_whole_rows, blocks_over_one, census_by_walks, fundamental_matrix_by_solve,
+    scaled_by_a_millionth, subdivision_escape_check, traced_peak, walk_by_steps,
 )
 
 
@@ -120,10 +120,37 @@ def test_band_routes_take_an_empty_interior():
 def test_band_kernel_calls_no_blas():
     """The band kernels and the field draw use elementwise numpy only: no np.linalg, no matrix product."""
     for fn in (rw_cutsets._band_factor, rw_cutsets._band_solve, rw_cutsets._band_diagonal,
-               rw_cutsets._band_inverse, rw_cutsets._scatter_rows, GreenMatrix.sample_block):
+               rw_cutsets._green_rows, GreenMatrix.sample_block):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__name__
         assert "linalg" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+@pytest.mark.parametrize("rows", [None, 37, 1])
+def test_green_rows_equal_the_whole_recurrence(monkeypatch, rows):
+    """Streamed rows are bit for bit those of one pass over the whole matrix, in any row blocks.
+
+    ``rows`` rows a block (None: the default ``_util._BLOCK_CELLS``), on the
+    corpus, grid:30,30 and two interiors taken in reverse Cuthill-McKee
+    order (the pipeline frame and box3d:12,12,12).  One-row blocks save a
+    window of b (k - row) entries at every row, so they run only on the
+    graphs of at most 200 interior vertices.
+    """
+    for name, g in BAND_CASES.items():
+        k = len(g.interior)
+        if rows == 1 and k > 200:
+            continue
+        f = rw_cutsets._band_factor(g)
+        want = band_inverse_by_whole_rows(f, g.interior)
+        if rows is not None:
+            monkeypatch.setattr(_util, "_BLOCK_CELLS", 8 * rows * k)
+        blocks = [block.copy() for block in rw_cutsets._green_rows(f, g.interior)]
+        assert [len(b) for b in blocks[:-1]] == [len(blocks[0])] * (len(blocks) - 1), name
+        assert len(blocks[0]) * k * 8 <= _util._BLOCK_CELLS, name
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        monkeypatch.undo()
+    assert rw_cutsets._band_factor(BAND_CASES["box12"]).order != BAND_CASES["box12"].interior
 
 
 def test_band_order_is_no_wider_than_id_order():
