@@ -335,49 +335,19 @@ def _config_hash(args) -> str:
 
 
 def _sha256(data: bytes) -> bytes:
-    """SHA-256 digest of ``data`` (FIPS 180-4), computed without OpenSSL.
+    """SHA-256 digest of ``data`` from the interpreter's built-in module.
 
-    The standard library's digest module loads libcrypto, which would cost
-    every command, sampling or not, about 3 MB of peak memory to hash one
-    short config blob.
+    ``hashlib``, the fallback for an interpreter built without it, loads
+    libcrypto: about 3 MB of peak memory to hash one short config blob.
     """
-    mask = 0xFFFFFFFF
-    # FIPS 180-4 4.2.2 and 5.3.3: the first 32 fractional bits of the cube
-    # roots of the first 64 primes, and of the square roots of the first 8.
-    k = (
-        0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1, 0x923F82A4, 0xAB1C5ED5,
-        0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3, 0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174,
-        0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-        0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147, 0x06CA6351, 0x14292967,
-        0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13, 0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-        0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-        0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F, 0x682E6FF3,
-        0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208, 0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-    )
-    state = [
-        0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A, 0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-    ]
-
-    # sigma0, sigma1, sum0 and sum1 are FIPS 180-4's σ0, σ1, Σ0 and Σ1.  A
-    # rotation by r is x >> r | x << 32 - r, and one mask clears the bits
-    # shifted past bit 31 by all three rotations at once.
-    padded = data + b"\x80" + bytes((55 - len(data)) % 64) + (8 * len(data)).to_bytes(8, "big")
-    for at in range(0, len(padded), 64):
-        w = [int.from_bytes(padded[i : i + 4], "big") for i in range(at, at + 64, 4)]
-        for t in range(16, 64):
-            x, y = w[t - 15], w[t - 2]
-            sigma0 = ((x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3) & mask
-            sigma1 = ((y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10) & mask
-            w.append((w[t - 16] + sigma0 + w[t - 7] + sigma1) & mask)
-        a, b, c, d, e, f, g, h = state
-        for t in range(64):
-            sum1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) & mask
-            sum0 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) & mask
-            t1 = h + sum1 + (e & f ^ ~e & g) + k[t] + w[t]
-            t2 = sum0 + (a & b ^ a & c ^ b & c)
-            a, b, c, d, e, f, g, h = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
-        state = [(x + y) & mask for x, y in zip(state, (a, b, c, d, e, f, g, h))]
-    return b"".join(x.to_bytes(4, "big") for x in state)
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).digest()
 
 
 # ---- handlers, one per action ----

@@ -155,10 +155,6 @@ class ChainedSequence:
     n_targets: int
     p2_certificate: float
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
 
 def fkg_lower_bound(theta: float, p: float, n: int) -> float:
     """((p theta / 2) ** (3 / theta)) ** n."""
@@ -179,7 +175,6 @@ def build_chain(
     origin: int,
     theta: float | None = None,
     p: float = 0.5,
-    oracle: ConnectivityOracle | None = None,
     trials: int = 20_000,
     seed: int | None = None,
 ) -> ChainedSequence:
@@ -188,8 +183,9 @@ def build_chain(
     While some vertex connects to the chain with probability below
     theta/2, append the bad endpoint of the lexicographically smallest
     (bad, good) adjacent pair.  With theta omitted, the largest valid
-    hypothesis level min_u P(u <-> B) is used.  Without an oracle, one
-    is built on the region: exact, or sampled when a seed is given.
+    hypothesis level min_u P(u <-> B) is used.  Connection probabilities
+    come from an oracle on the region: exact, or sampled when a seed is
+    given.
     """
     region = tuple(sorted(set(region)))
     targets = tuple(sorted(set(targets)))
@@ -197,9 +193,7 @@ def build_chain(
         raise PreconditionError("origin must lie in the region")
     if not targets or not set(targets) <= set(region):
         raise PreconditionError("targets must be a non-empty subset of the region")
-    if oracle is None:
-        oracle = ConnectivityOracle(graph, region, p, trials=trials, seed=seed)
-    p = oracle.p
+    oracle = ConnectivityOracle(graph, region, p, trials=trials, seed=seed)
     if not oracle.region_connected():
         raise PreconditionError("induced region is not connected")
     tol = 1e-12 + oracle.noise

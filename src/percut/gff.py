@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,30 +40,17 @@ class GreenMatrix:
 
     The precision P = D - A is factored as L diag(d) L^T over its band
     (``rw_cutsets._band_factor``); positive pivots certify P, and so the
-    covariance G = P^-1, positive definite, and the absorption identity
-    P^-1 h = 1 is checked on construction by one band solve.  G itself,
-    expected visits over target degree, is ``g``, formed on first use, or
-    streamed in checked row blocks by ``row_blocks``; ``sample_block`` draws
-    from the factor and never forms it.
+    covariance G = P^-1, positive definite.  G itself, expected visits over
+    target degree, is streamed in checked row blocks by ``row_blocks``;
+    ``sample_block`` checks the absorption identity P^-1 h = 1 by one band
+    solve, then draws from the factor and never forms G.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.interior = graph.interior
         self._factor = _band_factor(graph)
-        _check_absorption(self._factor, graph)
         self._index = {v: i for i, v in enumerate(self.interior)}
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """G = P^-1 in ``interior`` order, exactly symmetric, assembled from ``row_blocks``."""
-        k = len(self.interior)
-        g = np.empty((k, k))
-        lo = 0
-        for block in self.row_blocks():
-            g[lo : lo + len(block)] = block
-            lo += len(block)
-        return g
 
     def row_blocks(self) -> Iterator[np.ndarray]:
         """G's rows in ``interior`` order, a checked block at a time (``rw_cutsets._green_rows``).
@@ -88,6 +74,8 @@ class GreenMatrix:
     def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` fields (size x k, ``interior`` order): x = L^-T diag(d)^-1/2 z (Rue 2001).
 
+        The absorption identity is checked first (``_check_absorption``), so
+        a factor off it is refused before any normal is drawn.  Then
         k x size normals are drawn, and row j of the elimination order is
         scaled by d[j]^-1/2 and back-substituted in place, from the last row
         up, one axpy per band entry of L.  Every sample column sees the
@@ -96,6 +84,7 @@ class GreenMatrix:
         its vertex, so the result needs no permutation.
         """
         f = self._factor
+        _check_absorption(f, self.graph)
         k = len(f.order)
         rows = [self._index[v] for v in f.order]
         x = rng.standard_normal((k, size))
@@ -158,9 +147,8 @@ def _green_check(graph: Graph) -> Callable[[int, np.ndarray], None]:
 def green(graph: Graph) -> GreenMatrix:
     """Covariance matrix of the field absorbed at the horizon: G = P^-1, P = D - A.
 
-    The ``GreenMatrix`` is returned with its factor checked; G is formed
-    and checked on the first read of ``g``, or streamed in checked row
-    blocks by ``row_blocks``.
+    The ``GreenMatrix`` is returned with its factor checked; G is streamed
+    in checked row blocks by ``row_blocks``.
     """
     return GreenMatrix(graph)
 

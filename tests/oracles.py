@@ -1121,6 +1121,17 @@ def scatter_rows(m: np.ndarray, dest: list[int]) -> None:
             held, m[p] = m[p].copy(), held
 
 
+def green_matrix(gm: GreenMatrix) -> np.ndarray:
+    """G = P^-1 in ``interior`` order, exactly symmetric, assembled from ``gm.row_blocks()``."""
+    k = len(gm.interior)
+    g = np.empty((k, k))
+    lo = 0
+    for block in gm.row_blocks():
+        g[lo : lo + len(block)] = block
+        lo += len(block)
+    return g
+
+
 def check_green_in_blocks(graph: Graph, g: np.ndarray) -> None:
     """``gff._green_check`` over g's row blocks, as many rows each as ``GreenMatrix.row_blocks`` yields."""
     check = _green_check(graph)
@@ -1261,10 +1272,11 @@ def markov_check(gm: GreenMatrix, conditioned: set[int] | frozenset[int]) -> flo
         return 0.0
     ki = [gm.index(v) for v in keep]
     ci = [gm.index(v) for v in sorted(conditioned)]
-    g_kk = gm.g[np.ix_(ki, ki)]
+    g = green_matrix(gm)
+    g_kk = g[np.ix_(ki, ki)]
     if ci:
-        g_kc = gm.g[np.ix_(ki, ci)]
-        g_cc = gm.g[np.ix_(ci, ci)]
+        g_kc = g[np.ix_(ki, ci)]
+        g_cc = g[np.ix_(ci, ci)]
         schur = g_kk - g_kc @ checked_solve(g_cc, g_kc.T, "conditioning block")
     else:
         schur = g_kk
@@ -1274,7 +1286,7 @@ def markov_check(gm: GreenMatrix, conditioned: set[int] | frozenset[int]) -> flo
     other = green(slit)
     if other.interior != tuple(keep):
         raise TheoremViolationError("interior mismatch in the conditioned graph")
-    residual = float(np.max(np.abs(schur - other.g)))
+    residual = float(np.max(np.abs(schur - green_matrix(other))))
     if residual > 1e-9:
         raise TheoremViolationError(f"markov residual {residual:.3e}")
     return residual

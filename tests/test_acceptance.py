@@ -17,7 +17,7 @@ import pytest
 from corpus import CORPUS, all_pairs, census_for, cutsets_for, interior_vertices, table_for
 from oracles import (
     Multigraph, bruteforce_tail_bound, covering_sum_bruteforce, derive_seed,
-    eulerian_from_two_trees, markov_check, subdivision_escape_check,
+    eulerian_from_two_trees, green_matrix, markov_check, subdivision_escape_check,
 )
 from percut import (
     ConnectivityOracle,
@@ -187,7 +187,7 @@ def _chain_respects_guarantees(cert, p):
         return False
     if cert.p2_certificate < cert.theta / 2 - 1e-12:
         return False
-    return cert.length <= 2 * cert.n_targets / cert.theta + 1e-9
+    return len(cert.vertices) <= 2 * cert.n_targets / cert.theta + 1e-9
 
 
 def test_criterion_05_joint_connection_beats_the_chain_bound(verdict):
@@ -204,7 +204,7 @@ def test_criterion_05_joint_connection_beats_the_chain_bound(verdict):
                 theta = min(oracle.connect_prob(u, targets) for u in region)
                 exact = oracle.all_connected_prob(v, targets)
                 bound = fkg_lower_bound(theta, p, len(targets))
-                cert = build_chain(graph, region, targets, v, p=p, oracle=oracle)
+                cert = build_chain(graph, region, targets, v, p=p)
                 if exact < bound - 1e-12 or not _chain_respects_guarantees(cert, p):
                     bad += 1
                 instances += 1
@@ -409,10 +409,11 @@ def test_criterion_11_field_identities_covariance_and_pipeline(verdict):
         if not interior_vertices(name):
             continue
         gm = green(graph)
+        g = green_matrix(gm)
         esc = escape_probabilities(graph)
         for x in gm.interior:
             d_x = len(graph.adjacency[x])
-            if abs(gm.g[gm.index(x), gm.index(x)] * d_x * esc[x] - 1.0) > 1e-9:
+            if abs(g[gm.index(x), gm.index(x)] * d_x * esc[x] - 1.0) > 1e-9:
                 diag_bad += 1
         subsets = [{x} for x in gm.interior]
         if len(gm.interior) >= 2:
@@ -424,9 +425,10 @@ def test_criterion_11_field_identities_covariance_and_pipeline(verdict):
     gm = green(CORPUS["grid3x3_corners"])
     samples = gm.sample_block(np.random.default_rng(SEED), 100_000)
     emp = samples.T @ samples / 100_000
-    diag = np.diag(gm.g)
-    se = np.sqrt((np.outer(diag, diag) + gm.g**2) / 100_000)
-    cov_sigma = float(np.max(np.abs(emp - gm.g) / se))
+    g = green_matrix(gm)
+    diag = np.diag(g)
+    se = np.sqrt((np.outer(diag, diag) + g**2) / 100_000)
+    cov_sigma = float(np.max(np.abs(emp - g) / se))
 
     qualifying = 0
     pipeline_bad = 0

@@ -23,7 +23,7 @@ from percut.errors import CapExceededError, NumericalError, TheoremViolationErro
 from percut.gff import green
 
 from corpus import CORPUS, broom
-from oracles import csv_rows_by_writer, dump_graph, traced_peak
+from oracles import csv_rows_by_writer, dump_graph, green_matrix, traced_peak
 
 
 def run_cli(capsys, argv):
@@ -419,7 +419,7 @@ def test_non_finite_floats_are_text(capsys, tmp_path):
 
 def test_green_matrix_round_trips_at_twelve_digits(capsys):
     gm = green(resolve_graph("grid:6,6", None))
-    expected = [[float(fmt12(x)) for x in row] for row in gm.g.tolist()]
+    expected = [[float(fmt12(x)) for x in row] for row in green_matrix(gm).tolist()]
     code, out, _ = run_cli(capsys, ["gff", "green", "--graph", "grid:6,6"])
     assert code == 0
     row = json.loads(out)["rows"][0]
@@ -678,10 +678,18 @@ _PINNED_HASHES = [
 
 
 @pytest.mark.parametrize("argv, digest", _PINNED_HASHES)
-def test_config_hash_is_pinned(argv, digest):
+def test_config_hash_is_pinned(argv, digest, monkeypatch):
     # A changed flag default or dest changes the hash of records already written.
     args = cli.build_parser().parse_args(argv.split())
     assert cli._config_hash(args) == digest
+    # An interpreter built without the built-in digest module hashes through hashlib, alike.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    blobs = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: blobs.append(data) or sha256(data))
+    assert cli._config_hash(args) == digest
+    assert len(blobs) == 1
 
 
 def test_pinned_hashes_cover_every_command():
@@ -963,7 +971,7 @@ def test_green_block_refused_while_the_record_is_written_exits_two(capsys, monke
     """Rows go out as they pass their checks: a refused block stops the record with exit 2."""
     import percut.gff
 
-    good = green(resolve_graph("grid:6,6", None)).g
+    good = green_matrix(green(resolve_graph("grid:6,6", None)))
     monkeypatch.setattr(percut.gff, "_green_rows", lambda f, interior: iter([good[:8], good[8:] * np.nan]))
     code, out, err = run_cli(capsys, ["gff", "green", "--graph", "grid:6,6"])
     assert code == 2

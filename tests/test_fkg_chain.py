@@ -164,7 +164,7 @@ def test_chain_grows_on_spider():
     for step in chain.probs[1:]:
         assert 0.3 * theta / 2 - 1e-12 <= step <= theta / 2 + 1e-12
     assert chain.p2_certificate >= theta / 2 - 1e-12
-    assert chain.length <= 2 * chain.n_targets / theta + 1e-9
+    assert len(chain.vertices) <= 2 * chain.n_targets / theta + 1e-9
 
 
 def test_chain_respects_supplied_theta():
@@ -201,7 +201,7 @@ def test_chain_guarantees_on_corpus_decompositions():
                 for step in chain.probs[1:]:
                     assert p * theta / 2 - 1e-12 <= step <= theta / 2 + 1e-12
                 assert chain.p2_certificate >= theta / 2 - 1e-12
-                assert chain.length <= 2 * chain.n_targets / theta + 1e-9
+                assert len(chain.vertices) <= 2 * chain.n_targets / theta + 1e-9
 
 
 # ---- full connectivity and the boundary-hit bound ----

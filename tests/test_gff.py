@@ -21,7 +21,8 @@ from corpus import BAND_CASES, CORPUS
 import oracles
 from oracles import (
     GaussianField, domination_endpoint_check, excursion_cluster, green_by_whole_matrices,
-    markov_check, sample_field, scaled_by_a_millionth, section8_by_samples, sign_bound_check,
+    green_matrix, markov_check, sample_field, scaled_by_a_millionth, section8_by_samples,
+    sign_bound_check,
 )
 
 
@@ -38,25 +39,38 @@ def normal_cdf(x: float) -> float:
 def test_green_p3():
     gm = green(path_graph(3))
     assert gm.interior == (1,)
-    assert gm.g == pytest.approx(np.array([[0.5]]), abs=1e-12)
+    assert green_matrix(gm) == pytest.approx(np.array([[0.5]]), abs=1e-12)
 
 
 def test_green_p5():
     gm = green(path_graph(5))
     assert gm.interior == (1, 2, 3)
-    assert gm.g == pytest.approx(P5_GREEN, abs=1e-12)
-    assert gm.g[gm.index(2), gm.index(2)] == pytest.approx(1.0, abs=1e-12)
-    assert gm.g[gm.index(1), gm.index(3)] == pytest.approx(0.25, abs=1e-12)
+    g = green_matrix(gm)
+    assert g == pytest.approx(P5_GREEN, abs=1e-12)
+    assert g[gm.index(2), gm.index(2)] == pytest.approx(1.0, abs=1e-12)
+    assert g[gm.index(1), gm.index(3)] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_green_diagonal_identity_on_corpus():
     for name, g in CORPUS.items():
         gm = green(g)
+        m = green_matrix(gm)
         escape = escape_probabilities(g)
         for v in gm.interior:
-            product = gm.g[gm.index(v), gm.index(v)] * g.degree(v) * escape[v]
+            product = m[gm.index(v), gm.index(v)] * g.degree(v) * escape[v]
             assert abs(product - 1.0) <= 1e-9, name
-        assert float(np.max(np.abs(gm.g - gm.g.T))) <= 1e-9
+        assert float(np.max(np.abs(m - m.T))) <= 1e-9
+
+
+def refused_before_any_row_or_field(gm: GreenMatrix, match: str) -> None:
+    """Neither the first row block nor a field is handed out, and no normal is drawn."""
+    with pytest.raises(TheoremViolationError, match=match):
+        next(gm.row_blocks())
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(TheoremViolationError, match=match):
+        gm.sample_block(rng, 2)
+    assert rng.bit_generator.state == state
 
 
 def test_green_check_fires_above_64_interior_vertices(monkeypatch):
@@ -65,15 +79,23 @@ def test_green_check_fires_above_64_interior_vertices(monkeypatch):
     g = grid_graph(11, 11)
     assert len(green(g).interior) == 81
     monkeypatch.setattr(percut.gff, "_band_factor", scaled_by_a_millionth(percut.gff, "_band_factor", "d"))
-    with pytest.raises(TheoremViolationError, match="absorption identity"):
-        green(g)
+    refused_before_any_row_or_field(green(g), "absorption identity")
 
 
-def test_green_matrix_checks_the_absorption_identity_on_construction(monkeypatch):
-    """Horizon counts 1e-6 off are refused before g is formed or a field is drawn."""
-    monkeypatch.setattr(rw_cutsets, "_horizon_counts", scaled_by_a_millionth(rw_cutsets, "_horizon_counts"))
+def test_green_matrix_checks_the_absorption_identity_before_any_row_or_field(monkeypatch):
+    """Horizon counts 1e-6 off are refused before a row block is yielded or a field is drawn."""
+    scaled = scaled_by_a_millionth(rw_cutsets, "_horizon_counts")
+    monkeypatch.setattr(rw_cutsets, "_horizon_counts", scaled)
+    monkeypatch.setattr(percut.gff, "_horizon_counts", scaled)
+    refused_before_any_row_or_field(GreenMatrix(grid_graph(6, 6)), "absorption identity")
+
+
+def test_pipeline_refuses_a_factor_off_the_absorption_identity(monkeypatch):
+    """The pipeline's fields come through ``sample_block``, so a tampered factor stops it."""
+    monkeypatch.setattr(percut.gff, "_band_factor", scaled_by_a_millionth(percut.gff, "_band_factor", "d"))
+    g = path_graph(5)
     with pytest.raises(TheoremViolationError, match="absorption identity"):
-        GreenMatrix(grid_graph(6, 6))
+        section8_pipeline(g, verified_cutset(g, (1, 2), 2), 10, seed=1)
 
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
@@ -83,17 +105,18 @@ def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
     for name, g in BAND_CASES.items():
         if block_cells < 1 << 20 and len(g.interior) > 200:
             continue  # a 5-cell block checks one row at a time; the small graphs show it
-        got, want = green(g).g, green_by_whole_matrices(g)
+        got, want = green_matrix(green(g)), green_by_whole_matrices(g)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
         assert np.array_equal(got, got.T), name
         assert not np.signbit(got).any(), name
 
 
 def test_sample_block_leaves_g_unformed():
-    """Fields come from the band factor: drawing them forms no k x k matrix."""
-    gm = GreenMatrix(grid_graph(6, 6))
+    """Fields come from the band factor: drawing them on grid:30,30 traces below one k x k matrix."""
+    gm = GreenMatrix(grid_graph(30, 30))
+    k = len(gm.interior)
     gm.sample_block(np.random.default_rng(1), 2)
-    assert "g" not in vars(gm)
+    assert oracles.traced_peak(lambda: gm.sample_block(np.random.default_rng(1), 2)) < k * k * 8
 
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])
@@ -103,7 +126,7 @@ def test_green_certificates_refuse_a_non_finite_entry(monkeypatch, block_cells, 
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     g = grid_graph(6, 6)
     for row in (0, 7, 15):
-        m = green(g).g.copy()
+        m = green_matrix(green(g))
         m[row, 3] = bad
         with pytest.raises((TheoremViolationError, NumericalError)):
             oracles.check_green_in_blocks(g, m)
@@ -114,7 +137,7 @@ def test_green_residual_is_refused_in_any_row_block(monkeypatch, block_cells):
     """1e-6 off in the last row, in a column h does not weigh, fails G P - I only."""
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     g = grid_graph(6, 6)
-    m = green(g).g.copy()
+    m = green_matrix(green(g))
     oracles.check_green_in_blocks(g, m)
     m[-1, g.interior.index(14)] += 1e-6  # vertex 14 has no horizon neighbour
     with pytest.raises(NumericalError, match="residual 4.000e-06"):
@@ -125,15 +148,16 @@ def test_green_residual_is_refused_in_any_row_block(monkeypatch, block_cells):
 def test_dense_routes_hold_at_most_three_matrices(route):
     """On grid:30,30, green traces at most 2 k x k float matrices and escape 0.14 of one.
 
-    The band routes hold G and one row block (green, G read off ``g``) or
-    the O(k b) band (escape); the dense inverse they replaced held four.
+    The band routes hold G and one row block (green, G assembled by
+    ``green_matrix``) or the O(k b) band (escape); the dense inverse they
+    replaced held four.
     Escape holds the band, the factor and Z's band, three k x (b + 1)
     arrays: 0.121 of a matrix, and 0.159 when diag(P Z) was summed from a
     fourth.  A first call on the graph itself keeps lazy imports and the
     graph's cached adjacency out of the peak.
     """
     bound = {green: 2.0, escape_probabilities: 0.14}[route]
-    run = {green: lambda g: green(g).g, escape_probabilities: escape_probabilities}[route]
+    run = {green: lambda g: green_matrix(green(g)), escape_probabilities: escape_probabilities}[route]
     g = grid_graph(30, 30)
     k = len(g.interior)
     run(g)
@@ -200,7 +224,7 @@ def test_sample_block_covariance_close():
     block = gm.sample_block(rng, 60_000)
     emp = block.T @ block / block.shape[0]
     # SE of each entry is about sqrt((g_xx g_yy + g_xy^2) / n) <= 0.006.
-    assert np.max(np.abs(emp - gm.g)) <= 5 * math.sqrt(2.0 / 60_000)
+    assert np.max(np.abs(emp - green_matrix(gm))) <= 5 * math.sqrt(2.0 / 60_000)
 
 
 def test_sample_block_covariance_where_the_band_order_is_not_id_order():
@@ -215,9 +239,10 @@ def test_sample_block_covariance_where_the_band_order_is_not_id_order():
     block = gm.sample_block(np.random.default_rng(12), n)
     assert block.shape == (n, len(gm.interior))
     emp = block.T @ block / n
-    diag = np.diag(gm.g)
-    se = np.sqrt((np.outer(diag, diag) + gm.g**2) / n)
-    assert np.max(np.abs(emp - gm.g) / se) <= 5.0
+    g = green_matrix(gm)
+    diag = np.diag(g)
+    se = np.sqrt((np.outer(diag, diag) + g**2) / n)
+    assert np.max(np.abs(emp - g) / se) <= 5.0
 
 
 class _FixedNormals:
@@ -278,9 +303,10 @@ def test_variance_bounded_by_escape_floor():
 
     for name, g in CORPUS.items():
         gm = green(g)
+        m = green_matrix(gm)
         eps = escape_constant(g, escape_probabilities(g))
         for v in gm.interior:
-            assert gm.g[gm.index(v), gm.index(v)] <= 1.0 / eps + 1e-9
+            assert m[gm.index(v), gm.index(v)] <= 1.0 / eps + 1e-9
 
 
 # ---- level-set clusters ----

@@ -126,7 +126,8 @@ def test_counting_routes_never_load_numpy(argv, tmp_path):
     ],
 )
 def test_commands_that_do_not_sample_never_load_openssl(argv, tmp_path):
-    # The config hash is computed in Python; only numpy.random's seeding loads libcrypto.
+    # The config hash comes from the interpreter's built-in SHA-256 module;
+    # only numpy.random's seeding loads libcrypto.
     (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
     loaded = _loaded(argv.split(), tmp_path)
     assert "numpy" in loaded
@@ -260,20 +261,20 @@ def _traced_methods() -> set[str]:
 
 
 def _names_in(node: ast.AST):
-    """Every name, attribute and imported name that appears in ``node``.
+    """(name, is an attribute) for every name, attribute and imported name in ``node``.
 
     The members of a class without bases are left out: each is followed
-    once its own name is reached.
+    once it is read as an attribute.
     """
     todo = [node]
     while todo:
         n = todo.pop()
         if isinstance(n, ast.Name):
-            yield n.id
+            yield n.id, False
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            yield n.attr, True
         elif isinstance(n, ast.alias):
-            yield n.name
+            yield n.name, False
         children = ast.iter_child_nodes(n)
         if isinstance(n, ast.ClassDef) and not n.bases:
             children = (c for c in children if not _is_member(c))
@@ -283,32 +284,39 @@ def _names_in(node: ast.AST):
 def test_every_definition_is_reached_from_the_command_line():
     """Follow names from ``cli.py``'s definitions through every module, importing nothing.
 
-    A method or property counts as reached when its name is; the ones
-    perfbench's tracer wraps by name must stay even when no command calls them.
+    A top-level definition counts as reached when its name is, bare or as
+    an attribute; a method or property only when it is read as an attribute
+    (``obj.name``), so a local variable of the same name cannot keep it.
+    The ones perfbench's tracer wraps by name must stay even when no command
+    calls them.
     """
     trees = {
         path.stem: ast.parse(path.read_text())
         for path in Path(percut.__file__).parent.glob("*.py")
     }
     definitions: dict[str, list[ast.AST]] = {}
+    members: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for name, node in _top_level(tree):
             definitions.setdefault(name, []).append(node)
         for _, node in _members(tree):
-            definitions.setdefault(node.name, []).append(node)
-    todo = [name for name, _ in _top_level(trees["cli"])]
-    reached: set[str] = set()
+            members.setdefault(node.name, []).append(node)
+    todo = [(name, False) for name, _ in _top_level(trees["cli"])]
+    reached: set[tuple[str, bool]] = set()
     while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(n for node in definitions.get(name, ()) for n in _names_in(node))
+        name, attribute = todo.pop()
+        if (name, attribute) not in reached:
+            reached.add((name, attribute))
+            nodes = definitions.get(name, []) + (members.get(name, []) if attribute else [])
+            todo.extend(n for node in nodes for n in _names_in(node))
+    attributes = {name for name, attribute in reached if attribute}
+    reached_names = {name for name, _ in reached}
     unreached = [
         f"{module}.{name}"
         for module, tree in sorted(trees.items())
         for name, node in _top_level(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and name not in reached
+        and name not in reached_names
         and not name.startswith("__")
     ]
     traced = _traced_methods()
@@ -316,6 +324,6 @@ def test_every_definition_is_reached_from_the_command_line():
         f"{module}.{dotted}"
         for module, tree in sorted(trees.items())
         for dotted, node in _members(tree)
-        if node.name not in reached and dotted not in traced
+        if node.name not in attributes and dotted not in traced
     ]
     assert not unreached, f"no command reaches: {', '.join(unreached)}"

@@ -31,7 +31,7 @@ from percut.rw_cutsets import (
 from corpus import BAND_CASES, CORPUS, cutsets_for
 from oracles import (
     band_inverse_by_whole_rows, blocks_over_one, census_by_walks, fundamental_matrix_by_solve,
-    scaled_by_a_millionth, subdivision_escape_check, traced_peak, walk_by_steps,
+    green_matrix, scaled_by_a_millionth, subdivision_escape_check, traced_peak, walk_by_steps,
 )
 
 
@@ -114,7 +114,7 @@ def test_band_factor_refuses_a_pivot_that_is_not_positive(monkeypatch):
 def test_band_routes_take_an_empty_interior():
     g = path_graph(2)
     assert escape_probabilities(g) == {}
-    assert green(g).g.shape == (0, 0)
+    assert green_matrix(green(g)).shape == (0, 0)
 
 
 def test_band_kernel_calls_no_blas():
