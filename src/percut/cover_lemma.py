@@ -269,7 +269,9 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     alive after ``_util.MAX_STEPS`` steps are counted as misses and
     reported in ``aborted``; retired trials are not.
 
-    Live trials step together in slices of ``_util._BLOCK_CELLS // 8 // n``,
+    Only live trials are held, in trial order: after each step the trials
+    that died, hit or were retired are dropped, so no per-trial index is
+    made.  They step together in slices of ``_util._BLOCK_CELLS // 8 // n``,
     drawing from one ``PCG64(seed)`` stream in trial order; the slice size
     never changes a result.
     """
@@ -292,37 +294,27 @@ def covering_sum_mc(sub: SubStochasticMatrix, trials: int, seed: int) -> Coverin
     retire = bool((reach != full).any())
     state = np.zeros(trials, dtype=np.int8)  # n <= 62
     visited = np.ones(trials, dtype=bits)
-    alive = np.ones(trials, dtype=bool)
-    success = np.zeros(trials, dtype=bool)
     chunk = max(1, _util._BLOCK_CELLS // 8 // n)
-    steps = 0
-    while steps < _util.MAX_STEPS:
-        live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
+    hits = steps = 0
+    while steps < _util.MAX_STEPS and state.size:
         steps += 1
-        for start in range(0, live.size, chunk):
-            idx = live[start : start + chunk]
+        keep = np.ones(state.size, dtype=bool)
+        for lo in range(0, state.size, chunk):
+            here, vis, stay = state[lo : lo + chunk], visited[lo : lo + chunk], keep[lo : lo + chunk]
             if retire:
-                r = reach[state[idx]]
-                doomed = ((r & 1) == 0) | ((~visited[idx] & ~r & full) != 0)
-                alive[idx[doomed]] = False
-                idx = idx[~doomed]
-            u = rng.random(idx.size)
-            rows = cum[state[idx]]
-            nxt = (u[:, None] >= rows).sum(axis=1)
-            died = nxt >= n
-            alive[idx[died]] = False
-            surv = idx[~died]
-            arrived = nxt[~died]
-            vis = visited[surv]
-            wins = (arrived == 0) & (vis == full)
-            success[surv[wins]] = True
-            alive[surv[wins]] = False
-            rest = surv[~wins]
-            state[rest] = arrived[~wins]
-            visited[rest] = vis[~wins] | np.left_shift(bits(1), arrived[~wins], dtype=bits)
-    aborted = int(alive.sum())
-    hits = int(success.sum())
+                r = reach[here]
+                stay &= ((r & 1) != 0) & ((~vis & ~r & full) == 0)
+            go = np.flatnonzero(stay)
+            u = rng.random(go.size)
+            nxt = (u[:, None] >= cum[here[go]]).sum(axis=1)
+            wins = (nxt == 0) & (vis[go] == full)
+            hits += int(wins.sum())
+            moved = (nxt < n) & ~wins
+            stay[go] = moved
+            go, nxt = go[moved], nxt[moved]
+            here[go] = nxt
+            vis[go] |= np.left_shift(bits(1), nxt, dtype=bits)
+        state, visited = state[keep], visited[keep]
+    aborted = state.size
     lo, hi = wilson_interval(hits, trials)
     return CoveringEstimate(hits / trials, trials, lo, hi, aborted)

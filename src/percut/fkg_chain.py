@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _util
 from ._util import Z99, _bit_rows, _check_p, _config_blocks, _open_bits, check_sweep
 from .errors import PreconditionError, TheoremViolationError
 from .graph_core import Graph, UnionFind, flood
@@ -62,17 +63,15 @@ class ConnectivityOracle:
             # Configuration x opens induced edge i when bit i of x is set.
             full = (1 << count) - 1
             bits = [full ^ _open_bits(i, m) for i in range(m)]
-            pop = np.bitwise_count(np.arange(count, dtype=np.uint64))
-            self._weights = p**pop * (1.0 - p) ** (m - pop)
             self.noise = 0.0
         else:
             count, bits = 0, [0] * m
             for size, block in _config_blocks(m, p, trials, seed):
                 bits = [b | x << count for b, x in zip(bits, block)]
                 count += size
-            self._weights = np.full(trials, 1.0 / trials)
             self.noise = Z99 * 0.5 / np.sqrt(trials)
         self._labels = self._flood_labels(bits, count)
+        self._weights = _sweep_weights(m, p) if seed is None else np.full(trials, 1.0 / trials)
 
     def _flood_labels(self, bits: list[int], count: int) -> np.ndarray:
         """Entry (t, x): the smallest region index in x's component in configuration t.
@@ -81,21 +80,23 @@ class ConnectivityOracle:
         horizon-free copy with every other edge closed, region vertex i
         labels what it reaches in the configurations where no smaller one
         reached it.  Region ids that are not vertices sort to either end and
-        stay alone.  The (k, count) array is returned transposed, so a
-        query's column gathers are contiguous.
+        stay alone.  Labels are the narrowest type that holds a region index
+        (uint8 up to 256 vertices), and the (k, count) array is returned
+        transposed, so a query's columns are contiguous.
         """
         graph, region = self.graph, self.region
         induced = dict(zip(self.induced_edges, bits))
         open_bits = [induced.get(eid, 0) for eid in range(graph.n_edges)]
         free = Graph(graph.n_vertices, graph.edges)
-        labels = np.repeat(np.arange(len(region), dtype=np.int16)[:, None], count, axis=1)
-        left = [(1 << count) - 1] * len(region)
+        k = len(region)
+        labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1))[:, None], count, axis=1)
+        left = [(1 << count) - 1] * k
         lo, hi = bisect_left(region, 0), bisect_left(region, graph.n_vertices)
         for i in range(lo, hi):
             if left[i]:
                 reach, _ = flood(free, (region[i],), open_bits, left[i])
                 got = [reach[v] for v in region[i + 1 : hi]]
-                np.copyto(labels[i + 1 : hi], i, where=_bit_rows(got, count).view(bool))
+                _write_label(labels[i + 1 : hi], got, i, count)
                 for j, gained in enumerate(got, i + 1):
                     left[j] &= ~gained
         return labels.T
@@ -114,9 +115,7 @@ class ConnectivityOracle:
             raise PreconditionError("empty target set")
         if ui in tset:
             return 1.0
-        cols = self._labels[:, sorted(tset)]
-        hit = (cols == self._labels[:, [ui]]).any(axis=1)
-        return float(self._weights @ hit)
+        return self._joined(ui, tset, every=False)
 
     def all_connected_prob(self, origin: int, targets: Iterable[int]) -> float:
         """P(origin <-> every target simultaneously)."""
@@ -125,8 +124,16 @@ class ConnectivityOracle:
         tset.discard(oi)
         if not tset:
             return 1.0
-        cols = self._labels[:, sorted(tset)]
-        hit = (cols == self._labels[:, [oi]]).all(axis=1)
+        return self._joined(oi, tset, every=True)
+
+    def _joined(self, ui: int, tset: set[int], every: bool) -> float:
+        """Weight of the configurations joining ui to any (or every) target, one column at a time."""
+        labels = self._labels
+        own = labels[:, ui]
+        hit = np.full(len(labels), every)
+        join = np.logical_and if every else np.logical_or
+        for t in sorted(tset):
+            join(hit, labels[:, t] == own, out=hit)
         return float(self._weights @ hit)
 
     def region_connected(self) -> bool:
@@ -135,6 +142,36 @@ class ConnectivityOracle:
         for a, b in self._ends:
             sets.union(a, b)
         return sets.components == 1
+
+
+def _sweep_weights(m: int, p: float) -> np.ndarray:
+    """p^|x| (1 - p)^(m - |x|) for every configuration x of m edges, in sweep order.
+
+    The open-edge counts |x| are doubled up bit by bit in uint8, and each
+    weight is read off a table over the m + 1 counts, computed by the same
+    numpy power as over the counts themselves.
+    """
+    pop = np.zeros(1 << m, dtype=np.uint8)
+    for i in range(m):
+        np.add(pop[: 1 << i], 1, out=pop[1 << i : 2 << i])
+    j = np.arange(m + 1, dtype=np.uint8)
+    return (p**j * (1.0 - p) ** (m - j))[pop]
+
+
+def _write_label(rows: np.ndarray, got: list[int], label: int, count: int) -> None:
+    """Set row r of ``rows`` to ``label`` at the configurations whose bits ``got[r]`` sets.
+
+    The bits become cells a block of rows and columns at a time, at most
+    ``_util._BLOCK_CELLS`` cells a block.
+    """
+    cols = max(1, min(count, _util._BLOCK_CELLS))
+    step = max(1, _util._BLOCK_CELLS // cols)
+    for a in range(0, len(got), step):
+        for c in range(0, count, cols):
+            size = min(cols, count - c)
+            hit = _bit_rows([x >> c & (1 << size) - 1 for x in got[a : a + step]], size)
+            np.copyto(rows[a : a + step, c : c + size], label, where=hit.view(bool))
+            del hit  # one block alive at a time
 
 
 @dataclass(frozen=True)

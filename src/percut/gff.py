@@ -43,7 +43,7 @@ class GreenMatrix:
     covariance G = P^-1, positive definite.  G itself, expected visits over
     target degree, is streamed in checked row blocks by ``row_blocks``;
     ``sample_block`` checks the absorption identity P^-1 h = 1 by one band
-    solve, then draws from the factor and never forms G.
+    solve before its first draw, then draws from the factor and never forms G.
     """
 
     def __init__(self, graph: Graph):
@@ -51,6 +51,7 @@ class GreenMatrix:
         self.interior = graph.interior
         self._factor = _band_factor(graph)
         self._index = {v: i for i, v in enumerate(self.interior)}
+        self._absorbed = False  # the factor passed the absorption identity
 
     def row_blocks(self) -> Iterator[np.ndarray]:
         """G's rows in ``interior`` order, a checked block at a time (``rw_cutsets._green_rows``).
@@ -74,8 +75,9 @@ class GreenMatrix:
     def sample_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` fields (size x k, ``interior`` order): x = L^-T diag(d)^-1/2 z (Rue 2001).
 
-        The absorption identity is checked first (``_check_absorption``), so
-        a factor off it is refused before any normal is drawn.  Then
+        The absorption identity is checked first (``_check_absorption``), once
+        per ``GreenMatrix`` as the factor never changes, so a factor off it
+        is refused before any normal is drawn.  Then
         k x size normals are drawn, and row j of the elimination order is
         scaled by d[j]^-1/2 and back-substituted in place, from the last row
         up, one axpy per band entry of L.  Every sample column sees the
@@ -84,7 +86,9 @@ class GreenMatrix:
         its vertex, so the result needs no permutation.
         """
         f = self._factor
-        _check_absorption(f, self.graph)
+        if not self._absorbed:
+            _check_absorption(f, self.graph)
+            self._absorbed = True
         k = len(f.order)
         rows = [self._index[v] for v in f.order]
         x = rng.standard_normal((k, size))

@@ -3,6 +3,7 @@
 No command reaches anything here.  Each definition is an oracle a
 command's route is checked against (the one-at-a-time search, exposed
 boundary and minimality test, the min-label component labeller, the
+chain oracle's column-gather queries and sweep weights, the
 configuration sweep, the component walk over cutsets, the
 subset-at-a-time cutset and cover-lemma sweeps, the one-step walk, the
 per-sample field pipeline, the explicit cover-and-return enumeration, the
@@ -182,6 +183,30 @@ def component_labels(
                 np.copyto(lb, low, where=stale)
                 changed = True
     return labels.T
+
+
+def sweep_weights(m: int, p: float) -> np.ndarray:
+    """p^|x| (1 - p)^(m - |x|) for every configuration x of m edges, in sweep order.
+
+    The power runs over every configuration's open-edge count, taken from
+    a uint64 ``arange``: the rule ``ConnectivityOracle``'s table of m + 1
+    weights is checked against, bit for bit.
+    """
+    pop = np.bitwise_count(np.arange(1 << m, dtype=np.uint64))
+    return p**pop * (1.0 - p) ** (m - pop)
+
+
+def gathered_query(
+    labels: np.ndarray, weights: np.ndarray, u: int, targets: Iterable[int], every: bool
+) -> float:
+    """The weight of the rows where column u's label equals any (or every) target column's.
+
+    The target columns are gathered into one block and compared with u's
+    at once: the rule ``ConnectivityOracle.connect_prob`` (any) and
+    ``all_connected_prob`` (every) are checked against, bit for bit.
+    """
+    hit = labels[:, sorted(targets)] == labels[:, [u]]
+    return float(weights @ (hit.all(axis=1) if every else hit.any(axis=1)))
 
 
 # ---- graphs: text, subdivisions, isoperimetry ----

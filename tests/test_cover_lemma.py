@@ -314,9 +314,11 @@ def test_covering_sum_mc_memory_does_not_grow_with_trials_times_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The per-trial arrays (three int64, two bool) take 5.2 MB; one (trials,
-    # n) float matrix would take 16 MB.
-    assert peak < 12e6
+    # Only live trials are held: state (int8), visited (int16) and a bool
+    # keep mask, 0.8 MB at the first step, beside one slice's 1 MB draw
+    # matrix (2.4 MB traced).  An int64 index per live trial took 5.3 MB in
+    # all; one (trials, n) float matrix would take 16 MB.
+    assert peak < 3e6
 
 
 def test_covering_sum_mc_rejects():

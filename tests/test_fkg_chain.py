@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percut import Graph, path_graph
+from percut import Graph, _util, grid_graph, path_graph
 from percut.cutsets import verified_cutset
 from percut.errors import PreconditionError
 from percut.fkg_chain import ConnectivityOracle, build_chain, fkg_lower_bound
 
 from corpus import CORPUS, cutsets_for
 from oracles import (
-    component_labels, sampled_rows, theorem1_lower_bound_check, verify_full_connectivity,
+    component_labels, gathered_query, sampled_rows, sweep_weights, theorem1_lower_bound_check,
+    traced_peak, verify_full_connectivity,
 )
 
 
@@ -91,7 +92,9 @@ def test_oracle_mc_matches_exact():
 def test_oracle_labels_match_the_min_label_reference(seed):
     # The oracle's rows: configuration x opens induced edge i when bit i of x
     # is set, or the seeded sampler's draws, one row per trial.  Ids -1 and n
-    # are not vertices, so each is a component of its own.
+    # are not vertices, so each is a component of its own.  Labels are uint8
+    # (no region here has 256 vertices), and every weight and query equals
+    # the column-gather reference bit for bit.
     p, trials = 0.4, 300
     rng = np.random.default_rng(31)
     disconnected = with_horizon = 0
@@ -105,20 +108,69 @@ def test_oracle_labels_match_the_min_label_reference(seed):
             m = len(ends)
             if seed is None:
                 rows = np.arange(1 << m)[:, None] >> np.arange(m) & 1 == 1
-                pop = rows.sum(axis=1)
-                weights = p**pop * (1 - p) ** (m - pop)
+                weights = sweep_weights(m, p)
             else:
                 rows = np.array(sampled_rows(m, p, trials, seed), dtype=bool).reshape(trials, m)
                 weights = np.full(trials, 1 / trials)
             oracle = ConnectivityOracle(g, region, p, trials=trials, seed=seed)
             want = component_labels(len(index), ends, rows)
-            assert oracle._labels.dtype == np.int16, name
+            assert oracle._labels.dtype == np.uint8, name
             assert oracle._labels.shape == (len(rows), len(index)), name
             assert np.array_equal(oracle._labels, want), (name, sorted(index))
-            assert np.allclose(oracle._weights, weights, rtol=1e-12, atol=0), name
+            assert oracle._weights.tobytes() == weights.tobytes(), name
+            ids = sorted(index)
+            for u in range(len(ids)):
+                others = [t for t in range(len(ids)) if t != u]
+                for targets in (others[:1], others[::2], others):
+                    if not targets:
+                        continue
+                    query = [ids[t] for t in targets]
+                    for every, got in ((False, oracle.connect_prob), (True, oracle.all_connected_prob)):
+                        assert got(ids[u], query) == gathered_query(want, weights, u, targets, every), (
+                            name, ids[u], query, every)
             disconnected += not oracle.region_connected()
             with_horizon += bool(g.horizon & index.keys())
     assert disconnected and with_horizon
+
+
+@pytest.mark.parametrize("block_cells", [8 * 64, 7])
+def test_oracle_labels_do_not_depend_on_the_block_size(monkeypatch, block_cells):
+    # 512 cells stack 8 rows of path7's 64 configurations in a block, and
+    # slice cube_corner's 2^12 and rand16's 2^16 into column blocks; 7 cells
+    # write 7 configurations of one row at a time, off byte boundaries, and
+    # 300 seeded trials end on a part block.
+    cases = [(CORPUS["path7"], None), (CORPUS["cube_corner"], None), (CORPUS["theta6"], 11)]
+    if block_cells > 7:
+        cases.append((CORPUS["rand16"], None))
+    for g, seed in cases:
+        region = range(-1, g.n_vertices + 1)
+        want = ConnectivityOracle(g, region, 0.4, trials=300, seed=seed)._labels
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
+        got = ConnectivityOracle(g, region, 0.4, trials=300, seed=seed)._labels
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+
+
+def test_oracle_at_the_sweep_cap_holds_no_per_query_copies():
+    """A 20-edge sweep with queries on 13 targets traces below 36 bytes a configuration.
+
+    Those are 14 uint8 labels, the 8-byte weight, the 8-byte float copy of
+    the hit vector that ``weights @ hit`` makes, two hit bytes and the
+    flood's trial bits (31.0 MiB in all).  Gathering the 13 target columns
+    per query, with int16 labels and weights built over uint64 counts, took
+    77 MiB.
+    """
+    g = grid_graph(3, 5)
+    g = Graph(g.n_vertices, g.edges, frozenset({0}))
+    region = tuple(range(1, 15))
+
+    def run() -> None:
+        oracle = ConnectivityOracle(g, region, 0.5)
+        assert len(oracle.induced_edges) == _util.SWEEP_EDGES
+        oracle.connect_prob(1, region[1:])
+        oracle.all_connected_prob(1, region[1:])
+
+    assert traced_peak(run) < 36 << 20
 
 
 def test_oracle_connect_monotone_in_targets():

@@ -98,6 +98,21 @@ def test_pipeline_refuses_a_factor_off_the_absorption_identity(monkeypatch):
         section8_pipeline(g, verified_cutset(g, (1, 2), 2), 10, seed=1)
 
 
+def test_pipeline_checks_the_absorption_identity_once(monkeypatch):
+    """Three field blocks from one ``GreenMatrix`` make one band solve for the identity."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rw_cutsets._check_absorption(*args)
+
+    monkeypatch.setattr(percut.gff, "_check_absorption", counted)
+    g = path_graph(5)
+    report = section8_pipeline(g, verified_cutset(g, (1, 2), 2), 2 * percut.gff._BLOCK + 1, seed=1)
+    assert report.trials == 2 * percut.gff._BLOCK + 1
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
 def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
     """Entries within 1e-12 relative of the dense solve, exactly symmetric, whatever the row blocks."""
