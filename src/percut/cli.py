@@ -248,10 +248,9 @@ def _write_floats(stream, blocks: Iterable[np.ndarray]) -> None:
     step = max(1, _util._BLOCK_CELLS // 64)
     sep = ""
     for block in blocks:
-        flat = block.ravel()
-        for lo in range(0, flat.size, step):
+        for lo in range(0, block.size, step):
             stream.write(sep)
-            stream.write(_fmt12_join(flat[lo : lo + step].tolist(), ";"))
+            stream.write(_fmt12_join(block.flat[lo : lo + step].tolist(), ";"))
             sep = ";"
 
 

@@ -49,6 +49,8 @@ class CutsetDecomposition:
 def _require_cutset_context(graph: Graph, v: int) -> None:
     if not graph.horizon:
         raise PreconditionError("cutsets need a non-empty horizon")
+    if not 0 <= v < graph.n_vertices:
+        raise PreconditionError(f"source {v} is not a vertex")
     if v in graph.horizon:
         raise PreconditionError(f"source {v} lies on the horizon")
 

@@ -41,7 +41,8 @@ class GreenMatrix:
     The precision P = D - A is factored as L diag(d) L^T over its band
     (``rw_cutsets._band_factor``); positive pivots certify P, and so the
     covariance G = P^-1, positive definite.  G itself, expected visits over
-    target degree, is streamed in checked row blocks by ``row_blocks``;
+    target degree, is streamed in checked row blocks by ``row_blocks``, each
+    block one band solve of P X = E over unit vectors E;
     ``sample_block`` checks the absorption identity P^-1 h = 1 by one band
     solve before its first draw, then draws from the factor and never forms G.
     """

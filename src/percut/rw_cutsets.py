@@ -2,7 +2,8 @@
 
 Exact hitting probabilities solve one killed system (``_killed_system``);
 escape probabilities and the Green matrix come from one band factor of the
-interior precision D - A (``_band_factor``); sampled quantities run on one
+interior precision D - A (``_band_factor``), the Green matrix's rows a block
+of band solves at a time (``_band_solve``); sampled quantities run on one
 lockstep walk kernel (``_walk_block``).  Sampled escape walks on
 the graph killed also at its start.  The walk census walks on the order-2
 subdivision of a uniformly transient horizon graph from a fixed midpoint
@@ -138,17 +139,20 @@ def _band_factor(graph: Graph) -> _BandFactor:
     return _BandFactor(order, band, d, lower)
 
 
-def _band_solve(f: _BandFactor, h: np.ndarray) -> np.ndarray:
-    """x with P x = h (elimination order), by substitution over the band."""
+def _band_solve(f: _BandFactor, x: np.ndarray) -> None:
+    """Solve P X = E in place (elimination order) by substitution over the band.
+
+    ``x`` is (k + b) x n, E over zeros; the forward sweep starts at E's first
+    non-zero row.  With n >= 2, numpy sums each column's products in row
+    order, so no column's values depend on the others.
+    """
     k, b = f.lower.shape
-    y = np.zeros(k + b)
-    y[:k] = h
-    for j in range(k):
-        y[j + 1 : j + 1 + b] -= f.lower[j] * y[j]
-    y[:k] /= f.d
+    nonzero = np.flatnonzero(x[:k].any(axis=1))
+    for j in range(nonzero[0] if nonzero.size else k, k):
+        x[j + 1 : j + 1 + b] -= f.lower[j][:, None] * x[j]
+    x[:k] /= f.d[:, None]
     for j in reversed(range(k)):
-        y[j] -= (f.lower[j] * y[j + 1 : j + 1 + b]).sum()
-    return y[:k]
+        x[j] -= (f.lower[j][:, None] * x[j + 1 : j + 1 + b]).sum(axis=0)
 
 
 def _check_ones(vertices: tuple[int, ...], values: np.ndarray, what: str) -> None:
@@ -195,81 +199,34 @@ def _band_diagonal(f: _BandFactor) -> np.ndarray:
 
 
 def _check_absorption(f: _BandFactor, graph: Graph) -> None:
-    """Refuse a factor whose P^-1 h is not all ones: the absorption identity, one band solve.
-
-    h holds each vertex's horizon neighbours, so P 1 = h.
-    """
-    _check_ones(f.order, _band_solve(f, _horizon_counts(graph, f.order)), "absorption identity")
+    """Refuse a factor whose P^-1 h is not all ones, h the horizon neighbours (P 1 = h)."""
+    k, b = f.lower.shape
+    x = np.zeros((k + b, 2))
+    x[:k, 0] = _horizon_counts(graph, f.order)
+    _band_solve(f, x)
+    _check_ones(f.order, x[:k, 0], "absorption identity")
 
 
 def _green_rows(f: _BandFactor, interior: tuple[int, ...]) -> Iterator[np.ndarray]:
     """P^-1's rows in ``interior`` order, in blocks of at most ``_util._BLOCK_CELLS`` bytes.
 
-    The Takahashi recurrence runs over whole rows from the last row up:
-    Z[j, c] for c > j is 0.0 - sum_a L[j + 1 + a, j] Z[j + 1 + a, c], read
-    off a window of rows j + 1 .. j + b over the columns after j, and is
-    mirrored into column j, so Z is exactly symmetric; an entry with no path
-    between its ends is +0.0.  A block is the rows at a set S of elimination
-    positions.  Its full steps, from max(S) down to min(S), keep S's rows
-    over the columns from their own on and write each step's row into
-    column j of S's rows after j; steps below min(S) form only the columns
-    S (Z[j, S], read off S's rows transposed).  Every entry is the sum of
-    the same products in the same order as in one pass over the whole
-    matrix, so it does not depend on the block size.
-
-    The first block's pass runs every step and keeps, at each later
-    block's max(S) + 1, the window there over the columns from that row
-    on; that block resumes from it.  In reverse Cuthill-McKee order a
-    block's rows are scattered, so its full steps may span most of the
-    order.  Memory is O((b + rows) k) plus b (k - max(S)) per saved window.
-    In id order every block is a view of one buffer that the next block
-    overwrites.
+    A block is one band solve P X = E, E the block's unit vectors in
+    elimination order; P^-1 is symmetric, so X's columns are its rows, and
+    no value depends on the block size.  Blocks share only the buffer X,
+    which the next block overwrites; in id order a block is a view of it.
     """
     k, b = f.lower.shape
     size = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
     pos = {v: p for p, v in enumerate(f.order)}
-    cols = None if f.order == interior else np.array([pos[v] for v in interior])
-    places = [np.array([pos[v] for v in interior[lo : lo + size]]) for lo in range(0, k, size)]
-    saved = dict.fromkeys({int(p.max()) + 1 for p in places[1:]} - {k})
-    win = np.empty((2 * b + 1, k))
-    # Two rows at least: numpy sums a single column's products pairwise, not in row order.
-    buf = np.zeros((max(min(size, k), 2), k))
-    for i, place in enumerate(places):
-        rows = np.sort(place)
-        n, top, stop = len(rows), k, 0
-        if i:
-            top, stop = int(rows[-1]) + 1, int(rows[0])
-        y = buf[: max(n, 2)]
-        # Before step j, rows j + 1 .. j + b are win[q : q + b], over the columns after j.
-        q = len(win) - b
-        if top < k:
-            window = saved.pop(top)
-            win[q : q + len(window), top:] = window
-        t = n
-        for j in reversed(range(stop, top)):
-            if q == 0:
-                win[len(win) - b :, j + 1 :] = win[:b, j + 1 :]
-                q = len(win) - b
-            m = min(b, k - 1 - j)
-            l = f.lower[j, :m]
-            row = 0.0 - (l[:, None] * win[q : q + m, j + 1 :]).sum(axis=0)
-            win[q : q + m, j] = row[:m]
-            q -= 1
-            win[q, j + 1 :] = row
-            win[q, j] = 1.0 / f.d[j] - (l * row[:m]).sum()
-            if j in saved:
-                saved[j] = win[q : q + min(b, k - j), j:].copy()
-            while t and rows[t - 1] > j:
-                t -= 1
-            y[t:n, j] = row[rows[t:] - (j + 1)]
-            if t and rows[t - 1] == j:
-                y[t - 1, j:] = win[q, j:]
-        # The products in C order, as in a full step: numpy sums their columns row by row.
-        for j in reversed(range(stop)):
-            m = min(b, k - 1 - j)
-            l = f.lower[j, :m]
-            y[:, j] = 0.0 - np.multiply(l[:, None], y[:, j + 1 : j + 1 + m].T, order="C").sum(axis=0)
-        yield y[:n] if cols is None else y[np.ix_(np.searchsorted(rows, place), cols)]
+    perm = np.array([pos[v] for v in interior])
+    # Two columns at least: numpy sums a single column's products pairwise, not in row order.
+    x = np.empty((k + b, max(min(size, k), 2)))
+    for lo in range(0, k, size):
+        n = min(size, k - lo)
+        x[:] = 0.0
+        x[perm[lo : lo + n], np.arange(n)] = 1.0
+        _band_solve(f, x)
+        yield x[:k, :n].T if f.order == interior else x[perm, :n].T
 
 
 # ---- escape probabilities ----
@@ -496,6 +453,8 @@ def _start_midpoint(sd: SubdivisionMap, origin: int) -> int:
     """Where boundary walks from ``origin`` start, once the inputs are checked."""
     if sd.order != 2:
         raise PreconditionError("boundary sampling runs on order-2 subdivisions")
+    if not 0 <= origin < sd.base.n_vertices:
+        raise PreconditionError(f"origin {origin} is not a vertex")
     if origin in sd.base.horizon:
         raise PreconditionError("origin must be off the horizon")
     return origin_midpoint(sd, origin)

@@ -1147,7 +1147,11 @@ def scatter_rows(m: np.ndarray, dest: list[int]) -> None:
 
 
 def green_matrix(gm: GreenMatrix) -> np.ndarray:
-    """G = P^-1 in ``interior`` order, exactly symmetric, assembled from ``gm.row_blocks()``."""
+    """G = P^-1 in ``interior`` order, assembled from ``gm.row_blocks()``.
+
+    Each row is a band solve, so G is symmetric only to rounding (within
+    1e-14 relative).
+    """
     k = len(gm.interior)
     g = np.empty((k, k))
     lo = 0

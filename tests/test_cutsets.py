@@ -16,7 +16,9 @@ from percut.cutsets import (
     verified_cutset,
 )
 from percut.errors import PreconditionError
-from percut.graph_core import connected_subsets_containing, cycle_graph
+from percut.frontier import count_minimal_cutsets
+from percut.graph_core import connected_subsets_containing, cycle_graph, subdivide
+from percut.rw_cutsets import qn_census_rw
 
 from corpus import CORPUS, cutsets_for, table_for
 from oracles import (
@@ -105,6 +107,22 @@ def test_verified_cutset_normalizes_and_rejects():
         verified_cutset(p5, (0, 1, 2, 3), 2)
     with pytest.raises(PreconditionError):
         verified_cutset(p5, (0, 3), 0)
+
+
+VERTEX_ENTRIES = {
+    "is_minimal_cutset": lambda g, v: is_minimal_cutset(g, (3,), v),
+    "bruteforce": lambda g, v: enumerate_minimal_cutsets_bruteforce(g, v, 4),
+    "frontier": lambda g, v: count_minimal_cutsets(g, v, 4),
+    "census": lambda g, v: qn_census_rw(subdivide(g, 2), v, 10, seed=1),
+}
+
+
+@pytest.mark.parametrize("v", [-1, 5])
+@pytest.mark.parametrize("entry", list(VERTEX_ENTRIES))
+def test_vertex_ids_out_of_range_are_refused(entry, v):
+    """-1 does not stand for the last vertex, nor is n a missing key: both are refused."""
+    with pytest.raises(PreconditionError, match="is not a vertex"):
+        VERTEX_ENTRIES[entry](path_graph(5, horizon=(0,)), v)
 
 
 def test_decompose_p5():

@@ -115,14 +115,18 @@ def test_pipeline_checks_the_absorption_identity_once(monkeypatch):
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 5])
 def test_green_agrees_with_the_dense_route(monkeypatch, block_cells):
-    """Entries within 1e-12 relative of the dense solve, exactly symmetric, whatever the row blocks."""
+    """Entries within 1e-12 relative of the dense solve, symmetric within 1e-14, whatever the row blocks.
+
+    A row is one band solve, so G and G^T differ by rounding: at most
+    2.0e-15 relative (17 ulps, grid:30,30).
+    """
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     for name, g in BAND_CASES.items():
         if block_cells < 1 << 20 and len(g.interior) > 200:
             continue  # a 5-cell block checks one row at a time; the small graphs show it
         got, want = green_matrix(green(g)), green_by_whole_matrices(g)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
-        assert np.array_equal(got, got.T), name
+        assert np.all(np.abs(got - got.T) <= 1e-14 * np.abs(got)), name
         assert not np.signbit(got).any(), name
 
 
@@ -132,6 +136,21 @@ def test_sample_block_leaves_g_unformed():
     k = len(gm.interior)
     gm.sample_block(np.random.default_rng(1), 2)
     assert oracles.traced_peak(lambda: gm.sample_block(np.random.default_rng(1), 2)) < k * k * 8
+
+
+def test_green_rows_hold_no_more_than_their_buffer():
+    """Streaming grid:40,40's rows traces under 3 row blocks: one buffer, no saved windows.
+
+    With a saved window per later block the stream traced 6.14 MB.
+    """
+    gm = GreenMatrix(grid_graph(40, 40))
+
+    def stream():
+        for _ in gm.row_blocks():
+            pass
+
+    stream()
+    assert oracles.traced_peak(stream) < 3 * _util._BLOCK_CELLS
 
 
 @pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])

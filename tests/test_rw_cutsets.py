@@ -126,31 +126,38 @@ def test_band_kernel_calls_no_blas():
         assert "linalg" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
-@pytest.mark.parametrize("rows", [None, 37, 1])
-def test_green_rows_equal_the_whole_recurrence(monkeypatch, rows):
-    """Streamed rows are bit for bit those of one pass over the whole matrix, in any row blocks.
+def green_rows_in_blocks(monkeypatch, g, rows: int | None) -> np.ndarray:
+    """``_green_rows`` of g's factor, ``rows`` rows a block (None: the default), stacked."""
+    k = len(g.interior)
+    if rows is not None:
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", 8 * rows * k)
+    blocks = [block.copy() for block in rw_cutsets._green_rows(rw_cutsets._band_factor(g), g.interior)]
+    assert [len(b) for b in blocks[:-1]] == [len(blocks[0])] * (len(blocks) - 1)
+    assert all(len(b) * k * 8 <= _util._BLOCK_CELLS for b in blocks)
+    monkeypatch.undo()
+    return np.concatenate(blocks)
 
-    ``rows`` rows a block (None: the default ``_util._BLOCK_CELLS``), on the
-    corpus, grid:30,30 and two interiors taken in reverse Cuthill-McKee
-    order (the pipeline frame and box3d:12,12,12).  One-row blocks save a
-    window of b (k - row) entries at every row, so they run only on the
-    graphs of at most 200 interior vertices.
+
+@pytest.mark.parametrize("rows", [37, 1])
+def test_green_rows_do_not_depend_on_the_block_size(monkeypatch, rows):
+    """Rows in blocks of ``rows`` rows are bit for bit those in the default blocks.
+
+    On the corpus, grid:30,30 and two interiors taken in reverse
+    Cuthill-McKee order (the pipeline frame and box3d:12,12,12).
     """
     for name, g in BAND_CASES.items():
-        k = len(g.interior)
-        if rows == 1 and k > 200:
-            continue
-        f = rw_cutsets._band_factor(g)
-        want = band_inverse_by_whole_rows(f, g.interior)
-        if rows is not None:
-            monkeypatch.setattr(_util, "_BLOCK_CELLS", 8 * rows * k)
-        blocks = [block.copy() for block in rw_cutsets._green_rows(f, g.interior)]
-        assert [len(b) for b in blocks[:-1]] == [len(blocks[0])] * (len(blocks) - 1), name
-        assert len(blocks[0]) * k * 8 <= _util._BLOCK_CELLS, name
-        got = np.concatenate(blocks)
+        want = green_rows_in_blocks(monkeypatch, g, None)
+        got = green_rows_in_blocks(monkeypatch, g, rows)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-        monkeypatch.undo()
     assert rw_cutsets._band_factor(BAND_CASES["box12"]).order != BAND_CASES["box12"].interior
+
+
+def test_green_rows_agree_with_the_whole_recurrence(monkeypatch):
+    """Streamed rows are within 1e-12 relative of one Takahashi pass over the whole matrix."""
+    for name, g in BAND_CASES.items():
+        got = green_rows_in_blocks(monkeypatch, g, None)
+        want = band_inverse_by_whole_rows(rw_cutsets._band_factor(g), g.interior)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
 
 
 def test_band_order_is_no_wider_than_id_order():
