@@ -31,11 +31,12 @@ SWEEP_EDGES = 20
 MAX_STEPS = 10_000_000
 
 # Cells per block: random doubles drawn for sampled percolation, a walk's
-# row, buffer and generator in rw_cutsets; bytes per block of a dense
-# matrix pass (solve residuals, the Green matrix's symmetry) and of a
-# streamed CSV matrix cell.  It bounds memory and never changes a result.
-# One block is alive at a time: every blocked loop releases block i before
-# it draws block i + 1.
+# row, buffer and generator in rw_cutsets; bytes per Green row block and
+# the work done on it.  It bounds memory and never changes a result.  One
+# block is alive at a time: every blocked loop releases block i before it
+# draws block i + 1.  One budget covers a block and all work done on it: a
+# Green row block's solve buffer takes at most half, and the slices of its
+# check and of its CSV text fit in the other half.
 _BLOCK_CELLS = 1 << 20
 
 _MASK64 = (1 << 64) - 1

@@ -238,14 +238,15 @@ def _float_blocks(v):
 def _write_floats(stream, blocks: Iterable[np.ndarray]) -> None:
     """Float arrays' CSV cell: their entries in ``%.12g``, joined by ``;``.
 
-    The text is written a slice of at most ``_util._BLOCK_CELLS // 64``
-    entries of a block at a time, as a slice's Python floats, their list and
-    tuple and its text take about 64 bytes an entry.  No character of it
-    needs quoting.
+    The text is written a slice of at most ``_util._BLOCK_CELLS // 512``
+    entries of a block at a time.  A slice's copy, Python floats, their list
+    and tuple and its text take about 72 bytes an entry, so a slice holds
+    under a sixth of the budget and fits beside a Green row block's solve
+    buffer, which holds half.  No character of it needs quoting.
     """
     from . import _util
 
-    step = max(1, _util._BLOCK_CELLS // 64)
+    step = max(1, _util._BLOCK_CELLS // 512)
     sep = ""
     for block in blocks:
         for lo in range(0, block.size, step):

@@ -111,40 +111,51 @@ def _green_check(graph: Graph) -> Callable[[int, np.ndarray], None]:
     interior vertices, a diagonal entry whose product with the degree and
     the escape probability of the independent absorbing route is more than
     1e-9 off 1 (TheoremViolationError).  A NaN is refused by the first two.
-    The block is checked in slices whose residual and the neighbour columns
-    taken off it hold at most ``_util._BLOCK_CELLS`` bytes together.
+    The block's columns are checked in slices of ``_util._BLOCK_CELLS // 32``
+    bytes, read off ``block.T``, which is contiguous for the blocks
+    ``_green_rows`` yields.  At most two arrays of a slice's size are alive
+    at a time (its residual and a neighbour row taken off ``block.T``), a
+    sixteenth of the budget, so they fit beside the half that
+    ``_green_rows``'s buffer takes.
     """
     interior = graph.interior
     k = len(interior)
     index = {v: i for i, v in enumerate(interior)}
     degrees = np.array([graph.degree(v) for v in interior], dtype=float)
-    inner = [[index[w] for w in graph.neighbors(v) if w in index] for v in interior]
+    inner = [[index[w] for w, _ in graph.adjacency[v] if w in index] for v in interior]
     slots = np.full((k, max(map(len, inner), default=0)), -1, dtype=np.int64)
     for i, nbrs in enumerate(inner):
         slots[i, : len(nbrs)] = nbrs
+    inside, slots = slots >= 0, np.maximum(slots, 0)
     h = _horizon_counts(graph, interior)
     escape = escape_probabilities(graph, "absorbing") if k <= 64 else None
-    step = max(1, _util._BLOCK_CELLS // 16 // max(k, 1))
 
     def check(lo: int, block: np.ndarray) -> None:
-        for s in range(0, len(block), step):
-            rows = block[s : s + step]
-            n, first = len(rows), lo + s
-            _check_ones(interior[first:], (rows * h).sum(axis=1), "absorption identity")
+        t = block.T  # t[c, i] = G[lo + i, c]
+        n = t.shape[1]
+        step = max(1, _util._BLOCK_CELLS // 256 // max(n, 1))
+        gh, peaks = np.zeros(n), []
+        for s in range(0, k, step):
+            part = t[s : s + step]
+            e = s + len(part)
+            gh += (part * h[s:e, None]).sum(axis=0)
             # (G P)[i, c] = degree(c) G[i, c] - the sum of G[i, w] over c's interior neighbours w.
-            r = rows * degrees
-            for nbr in slots.T:
-                np.subtract(r, rows[:, np.maximum(nbr, 0)], out=r, where=nbr >= 0)
-            r[np.arange(n), first + np.arange(n)] -= 1.0
-            worst = float(np.abs(r, out=r).max())
+            r = part * degrees[s:e, None]
+            for a in range(slots.shape[1]):
+                np.subtract(r, t[slots[s:e, a]], out=r, where=inside[s:e, a, None])
+            d = np.arange(max(s, lo), min(e, lo + n))
+            r[d - s, d - lo] -= 1.0
+            peaks.append(np.abs(r, out=r).max())
             del r
-            if not worst <= _util.SOLVE_RESIDUAL_REFUSE:
-                raise NumericalError(f"green matrix: residual {worst:.3e} above refusal threshold")
-            if escape is not None:
-                for i, v in enumerate(interior[first : first + n]):
-                    product = rows[i, first + i] * graph.degree(v) * escape[v]
-                    if abs(product - 1.0) > 1e-9:
-                        raise TheoremViolationError(f"diagonal identity off at vertex {v}: {product}")
+        _check_ones(interior[lo:], gh, "absorption identity")
+        worst = float(np.max(peaks))  # np.max keeps a NaN, which is refused
+        if not worst <= _util.SOLVE_RESIDUAL_REFUSE:
+            raise NumericalError(f"green matrix: residual {worst:.3e} above refusal threshold")
+        if escape is not None:
+            for i, v in enumerate(interior[lo : lo + n]):
+                product = block[i, lo + i] * graph.degree(v) * escape[v]
+                if abs(product - 1.0) > 1e-9:
+                    raise TheoremViolationError(f"diagonal identity off at vertex {v}: {product}")
 
     return check
 

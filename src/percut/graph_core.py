@@ -89,9 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.adjacency[v])
-
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(eid for _, eid in self.adjacency[v])
 
@@ -379,7 +376,7 @@ def reverse_cuthill_mckee(graph: Graph, vertices: Sequence[int]) -> tuple[int, .
     lower id, so the order depends on the graph alone.
     """
     inside = set(vertices)
-    nbrs = {v: [w for w in graph.neighbors(v) if w in inside] for v in vertices}
+    nbrs = {v: [w for w, _ in graph.adjacency[v] if w in inside] for v in vertices}
     rank = {v: (len(nbrs[v]), v) for v in vertices}
     for adj in nbrs.values():
         adj.sort(key=rank.__getitem__)

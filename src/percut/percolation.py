@@ -44,8 +44,14 @@ def profile_probability(profile: Sequence[int], p: float) -> float:
     return total
 
 
+def _require_vertex(graph: Graph, v: int) -> None:
+    if not 0 <= v < graph.n_vertices:
+        raise PreconditionError(f"vertex {v} is not in 0..{graph.n_vertices - 1}")
+
+
 def mc_prob(graph: Graph, p: float, v: int, trials: int, seed: int) -> EventProbability:
     """Share of ``trials`` sampled configurations where v's open cluster touches the horizon."""
+    _require_vertex(graph, v)
     hits = 0
     for count, bits in _config_blocks(graph.n_edges, p, trials, seed):
         hits += flood(graph, (v,), bits, (1 << count) - 1)[1].bit_count()
@@ -199,6 +205,7 @@ def boundary_census_mc(
     import numpy as np
 
     blocks = _config_blocks(graph.n_edges, p, trials, seed)
+    _require_vertex(graph, v)
     if v in graph.horizon:
         raise PreconditionError("cluster source must be off the horizon")
     n = graph.n_vertices

@@ -119,7 +119,7 @@ def _band_factor(graph: Graph) -> _BandFactor:
     band = np.zeros((k + b + 1, b + 1))
     for i, v in enumerate(order):
         band[i, 0] = graph.degree(v)
-        for w in graph.neighbors(v):
+        for w, _ in graph.adjacency[v]:
             if pos.get(w, -1) > i:
                 band[i, pos[w] - i] = -1.0
     c = np.arange(b + 1)
@@ -147,12 +147,17 @@ def _band_solve(f: _BandFactor, x: np.ndarray) -> None:
     order, so no column's values depend on the others.
     """
     k, b = f.lower.shape
+    lower = f.lower[:, :, None]
+    prod, acc = np.empty((b, x.shape[1])), np.empty(x.shape[1])  # reused by every row
     nonzero = np.flatnonzero(x[:k].any(axis=1))
     for j in range(nonzero[0] if nonzero.size else k, k):
-        x[j + 1 : j + 1 + b] -= f.lower[j][:, None] * x[j]
+        below = x[j + 1 : j + 1 + b]
+        np.subtract(below, np.multiply(lower[j], x[j], out=prod), out=below)
     x[:k] /= f.d[:, None]
     for j in reversed(range(k)):
-        x[j] -= (f.lower[j][:, None] * x[j + 1 : j + 1 + b]).sum(axis=0)
+        row = x[j]
+        np.multiply(lower[j], x[j + 1 : j + 1 + b], out=prod)
+        np.subtract(row, np.add.reduce(prod, axis=0, out=acc), out=row)
 
 
 def _check_ones(vertices: tuple[int, ...], values: np.ndarray, what: str) -> None:
@@ -165,7 +170,7 @@ def _check_ones(vertices: tuple[int, ...], values: np.ndarray, what: str) -> Non
 
 def _horizon_counts(graph: Graph, vertices: tuple[int, ...]) -> np.ndarray:
     """Each vertex's neighbours on the horizon: P 1, so P^-1 of it is all ones."""
-    return np.array([sum(w in graph.horizon for w in graph.neighbors(v)) for v in vertices], float)
+    return np.array([sum(w in graph.horizon for w, _ in graph.adjacency[v]) for v in vertices], float)
 
 
 def _band_diagonal(f: _BandFactor) -> np.ndarray:
@@ -208,17 +213,23 @@ def _check_absorption(f: _BandFactor, graph: Graph) -> None:
 
 
 def _green_rows(f: _BandFactor, interior: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """P^-1's rows in ``interior`` order, in blocks of at most ``_util._BLOCK_CELLS`` bytes.
+    """P^-1's rows in ``interior`` order, in blocks within half of ``_util._BLOCK_CELLS`` bytes.
 
     A block is one band solve P X = E, E the block's unit vectors in
     elimination order; P^-1 is symmetric, so X's columns are its rows, and
     no value depends on the block size.  Blocks share only the buffer X,
-    which the next block overwrites; in id order a block is a view of it.
+    which the next block overwrites, and a block is a view of it.  The
+    buffer takes at most half of the budget; in RCM order X's rows are put
+    in ``interior`` order in place, through a copy of the block that is
+    dropped before the block is yielded.  So the work done on a block has
+    the other half.
     """
     k, b = f.lower.shape
-    size = max(1, _util._BLOCK_CELLS // 8 // max(k, 1))
+    size = max(1, _util._BLOCK_CELLS // 16 // max(k + b, 1))
     pos = {v: p for p, v in enumerate(f.order)}
     perm = np.array([pos[v] for v in interior])
+    del pos  # else held for the generator's life
+    ordered = f.order == interior
     # Two columns at least: numpy sums a single column's products pairwise, not in row order.
     x = np.empty((k + b, max(min(size, k), 2)))
     for lo in range(0, k, size):
@@ -226,7 +237,9 @@ def _green_rows(f: _BandFactor, interior: tuple[int, ...]) -> Iterator[np.ndarra
         x[:] = 0.0
         x[perm[lo : lo + n], np.arange(n)] = 1.0
         _band_solve(f, x)
-        yield x[:k, :n].T if f.order == interior else x[perm, :n].T
+        if not ordered:
+            x[:k, :n] = x[perm, :n]
+        yield x[:k, :n].T
 
 
 # ---- escape probabilities ----

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
@@ -1164,7 +1165,7 @@ def green_matrix(gm: GreenMatrix) -> np.ndarray:
 def check_green_in_blocks(graph: Graph, g: np.ndarray) -> None:
     """``gff._green_check`` over g's row blocks, as many rows each as ``GreenMatrix.row_blocks`` yields."""
     check = _green_check(graph)
-    rows = max(1, _util._BLOCK_CELLS // 8 // max(len(g), 1))
+    rows = len(next(GreenMatrix(graph).row_blocks()))
     for lo in range(0, len(g), rows):
         check(lo, g[lo : lo + rows])
 
@@ -1435,7 +1436,12 @@ def domination_endpoint_check(
 
 
 def traced_peak(run: Callable[[], object]) -> int:
-    """Bytes at the tracemalloc peak of one ``run()``."""
+    """Bytes at the tracemalloc peak of one ``run()``.
+
+    A full collection first empties the interpreter's free lists, so objects
+    they would hand out untraced are counted, whatever ran before.
+    """
+    gc.collect()
     tracemalloc.start()
     try:
         run()

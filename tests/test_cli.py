@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -595,30 +594,32 @@ class _MatchingStream:
 def test_csv_cell_of_an_f_ordered_block_copies_no_whole_block():
     """An F-ordered 1000 x 1000 block is written a slice at a time, as its C-ordered copy is.
 
-    It traces under 2 MB, where a whole-block copy takes 8 MB, and gives the same text.
+    It traces under a sixth of ``_BLOCK_CELLS`` (0.14 MB for slices of 2,048
+    entries; 1.06 MB for slices of 16,384), where a whole-block copy takes
+    8 MB, and gives the same text.
     """
     c_block = _random_floats(1_000_000).reshape(1000, 1000)
     out = io.StringIO()
     cli._write_floats(out, (c_block,))
     stream = _MatchingStream(out.getvalue())
     f_block = np.asfortranarray(c_block)
-    assert traced_peak(lambda: cli._write_floats(stream, (f_block,))) < 2_000_000
+    assert traced_peak(lambda: cli._write_floats(stream, (f_block,))) < _util._BLOCK_CELLS / 6
     assert stream.pos == len(stream.text)
 
 
-def test_csv_green_record_peaks_below_four_matrices(tmp_path):
-    """The grid:24,24 Green matrix record is written without building its text whole."""
+def test_csv_green_record_peaks_below_one_matrix(tmp_path):
+    """The grid:24,24 Green matrix record is written without building its text whole.
+
+    It traces 0.74 of one k x k matrix (k = 484), and 1.48 while a row
+    block's solve buffer took the whole ``_BLOCK_CELLS``.
+    """
     argv = ["gff", "green", "--graph", "grid:24,24", "--out", "csv"]
     out = tmp_path / "o.csv"
     assert main([*argv, "--graph", "grid:4,4", "--output-file", str(out)]) == 0  # lazy imports
-    matrix_bytes = 22 * 22 * 22 * 22 * 8
-    tracemalloc.start()
-    try:
-        assert main([*argv, "--output-file", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * matrix_bytes
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([*argv, "--output-file", str(out)])))
+    assert codes == [0]
+    assert peak < 22**4 * 8
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -627,14 +628,15 @@ def test_green_record_peaks_below_one_matrix(tmp_path, fmt):
 
     It traced 1.50 (JSON) and 1.45 (CSV) matrices while G was formed whole
     for the record, 0.79 and 0.78 from a windowed recurrence's row blocks,
-    and 0.67 and 0.66 with one band solve per block.
+    0.67 and 0.66 with one band solve per block, and 0.37 and 0.37 since a
+    block, its check and its CSV text share one ``_BLOCK_CELLS``.
     """
     argv = ["gff", "green", "--out", fmt, "--output-file", str(tmp_path / f"o.{fmt}")]
     assert main([*argv, "--graph", "grid:4,4"]) == 0  # lazy imports
     codes = []
     peak = traced_peak(lambda: codes.append(main([*argv, "--graph", "grid:30,30"])))
     assert codes == [0]
-    assert peak < 28**4 * 8
+    assert peak < 0.4 * 28**4 * 8
 
 
 # ---- config files ----

@@ -139,9 +139,11 @@ def test_sample_block_leaves_g_unformed():
 
 
 def test_green_rows_hold_no_more_than_their_buffer():
-    """Streaming grid:40,40's rows traces under 3 row blocks: one buffer, no saved windows.
+    """Streaming grid:40,40's rows, checks included, traces under one ``_BLOCK_CELLS``.
 
-    With a saved window per later block the stream traced 6.14 MB.
+    The solve buffer takes half of it and a check slice's arrays a
+    sixteenth: 0.68 of the budget.  With a saved window per later block the
+    stream traced 6.14 MB, and 2.21 budgets while the buffer took a whole one.
     """
     gm = GreenMatrix(grid_graph(40, 40))
 
@@ -150,30 +152,48 @@ def test_green_rows_hold_no_more_than_their_buffer():
             pass
 
     stream()
-    assert oracles.traced_peak(stream) < 3 * _util._BLOCK_CELLS
+    assert oracles.traced_peak(stream) < _util._BLOCK_CELLS
 
 
-@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7])
+# grid:6,6 has k = 16 interior vertices and bandwidth 4: 16 * 4 * (16 + 4)
+# cells give blocks of 4 rows, each checked in 16 slices of 1 column.
+SLICED_BLOCKS = 16 * 4 * 20
+
+
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 7, SLICED_BLOCKS])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_green_certificates_refuse_a_non_finite_entry(monkeypatch, block_cells, bad):
-    """A NaN or inf in any row block fails the absorption identity or the residual."""
+    """A NaN or inf in any row block fails the absorption identity or the residual.
+
+    With ``SLICED_BLOCKS`` it sits in column 15, in each block's last check slice.
+    """
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     g = grid_graph(6, 6)
+    column = 3
+    if block_cells == SLICED_BLOCKS:
+        assert {len(b) for b in green(g).row_blocks()} == {4}
+        column = 15
     for row in (0, 7, 15):
         m = green_matrix(green(g))
-        m[row, 3] = bad
+        m[row, column] = bad
         with pytest.raises((TheoremViolationError, NumericalError)):
             oracles.check_green_in_blocks(g, m)
 
 
-@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 6 * 16])
+@pytest.mark.parametrize("block_cells", [1 << 20, 8 * 6 * 16, 1 << 15])
 def test_green_residual_is_refused_in_any_row_block(monkeypatch, block_cells):
-    """1e-6 off in the last row, in a column h does not weigh, fails G P - I only."""
+    """1e-6 off in the last row, in a column h does not weigh, fails G P - I only.
+
+    Vertices 14 and 21 have no horizon neighbour.  With 2^15 cells grid:6,6's
+    16 rows are one block, checked in two slices of 8 columns, and vertex 21's
+    column (10) lies in the last.
+    """
     monkeypatch.setattr(_util, "_BLOCK_CELLS", block_cells)
     g = grid_graph(6, 6)
+    vertex = 21 if block_cells == 1 << 15 else 14
     m = green_matrix(green(g))
     oracles.check_green_in_blocks(g, m)
-    m[-1, g.interior.index(14)] += 1e-6  # vertex 14 has no horizon neighbour
+    m[-1, g.interior.index(vertex)] += 1e-6
     with pytest.raises(NumericalError, match="residual 4.000e-06"):
         oracles.check_green_in_blocks(g, m)
 

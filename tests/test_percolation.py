@@ -105,6 +105,22 @@ def test_theta_checks_its_arguments_on_a_horizon_vertex(p, trials, seed, message
         theta(path_graph(5), p, 0, trials, seed=seed)
 
 
+@pytest.mark.parametrize("v", [-1, 5])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda g, v: percolation.mc_prob(g, 0.5, v, 10, 1),
+        lambda g, v: percolation.boundary_census_mc(g, v, 0.5, 10, 1),
+        lambda g, v: theta(g, 0.5, v, 10, seed=1),
+    ],
+    ids=["mc_prob", "boundary_census_mc", "seeded_theta"],
+)
+def test_sampled_routes_refuse_a_vertex_out_of_range(route, v):
+    """-1 does not stand for the last vertex, and n is refused before any flood."""
+    with pytest.raises(PreconditionError, match=f"vertex {v} is not in 0..4"):
+        route(path_graph(5, horizon=(0,)), v)
+
+
 def test_finite_cluster_star3():
     g = CORPUS["star3"]
     finite = exact_prob(g, 0.5, lambda c: not _connects(g, 0, None, c))

@@ -127,13 +127,18 @@ def test_band_kernel_calls_no_blas():
 
 
 def green_rows_in_blocks(monkeypatch, g, rows: int | None) -> np.ndarray:
-    """``_green_rows`` of g's factor, ``rows`` rows a block (None: the default), stacked."""
-    k = len(g.interior)
+    """``_green_rows`` of g's factor, ``rows`` rows a block (None: the default), stacked.
+
+    The (k + b) x rows solve buffer takes at most half of ``_BLOCK_CELLS`` bytes.
+    """
+    f = rw_cutsets._band_factor(g)
+    k, b = f.lower.shape
     if rows is not None:
-        monkeypatch.setattr(_util, "_BLOCK_CELLS", 8 * rows * k)
-    blocks = [block.copy() for block in rw_cutsets._green_rows(rw_cutsets._band_factor(g), g.interior)]
-    assert [len(b) for b in blocks[:-1]] == [len(blocks[0])] * (len(blocks) - 1)
-    assert all(len(b) * k * 8 <= _util._BLOCK_CELLS for b in blocks)
+        monkeypatch.setattr(_util, "_BLOCK_CELLS", 16 * rows * (k + b))
+    blocks = [block.copy() for block in rw_cutsets._green_rows(f, g.interior)]
+    assert [len(x) for x in blocks[:-1]] == [len(blocks[0])] * (len(blocks) - 1)
+    assert rows is None or len(blocks[0]) == min(rows, k)
+    assert all(16 * len(x) * (k + b) <= _util._BLOCK_CELLS for x in blocks)
     monkeypatch.undo()
     return np.concatenate(blocks)
 
