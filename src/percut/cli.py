@@ -18,6 +18,7 @@ mathematical invariant (so batch pipelines can tell bugs from typos).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -44,7 +45,7 @@ if TYPE_CHECKING:
     from .graph_core import Graph
 
 _USAGE_ERRORS = (ParseError, GraphStructureError, PreconditionError, CapExceededError)
-_HASH_SKIP = {"func", "fmt", "output_file", "config"}
+_HASH_SKIP = {"fmt", "output_file", "config"}
 # Trials drawn by a sampled command that names no --trials.
 DEFAULT_TRIALS = 100_000
 
@@ -325,28 +326,33 @@ def _emit(args, echo: str, cfg_hash: str, wall: float, rows: list[dict]) -> None
 
 
 def _config_hash(args) -> str:
-    cfg = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in _HASH_SKIP and not callable(v)
-    }
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in _HASH_SKIP}
     blob = json.dumps(cfg, sort_keys=True, default=str)
     return _sha256(blob.encode()).hex()
 
 
-def _sha256(data: bytes) -> bytes:
-    """SHA-256 digest of ``data`` from the interpreter's built-in module.
-
-    ``hashlib``, the fallback for an interpreter built without it, loads
-    libcrypto: about 3 MB of peak memory to hash one short config blob.
-    """
+def _builtin_sha256():
+    """The interpreter's built-in SHA-256 constructor, or None if it was built without one."""
     try:
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
         try:
             from _sha256 import sha256
         except ImportError:
-            from hashlib import sha256
+            return None
+    return sha256
+
+
+def _sha256(data: bytes) -> bytes:
+    """SHA-256 digest of ``data`` from the built-in module, else from ``hashlib``.
+
+    Both give the same digest.  ``hashlib``, the route only for an
+    interpreter built without the built-in module, loads OpenSSL's
+    libcrypto; ``main`` blocks it only where the built-in module exists.
+    """
+    sha256 = _builtin_sha256()
+    if sha256 is None:
+        from hashlib import sha256
     return sha256(data).digest()
 
 
@@ -696,11 +702,15 @@ _COMMANDS: dict[tuple[str, str], tuple[str, tuple]] = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """The parser of ``_COMMANDS``.
+    """The parser of ``_COMMANDS``, built once per process.
 
-    Handlers are looked up by name when this runs, so a wrapper bound to a
-    ``_run_*`` name after import (as perfbench's tracer does) is the one called.
+    argparse's parsers and help formatters hold reference cycles, so a
+    parser built per call would be left to the cyclic collector by every
+    in-process ``main`` call.  It names no handler: ``main`` looks up
+    ``_run_<group>_<action>`` when the command runs, so a wrapper bound to
+    that name after import (as perfbench's tracer does) is the one called.
     """
     top = _Parser(prog="percut", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
@@ -714,7 +724,6 @@ def build_parser() -> _Parser:
         for flag in (*flags, ("out", {"default": fmt}), "output-file", "config"):
             name, override = flag if isinstance(flag, tuple) else (flag, {})
             ap.add_argument("--" + name, **{**_FLAGS[name], **override})
-        ap.set_defaults(func=globals()[f"_run_{group}_{action}"])
     return top
 
 
@@ -757,16 +766,29 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    With ``argv`` None the process is the command's own (``percut``,
+    ``python -m percut``), and the command line is ``sys.argv``.  If the
+    interpreter has a built-in SHA-256, ``_hashlib`` is then blocked before
+    the handler imports anything, so ``hashlib``, ``hmac`` and ``secrets``
+    bind the built-in digests and ``numpy.random``, which imports
+    ``secrets``, never maps OpenSSL's libcrypto (about 3.5 MB of peak
+    memory).  No draw changes: seeds are explicit and ``SeedSequence``
+    hashes in numpy's own code.  A caller that passes ``argv`` finds
+    ``sys.modules`` as it left it.
+    """
     raw = list(sys.argv[1:] if argv is None else argv)
     try:
         expanded = _inject_config(raw)
-        parser = build_parser()
-        args = parser.parse_args(expanded)
+        args = build_parser().parse_args(expanded)
         _check_seed(args)
+        if argv is None and _builtin_sha256() is not None:
+            sys.modules.setdefault("_hashlib", None)
         echo = " ".join(["percut"] + raw)
         cfg_hash = _config_hash(args)
         start = time.perf_counter()
-        rows = args.func(args)
+        rows = globals()[f"_run_{args.group}_{args.action}"](args)
         wall = time.perf_counter() - start
         _emit(args, echo, cfg_hash, wall, rows)
         return 0

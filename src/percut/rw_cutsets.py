@@ -87,15 +87,30 @@ class _BandFactor:
 
     ``order`` is the interior in elimination order: id order, or reverse
     Cuthill-McKee when that narrows the band.  With b the bandwidth in that
-    order, row j of ``band`` holds P[j, j : j + b + 1] and row j of ``lower``
-    holds L[j + 1 : j + b + 1, j], both 0 past the last row; ``band`` keeps
-    b + 1 zero rows below the matrix so that every window of it exists.
+    order, row j of ``lower`` holds L[j + 1 : j + b + 1, j], 0 past the last
+    row.  P itself is not kept: ``_precision_band`` rebuilds it from the graph.
     """
 
     order: tuple[int, ...]
-    band: np.ndarray
     d: np.ndarray
     lower: np.ndarray
+
+
+def _precision_band(graph: Graph, order: tuple[int, ...], b: int) -> np.ndarray:
+    """P's band in elimination ``order``: row j holds P[j, j : j + b + 1].
+
+    That is the degree, then -1 per interior edge to a later vertex, 0 past
+    the last row; b + 1 zero rows below the matrix let every window exist.
+    """
+    k = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    band = np.zeros((k + b + 1, b + 1))
+    for i, v in enumerate(order):
+        band[i, 0] = graph.degree(v)
+        for w, _ in graph.adjacency[v]:
+            if pos.get(w, -1) > i:
+                band[i, pos[w] - i] = -1.0
+    return band
 
 
 def _band_factor(graph: Graph) -> _BandFactor:
@@ -115,13 +130,7 @@ def _band_factor(graph: Graph) -> _BandFactor:
     if narrower < b:
         order, b = rcm, narrower
     k = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    band = np.zeros((k + b + 1, b + 1))
-    for i, v in enumerate(order):
-        band[i, 0] = graph.degree(v)
-        for w, _ in graph.adjacency[v]:
-            if pos.get(w, -1) > i:
-                band[i, pos[w] - i] = -1.0
+    band = _precision_band(graph, order, b)
     c = np.arange(b + 1)
     window = band[np.minimum.outer(c, c), np.abs(np.subtract.outer(c, c))]
     spare = np.empty_like(window)
@@ -136,7 +145,7 @@ def _band_factor(graph: Graph) -> _BandFactor:
         # Row j + 1 + b of P from column j + 1 on: P[j + 1 + c, j + 1 + b] by symmetry.
         spare[b, :] = spare[:, b] = band[j + 1 + c, b - c]
         window, spare = spare, window
-    return _BandFactor(order, band, d, lower)
+    return _BandFactor(order, d, lower)
 
 
 def _band_solve(f: _BandFactor, x: np.ndarray) -> None:
@@ -173,14 +182,14 @@ def _horizon_counts(graph: Graph, vertices: tuple[int, ...]) -> np.ndarray:
     return np.array([sum(w in graph.horizon for w, _ in graph.adjacency[v]) for v in vertices], float)
 
 
-def _band_diagonal(f: _BandFactor) -> np.ndarray:
+def _band_diagonal(f: _BandFactor, graph: Graph) -> np.ndarray:
     """diag(P^-1) in elimination order, by the Takahashi recurrence over the band.
 
     From the last row up, Z[j, i] = [i == j] / d[j] - sum_a L[j + 1 + a, j] Z[j + 1 + a, i]
     for i >= j, read off a window of Z's rows j + 1 .. j + b: O(k b^2) time
     and O(k b) memory.  Certificate, refused beyond 1e-9: diag(P Z) = 1 from
     the band entries of Z, multiplied into Z's band once its diagonal is
-    copied out.
+    copied out, P's band rebuilt from ``graph``.
     """
     k, b = f.lower.shape
     zband = np.empty((k, b + 1))  # row j: Z[j, j : j + b + 1], 0 past the last row
@@ -195,7 +204,7 @@ def _band_diagonal(f: _BandFactor) -> np.ndarray:
         window, spare = spare, window
     z = zband[:, 0].copy()
     # (P Z)[j, j] = sum_a P[j, j + a] Z[j, j + a] + sum_{a > 0} P[j - a, j] Z[j - a, j]
-    zband *= f.band[:k]
+    zband *= _precision_band(graph, f.order, b)[:k]
     diag = zband.sum(axis=1)
     for a in range(1, b + 1):
         diag[a:] += zband[: k - a, a]
@@ -257,7 +266,7 @@ def escape_probabilities(graph: Graph, method: str = "fundamental") -> dict[int,
     """
     if method == "fundamental":
         f = _band_factor(graph)
-        z = dict(zip(f.order, _band_diagonal(f).tolist()))
+        z = dict(zip(f.order, _band_diagonal(f, graph).tolist()))
         _check_absorption(f, graph)
         return {v: 1.0 / (graph.degree(v) * z[v]) for v in graph.interior}
     if method != "absorbing":

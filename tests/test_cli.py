@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -731,6 +732,42 @@ def test_config_hash_is_the_sha256_of_the_config_blob(argv, digest, monkeypatch)
     monkeypatch.setattr(cli, "_sha256", lambda data: blobs.append(data) or sha256(data))
     assert cli._config_hash(cli.build_parser().parse_args(argv.split())) == digest
     assert hashlib.sha256(blobs[0]).hexdigest() == digest
+
+
+def test_a_process_without_a_builtin_sha256_hashes_through_hashlib(tmp_path, monkeypatch):
+    """``main()`` on such an interpreter keeps ``hashlib``'s OpenSSL route open and uses it."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    blobs = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: blobs.append(data) or sha256(data))
+    out = tmp_path / "o.json"
+    monkeypatch.setattr(sys, "argv", ["percut", "gff", "green", "--graph", "path:5", "--output-file", str(out)])
+    assert main() == 0
+    assert "_hashlib" not in sys.modules  # not blocked
+    assert len(blobs) == 1
+    assert json.loads(out.read_text())["config_hash"] == dict(_PINNED_HASHES)["gff green --graph path:5"]
+
+
+def test_in_process_calls_leave_no_parser_garbage(tmp_path):
+    """Every ``main`` call shares one parser, so none leaves argparse objects to the collector."""
+    cli.build_parser()
+    gc.collect()
+    argv = ["gff", "green", "--graph", "path:5", "--output-file"]
+    hashes = []
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for i in range(2):
+            assert main([*argv, str(tmp_path / f"o{i}.json")]) == 0
+            hashes.append(json.loads((tmp_path / f"o{i}.json").read_text())["config_hash"])
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ in ("argparse", "percut.cli")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+    assert hashes == [dict(_PINNED_HASHES)["gff green --graph path:5"]] * 2
 
 
 @pytest.mark.parametrize(

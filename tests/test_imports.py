@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import percut
+from percut import cli
 
 # Every public name of the package, by the module that defines it.
 PUBLIC = {
@@ -71,12 +72,14 @@ def test_unknown_name_raises_attribute_error():
 
 # ---- the import guard ----
 
-# Runs one command line in a fresh interpreter, then prints the loaded modules.
+# Runs one command line in a fresh interpreter as the ``percut`` script does,
+# with ``main()`` reading ``sys.argv``, then prints the loaded modules (a
+# blocked import leaves None in sys.modules).
 _PROBE = """
 import json, sys
 from percut.cli import main
-code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+code = main()
+print(json.dumps({"code": code, "modules": sorted(k for k, m in sys.modules.items() if m)}))
 """
 
 
@@ -126,12 +129,54 @@ def test_counting_routes_never_load_numpy(argv, tmp_path):
     ],
 )
 def test_commands_that_do_not_sample_never_load_openssl(argv, tmp_path):
-    # The config hash comes from the interpreter's built-in SHA-256 module;
-    # only numpy.random's seeding loads libcrypto.
+    # The config hash comes from the interpreter's built-in SHA-256 module,
+    # and none of these commands imports numpy.random, whose seeding
+    # imports hashlib.
     (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
     loaded = _loaded(argv.split(), tmp_path)
     assert "numpy" in loaded
     assert "_hashlib" not in loaded and "numpy.random" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rw census --graph grid:4,4 --origin 5 --trials 200 --seed 1 --output-file o.csv",
+        "rw escape --graph grid:4,4 --vertex 5 --trials 200 --seed 1 --output-file o.csv",
+        "gff pipeline --graph path:5 --origin 2 --cutset 1,2 --trials 500 --seed 1"
+        " --output-file o.csv",
+        "perc theta --graph grid:3,3 --vertex 4 --p 0.5 --seed 1 --output-file o.csv",
+        "perc census --graph grid:3,3 --vertex 4 --p 0.5 --seed 1 --output-file o.csv",
+        "chain build --graph grid:3,4 --horizon 0,11 --setA 1,2,4,5 --setB 1,2,4,5 --origin 1"
+        " --p 0.3 --trials 200 --seed 1 --output-file o.json",
+        "cover mc --matrix m.txt --trials 200 --seed 1 --output-file o.json",
+        "cutsets karger --graph cycle:4 --trials 50 --seed 3 --output-file o.json",
+    ],
+)
+def test_seeded_commands_never_load_openssl(argv, tmp_path):
+    # numpy.random imports secrets -> hmac -> hashlib; main() blocks _hashlib
+    # before the handler runs, so they bind the interpreter's built-in digests.
+    (tmp_path / "m.txt").write_text("2\n0.25 0.25\n0.25 0.25\n")
+    loaded = _loaded(argv.split(), tmp_path)
+    assert {"numpy.random", "hashlib", "secrets"} <= loaded
+    assert "_hashlib" not in loaded
+
+
+def test_main_blocks_openssl_only_for_its_own_process(tmp_path, monkeypatch):
+    """``main()`` blocks an unloaded ``_hashlib``; ``main(argv)`` leaves ``sys.modules`` alone."""
+    import_module("numpy.random")  # so the command itself imports nothing new
+    loaded = import_module("_hashlib")
+    argv = ["cutsets", "karger", "--graph", "cycle:4", "--trials", "5", "--seed", "3",
+            "--output-file", str(tmp_path / "o.json")]
+    monkeypatch.delitem(sys.modules, "_hashlib")
+    assert cli.main(argv) == 0
+    assert "_hashlib" not in sys.modules
+    monkeypatch.setattr(sys, "argv", ["percut", *argv])
+    assert cli.main() == 0
+    assert sys.modules["_hashlib"] is None
+    monkeypatch.setitem(sys.modules, "_hashlib", loaded)
+    assert cli.main() == 0
+    assert sys.modules["_hashlib"] is loaded
 
 
 def test_cover_exact_loads_only_the_cover_lemma(tmp_path):

@@ -89,13 +89,17 @@ def test_escape_agrees_with_the_dense_route(monkeypatch, order):
     "name, field, match",
     [
         ("_band_factor", "d", "selected inverse"),
-        ("_band_factor", "band", "selected inverse"),
+        ("_band_factor", "lower", "selected inverse"),
         ("_horizon_counts", None, "absorption identity"),
     ],
     ids=["pivots", "band", "horizon_counts"],
 )
 def test_escape_certificates_refuse_a_perturbed_factor(monkeypatch, name, field, match):
-    """A 1e-6 relative change to the pivots, to P's band or to h is refused, not returned."""
+    """A 1e-6 relative change to the pivots, to L's band or to h is refused, not returned.
+
+    The selected-inverse certificate multiplies by P's band rebuilt from the
+    graph, so a factor whose pivots or L no longer factor P is refused there.
+    """
     g = grid_graph(11, 11)
     escape_probabilities(g)
     monkeypatch.setattr(rw_cutsets, name, scaled_by_a_millionth(rw_cutsets, name, field))
