@@ -475,29 +475,26 @@ def _run_chain_build(args) -> list[dict]:
     ]
 
 
-def _cover_common(args, sampled: bool = False) -> tuple:
-    """The matrix, epsilon and delta_n; both None when sampling past the cut cap."""
-    from .cover_lemma import MAX_CUT_STATES, delta_bound, load_matrix_file, min_cut
+def _cover_row(sub, value: float) -> dict:
+    """n, epsilon, delta_n and the sum; the cut is taken after the route passed its state cap."""
+    from .cover_lemma import delta_bound, min_cut
 
-    sub = load_matrix_file(Path(args.matrix).read_text())
-    if sampled and sub.n > MAX_CUT_STATES:
-        return sub, None, None
     eps = min_cut(sub)
     delta = delta_bound(eps, sub.n) if 0.0 < eps <= 1.0 else None
-    return sub, eps, delta
+    return {"n": sub.n, "epsilon": eps, "delta_n": delta, "sum": value}
 
 
 def _cover_exact_row(args) -> dict:
     """The exact covering sum, refused when it falls below its delta_n certificate."""
-    from .cover_lemma import covering_sum_exact
+    from .cover_lemma import covering_sum_exact, load_matrix_file
 
-    sub, eps, delta = _cover_common(args)
-    value = covering_sum_exact(sub)
-    if delta is not None and value < delta - 1e-15:
+    sub = load_matrix_file(Path(args.matrix).read_text())
+    row = _cover_row(sub, covering_sum_exact(sub))
+    if row["delta_n"] is not None and row["sum"] < row["delta_n"] - 1e-15:
         raise TheoremViolationError(
-            f"cover sum {_fmt12(value)} below the guarantee {_fmt12(delta)}"
+            f"cover sum {_fmt12(row['sum'])} below the guarantee {_fmt12(row['delta_n'])}"
         )
-    return {"n": sub.n, "epsilon": eps, "delta_n": delta, "sum": value, "method": "exact"}
+    return {**row, "method": "exact"}
 
 
 def _run_cover_exact(args) -> list[dict]:
@@ -505,18 +502,15 @@ def _run_cover_exact(args) -> list[dict]:
 
 
 def _run_cover_mc(args) -> list[dict]:
-    from .cover_lemma import covering_sum_mc
+    from .cover_lemma import covering_sum_mc, load_matrix_file
 
-    sub, eps, delta = _cover_common(args, sampled=True)
+    sub = load_matrix_file(Path(args.matrix).read_text())
     seed = _require_seed(args)
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
     est = covering_sum_mc(sub, trials, seed)
     return [
         {
-            "n": sub.n,
-            "epsilon": eps,
-            "delta_n": delta,
-            "sum": est.value,
+            **_cover_row(sub, est.value),
             "method": "monte_carlo",
             "trials": est.trials,
             "ci_low": est.ci_low,

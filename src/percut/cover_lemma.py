@@ -22,9 +22,7 @@ from .errors import CapExceededError, PreconditionError
 
 # Largest input asymmetry that SubStochasticMatrix averages away.
 ASYMMETRY_TOL = 1e-9
-# Most states each exhaustive route accepts: the 2^n split sweep of min_cut
-# and the (state, visited-set) recursion.
-MAX_CUT_STATES = 22
+# Most states the (state, visited-set) recursion accepts.
 MAX_EXACT_STATES = 20
 
 
@@ -87,54 +85,32 @@ def min_cut(sub: SubStochasticMatrix) -> float:
     outside.  A single state has no nontrivial split; the minimum over
     the empty collection is infinity.
 
-    A subset is a low half (the first n // 2 states) and a high half.
-    Per target j, the mass into j from each half's subsets is a table
-    built by adding one row of p at a time, and a subset's mass into j is
-    its two halves' entries added.  Adding those over the targets outside
-    I, in target order, gives its cut; every term is non-negative, and no
-    value depends on how the subsets are split into blocks of at most
-    ``_util._BLOCK_CELLS`` cells.
+    As p is symmetric this is the global minimum cut of the weights
+    p(i, j), i != j, found by Stoer and Wagner's n - 1 maximum-adjacency
+    phases (J. ACM 44, 1997).  Each phase adds the alive state most
+    heavily joined to those added so far, ties to the lowest index; the
+    last state's join is a cut, and the last two states are then merged.
+    Only elementwise sums enter, so no value depends on a BLAS build.
     """
     n = sub.n
-    if n > MAX_CUT_STATES:
-        raise CapExceededError(f"{n} states exceed the exhaustive cut cap {MAX_CUT_STATES}")
-    if n == 1:
-        return float("inf")
-    p = sub.p
-    low = n // 2
-    mass_lo, out_lo = _subset_mass(p[:low])
-    mass_hi, out_hi = _subset_mass(p[low:])
-    n_hi = 1 << (n - low)
-    step = max(1, _util._BLOCK_CELLS // (n << low))
+    # A state's own entry (the diagonal, or the join of two merged states)
+    # is added only to its own key, once the state is taken, so it never counts.
+    w = sub.p.copy()
+    alive = np.ones(n, dtype=bool)
     best = float("inf")
-    for start in range(0, n_hi, step):
-        his = slice(start, min(start + step, n_hi))
-        cut = np.zeros((his.stop - start, 1 << low))
-        for j in range(n):
-            into = mass_hi[j, his, None] + mass_lo[j]
-            cut += into * (out_lo[j] if j < low else out_hi[j - low, his, None])
-        if start == 0:
-            cut[0, 0] = np.inf  # the empty set
-        if his.stop == n_hi:
-            cut[-1, -1] = np.inf  # every state
-        best = min(best, float(cut.min()))
+    for size in range(n, 1, -1):
+        key = np.where(alive, 0.0, -np.inf)
+        t = -1
+        for _ in range(size):
+            s, t = t, int(np.argmax(key))
+            join = float(key[t])
+            key[t] = -np.inf
+            key += w[t]
+        best = min(best, join)
+        w[s] += w[t]
+        w[:, s] += w[:, t]
+        alive[t] = False
     return best
-
-
-def _subset_mass(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For k rows of p over n targets: (mass, outside), each indexed [j, subset].
-
-    ``mass[j, s]`` sums row i's entry j over the rows i in subset s, added
-    in row order; ``outside[j, s]`` is 1.0 when subset s omits row j
-    (j < k) and 0.0 when it holds it.
-    """
-    k, n = rows.shape
-    mass = np.zeros((n, 1))
-    for i in range(k):
-        mass = np.concatenate([mass, mass + rows[i][:, None]], axis=1)
-    subsets = np.arange(1 << k)
-    outside = (subsets >> np.arange(k)[:, None] & 1 == 0).astype(float)
-    return mass, outside
 
 
 def delta_bound(epsilon: float, n: int) -> float:

@@ -142,6 +142,7 @@ def boundary_census_exact(
     ``EXACT_SET_BUDGET`` connected sets, counting both the walk over S
     and the walks over each T.
     """
+    _require_vertex(graph, v)
     if v in graph.horizon:
         raise PreconditionError("cluster source must be off the horizon")
     m = graph.n_edges

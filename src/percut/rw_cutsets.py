@@ -385,7 +385,7 @@ def crossing_matrix(sd: SubdivisionMap, cutset: Cutset) -> CrossingMatrix:
     eps = escape_constant(base, escape_probabilities(base))
     eps1 = 2.0 * eps / (4.0 + eps)
     eps2 = eps1 * eps1 / 64.0
-    cut = min_cut(sub) if k > 1 else float("inf")
+    cut = min_cut(sub)
     if cut < eps2 - 1e-12:
         raise TheoremViolationError(f"crossing cut {cut} below the floor {eps2}")
     return CrossingMatrix(tuple(watched), frozenset(region), sub.p, eps, eps1, eps2, cut)

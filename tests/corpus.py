@@ -126,6 +126,24 @@ def complete_tree(d: int, depth: int) -> Graph:
     return Graph(grow(0, 0), tuple(edges), frozenset(leaves))
 
 
+def duality_rectangle(n: int) -> Graph:
+    """The (n+1) x n bond rectangle, left column contracted to vertex 0, right column the horizon.
+
+    Columns x = 0..n and rows y = 0..n-1 carry every horizontal edge and
+    the vertical edges of the inner columns 1..n-1 only, so m = n^2 +
+    (n-1)^2.  Column x >= 1 holds ids 1 + (x-1) n + y.  The rectangle's
+    planar dual is the same rectangle turned, so a left-right crossing
+    and a top-bottom dual crossing split every configuration.
+    """
+
+    def at(x: int, y: int) -> int:
+        return 0 if x == 0 else 1 + (x - 1) * n + y
+
+    edges = [(at(x, y), at(x + 1, y)) for y in range(n) for x in range(n)]
+    edges += [(at(x, y), at(x, y + 1)) for x in range(1, n) for y in range(n - 1)]
+    return Graph(1 + n * n, tuple(edges), frozenset(at(n, y) for y in range(n)))
+
+
 def interior_vertices(name: str) -> tuple[int, ...]:
     return CORPUS[name].interior
 

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 import percut
 from percut import _util, cli
 from percut.cli import _fmt12 as fmt12, main, resolve_graph
-from percut.cover_lemma import covering_sum_exact, load_matrix_file
+from percut.cover_lemma import covering_sum_exact, delta_bound, load_matrix_file
 from percut.errors import CapExceededError, NumericalError, TheoremViolationError
 from percut.gff import green
 
@@ -299,20 +299,46 @@ def test_cover_mc(capsys, tmp_path):
 
 
 def test_cover_mc_past_the_cut_cap(capsys, tmp_path):
-    # 23 uniform states: one past min_cut's cap, well within the sampler's 62.
+    # 23 uniform states: past the exact covering cap of 20, within the sampler's 62.
+    n, v = 23, 0.9 / 23
     path = tmp_path / "m.txt"
-    path.write_text("23\n" + f"{' '.join([repr(0.9 / 23)] * 23)}\n" * 23)
+    path.write_text(f"{n}\n" + f"{' '.join([repr(v)] * n)}\n" * n)
     code, out, _ = run_cli(
         capsys, ["cover", "mc", "--matrix", str(path), "--trials", "1000", "--seed", "1"]
     )
     assert code == 0
     row = json.loads(out)["rows"][0]
-    assert (row["n"], row["epsilon"], row["delta_n"], row["trials"]) == (23, None, None, 1000)
+    assert (row["n"], row["trials"]) == (n, 1000)
+    # Records print 12 significant digits.
+    assert row["epsilon"] == pytest.approx((n - 1) * v, rel=1e-11)
+    assert row["delta_n"] == pytest.approx(delta_bound((n - 1) * v, n), rel=1e-11)
     assert 0.0 <= row["ci_low"] <= row["sum"] <= row["ci_high"] <= 1.0
     for action in ("exact", "verify"):
         code, _, err = run_cli(capsys, ["cover", action, "--matrix", str(path)])
         assert code == 1
-        assert "23 states exceed the exhaustive cut cap 22" in err
+        assert "23 states exceed the exact covering cap 20" in err
+
+
+@pytest.mark.parametrize(
+    "action, n, message",
+    [
+        ("exact", 21, "21 states exceed the exact covering cap 20"),
+        ("verify", 21, "21 states exceed the exact covering cap 20"),
+        ("mc", 63, "visited bitmask supports at most 62 states"),
+    ],
+)
+def test_cover_state_caps_refuse_before_the_cut(capsys, tmp_path, action, n, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n}\n" + f"{' '.join([repr(0.9 / n)] * n)}\n" * n)
+
+    def no_cut(sub):
+        raise AssertionError("min_cut ran before the state cap")
+
+    seed = ["--seed", "1"] if action == "mc" else []
+    with patch("percut.cover_lemma.min_cut", no_cut):
+        code, _, err = run_cli(capsys, ["cover", action, "--matrix", str(path), *seed])
+    assert code == 1
+    assert message in err
 
 
 def test_rw_escape_table(capsys):

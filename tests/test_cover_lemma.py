@@ -87,12 +87,6 @@ def test_min_cut_values():
     assert min_cut(uniform_matrix(1, 0.5)) == float("inf")
 
 
-def test_min_cut_cap(monkeypatch):
-    monkeypatch.setattr(cover_lemma, "MAX_CUT_STATES", 1)
-    with pytest.raises(CapExceededError):
-        min_cut(uniform_matrix(2, 0.25))
-
-
 def ring(n: int) -> np.ndarray:
     """Half a step each way round a cycle: every row sums to exactly one."""
     p = np.zeros((n, n))
@@ -139,18 +133,39 @@ def test_min_cut_matches_split_loop(n):
         assert got == want if math.isinf(want) else abs(got - want) <= 1e-14, (label, got, want)
 
 
-def test_min_cut_does_not_depend_on_the_block(monkeypatch):
-    subs = [m for n in (2, 5, 8, 13) for m in seeded_matrices(n).values()]
-    want = [min_cut(sub) for sub in subs]
-    monkeypatch.setattr(_util, "_BLOCK_CELLS", 1)
-    assert [min_cut(sub) for sub in subs] == want
-
-
 def test_min_cut_at_the_cap():
-    n = cover_lemma.MAX_CUT_STATES
+    # The sampler's 62 states, the most any cover command reads a cut for.
+    n = 62
     sub = uniform_matrix(n, 1.0 / n)
     # A single state is the lightest split: n - 1 targets of mass 1/n each.
     assert min_cut(sub) == pytest.approx((n - 1) / n, abs=1e-14)
+
+
+def two_blocks(n: int, bridges: dict[tuple[int, int], float]) -> SubStochasticMatrix:
+    """Two uniform blocks of a third and two thirds of n states, ids shuffled, joined by ``bridges``.
+
+    Each block's lightest inner split is a single state, far heavier
+    than the bridges, so the bridges are the minimum cut.
+    """
+    order = np.random.default_rng(n).permutation(n)
+    blocks = (order[: n // 3], order[n // 3 :])
+    p = np.zeros((n, n))
+    for block in blocks:
+        p[np.ix_(block, block)] = 0.5 / block.size
+    for (a, b), weight in bridges.items():
+        i, j = blocks[0][a], blocks[1][b]
+        p[i, j] = p[j, i] = weight
+    return SubStochasticMatrix(p)
+
+
+@pytest.mark.parametrize("n", [40, 51, 62])
+def test_min_cut_closed_forms_up_to_62_states(n):
+    v = 0.9 / n
+    assert min_cut(uniform_matrix(n, v)) == pytest.approx((n - 1) * v, abs=1e-14)
+    # Dyadic bridge weights add exactly, in any order.
+    bridges = {(0, 0): 2.0**-10, (1, 0): 2.0**-9, (1, 5): 2.0**-8}
+    assert min_cut(two_blocks(n, bridges)) == 7 * 2.0**-10
+    assert min_cut(two_blocks(n, {})) == 0.0
 
 
 def test_delta_bound_value():

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -34,6 +35,17 @@ def test_declared_numpy_bound_has_bitwise_count():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'"numpy>=(\d+)', text)
     assert match and int(match.group(1)) >= 2
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    root = Path(__file__).resolve().parents[1]
+    match = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    assert match
+    floor = (3, int(match.group(1)))
+    paths = sorted((root / "src" / "percut").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
 
 
 # ---- lower bound constant ----

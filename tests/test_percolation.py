@@ -25,7 +25,7 @@ from percut.percolation import (
     theta,
 )
 
-from corpus import CORPUS, broom, cutsets_for, table_for
+from corpus import CORPUS, broom, complete_tree, cutsets_for, duality_rectangle, table_for
 from oracles import (
     _connects, boundary_hit_probability, census_by_sweep, config_from_mask, event_popcount_profile,
     exact_prob, fkg_spot_check, search, strong_percolation_experiment, theorem1_lower_bound_check,
@@ -112,11 +112,13 @@ def test_theta_checks_its_arguments_on_a_horizon_vertex(p, trials, seed, message
         lambda g, v: percolation.mc_prob(g, 0.5, v, 10, 1),
         lambda g, v: percolation.boundary_census_mc(g, v, 0.5, 10, 1),
         lambda g, v: theta(g, 0.5, v, 10, seed=1),
+        lambda g, v: boundary_census_exact(g, v),
+        lambda g, v: theta(g, 0.5, v),
     ],
-    ids=["mc_prob", "boundary_census_mc", "seeded_theta"],
+    ids=["mc_prob", "boundary_census_mc", "seeded_theta", "boundary_census_exact", "exact_theta"],
 )
 def test_sampled_routes_refuse_a_vertex_out_of_range(route, v):
-    """-1 does not stand for the last vertex, and n is refused before any flood."""
+    """-1 does not stand for the last vertex, and n is refused before any flood or set walk."""
     with pytest.raises(PreconditionError, match=f"vertex {v} is not in 0..4"):
         route(path_graph(5, horizon=(0,)), v)
 
@@ -412,6 +414,55 @@ def test_census_mc_stream_is_pinned():
     counts, infinite = boundary_census_mc(path_graph(5), 2, 0.5, 20_000, seed=33)
     assert counts == {(1, 2): 4986, (0, 2): 2521, (1, 3): 2458, (0, 3): 1252}
     assert infinite == 8783
+
+
+# ---- closed forms at any size ----
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_duality_rectangle_crossings_are_self_dual(n):
+    """c_k + c_(m-k) = C(m, k): a configuration crosses exactly when its dual complement does not."""
+    g = duality_rectangle(n)
+    m = g.n_edges
+    assert m == n * n + (n - 1) ** 2
+    _, crossing = boundary_census_exact(g, 0)
+    assert [crossing[k] + crossing[m - k] for k in range(m + 1)] == [math.comb(m, k) for k in range(m + 1)]
+    assert sum(crossing) == 2 ** (m - 1)
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_pow(a: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = _poly_mul(out, a)
+    return out
+
+
+def tree_theta_profile(d: int, depth: int) -> list[int]:
+    """(1+x)^m theta(x/(1+x)) from theta_R = 1 - (1 - p theta_(R-1))^d, theta_0 = 1, in ints.
+
+    With T_R that profile and m_R = d (1 + m_(R-1)) edges,
+    T_R = (1+x)^(m_R) - ((1+x)^(1 + m_(R-1)) - x T_(R-1))^d.
+    """
+    t, m = [1], 0
+    for _ in range(depth):
+        below = [c - s for c, s in zip(_poly_pow([1, 1], 1 + m), [0, *t])]
+        m = d * (1 + m)
+        t = [c - s for c, s in zip(_poly_pow([1, 1], m), _poly_pow(below, d))]
+    return t
+
+
+@pytest.mark.parametrize("d, depth", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_complete_tree_theta_matches_the_recursion(d, depth):
+    _, infinite = boundary_census_exact(complete_tree(d, depth), 0)
+    assert infinite == tree_theta_profile(d, depth)
 
 
 # ---- positive association ----

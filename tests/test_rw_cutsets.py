@@ -28,7 +28,7 @@ from percut.rw_cutsets import (
     qn_census_rw,
 )
 
-from corpus import BAND_CASES, CORPUS, cutsets_for
+from corpus import BAND_CASES, CORPUS, complete_tree, cutsets_for
 from oracles import (
     band_inverse_by_whole_rows, blocks_over_one, census_by_walks, fundamental_matrix_by_solve,
     green_matrix, scaled_by_a_millionth, subdivision_escape_check, traced_peak, walk_by_steps,
@@ -241,6 +241,13 @@ def test_escape_mc_step_cap(monkeypatch):
     # On path:5 every walk from 2 returns or is absorbed within 2 steps.
     monkeypatch.setattr(_util, "MAX_STEPS", 2)
     assert escape_probability_mc(path_graph(5), 2, 100, seed=1).trials == 100
+
+
+@pytest.mark.parametrize("d, depth", [(2, 9), (3, 6)])
+def test_complete_tree_root_escape_matches_the_closed_form(d, depth):
+    # Level r is d^r unit resistors in parallel, so R_eff = sum of d^-r and escape = 1 / (d R_eff).
+    want = 1.0 / (d * sum(float(d) ** -r for r in range(1, depth + 1)))
+    assert escape_probabilities(complete_tree(d, depth))[0] == pytest.approx(want, abs=1e-12)
 
 
 # ---- order-2 subdivision floors ----
